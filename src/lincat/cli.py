@@ -100,12 +100,8 @@ def cmd_basis(args, out):
     return 0
 
 
-def _span_payload(doc, path):
-    return _expect(doc, ("span",), path)
-
-
 def cmd_span(args, out):
-    span = _span_payload(parse(args.file), args.file)
+    span = _expect(parse(args.file), ("span",), args.file)
     res = lambda_span(span, seed=args.seed)
     dims = res.map.dims
     if args.output == "json":
@@ -134,8 +130,8 @@ def cmd_span(args, out):
 
 
 def cmd_compose(args, out):
-    s1 = _span_payload(parse(args.first), args.first)
-    s2 = _span_payload(parse(args.second), args.second)
+    s1 = _expect(parse(args.first), ("span",), args.first)
+    s2 = _expect(parse(args.second), ("span",), args.second)
     comp = compose_spans(s1, s2)
     beta = beta_compositor(s1, s2, seed=args.seed) if args.verify_beta else None
     if args.output == "json":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -458,7 +457,3 @@ def rational_matrix_obj(rows):
 
 def dump_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def packaged_schema_text(kind) -> str:
-    return resources.files("lincat").joinpath(f"schemas/{kind}.schema.json").read_text()

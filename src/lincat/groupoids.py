@@ -21,7 +21,7 @@ from .errors import (
     StrictnessViolation,
     TargetMismatch,
 )
-from .groups import FinGroup, GroupHom, identity_hom
+from .groups import FinGroup, GroupHom, _table_group, identity_hom
 
 
 class Groupoid:
@@ -143,11 +143,6 @@ class GroupoidFunctor:
             self.hom_maps[i].then(other.hom_maps[self(i)]) for i in range(len(self.source))
         ]
         return GroupoidFunctor(self.source, other.target, omap, homs)
-
-    def is_identity(self):
-        return self.source == self.target and all(
-            h.is_identity() for h in self.hom_maps
-        ) and np.array_equal(self.object_map, np.arange(len(self.source)))
 
     def __eq__(self, other):
         return (
@@ -302,14 +297,12 @@ def _fibred_product(f: GroupHom, g: GroupHom, c: FinGroup, m: int):
             if lhs == c.mul(m, g(k)):
                 pairs.append((h, k))
     pairs.sort()
-    index = {p: i for i, p in enumerate(pairs)}
-    n = len(pairs)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, (h1, k1) in enumerate(pairs):
-        for j, (h2, k2) in enumerate(pairs):
-            table[i, j] = index[(f.source.mul(h1, h2), g.source.mul(k1, k2))]
-    fib = FinGroup(table, name=f"fib[{m}]")
-    return pairs, fib, index
+    fib = _table_group(
+        pairs,
+        lambda p, q: (f.source.mul(p[0], q[0]), g.source.mul(p[1], q[1])),
+        name=f"fib[{m}]",
+    )
+    return pairs, fib, {p: i for i, p in enumerate(pairs)}
 
 
 def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, rep_selector=None) -> CommaCategory:
@@ -404,42 +397,6 @@ def compose_spans(x: Span, xp: Span) -> Span:
         )
     cat = comma_category(x.right, xp.left)
     return Span(cat.groupoid, cat.proj_left.then(x.left), cat.proj_right.then(xp.right))
-
-
-def induced_functor_into_pullback(cat: CommaCategory, u, v, mediators):
-    """The functor Z -> comma apex determined by functors u, v out of Z and a
-    mediating element of Aut(c) per object of Z.
-
-    Requires f.u = g.v on objects (where the comma category is (f | g)) and,
-    for every z and every w in Aut(z), f(u(w)) * m_z = m_z * g(v(w)).
-    The mediating element is transported to the stored class representative
-    through the recorded double-coset witness.
-    """
-    z = u.source
-    omap = []
-    homs = []
-    for zi in range(len(z)):
-        a, b = u(zi), v(zi)
-        m = mediators[zi]
-        coset_class, witness, _ = cat.pair_data[(a, b)]
-        cid = int(coset_class[m])
-        cls = cat.classes[cid]
-        h0, k0 = witness[m]
-        auta = u.target.aut(a)
-        autb = v.target.aut(b)
-        uh, vh = u.hom(zi), v.hom(zi)
-        table = np.empty(z.aut(zi).order, dtype=np.int64)
-        for w in range(z.aut(zi).order):
-            h = auta.mul(auta.inv[h0], auta.mul(uh(w), h0))
-            k = autb.mul(autb.inv[k0], autb.mul(vh(w), k0))
-            if (h, k) not in cls.pair_index:
-                raise StrictnessViolation(
-                    "transported pair lands outside the fibred product"
-                )
-            table[w] = cls.pair_index[(h, k)]
-        omap.append(cid)
-        homs.append(GroupHom(z.aut(zi), cls.fib, table))
-    return GroupoidFunctor(z, cat.groupoid, omap, homs)
 
 
 # ---------------------------------------------------------------------------

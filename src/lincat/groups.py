@@ -142,11 +142,6 @@ class GroupHom:
     def image(self):
         return sorted({int(a) for a in self.map})
 
-    def is_identity(self):
-        return self.source == self.target and np.array_equal(
-            self.map, np.arange(self.source.order)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupHom)
@@ -171,6 +166,26 @@ def trivial_hom(source: FinGroup, target: FinGroup) -> GroupHom:
 # constructions
 
 
+def _table_group(elements, product, name=None) -> FinGroup:
+    """The group on an ordered element list (identity first) whose table
+    holds the position of ``product(a, b)``; raises AxiomViolation if the
+    list is not closed under the product."""
+    index = {e: i for i, e in enumerate(elements)}
+    table = np.empty((len(elements), len(elements)), dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            c = index.get(product(a, b))
+            if c is None:
+                raise AxiomViolation("inverse", (a, b), "element set is not closed")
+            table[i, j] = c
+    return FinGroup(table, name=name)
+
+
+def _compose_perms(p, q):
+    """One-line permutation p*q: apply q first."""
+    return tuple(p[k] for k in q)
+
+
 def trivial_group() -> FinGroup:
     return FinGroup([[0]], name="1")
 
@@ -184,12 +199,7 @@ def symmetric_group(n: int) -> FinGroup:
     """S_n on points 0..n-1; elements are one-line permutations in lexicographic
     order, so the identity permutation has index 0."""
     perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = np.empty((len(perms), len(perms)), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[k]] for k in range(n))]
-    return FinGroup(table, name=f"S{n}")
+    return _table_group(perms, _compose_perms, name=f"S{n}")
 
 
 def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
@@ -217,7 +227,7 @@ def group_from_permutations(generators, n_points, name=None, max_order=500):
         nxt = []
         for p in frontier:
             for q in gens:
-                r = tuple(p[q[k]] for k in range(n_points))
+                r = _compose_perms(p, q)
                 if r not in elements:
                     elements.add(r)
                     nxt.append(r)
@@ -226,13 +236,7 @@ def group_from_permutations(generators, n_points, name=None, max_order=500):
             raise AxiomViolation(
                 "inverse", (-1,), f"generated group exceeds the cap of {max_order} elements"
             )
-    ordered = sorted(elements)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = np.empty((len(ordered), len(ordered)), dtype=np.int64)
-    for i, p in enumerate(ordered):
-        for j, q in enumerate(ordered):
-            table[i, j] = index[tuple(p[q[k]] for k in range(n_points))]
-    return FinGroup(table, name=name)
+    return _table_group(sorted(elements), _compose_perms, name=name)
 
 
 def subgroup_embedding(g: FinGroup, elements, name=None):
@@ -242,15 +246,7 @@ def subgroup_embedding(g: FinGroup, elements, name=None):
     elems = sorted(set(int(e) for e in elements))
     if not elems or elems[0] != 0:
         raise AxiomViolation("identity", (0,), "subgroup must contain the identity")
-    pos = {e: i for i, e in enumerate(elems)}
-    table = np.empty((len(elems), len(elems)), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            c = g.mul(a, b)
-            if c not in pos:
-                raise AxiomViolation("inverse", (a, b), "element set is not closed")
-            table[i, j] = pos[c]
-    sub = FinGroup(table, name=name or f"{g.name}_sub{len(elems)}")
+    sub = _table_group(elems, g.mul, name=name or f"{g.name}_sub{len(elems)}")
     incl = GroupHom(sub, g, np.array(elems, dtype=np.int64))
     return sub, incl
 

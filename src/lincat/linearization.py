@@ -43,8 +43,9 @@ from .groupoids import (
 from .rep import (
     DEFAULT_SEED,
     DEFAULT_TOL,
-    InducedRep,
     RepModel,
+    _counit_kernel,
+    _unit_kernel,
     flatten_induction,
     hom_dim,
     induce_rep,
@@ -64,11 +65,6 @@ class LambdaObject:
     groupoid: Groupoid
     basis: TwoBasis
     irrep_tables: list
-
-    def label_range(self, obj_idx):
-        """Slice of basis indices belonging to one object."""
-        start = sum(len(t) for t in self.irrep_tables[:obj_idx])
-        return range(start, start + len(self.irrep_tables[obj_idx]))
 
 
 def lambda_object(a: Groupoid, seed=DEFAULT_SEED) -> LambdaObject:
@@ -250,39 +246,6 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
 # --- secondary evaluation path (unit/counit pasting on induced models) -----
 
 
-def _frobenius_embedding(ind: InducedRep, w2, f_entries, source_order):
-    """Equivariant embedding of the irrep W2 into an induced model, attached to
-    an intertwiner f : base -> pullback of W2; normalized through the exterior
-    trace map (1/#source of the induction's base group)."""
-    h = ind.group
-    dimw = w2.dim
-    out = np.zeros((ind.dim, dimw), dtype=complex)
-    fdag = f_entries.conj().T
-    for col in range(dimw):
-        e = np.zeros(dimw, dtype=complex)
-        e[col] = 1.0
-        acc = np.zeros(ind.dim, dtype=complex)
-        for a in range(h.order):
-            acc += ind.tensor_coords(h.inv[a], fdag @ (w2.matrices[a] @ e))
-        out[:, col] = acc / source_order
-    return out
-
-
-def _frobenius_projection(ind: InducedRep, w2, f_entries, source_order):
-    """Dual map of the embedding above: (1/kappa) * [h_i (x) e_j -> W2(h_i) f C e_j]
-    with kappa = #Aut(a2) / (#Aut(x) * dim W2)."""
-    h = ind.group
-    dimw = w2.dim
-    out = np.zeros((dimw, ind.dim), dtype=complex)
-    dw = ind.block_dim
-    c = ind.invariant_basis
-    for i, hi in enumerate(ind.coset_reps):
-        if dw:
-            out[:, i * dw : (i + 1) * dw] = w2.matrices[hi] @ f_entries @ c
-    kappa = h.order / (source_order * dimw)
-    return out / kappa
-
-
 def _big_transfer(y: SpanMap, top_wits, bot_wits):
     """The presheaf-level map between the block models
     (+)_{x1} ind_{t1}(s1*W1)  ->  (+)_{x2} ind_{t2}(s2*W1)
@@ -310,30 +273,19 @@ def _big_transfer(y: SpanMap, top_wits, bot_wits):
         if comp_hom != t_hom.then(t2_hom):
             raise NumericalFailure("strictness lost in composite homs")
         v_y = restrict_rep(s_hom, r1_top)
-        # eta side: r1_top -> ind_s(v_y), then induced along t1 and flattened
+        # eta side: the right unit r1_top -> ind_s(v_y), then induced along t1
+        # and flattened
         ind_s = induce_rep(s_hom, v_y)
-        aut_x1 = r1_top.group
-        eta = np.zeros((ind_s.dim, r1_top.dim), dtype=complex)
-        for col in range(r1_top.dim):
-            e = np.zeros(r1_top.dim, dtype=complex)
-            e[col] = 1.0
-            acc = np.zeros(ind_s.dim, dtype=complex)
-            for g in range(aut_x1.order):
-                acc += ind_s.tensor_coords(aut_x1.inv[g], r1_top.matrices[g] @ e)
-            eta[:, col] = acc / y.apex.aut(yi).order
+        eta = _unit_kernel(ind_s, r1_top.matrices)
         staged1 = induce_rep(t1_hom, ind_s)
         direct = induce_rep(comp_hom, v_y)
         flat1 = flatten_induction(staged1, direct)
         mor1 = induced_morphism(top_models[i1], staged1, eta)
-        # eps side: ind_t(restrict(t, r1_bot)) -> r1_bot, induced along t2
+        # eps side: the left counit ind_t(restrict(t, r1_bot)) -> r1_bot,
+        # induced along t2
         res_t = restrict_rep(t_hom, r1_bot)
         ind_t = induce_rep(t_hom, res_t)
-        eps = np.zeros((r1_bot.dim, ind_t.dim), dtype=complex)
-        dwt = ind_t.block_dim
-        ct = ind_t.invariant_basis
-        for i, hi in enumerate(ind_t.coset_reps):
-            if dwt:
-                eps[:, i * dwt : (i + 1) * dwt] = r1_bot.matrices[hi] @ ct
+        eps = _counit_kernel(ind_t, r1_bot.matrices)
         staged2 = induce_rep(t2_hom, ind_t)
         direct2 = induce_rep(t_hom.then(t2_hom), res_t)
         flat2 = flatten_induction(staged2, direct2)
@@ -369,28 +321,30 @@ def _check_dual_path(y, lam_top, lam_bot, morphism, seed, tol):
             if key not in cache:
                 cache[key] = _big_transfer(y, top_wits, bot_wits)
             big, top_models, bot_models = cache[key]
-            # embed/project through the Frobenius identifications
+            # embed/project through the Frobenius identifications: the
+            # embedding of W2 attached to f : base -> pullback of W2 is the
+            # unit kernel on f^dag W2(a); the projection attached to f2 is the
+            # counit kernel on W2(h) f2, divided by
+            # kappa = #Aut(a2) / (#Aut(x2) * dim W2)
             alt = np.zeros((nrows, ncols), dtype=complex)
             col0 = 0
             for i1, tw in enumerate(top_wits):
-                autx1 = y.top.apex.aut(tw.apex_idx).order
                 lo = int(np.sum([m.dim for m in top_models[:i1]]))
                 for j, f in enumerate(tw.basis):
                     iota = np.zeros((big.shape[1], w2.dim), dtype=complex)
-                    iota[lo : lo + top_models[i1].dim, :] = _frobenius_embedding(
-                        top_models[i1], w2, f.entries, autx1
+                    iota[lo : lo + top_models[i1].dim, :] = _unit_kernel(
+                        top_models[i1], f.entries.conj().T @ w2.matrices
                     )
                     image = big @ iota
                     row0 = 0
                     for i2, bw in enumerate(bot_wits):
-                        autx2 = y.bottom.apex.aut(bw.apex_idx).order
+                        ind2 = bot_models[i2]
+                        kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
                         lo2 = int(np.sum([m.dim for m in bot_models[:i2]]))
                         for i, f2 in enumerate(bw.basis):
-                            proj = _frobenius_projection(
-                                bot_models[i2], w2, f2.entries, autx2
-                            )
+                            proj = _counit_kernel(ind2, w2.matrices @ f2.entries) / kappa
                             val = np.trace(
-                                proj @ image[lo2 : lo2 + bot_models[i2].dim, :]
+                                proj @ image[lo2 : lo2 + ind2.dim, :]
                             ) / w2.dim
                             alt[row0 + i, col0 + j] = val
                         row0 += len(bw.basis)

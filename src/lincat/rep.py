@@ -135,9 +135,6 @@ class RepModel:
             self._character = Character(self.group, np.array(vals))
         return self._character
 
-    def apply(self, g, vec):
-        return self.matrices[g] @ vec
-
 
 class Irrep(RepModel):
     """A unitary irreducible representation with its character attached."""
@@ -292,8 +289,10 @@ class InducedRep(RepModel):
         return self.invariant_basis.shape[1]
 
     def tensor_coords(self, h, vec):
-        """Coordinates of the tensor  h (x) vec  (vec in V-coordinates)."""
-        out = np.zeros(self.dim, dtype=complex)
+        """Coordinates of the tensor  h (x) vec  (vec in V-coordinates; the
+        columns of a matrix are sent to columns)."""
+        vec = np.asarray(vec, dtype=complex)
+        out = np.zeros((self.dim,) + vec.shape[1:], dtype=complex)
         dw = self.block_dim
         if dw == 0:
             return out
@@ -302,12 +301,12 @@ class InducedRep(RepModel):
         u = hh.mul(hh.inv[self.coset_reps[i]], h)
         gu = self.section[u]
         out[i * dw : (i + 1) * dw] = self.invariant_basis.conj().T @ (
-            self.base.matrices[gu] @ np.asarray(vec, dtype=complex)
+            self.base.matrices[gu] @ vec
         )
         return out
 
 
-def _invariant_basis(v: RepModel, kernel, tol=1e-9):
+def _invariant_basis(v: RepModel, kernel):
     if v.dim == 0:
         return np.zeros((0, 0), dtype=complex)
     p = np.zeros((v.dim, v.dim), dtype=complex)
@@ -316,31 +315,19 @@ def _invariant_basis(v: RepModel, kernel, tol=1e-9):
     p /= len(kernel)
     u, s, _ = np.linalg.svd(p)
     rank = int(np.sum(s > 0.5))
-    del tol
     return u[:, :rank]
 
 
-def _left_cosets(h: FinGroup, image):
-    coset_index = -np.ones(h.order, dtype=np.int64)
+def _cosets(mult, image):
+    """Minimal-index representatives of the cosets a*image under the product
+    table ``mult``, in increasing order, and the coset id of every element.
+    Pass the transposed table for the right cosets image*a."""
+    coset_index = -np.ones(mult.shape[0], dtype=np.int64)
     reps = []
-    for a in range(h.order):
-        if coset_index[a] >= 0:
-            continue
-        reps.append(a)
-        for u in image:
-            coset_index[h.mul(a, u)] = len(reps) - 1
-    return reps, coset_index
-
-
-def _right_cosets(h: FinGroup, image):
-    coset_index = -np.ones(h.order, dtype=np.int64)
-    reps = []
-    for a in range(h.order):
-        if coset_index[a] >= 0:
-            continue
-        reps.append(a)
-        for u in image:
-            coset_index[h.mul(u, a)] = len(reps) - 1
+    for a in range(mult.shape[0]):
+        if coset_index[a] < 0:
+            coset_index[mult[a, image]] = len(reps)
+            reps.append(a)
     return reps, coset_index
 
 
@@ -357,7 +344,7 @@ def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
             section[u] = g
     c = _invariant_basis(v, f.kernel())
     dw = c.shape[1]
-    reps, coset_index = _left_cosets(h, image)
+    reps, coset_index = _cosets(h.mult, image)
     n = len(reps)
     dim = n * dw
     mats = np.zeros((h.order, dim, dim), dtype=complex)
@@ -466,43 +453,21 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
 # hom model, Nakayama map, units and counits
 
 
-def _hom_model_reps(f: GroupHom):
-    """Right-coset representatives indexing the distinguished basis of
-    Hom_{C[G]}(C[H], V): pairs (right coset rep, invariant basis vector) with
-    phi_{i,j}(f(g) r_i) = g . (C e_j), zero off the coset im(f) r_i."""
-    rreps, _ = _right_cosets(f.target, f.image())
-    return rreps
+def _nakayama_data(f: GroupHom, v: RepModel, tol):
+    """(matrix, ind model, condition number) of the exterior trace map
+    phi -> (1/#G) sum_{h in H} h^-1 (x) phi(h).
 
-
-def nakayama(f: GroupHom, v: RepModel, tol=DEFAULT_TOL) -> LinearMap:
-    """Matrix of the exterior trace map from the hom model of induction to the
-    tensor model, in the distinguished bases; raises SingularMap if it is not
-    invertible.  The returned map carries a ``condition_number`` attribute."""
-    mat, _, _ = _nakayama_data(f, v)
-    if mat.shape[0] != mat.shape[1]:
-        raise SingularMap("hom and tensor models have different dimensions")
-    cond = 1.0
-    if mat.shape[0]:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
-            raise SingularMap("exterior trace map is numerically singular")
-        cond = float(sv[0] / sv[-1])
-    out = LinearMap(mat)
-    out.condition_number = cond
-    return out
-
-
-def _nakayama_data(f: GroupHom, v: RepModel):
-    """(matrix, ind model, right-coset reps) of the exterior trace map
-    phi -> (1/#G) sum_{h in H} h^-1 (x) phi(h)."""
+    The hom model Hom_{C[G]}(C[H], V) has the distinguished basis of pairs
+    (right coset rep r_i, invariant basis vector e_j) with
+    phi_{i,j}(f(g) r_i) = g . (C e_j), zero off the coset im(f) r_i.  Raises
+    SingularMap unless the matrix is square and numerically invertible."""
     ind = induce_rep(f, v)
     h = f.target
     c = ind.invariant_basis
     dw = c.shape[1]
-    rreps = _hom_model_reps(f)
-    nhom = len(rreps) * dw
-    mat = np.zeros((ind.dim, nhom), dtype=complex)
     image = f.image()
+    rreps, _ = _cosets(h.mult.T, image)
+    mat = np.zeros((ind.dim, len(rreps) * dw), dtype=complex)
     for i, ri in enumerate(rreps):
         for j in range(dw):
             col = np.zeros(ind.dim, dtype=complex)
@@ -513,7 +478,49 @@ def _nakayama_data(f: GroupHom, v: RepModel):
                 col += ind.tensor_coords(h.inv[hh], val)
             mat[:, i * dw + j] = col
     mat /= f.source.order
-    return mat, ind, rreps
+    if mat.shape[0] != mat.shape[1]:
+        raise SingularMap("hom and tensor models have different dimensions")
+    cond = 1.0
+    if mat.shape[0]:
+        sv = np.linalg.svd(mat, compute_uv=False)
+        if sv[-1] <= tol * max(1.0, sv[0]):
+            raise SingularMap("exterior trace map is numerically singular")
+        cond = float(sv[0] / sv[-1])
+    return mat, ind, cond
+
+
+def nakayama(f: GroupHom, v: RepModel, tol=DEFAULT_TOL) -> LinearMap:
+    """Matrix of the exterior trace map from the hom model of induction to the
+    tensor model, in the distinguished bases; raises SingularMap if it is not
+    invertible.  The returned map carries a ``condition_number`` attribute."""
+    mat, _, cond = _nakayama_data(f, v, tol)
+    out = LinearMap(mat)
+    out.condition_number = cond
+    return out
+
+
+def _unit_kernel(ind: InducedRep, mats) -> np.ndarray:
+    """(1/#G) sum_{a in H} a^-1 (x) M[a] e for every basis vector e, where
+    ``ind`` is induced along f : G -> H and ``mats`` stacks one matrix M[a]
+    per element of H.  With M the action of the H-model whose restriction
+    was induced, this is the right unit."""
+    h = ind.group
+    out = np.zeros((ind.dim, mats.shape[2]), dtype=complex)
+    for a in range(h.order):
+        out += ind.tensor_coords(h.inv[a], mats[a])
+    return out / ind.hom.source.order
+
+
+def _counit_kernel(ind: InducedRep, mats) -> np.ndarray:
+    """The map h_i (x) e_j -> M[h_i] C e_j on the cosets x invariants basis of
+    ``ind``.  With M the action of the H-model whose restriction was induced,
+    this is the left counit."""
+    out = np.zeros((mats.shape[1], ind.dim), dtype=complex)
+    dw = ind.block_dim
+    if dw:
+        for i, hi in enumerate(ind.coset_reps):
+            out[:, i * dw : (i + 1) * dw] = mats[hi] @ ind.invariant_basis
+    return out
 
 
 def eta_L(f: GroupHom, fmodel: RepModel) -> LinearMap:
@@ -534,13 +541,7 @@ def eps_L(f: GroupHom, gmodel: RepModel) -> LinearMap:
     if gmodel.group != f.target:
         raise ModelMismatch("eps_L needs a model of the target group")
     ind = induce_rep(f, restrict_rep(f, gmodel))
-    out = np.zeros((gmodel.dim, ind.dim), dtype=complex)
-    dw = ind.block_dim
-    c = ind.invariant_basis
-    for i, hi in enumerate(ind.coset_reps):
-        if dw:
-            out[:, i * dw : (i + 1) * dw] = gmodel.matrices[hi] @ c
-    return LinearMap(out)
+    return LinearMap(_counit_kernel(ind, gmodel.matrices))
 
 
 def eta_R(f: GroupHom, gmodel: RepModel) -> LinearMap:
@@ -549,16 +550,7 @@ def eta_R(f: GroupHom, gmodel: RepModel) -> LinearMap:
     if gmodel.group != f.target:
         raise ModelMismatch("eta_R needs a model of the target group")
     ind = induce_rep(f, restrict_rep(f, gmodel))
-    h = f.target
-    out = np.zeros((ind.dim, gmodel.dim), dtype=complex)
-    for col in range(gmodel.dim):
-        e = np.zeros(gmodel.dim, dtype=complex)
-        e[col] = 1.0
-        acc = np.zeros(ind.dim, dtype=complex)
-        for a in range(h.order):
-            acc += ind.tensor_coords(h.inv[a], gmodel.matrices[a] @ e)
-        out[:, col] = acc / f.source.order
-    return LinearMap(out)
+    return LinearMap(_unit_kernel(ind, gmodel.matrices))
 
 
 def eps_R(f: GroupHom, fmodel: RepModel, tol=DEFAULT_TOL) -> LinearMap:
@@ -566,22 +558,14 @@ def eps_R(f: GroupHom, fmodel: RepModel, tol=DEFAULT_TOL) -> LinearMap:
     the inverse of the exterior trace map."""
     if fmodel.group != f.source:
         raise ModelMismatch("eps_R needs a model of the source group")
-    mat, ind, rreps = _nakayama_data(f, fmodel)
-    if mat.shape[0] != mat.shape[1]:
-        raise SingularMap("hom and tensor models have different dimensions")
+    mat, ind, _ = _nakayama_data(f, fmodel, tol)
     dw = ind.block_dim
     ev = np.zeros((fmodel.dim, mat.shape[1]), dtype=complex)
     if dw:
         # only the right coset of the identity contributes to phi(1); its
         # representative is the identity, stored first
         ev[:, 0:dw] = ind.invariant_basis
-    if mat.shape[0]:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
-            raise SingularMap("exterior trace map is numerically singular")
-        inv = np.linalg.inv(mat)
-    else:
-        inv = mat
+    inv = np.linalg.inv(mat) if mat.shape[0] else mat
     return LinearMap(ev @ inv)
 
 

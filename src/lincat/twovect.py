@@ -139,11 +139,6 @@ class TwoMorphism:
                    for c in range(len(t.domain))}
         )
 
-    def max_abs(self):
-        return max(
-            (np.max(np.abs(b)) for b in self.blocks.values() if b.size), default=0.0
-        )
-
 
 def vcompose_2morph(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
     """Vertical composite (a first, then b): blockwise composition of maps."""

@@ -2,13 +2,7 @@ import json
 
 import pytest
 
-from lincat.documents import (
-    KINDS,
-    document_schema,
-    parse,
-    parse_obj,
-    serialize,
-)
+from lincat.documents import parse, parse_obj, serialize
 from lincat.errors import SchemaError, UnresolvedReference
 from lincat.groupoids import SpanMap, identity_span, one_object_groupoid, terminal_groupoid
 from lincat.groups import cyclic_group, symmetric_group
@@ -148,10 +142,3 @@ def test_fixture_files_parse_and_match_builders():
     suite = parse(f"{DATA}/suite_small.json")
     assert suite.kind == "suite"
     assert len(suite.payload["spans"]) == 2
-
-
-def test_schema_files_match_generators():
-    for kind in KINDS:
-        with open(f"src/lincat/schemas/{kind}.schema.json") as fh:
-            on_disk = json.load(fh)
-        assert on_disk == document_schema(kind)

@@ -103,9 +103,13 @@ def test_symmetric_group_composition_convention():
 
 
 def test_group_from_permutations_matches_symmetric():
-    g = group_from_permutations([[1, 0, 2], [1, 2, 0]], 3)
-    assert g.order == 6
-    assert np.array_equal(g.mult, symmetric_group(3).mult)
+    for gens, n, order in [
+        ([[1, 0, 2], [1, 2, 0]], 3, 6),
+        ([[1, 0, 2, 3], [1, 2, 3, 0]], 4, 24),
+    ]:
+        g = group_from_permutations(gens, n)
+        assert g.order == order
+        assert np.array_equal(g.mult, symmetric_group(n).mult)
 
 
 def test_group_from_permutations_cap():

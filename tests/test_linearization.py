@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from lincat.documents import parse
+from lincat.errors import IntertwinerProjectionFailure
 from lincat.groupoids import (
     Groupoid,
     GroupoidFunctor,
@@ -18,6 +21,7 @@ from lincat.groupoids import (
 )
 from lincat.groups import cyclic_group, symmetric_group, trivial_group
 from lincat.linearization import (
+    _check_dual_path,
     beta_compositor,
     composite_block_iso,
     degroupoidify,
@@ -36,7 +40,10 @@ from lincat.suites import (
     span_over_points,
     z2_in_s3,
 )
-from lincat.twovect import hcompose_2morph, vcompose_2morph
+from lincat.rep import DEFAULT_SEED, DEFAULT_TOL
+from lincat.twovect import TwoMorphism, hcompose_2morph, vcompose_2morph
+
+DATA = "src/lincat/data"
 
 TOL = 1e-8
 
@@ -213,6 +220,19 @@ def test_lambda_spanmap_dual_paths_agree_on_suite():
     # running it with check=True over the suite is the assertion
     for sm in default_suite().spanmaps:
         lambda_spanmap(sm, check=True)
+
+
+def test_dual_path_catches_a_wrong_block():
+    sm = parse(f"{DATA}/gmap_bz2.json").payload
+    res = lambda_spanmap(sm)
+    blocks = dict(res.morphism.blocks)
+    (key,) = [k for k, b in blocks.items() if b.size]
+    assert np.allclose(blocks[key], [[0.5]])
+    blocks[key] = blocks[key] + 1e-3
+    wrong = TwoMorphism(res.morphism.source, res.morphism.target, blocks)
+    with pytest.raises(IntertwinerProjectionFailure):
+        _check_dual_path(sm, res.source_result, res.target_result, wrong,
+                         seed=DEFAULT_SEED, tol=DEFAULT_TOL)
 
 
 # --- compositor ---------------------------------------------------------------
