@@ -340,7 +340,7 @@ def main(argv=None):
     except LincatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 
-from .errors import SchemaError, UnresolvedReference
+from .errors import IndexOutOfRange, SchemaError, UnresolvedReference
 from .groupoids import Groupoid, GroupoidFunctor, Span, SpanMap
 from .groups import FinGroup, GroupHom, group_from_permutations, validate_group
 
@@ -169,7 +169,7 @@ class _Resolver:
             g = validate_group(spec["mult"], name=name)
         elif "permutation_generators" in spec:
             gens = spec["permutation_generators"]
-            degree = spec.get("degree", max((max(p) + 1 for p in gens), default=1))
+            degree = spec.get("degree", max((len(p) for p in gens), default=1))
             g = group_from_permutations(
                 gens, degree, name=name, max_order=self.max_group_order
             )
@@ -200,6 +200,11 @@ class _Resolver:
         src = self.groupoid(spec["source"])
         tgt = self.groupoid(spec["target"])
         omap = spec["object_map"]
+        if len(omap) != len(spec["hom_maps"]):
+            raise IndexOutOfRange(
+                f"functor {name!r} has {len(omap)} object images but "
+                f"{len(spec['hom_maps'])} hom maps"
+            )
         homs = []
         for i, table in enumerate(spec["hom_maps"]):
             homs.append(GroupHom(src.aut(i), tgt.aut(omap[i]), np.array(table)))
@@ -247,6 +252,8 @@ def _find(items, name):
 
 def parse_obj(data, max_group_order=500) -> Document:
     """Validate a raw document object and resolve its payload."""
+    if not isinstance(data, dict):
+        raise SchemaError("a document must be a JSON object")
     kind = data.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown or missing document kind {kind!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,12 @@ class FinGroup:
     """A finite group given by its multiplication table over element indices."""
 
     def __init__(self, mult, name=None, _validated=False):
-        table = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
+        try:
+            table = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
+        except ValueError:
+            raise AxiomViolation(
+                "identity", (-1,), "multiplication table is not square"
+            ) from None
         if not _validated:
             table = _check_table(table)
         self.mult = table
@@ -60,6 +66,16 @@ class FinGroup:
             inv[a] = int(np.nonzero(table[a] == 0)[0][0])
         self.inv = inv
         self.fingerprint = table.tobytes()
+
+    @cached_property
+    def classes(self):
+        """The conjugacy classes, computed once per group object."""
+        return conjugacy_classes(self)
+
+    @cached_property
+    def class_sizes(self):
+        """Number of elements in each conjugacy class."""
+        return np.array([len(c) for c in self.classes])
 
     def mul(self, a, b):
         return int(self.mult[a, b])
@@ -204,13 +220,11 @@ def symmetric_group(n: int) -> FinGroup:
 
 def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
     """Product group; element (a, b) has index a*h.order + b."""
-    n, m = g.order, h.order
-    table = np.empty((n * m, n * m), dtype=np.int64)
-    for a in range(n):
-        for b in range(m):
-            prod = g.mult[a][:, None] * m + h.mult[b][None, :]
-            table[a * m + b] = prod.reshape(-1)
-    return FinGroup(table, name=f"{g.name}x{h.name}")
+    return _table_group(
+        list(itertools.product(range(g.order), range(h.order))),
+        lambda p, q: (g.mul(p[0], q[0]), h.mul(p[1], q[1])),
+        name=f"{g.name}x{h.name}",
+    )
 
 
 def group_from_permutations(generators, n_points, name=None, max_order=500):

@@ -6,9 +6,13 @@ A1 <- X -> A2 is sent to the matrix whose ((a2,W2),(a1,W1)) entry is the
 direct sum, over apex objects x lying above (a1, a2), of the space of
 Aut(x)-intertwiners between the two pullbacks of W1 and W2; the entry
 dimensions are computed by character arithmetic and cross-checked against the
-multiplicity of W2 in the induced representation.  A strict span of span maps
-is sent to a matrix of linear operators between those intertwiner spaces,
-evaluated in closed form as
+multiplicity of W2 in the induced representation.  The matrix is built in
+one pass over apex objects: each pullback s*W1, t*W2 and each pushforward
+t_*s*W1 is built once per (apex object, irrep) and shared by the count, the
+cross-check, the intertwiner bases and the dual path below.
+
+A strict span of span maps is sent to a matrix of linear operators between
+those intertwiner spaces, evaluated in closed form as
 
     f  |->  c(x1, x2) * P(f),      c = |preimage of (x1,x2)| * #Aut(x1),
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -38,11 +43,14 @@ from .groupoids import (
     SpanMap,
     comma_category,
     compose_spans,
+    horizontal_compose_spanmaps,
     identity_span,
+    vertical_compose_spanmaps,
 )
 from .rep import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    InducedRep,
     RepModel,
     _counit_kernel,
     _unit_kernel,
@@ -55,7 +63,14 @@ from .rep import (
     regular_rep,
     restrict_rep,
 )
-from .twovect import TwoBasis, TwoLinearMap, TwoMorphism, compose_2linear
+from .twovect import (
+    TwoBasis,
+    TwoLinearMap,
+    TwoMorphism,
+    compose_2linear,
+    hcompose_2morph,
+    vcompose_2morph,
+)
 
 
 @dataclass
@@ -65,15 +80,19 @@ class LambdaObject:
     groupoid: Groupoid
     basis: TwoBasis
     irrep_tables: list
+    # per object of the groupoid, its (basis position, irrep) pairs in basis
+    # order
+    positions: list
 
 
 def lambda_object(a: Groupoid, seed=DEFAULT_SEED) -> LambdaObject:
     tables = [irreps(aut, seed=seed) for _, aut in a.objects]
     labels = []
+    positions = []
     for (name, _), table in zip(a.objects, tables):
-        for k, r in enumerate(table):
-            labels.append((name, k, r.dim))
-    return LambdaObject(a, TwoBasis(labels), tables)
+        positions.append([(len(labels) + k, r) for k, r in enumerate(table)])
+        labels.extend((name, k, r.dim) for k, r in enumerate(table))
+    return LambdaObject(a, TwoBasis(labels), tables, positions)
 
 
 @dataclass
@@ -84,6 +103,7 @@ class _EntryWitness:
     r1: RepModel  # pullback of W1 along the left leg
     r2: RepModel  # pullback of W2 along the right leg
     basis: list   # intertwiner basis (may be empty)
+    ind: InducedRep  # pushforward of r1 along the right leg
 
 
 @dataclass
@@ -102,28 +122,19 @@ def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult
     tgt = lambda_object(x.target, seed=seed)
     nrow, ncol = len(tgt.basis), len(src.basis)
     dims = np.zeros((nrow, ncol), dtype=np.int64)
-    hom_bases = {}
-    witnesses = {}
-    details = {}
-    # group apex objects by foot pair
-    by_feet = {}
+    details = {(r, c): [] for r in range(nrow) for c in range(ncol)}
+    # apex objects in increasing order, so each entry's witnesses ascend
     for xi in range(len(x.apex)):
-        by_feet.setdefault((x.left(xi), x.right(xi)), []).append(xi)
-    for r, (a2_name, w2_idx, _) in enumerate(tgt.basis.labels):
-        a2 = x.target.names.index(a2_name)
-        w2 = tgt.irrep_tables[a2][w2_idx]
-        for c, (a1_name, w1_idx, _) in enumerate(src.basis.labels):
-            a1 = x.source.names.index(a1_name)
-            w1 = src.irrep_tables[a1][w1_idx]
-            entry_wits = []
-            basis_cat = []
-            total = 0
-            for xi in by_feet.get((a1, a2), []):
-                r1 = restrict_rep(x.left.hom(xi), w1)
-                r2 = restrict_rep(x.right.hom(xi), w2)
+        s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
+        pulled2 = [
+            (r, w2, restrict_rep(t_hom, w2)) for r, w2 in tgt.positions[x.right(xi)]
+        ]
+        for c, w1 in src.positions[x.left(xi)]:
+            r1 = restrict_rep(s_hom, w1)
+            ind = induce_rep(t_hom, r1)
+            for r, w2, r2 in pulled2:
                 d = hom_dim(r1.character, r2.character)
                 # independent route: multiplicity of W2 in the pushforward
-                ind = induce_rep(x.right.hom(xi), r1)
                 d_ind = hom_dim(ind.character, w2.character)
                 if d != d_ind:
                     raise NumericalFailure(
@@ -131,13 +142,10 @@ def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult
                         f"multiplicity {d_ind} at apex object {xi}"
                     )
                 basis = intertwiner_basis(r1, r2, tol=tol)
-                entry_wits.append(_EntryWitness(xi, r1, r2, basis))
-                basis_cat.extend(basis)
-                total += d
-            dims[r, c] = total
-            hom_bases[(r, c)] = basis_cat
-            witnesses[(r, c)] = [w.apex_idx for w in entry_wits]
-            details[(r, c)] = entry_wits
+                details[(r, c)].append(_EntryWitness(xi, r1, r2, basis, ind))
+                dims[r, c] += d
+    hom_bases = {k: [b for w in wits for b in w.basis] for k, wits in details.items()}
+    witnesses = {k: [w.apex_idx for w in wits] for k, wits in details.items()}
     tmap = TwoLinearMap(src.basis, tgt.basis, dims, hom_bases)
     return LambdaSpanResult(x, tmap, witnesses, src, tgt, details)
 
@@ -239,7 +247,7 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
             blocks[(r, c)] = block
     morphism = TwoMorphism(lam_top.map, lam_bot.map, blocks)
     if check:
-        _check_dual_path(y, lam_top, lam_bot, morphism, seed=seed, tol=tol)
+        _check_dual_path(y, lam_top, lam_bot, morphism, tol=tol)
     return LambdaSpanMapResult(y, morphism, coeffs, lam_top, lam_bot)
 
 
@@ -250,13 +258,12 @@ def _big_transfer(y: SpanMap, top_wits, bot_wits):
     """The presheaf-level map between the block models
     (+)_{x1} ind_{t1}(s1*W1)  ->  (+)_{x2} ind_{t2}(s2*W1)
     obtained by pasting the right unit along y.up with the left counit along
-    y.down through the staged/direct induction isomorphisms."""
-    top_models = [induce_rep(y.top.right.hom(w.apex_idx), w.r1) for w in top_wits]
-    bot_models = [induce_rep(y.bottom.right.hom(w.apex_idx), w.r1) for w in bot_wits]
+    y.down through the staged/direct induction isomorphisms.  The block
+    models are the witnesses' pushforwards."""
     top_pos = {w.apex_idx: i for i, w in enumerate(top_wits)}
     bot_pos = {w.apex_idx: i for i, w in enumerate(bot_wits)}
-    top_off = np.cumsum([0] + [m.dim for m in top_models])
-    bot_off = np.cumsum([0] + [m.dim for m in bot_models])
+    top_off = np.cumsum([0] + [w.ind.dim for w in top_wits])
+    bot_off = np.cumsum([0] + [w.ind.dim for w in bot_wits])
     big = np.zeros((int(bot_off[-1]), int(top_off[-1])), dtype=complex)
     for yi in range(len(y.apex)):
         x1, x2 = y.up(yi), y.down(yi)
@@ -280,7 +287,7 @@ def _big_transfer(y: SpanMap, top_wits, bot_wits):
         staged1 = induce_rep(t1_hom, ind_s)
         direct = induce_rep(comp_hom, v_y)
         flat1 = flatten_induction(staged1, direct)
-        mor1 = induced_morphism(top_models[i1], staged1, eta)
+        mor1 = induced_morphism(top_wits[i1].ind, staged1, eta)
         # eps side: the left counit ind_t(restrict(t, r1_bot)) -> r1_bot,
         # induced along t2
         res_t = restrict_rep(t_hom, r1_bot)
@@ -289,7 +296,7 @@ def _big_transfer(y: SpanMap, top_wits, bot_wits):
         staged2 = induce_rep(t2_hom, ind_t)
         direct2 = induce_rep(t_hom.then(t2_hom), res_t)
         flat2 = flatten_induction(staged2, direct2)
-        mor2 = induced_morphism(staged2, bot_models[i2], eps)
+        mor2 = induced_morphism(staged2, bot_wits[i2].ind, eps)
         if flat1.shape != flat2.shape or flat1.shape[0] != flat1.shape[1]:
             raise NumericalFailure("staged and direct inductions disagree in size")
         piece = mor2 @ np.linalg.solve(flat2, flat1) @ mor1
@@ -297,58 +304,57 @@ def _big_transfer(y: SpanMap, top_wits, bot_wits):
             int(bot_off[i2]) : int(bot_off[i2 + 1]),
             int(top_off[i1]) : int(top_off[i1 + 1]),
         ] += piece
-    return big, top_models, bot_models
+    return big
 
 
-def _check_dual_path(y, lam_top, lam_bot, morphism, seed, tol):
+def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
     """Recompute every block by the unit/counit route and compare."""
-    tgt = lam_top.target_object
-    src = lam_top.source_object
+    rows = [
+        (a2, r, w2)
+        for a2, pairs in enumerate(lam_top.target_object.positions)
+        for r, w2 in pairs
+    ]
     cache = {}
-    for r, (a2_name, w2_idx, _) in enumerate(tgt.basis.labels):
-        a2 = y.top.target.names.index(a2_name)
-        w2 = tgt.irrep_tables[a2][w2_idx]
-        for c in range(len(src.basis)):
+    for a2, r, w2 in rows:
+        for c in range(len(lam_top.source_object.basis)):
             top_wits = lam_top.details[(r, c)]
             bot_wits = lam_bot.details[(r, c)]
             nrows, ncols = morphism.blocks[(r, c)].shape
             if nrows == 0 and ncols == 0:
                 continue
-            (a1_name, w1_idx, _) = src.basis.labels[c]
-            a1 = y.top.source.names.index(a1_name)
-            w1 = src.irrep_tables[a1][w1_idx]
-            key = (a1, w1_idx, a2)
-            if key not in cache:
-                cache[key] = _big_transfer(y, top_wits, bot_wits)
-            big, top_models, bot_models = cache[key]
+            if (a2, c) not in cache:
+                cache[(a2, c)] = _big_transfer(y, top_wits, bot_wits)
+            big = cache[(a2, c)]
             # embed/project through the Frobenius identifications: the
             # embedding of W2 attached to f : base -> pullback of W2 is the
             # unit kernel on f^dag W2(a); the projection attached to f2 is the
             # counit kernel on W2(h) f2, divided by
             # kappa = #Aut(a2) / (#Aut(x2) * dim W2)
+            projections = []
+            lo2 = 0
+            for bw in bot_wits:
+                ind2 = bw.ind
+                kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
+                for f2 in bw.basis:
+                    proj = _counit_kernel(ind2, w2.matrices @ f2.entries) / kappa
+                    projections.append((lo2, ind2.dim, proj))
+                lo2 += ind2.dim
             alt = np.zeros((nrows, ncols), dtype=complex)
-            col0 = 0
-            for i1, tw in enumerate(top_wits):
-                lo = int(np.sum([m.dim for m in top_models[:i1]]))
-                for j, f in enumerate(tw.basis):
+            col = 0
+            lo = 0
+            for tw in top_wits:
+                for f in tw.basis:
                     iota = np.zeros((big.shape[1], w2.dim), dtype=complex)
-                    iota[lo : lo + top_models[i1].dim, :] = _unit_kernel(
-                        top_models[i1], f.entries.conj().T @ w2.matrices
+                    iota[lo : lo + tw.ind.dim, :] = _unit_kernel(
+                        tw.ind, f.entries.conj().T @ w2.matrices
                     )
                     image = big @ iota
-                    row0 = 0
-                    for i2, bw in enumerate(bot_wits):
-                        ind2 = bot_models[i2]
-                        kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
-                        lo2 = int(np.sum([m.dim for m in bot_models[:i2]]))
-                        for i, f2 in enumerate(bw.basis):
-                            proj = _counit_kernel(ind2, w2.matrices @ f2.entries) / kappa
-                            val = np.trace(
-                                proj @ image[lo2 : lo2 + ind2.dim, :]
-                            ) / w2.dim
-                            alt[row0 + i, col0 + j] = val
-                        row0 += len(bw.basis)
-                col0 += len(tw.basis)
+                    for i, (lo2, dim2, proj) in enumerate(projections):
+                        alt[i, col] = np.trace(
+                            proj @ image[lo2 : lo2 + dim2, :]
+                        ) / w2.dim
+                    col += 1
+                lo += tw.ind.dim
             dev = (
                 float(np.max(np.abs(alt - morphism.blocks[(r, c)])))
                 if alt.size
@@ -427,11 +433,11 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> Be
     cat = comma_category(x.right, xp.left)
     gammas = []
     for pair in sorted(cat.pair_data):
-        gammas.append(_gamma_pair_witness(x, xp, cat, pair, tol))
+        gammas.append(_gamma_pair_witness(x, xp, cat, pair))
     return BetaReport(x, xp, composite, product.dims, lam_c.map.dims, gammas)
 
 
-def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair, tol):
+def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
     """The comparison map at one apex-object pair (x_o, x'_o): the direct sum
     over its double-coset classes of  k (x) v -> s'(k) m^-1 (x) v  must be an
     isomorphism onto the one-stage induction along the middle leg."""
@@ -515,22 +521,23 @@ def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
         for c in range(len(lam_c.source_object.basis)):
             n = int(lam_c.map.dims[r, c])
             cols = []
-            for jmid, (a2_name, w2_idx, _) in enumerate(mid.basis.labels):
-                a2 = x.target.names.index(a2_name)
-                w2 = mid.irrep_tables[a2][w2_idx]
-                for up in lam_xp.map.hom_bases[(r, jmid)]:
-                    for uq in lam_x.map.hom_bases[(jmid, c)]:
+            for jmid, w2 in chain.from_iterable(mid.positions):
+                # (apex object, basis element) pairs of the two factor entries
+                ups = [(pw.apex_idx, up) for pw in lam_xp.details[(r, jmid)]
+                       for up in pw.basis]
+                uqs = [(qw.apex_idx, uq) for qw in lam_x.details[(jmid, c)]
+                       for uq in qw.basis]
+                for p_idx, up in ups:
+                    for q_idx, uq in uqs:
                         col = np.zeros(n, dtype=complex)
                         off = 0
                         for wit in lam_c.details[(r, c)]:
                             cls = cat.classes[wit.apex_idx]
-                            if x.right(cls.a_idx) == a2:
-                                e = _composite_hom_element(
-                                    lam_x, lam_xp, cat, cls, jmid, c, r, up, uq, w2
-                                )
-                                if e is not None:
-                                    for i, b in enumerate(wit.basis):
-                                        col[off + i] = np.sum(np.conj(b.entries) * e)
+                            if cls.a_idx == q_idx and cls.b_idx == p_idx:
+                                m_inv = x.target.aut(cls.c_idx).inv[cls.rep]
+                                e = up.entries @ w2.matrices[m_inv] @ uq.entries
+                                for i, b in enumerate(wit.basis):
+                                    col[off + i] = np.sum(np.conj(b.entries) * e)
                             off += len(wit.basis)
                         cols.append(col)
             mat = (
@@ -546,32 +553,6 @@ def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
                     raise SingularMap(f"block correspondence at ({r},{c}) is singular")
             isos[(r, c)] = mat
     return composite, isos, cat
-
-
-def _composite_hom_element(lam_x, lam_xp, cat, cls, jmid, c, r, up, uq, w2):
-    """u' . W2(m^-1) . u at one composite witness, or None when the witness
-    does not sit over the pair of witnesses carrying u and u'."""
-    x_span = lam_x.span
-    # locate u's witness (apex object of x) and u''s witness (apex of xp)
-    # by position in the concatenated bases
-    x_wits = lam_x.details[(jmid, c)]
-    xp_wits = lam_xp.details[(r, jmid)]
-    q_pos = _basis_owner(x_wits, uq)
-    p_pos = _basis_owner(xp_wits, up)
-    if q_pos is None or p_pos is None:
-        return None
-    if cls.a_idx != q_pos or cls.b_idx != p_pos:
-        return None
-    m_inv = x_span.target.aut(cls.c_idx).inv[cls.rep]
-    return up.entries @ w2.matrices[m_inv] @ uq.entries
-
-
-def _basis_owner(wits, elem):
-    for w in wits:
-        for b in w.basis:
-            if b is elem:
-                return w.apex_idx
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +677,6 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
         report.results.append(CheckResult("unitor", f"span[{i}]", bool(ok)))
 
     # (d) vertical composition
-    from .groupoids import vertical_compose_spanmaps
-    from .twovect import vcompose_2morph
-
     vpairs = [
         (i, j)
         for i, a in enumerate(maps)
@@ -721,9 +699,6 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
         report.results.append(CheckResult("vertical", name, dev < tol * 10, dev))
 
     # (e) horizontal composition, compared through the block correspondence
-    from .groupoids import horizontal_compose_spanmaps
-    from .twovect import hcompose_2morph
-
     hpairs = [
         (i, j)
         for i, a in enumerate(maps)

@@ -30,7 +30,7 @@ from .errors import (
     RankMismatch,
     SingularMap,
 )
-from .groups import FinGroup, GroupHom, conjugacy_classes
+from .groups import FinGroup, GroupHom
 
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-8
@@ -68,8 +68,7 @@ class Character:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        self.classes = conjugacy_classes(self.group)
-        if self.values.shape != (len(self.classes),):
+        if self.values.shape != (len(self.group.classes),):
             raise GroupMismatch("need one character value per conjugacy class")
 
     @property
@@ -81,7 +80,7 @@ def character_inner(a: Character, b: Character) -> complex:
     """(1/|G|) sum_g a(g) conj(b(g))."""
     if a.group != b.group:
         raise GroupMismatch("characters live on different groups")
-    sizes = np.array([len(c) for c in a.classes])
+    sizes = a.group.class_sizes
     return complex(np.sum(sizes * a.values * np.conj(b.values)) / a.group.order)
 
 
@@ -128,9 +127,9 @@ class RepModel:
     @property
     def character(self) -> Character:
         if self._character is None:
-            classes = conjugacy_classes(self.group)
             vals = [
-                np.trace(self.matrices[c[0]]) if self.dim else 0.0 for c in classes
+                np.trace(self.matrices[c[0]]) if self.dim else 0.0
+                for c in self.group.classes
             ]
             self._character = Character(self.group, np.array(vals))
         return self._character
@@ -202,16 +201,14 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL, use_cache=True):
             cached = _IRREP_CACHE.get(key)
         if cached is not None:
             return cached
-    classes = conjugacy_classes(g)
     reg = regular_rep(g).matrices
     rng = np.random.default_rng(seed)
     queue = [np.eye(g.order, dtype=complex)]
     simple = []
     while queue:
         basis = queue.pop(0)
-        chi = _char_of(_subrep(reg, basis), classes)
-        sizes = np.array([len(c) for c in classes])
-        norm = np.sum(sizes * chi * np.conj(chi)).real / g.order
+        chi = _char_of(_subrep(reg, basis), g.classes)
+        norm = np.sum(g.class_sizes * chi * np.conj(chi)).real / g.order
         if abs(norm - round(norm)) > INT_TOL:
             raise NumericalFailure(f"character norm {norm} is not integral")
         if round(norm) == 1:
@@ -228,7 +225,7 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL, use_cache=True):
     found = {}
     for basis in simple:
         mats = _subrep(reg, basis)
-        chi = _char_of(mats, classes)
+        chi = _char_of(mats, g.classes)
         chikey = tuple((round(v.real, 8), round(v.imag, 8)) for v in chi)
         if chikey not in found:
             found[chikey] = Irrep(g, mats, Character(g, chi))

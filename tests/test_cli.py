@@ -69,9 +69,13 @@ def test_compose_type_error_exit_2(capsys):
     assert "error" in err
 
 
-def test_missing_file_exit_2(capsys):
-    code, _, err = run_cli(capsys, "card", "no-such-file.json")
-    assert code == 2
+def test_missing_file_exit_2(capsys, tmp_path):
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    for path in ("no-such-file.json", tmp_path, not_an_object):
+        code, _, err = run_cli(capsys, "card", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 def test_wrong_kind_exit_2(capsys):

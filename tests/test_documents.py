@@ -3,9 +3,14 @@ import json
 import pytest
 
 from lincat.documents import parse, parse_obj, serialize
-from lincat.errors import SchemaError, UnresolvedReference
+from lincat.errors import (
+    AxiomViolation,
+    IndexOutOfRange,
+    SchemaError,
+    UnresolvedReference,
+)
 from lincat.groupoids import SpanMap, identity_span, one_object_groupoid, terminal_groupoid
-from lincat.groups import cyclic_group, symmetric_group
+from lincat.groups import cyclic_group, symmetric_group, trivial_group
 from lincat.suites import (
     fig1_span,
     groupoidification_map,
@@ -67,6 +72,58 @@ def test_permutation_generator_cap():
                 "payload": "big",
             },
             max_group_order=5,
+        )
+
+
+def test_permutation_generators_default_degree():
+    # the default degree is the longest generator's length, so the empty
+    # permutation generates the trivial group
+    doc = parse_obj(
+        {
+            "format_version": "1",
+            "kind": "group",
+            "definitions": {"groups": [{"name": "e", "permutation_generators": [[]]}]},
+            "payload": "e",
+        }
+    )
+    assert doc.payload == trivial_group()
+
+
+def test_ragged_table_is_not_square():
+    with pytest.raises(AxiomViolation, match="not square"):
+        parse_obj(
+            {
+                "format_version": "1",
+                "kind": "group",
+                "definitions": {"groups": [{"name": "g", "mult": [[0, 1], [1]]}]},
+                "payload": "g",
+            }
+        )
+
+
+def test_functor_object_map_shorter_than_hom_maps():
+    with pytest.raises(IndexOutOfRange):
+        parse_obj(
+            {
+                "format_version": "1",
+                "kind": "functor",
+                "definitions": {
+                    "groups": [{"name": "1", "mult": [[0]]}],
+                    "groupoids": [
+                        {"name": "pt", "objects": [{"name": "p", "group": "1"}]}
+                    ],
+                    "functors": [
+                        {
+                            "name": "f",
+                            "source": "pt",
+                            "target": "pt",
+                            "object_map": [],
+                            "hom_maps": [[0]],
+                        }
+                    ],
+                },
+                "payload": "f",
+            }
         )
 
 

@@ -117,10 +117,16 @@ def test_group_from_permutations_cap():
         group_from_permutations([list(range(1, 7)) + [0]], 7, max_order=5)
 
 
-def test_direct_product_orders(z2, z3):
+def test_direct_product_orders(z2, z3, s3):
     g = direct_product(z2, z3)
     assert g.order == 6
     assert conjugacy_classes(g) == [[i] for i in range(6)]
+    # a non-abelian factor: (a, b) has index a*m + b and multiplies
+    # componentwise
+    g, m = direct_product(s3, z2), z2.order
+    assert g.order == 12
+    for a, b, c, d in itertools.product(range(6), range(2), range(6), range(2)):
+        assert g.mult[a * m + b, c * m + d] == s3.mult[a, c] * m + z2.mult[b, d]
 
 
 def test_subgroup_embedding_is_hom(s3):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincat.documents import parse
 from lincat.errors import IntertwinerProjectionFailure
@@ -37,10 +39,11 @@ from lincat.suites import (
     fig1_span,
     groupoidification_map,
     mixed_groupoid,
+    random_suite,
     span_over_points,
     z2_in_s3,
 )
-from lincat.rep import DEFAULT_SEED, DEFAULT_TOL
+from lincat.rep import DEFAULT_TOL, irreps
 from lincat.twovect import TwoMorphism, hcompose_2morph, vcompose_2morph
 
 DATA = "src/lincat/data"
@@ -232,7 +235,7 @@ def test_dual_path_catches_a_wrong_block():
     wrong = TwoMorphism(res.morphism.source, res.morphism.target, blocks)
     with pytest.raises(IntertwinerProjectionFailure):
         _check_dual_path(sm, res.source_result, res.target_result, wrong,
-                         seed=DEFAULT_SEED, tol=DEFAULT_TOL)
+                         tol=DEFAULT_TOL)
 
 
 # --- compositor ---------------------------------------------------------------
@@ -406,3 +409,44 @@ def test_random_suites_multiple_seeds():
             random_suite(seed=seed, n_groupoids=3, n_spans=3, n_maps=3)
         )
         assert report.ok, "\n".join(report.summary_lines())
+
+
+def _dims_oracle(x):
+    """Entry dims straight from the irreps' traces, with no classes,
+    restriction or induction: sum over apex objects above (a1, a2) of
+    (1/|Aut x|) sum_g tr W1(s g) conj tr W2(t g)."""
+    cols = [(i, w) for i, (_, g) in enumerate(x.source.objects) for w in irreps(g)]
+    rows = [(k, w) for k, (_, g) in enumerate(x.target.objects) for w in irreps(g)]
+    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for xi in range(len(x.apex)):
+        s, t, n = x.left.hom(xi), x.right.hom(xi), x.apex.aut(xi).order
+        for r, (k, w2) in enumerate(rows):
+            for c, (i, w1) in enumerate(cols):
+                if (x.left(xi), x.right(xi)) == (i, k):
+                    val = sum(
+                        np.trace(w1.matrices[s(g)])
+                        * np.conj(np.trace(w2.matrices[t(g)]))
+                        for g in range(n)
+                    ) / n
+                    out[r, c] += round(val.real)
+    return out
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_lambda_span_properties_on_random_spans(seed):
+    suite = random_suite(seed, n_groupoids=2, n_spans=2, n_maps=0,
+                         max_objects=2, max_apex_objects=3)
+    for x in suite.spans:
+        lam = lambda_span(x)
+        rev = lambda_span(reverse_span(x))
+        assert np.array_equal(rev.map.dims, lam.map.dims.T)
+        assert rev.witnesses == {(c, r): w for (r, c), w in lam.witnesses.items()}
+        assert np.array_equal(lam.map.dims, _dims_oracle(x))
+        for key, wits in lam.details.items():
+            apex = [w.apex_idx for w in wits]
+            assert apex == sorted(set(apex)) == lam.witnesses[key]
+            concat = [b for w in wits for b in w.basis]
+            basis = lam.map.hom_bases[key]
+            assert len(basis) == len(concat) == lam.map.dims[key]
+            assert all(a is b for a, b in zip(basis, concat))
