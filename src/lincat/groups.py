@@ -37,12 +37,13 @@ def _check_table(table):
             raise AxiomViolation("inverse", (a,), f"row {a} is not a permutation")
         if len(set(table[:, a].tolist())) != n:
             raise AxiomViolation("inverse", (a,), f"column {a} is not a permutation")
-    # associativity: (a*b)*c == a*(b*c), vectorized over all triples
-    lhs = table[table, :]          # lhs[a,b,c] = table[table[a,b], c]
-    rhs = table[:, table]          # rhs[a,b,c] = table[a, table[b,c]]
-    if not np.array_equal(lhs, rhs):
-        a, b, c = np.argwhere(lhs != rhs)[0]
-        raise AxiomViolation("associativity", (int(a), int(b), int(c)))
+    # associativity: (a*b)*c == a*(b*c), one row a at a time (O(n^2) memory)
+    for a in range(n):
+        lhs = table[table[a], :]   # lhs[b,c] = table[table[a,b], c]
+        rhs = table[a, table]      # rhs[b,c] = table[a, table[b,c]]
+        if not np.array_equal(lhs, rhs):
+            b, c = np.argwhere(lhs != rhs)[0]
+            raise AxiomViolation("associativity", (a, int(b), int(c)))
     return table
 
 

@@ -79,20 +79,19 @@ class LambdaObject:
 
     groupoid: Groupoid
     basis: TwoBasis
-    irrep_tables: list
     # per object of the groupoid, its (basis position, irrep) pairs in basis
     # order
     positions: list
 
 
 def lambda_object(a: Groupoid, seed=DEFAULT_SEED) -> LambdaObject:
-    tables = [irreps(aut, seed=seed) for _, aut in a.objects]
     labels = []
     positions = []
-    for (name, _), table in zip(a.objects, tables):
+    for name, aut in a.objects:
+        table = irreps(aut, seed=seed)
         positions.append([(len(labels) + k, r) for k, r in enumerate(table)])
         labels.extend((name, k, r.dim) for k, r in enumerate(table))
-    return LambdaObject(a, TwoBasis(labels), tables, positions)
+    return LambdaObject(a, TwoBasis(labels), positions)
 
 
 @dataclass

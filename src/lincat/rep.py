@@ -1,10 +1,15 @@
 """Complex representation theory of finite groups given by tables.
 
 Everything here works in double-precision complex arithmetic.  Irreducible
-representations are found by decomposing the regular representation with
-seeded random equivariant operators, so all bases are reproducible for a
-fixed seed.  Induction along an arbitrary homomorphism f : G -> H is realized
-on the concrete space
+representations are found by splitting C[G] with seeded random equivariant
+operators, so all bases are reproducible for a fixed seed.  The splitting
+never forms the regular representation as matrices: element a sends e_j to
+e_{aj}, so it acts on a basis of a subspace (its columns) by a row
+permutation, and every compression, character and averaged operator is
+computed from permuted rows of that basis, one element at a time.
+
+Induction along an arbitrary homomorphism f : G -> H is realized on the
+concrete space
 
     (left coset reps of im f in H)  x  (ker f)-invariants of V,
 
@@ -155,30 +160,43 @@ def regular_rep(g: FinGroup) -> RepModel:
 
 
 # ---------------------------------------------------------------------------
-# irreducibles by splitting the regular representation
+# irreducibles by splitting C[G] under the permutation action
 
 _IRREP_CACHE: dict = {}
 _IRREP_LOCK = threading.Lock()
 
 
-def _subrep(matrices, basis):
-    return np.einsum("ni,gnm,mj->gij", basis.conj(), matrices, basis)
+def _left_action(g: FinGroup, a):
+    """Row permutation by which a acts on C[G]: reg(a) @ B == B[_left_action(g, a)]."""
+    return g.mult[g.inv[a]]
 
 
-def _char_of(matrices, classes):
-    return np.array([np.trace(matrices[c[0]]) for c in classes])
+def _subrep(g: FinGroup, basis):
+    """The regular representation compressed to the orthonormal columns of
+    ``basis``: basis^H @ basis[mult[inv[a]]], yielded element by element so
+    that a caller summing over the group never holds all |G| matrices."""
+    bh = basis.conj().T
+    for a in range(g.order):
+        yield bh @ basis[_left_action(g, a)]
 
 
-def _split(matrices, basis, rng, cluster_tol=1e-6):
-    """Split an invariant subspace with a random averaged Hermitian operator."""
+def _char_of(g: FinGroup, basis):
+    """Character of the compression to ``basis``, one trace per conjugacy
+    class: tr(basis^H reg(a) basis) at each class representative a."""
+    return np.array([np.vdot(basis, basis[_left_action(g, c[0])]) for c in g.classes])
+
+
+def _split(g: FinGroup, basis, rng, cluster_tol=1e-6):
+    """Split an invariant subspace with a random averaged Hermitian operator,
+    (1/|G|) sum_a S(a) h S(a)^H with S(a) the compression of reg(a), summed
+    element by element."""
     k = basis.shape[1]
-    sub = _subrep(matrices, basis)
     a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     h = a + a.conj().T
     avg = np.zeros((k, k), dtype=complex)
-    for g in range(sub.shape[0]):
-        avg += sub[g] @ h @ sub[g].conj().T
-    avg /= sub.shape[0]
+    for sub in _subrep(g, basis):
+        avg += sub @ h @ sub.conj().T
+    avg /= g.order
     evals, vecs = np.linalg.eigh(avg)
     pieces = []
     start = 0
@@ -201,21 +219,20 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL, use_cache=True):
             cached = _IRREP_CACHE.get(key)
         if cached is not None:
             return cached
-    reg = regular_rep(g).matrices
     rng = np.random.default_rng(seed)
     queue = [np.eye(g.order, dtype=complex)]
     simple = []
     while queue:
         basis = queue.pop(0)
-        chi = _char_of(_subrep(reg, basis), g.classes)
+        chi = _char_of(g, basis)
         norm = np.sum(g.class_sizes * chi * np.conj(chi)).real / g.order
         if abs(norm - round(norm)) > INT_TOL:
             raise NumericalFailure(f"character norm {norm} is not integral")
         if round(norm) == 1:
-            simple.append(basis)
+            simple.append((basis, chi))
             continue
         for attempt in range(40):
-            pieces = _split(reg, basis, rng)
+            pieces = _split(g, basis, rng)
             if len(pieces) > 1:
                 queue.extend(pieces)
                 break
@@ -223,12 +240,10 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL, use_cache=True):
             raise NumericalFailure("failed to split a reducible invariant subspace")
     # one representative per character
     found = {}
-    for basis in simple:
-        mats = _subrep(reg, basis)
-        chi = _char_of(mats, g.classes)
+    for basis, chi in simple:
         chikey = tuple((round(v.real, 8), round(v.imag, 8)) for v in chi)
         if chikey not in found:
-            found[chikey] = Irrep(g, mats, Character(g, chi))
+            found[chikey] = Irrep(g, list(_subrep(g, basis)), Character(g, chi))
     result = sorted(
         found.values(),
         key=lambda r: (r.dim, tuple((round(v.real, 8), round(v.imag, 8)) for v in r.character.values)),
@@ -441,7 +456,7 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
             np.max(np.abs(b.entries @ r1.matrices[a] - r2.matrices[a] @ b.entries))
             for a in range(g.order)
         )
-        if worst > 1e-7:
+        if worst > 10 * tol:
             raise RankMismatch(f"projected basis element fails equivariance: {worst}")
     return basis
 

@@ -68,6 +68,28 @@ def test_validate_associativity_violation():
         assert err.value.kind in ("associativity", "inverse")
 
 
+def test_validate_associativity_reports_first_triple():
+    # a Latin square with identity 0: a loop of order 5 that is not a group
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    t = np.array(table)
+    failing = [
+        (a, b, c)
+        for a in range(5) for b in range(5) for c in range(5)
+        if t[t[a, b], c] != t[a, t[b, c]]
+    ]
+    assert failing[0] == (1, 1, 2)
+    with pytest.raises(AxiomViolation) as err:
+        validate_group(table)
+    assert err.value.kind == "associativity"
+    assert err.value.witness == (1, 1, 2)
+
+
 def test_conjugacy_trivial_and_z2():
     assert conjugacy_classes(trivial_group()) == [[0]]
     assert conjugacy_classes(cyclic_group(2)) == [[0], [1]]

@@ -5,17 +5,20 @@ from lincat.errors import (
     GroupMismatch,
     ModelMismatch,
     NonIntegralMultiplicity,
+    RankMismatch,
 )
 from lincat.groups import (
     GroupHom,
     conjugacy_classes,
     cyclic_group,
     direct_product,
+    group_from_permutations,
     identity_hom,
     symmetric_group,
     trivial_group,
     trivial_hom,
 )
+import lincat.rep
 from lincat.rep import (
     Character,
     character_inner,
@@ -92,6 +95,8 @@ def test_irreps_s3(s3):
         lambda: direct_product(cyclic_group(2), cyclic_group(2)),
         lambda: symmetric_group(3),
         lambda: symmetric_group(4),
+        lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
+        lambda: symmetric_group(5),
     ],
 )
 def test_irreps_complete_orthonormal_unitary(maker):
@@ -109,6 +114,19 @@ def test_irreps_complete_orthonormal_unitary(maker):
             assert np.max(np.abs(m @ m.conj().T - np.eye(r.dim))) < TOL
 
 
+@pytest.mark.parametrize(
+    "maker, dims",
+    [
+        (lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
+         [1, 3, 3, 4, 5]),
+        (lambda: symmetric_group(5), [1, 1, 4, 4, 5, 5, 6]),
+    ],
+    ids=["A5", "S5"],
+)
+def test_irreps_dims_of_order_60_and_120(maker, dims):
+    assert [r.dim for r in irreps(maker())] == dims
+
+
 def test_irreps_deterministic_order(s3):
     a = irreps(s3, use_cache=False)
     b = irreps(s3, use_cache=False)
@@ -116,6 +134,26 @@ def test_irreps_deterministic_order(s3):
         assert np.max(np.abs(ra.matrices - rb.matrices)) == 0.0
     dims = [r.dim for r in a]
     assert dims == sorted(dims)
+
+
+def test_permutation_kernel_matches_dense_regular_rep(s4):
+    # reference: compress the dense regular representation, as irreps once did
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((s4.order, 5)) + 1j * rng.standard_normal((s4.order, 5))
+    basis, _ = np.linalg.qr(raw)
+    dense = np.einsum("ni,gnm,mj->gij", basis.conj(), regular_rep(s4).matrices, basis)
+    assert np.max(np.abs(np.array(list(lincat.rep._subrep(s4, basis))) - dense)) < 1e-12
+    chi = [np.trace(dense[c[0]]) for c in s4.classes]
+    assert np.max(np.abs(lincat.rep._char_of(s4, basis) - chi)) < 1e-12
+
+
+def test_irreps_never_builds_the_regular_representation(s4, monkeypatch):
+    def refuse(g):
+        raise AssertionError("irreps must not call regular_rep")
+
+    monkeypatch.setattr(lincat.rep, "regular_rep", refuse)
+    rs = irreps(s4, use_cache=False)
+    assert [r.dim for r in rs] == [1, 1, 2, 3, 3]
 
 
 # --- hom_dim ----------------------------------------------------------------
@@ -259,6 +297,14 @@ def test_intertwiner_schur(s3):
     # scaled identity
     off = b - np.trace(b) / 2 * np.eye(2)
     assert np.max(np.abs(off)) < TOL
+
+
+def test_intertwiner_equivariance_bound_reads_tol(s3):
+    # the basis element's equivariance residual is a few ulps, above 10 * 1e-18
+    w = [r for r in irreps(s3) if r.dim == 2][0]
+    with pytest.raises(RankMismatch):
+        intertwiner_basis(w, w, tol=1e-18)
+    assert len(intertwiner_basis(w, w)) == 1
 
 
 def test_intertwiner_regular_z2(z2):
