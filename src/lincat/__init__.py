@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     GroupMismatch,
     IndexOutOfRange,
+    InputTooLarge,
     IntertwinerProjectionFailure,
     LincatError,
     ModelMismatch,

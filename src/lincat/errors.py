@@ -74,6 +74,10 @@ class IntertwinerProjectionFailure(LincatError):
     """The two evaluation routes for a 2-morphism disagree beyond tolerance."""
 
 
+class InputTooLarge(LincatError):
+    """An input would need more memory than the library allows for one array."""
+
+
 class SchemaError(LincatError):
     """A document does not validate against its schema."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lincat.linearization
 from lincat.documents import parse
 from lincat.errors import IntertwinerProjectionFailure
 from lincat.groupoids import (
@@ -21,7 +22,7 @@ from lincat.groupoids import (
     terminal_groupoid,
     vertical_compose_spanmaps,
 )
-from lincat.groups import cyclic_group, symmetric_group, trivial_group
+from lincat.groups import cyclic_group, identity_hom, symmetric_group, trivial_group
 from lincat.linearization import (
     _check_dual_path,
     beta_compositor,
@@ -238,6 +239,18 @@ def test_dual_path_catches_a_wrong_block():
                          tol=DEFAULT_TOL)
 
 
+def test_dual_path_tolerance_can_be_tightened():
+    sm = parse(f"{DATA}/gmap_bz2.json").payload
+    # the correct blocks pass the dual path at this tolerance
+    res = lambda_spanmap(sm, tol=1e-13)
+    blocks = dict(res.morphism.blocks)
+    (key,) = [k for k, b in blocks.items() if b.size]
+    blocks[key] = blocks[key] + 1e-11
+    wrong = TwoMorphism(res.morphism.source, res.morphism.target, blocks)
+    with pytest.raises(IntertwinerProjectionFailure):
+        _check_dual_path(sm, res.source_result, res.target_result, wrong, tol=1e-13)
+
+
 # --- compositor ---------------------------------------------------------------
 
 
@@ -450,3 +463,29 @@ def test_lambda_span_properties_on_random_spans(seed):
             basis = lam.map.hom_bases[key]
             assert len(basis) == len(concat) == lam.map.dims[key]
             assert all(a is b for a, b in zip(basis, concat))
+
+
+def test_lambda_span_computes_each_leg_pair_once(monkeypatch):
+    # apex objects u, v on the identity of S3 and w on Z2 < S3: in the
+    # composite, the classes over (u, u), (u, v), (v, u), (v, v) share legs
+    s3 = symmetric_group(3)
+    incl = z2_in_s3()
+    apex = Groupoid([("u", s3), ("v", s3), ("w", incl.source)])
+    bs3 = one_object_groupoid(s3)
+    leg = GroupoidFunctor(apex, bs3, [0, 0, 0],
+                          [identity_hom(s3), identity_hom(s3), incl])
+    x = compose_spans(Span(apex, leg, leg), Span(apex, leg, leg))
+    keys = {(x.left(xi), x.right(xi), x.left.hom(xi), x.right.hom(xi))
+            for xi in range(len(x.apex))}
+    per_key = len(irreps(s3)) ** 2
+    calls = []
+    real = lincat.linearization.intertwiner_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lincat.linearization, "intertwiner_basis", counted)
+    lam = lambda_span(x)
+    assert len(calls) == len(keys) * per_key < len(x.apex) * per_key
+    assert np.array_equal(lam.map.dims, _dims_oracle(x))

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lincat.errors import (
     GroupMismatch,
+    InputTooLarge,
     ModelMismatch,
     NonIntegralMultiplicity,
     RankMismatch,
@@ -14,6 +17,7 @@ from lincat.groups import (
     direct_product,
     group_from_permutations,
     identity_hom,
+    subgroup_embedding,
     symmetric_group,
     trivial_group,
     trivial_hom,
@@ -305,6 +309,70 @@ def test_intertwiner_equivariance_bound_reads_tol(s3):
     with pytest.raises(RankMismatch):
         intertwiner_basis(w, w, tol=1e-18)
     assert len(intertwiner_basis(w, w)) == 1
+
+
+def _generated(g, gens):
+    """Closure of ``gens`` under the product of g."""
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        a = frontier.pop()
+        for x in gens:
+            b = g.mul(x, a)
+            if b not in elems:
+                elems.add(b)
+                frontier.append(b)
+    return elems
+
+
+def _kron_projector(r1, r2):
+    """The averaged projector as a loop of |G| Kronecker products."""
+    g = r1.group
+    p = np.zeros((r2.dim * r1.dim,) * 2, dtype=complex)
+    for a in range(g.order):
+        p += np.kron(r2.matrices[g.inv[a]], r1.matrices[a].T)
+    return p / g.order
+
+
+def test_intertwiner_projector_matches_kron_reference(s3, s4):
+    # one-line permutations in lexicographic order, as symmetric_group lists them
+    perms4 = sorted(itertools.permutations(range(4)))
+    t01 = perms4.index((1, 0, 2, 3))
+    subgroups = {
+        s3: [[1], [3], [1, 3]],
+        s4: [
+            [t01],
+            [perms4.index((1, 2, 3, 0))],
+            [perms4.index((1, 0, 3, 2)), perms4.index((2, 3, 0, 1))],
+            [t01, perms4.index((1, 2, 0, 3))],
+        ],
+    }
+    seen_rank5 = False
+    for g, gen_lists in subgroups.items():
+        for gens in gen_lists:
+            _, incl = subgroup_embedding(g, _generated(g, gens))
+            pulled = [restrict_rep(incl, w) for w in irreps(g)]
+            for r1 in pulled:
+                for r2 in pulled:
+                    basis = intertwiner_basis(r1, r2)
+                    vecs = [b.entries.reshape(-1) for b in basis]
+                    proj = sum((np.outer(v, v.conj()) for v in vecs),
+                               np.zeros((r2.dim * r1.dim,) * 2, dtype=complex))
+                    assert np.max(np.abs(proj - _kron_projector(r1, r2))) < 1e-12
+                    seen_rank5 |= len(basis) == 5 and gens == [t01]
+    # the 3-dim S4 irreps restricted to <(0 1)> are 2 + 1: rank 2^2 + 1^2
+    assert seen_rank5
+
+
+def test_regular_rep_size_guard():
+    with pytest.raises(InputTooLarge):
+        regular_rep(cyclic_group(257))
+    z4 = cyclic_group(4)
+    reg = regular_rep(z4)
+    for a in range(4):
+        want = np.zeros((4, 4))
+        want[(np.arange(4) + a) % 4, np.arange(4)] = 1.0
+        assert np.array_equal(reg.matrices[a], want)
 
 
 def test_intertwiner_regular_z2(z2):
