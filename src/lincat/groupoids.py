@@ -389,14 +389,23 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor):
     return cat.groupoid, cat.proj_left, cat.proj_right
 
 
-def compose_spans(x: Span, xp: Span) -> Span:
-    """Composite span (x first, then xp) by weak pullback over the shared foot."""
+def compose_spans_with_comma(x: Span, xp: Span):
+    """Composite span (x first, then xp) by weak pullback over the shared foot,
+    with the comma category (x.right | xp.left) whose skeleton is its apex."""
     if x.target != xp.source:
         raise TargetMismatch(
             f"cannot compose: {x.target.name} is not {xp.source.name}"
         )
     cat = comma_category(x.right, xp.left)
-    return Span(cat.groupoid, cat.proj_left.then(x.left), cat.proj_right.then(xp.right))
+    composite = Span(
+        cat.groupoid, cat.proj_left.then(x.left), cat.proj_right.then(xp.right)
+    )
+    return composite, cat
+
+
+def compose_spans(x: Span, xp: Span) -> Span:
+    """Composite span (x first, then xp) by weak pullback over the shared foot."""
+    return compose_spans_with_comma(x, xp)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AxiomViolation, GroupMismatch
+from .errors import AxiomViolation, GroupMismatch, InputTooLarge
+
+# most generator-image assignments that all_homs may try
+MAX_HOM_CANDIDATES = 2**20
 
 
 def _check_table(table):
@@ -306,8 +309,16 @@ def _generating_words(g: FinGroup):
 def all_homs(source: FinGroup, target: FinGroup):
     """Every homomorphism source -> target, found by assigning generator images
     and checking the full homomorphism law.  Exponential in the number of
-    generators; fine for the small groups used in verification suites."""
+    generators; fine for the small groups used in verification suites.
+    Raises InputTooLarge before trying any assignment when there are more
+    than MAX_HOM_CANDIDATES of them."""
     gens, recipe = _generating_words(source)
+    candidates = target.order ** len(gens)
+    if candidates > MAX_HOM_CANDIDATES:
+        raise InputTooLarge(
+            f"all_homs would try {candidates} generator images "
+            f"({target.order}^{len(gens)}), above the limit of {MAX_HOM_CANDIDATES}"
+        )
     homs = []
     for images in itertools.product(range(target.order), repeat=len(gens)):
         m = np.empty(source.order, dtype=np.int64)

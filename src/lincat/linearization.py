@@ -19,14 +19,23 @@ those intertwiner spaces, evaluated in closed form as
     f  |->  c(x1, x2) * P(f),      c = |preimage of (x1,x2)| * #Aut(x1),
 
 with P the group-average projection onto intertwiners over the bottom
-witness.  A second, independent evaluation path pastes the explicit
-unit/counit matrices on induced models and must agree within tolerance.
+witness, taken for all basis elements of a top witness in one batched
+product over the group.  A second, independent evaluation path pastes the
+explicit unit/counit matrices on induced models and must agree within
+tolerance; a span-map apex object's unit/counit piece depends only on its up
+and down homs and its witnesses' models, so apex objects that share them
+share one piece within a call.
+
+``verify_functoriality`` linearizes each input span and span map at most
+once per run, the first time a check needs it, and hands those results to
+the compositor, unitor, vertical and horizontal checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -43,8 +52,8 @@ from .groupoids import (
     Groupoid,
     Span,
     SpanMap,
-    comma_category,
     compose_spans,
+    compose_spans_with_comma,
     horizontal_compose_spanmaps,
     identity_span,
     vertical_compose_spanmaps,
@@ -150,7 +159,10 @@ def _leg_entries(src, tgt, a1, a2, s_hom, t_hom, xi, tol):
         r1 = restrict_rep(s_hom, w1)
         ind = induce_rep(t_hom, r1)
         for r, w2, r2 in pulled2:
-            d = hom_dim(r1.character, r2.character)
+            # the basis's length is the character count: intertwiner_basis
+            # raises RankMismatch otherwise
+            basis = intertwiner_basis(r1, r2, tol=tol)
+            d = len(basis)
             # independent route: multiplicity of W2 in the pushforward
             d_ind = hom_dim(ind.character, w2.character)
             if d != d_ind:
@@ -158,7 +170,6 @@ def _leg_entries(src, tgt, a1, a2, s_hom, t_hom, xi, tol):
                     f"intertwiner count {d} disagrees with induced "
                     f"multiplicity {d_ind} at apex object {xi}"
                 )
-            basis = intertwiner_basis(r1, r2, tol=tol)
             entries.append((r, c, d, r1, r2, basis, ind))
     return entries
 
@@ -200,13 +211,13 @@ class LambdaSpanMapResult:
     target_result: LambdaSpanResult
 
 
-def _project_onto_intertwiners(f, r1: RepModel, r2: RepModel):
-    """(1/#G) sum_g r2(g^-1) f r1(g) — projection onto intertwiners r1 -> r2."""
+def _project_onto_intertwiners(fs, r1: RepModel, r2: RepModel):
+    """(1/#G) sum_g r2(g^-1) f r1(g) for every f in the stack ``fs`` of shape
+    (k, dim r2, dim r1) — projection onto intertwiners r1 -> r2 — as one
+    batched product over the stack and the group."""
     g = r1.group
-    out = np.zeros_like(np.asarray(f, dtype=complex))
-    for a in range(g.order):
-        out += r2.matrices[g.inv[a]] @ f @ r1.matrices[a]
-    return out / g.order
+    terms = r2.matrices[g.inv] @ fs[:, None] @ r1.matrices
+    return terms.sum(axis=1) / g.order
 
 
 def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
@@ -241,20 +252,20 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
             col0 = 0
             for tw in top_wits:
                 ncols = len(tw.basis)
+                fs = np.array([f.entries for f in tw.basis])
                 row0 = 0
                 for bw in bot_wits:
                     nrows = len(bw.basis)
                     coeff = coeffs.get((tw.apex_idx, bw.apex_idx))
                     if coeff and ncols and nrows:
-                        scale = float(coeff)
-                        for j, f in enumerate(tw.basis):
-                            pf = scale * _project_onto_intertwiners(
-                                f.entries, bw.r1, bw.r2
-                            )
-                            for i, b2 in enumerate(bw.basis):
-                                block[row0 + i, col0 + j] = np.sum(
-                                    np.conj(b2.entries) * pf
-                                )
+                        # Frobenius coordinates of every projected f in the
+                        # bottom witness's basis, in one product
+                        pf = _project_onto_intertwiners(fs, bw.r1, bw.r2)
+                        b2 = np.array([b.entries for b in bw.basis])
+                        coords = b2.reshape(nrows, -1).conj() @ pf.reshape(ncols, -1).T
+                        block[row0 : row0 + nrows, col0 : col0 + ncols] = (
+                            float(coeff) * coords
+                        )
                     row0 += nrows
                 col0 += ncols
             blocks[(r, c)] = block
@@ -272,52 +283,62 @@ def _big_transfer(y: SpanMap, top_wits, bot_wits):
     (+)_{x1} ind_{t1}(s1*W1)  ->  (+)_{x2} ind_{t2}(s2*W1)
     obtained by pasting the right unit along y.up with the left counit along
     y.down through the staged/direct induction isomorphisms.  The block
-    models are the witnesses' pushforwards."""
+    models are the witnesses' pushforwards.  A span-map apex object's piece
+    depends only on its up and down homs and the models of its top and
+    bottom witnesses, which ``lambda_span`` shares between apex objects with
+    equal feet and leg homs; each distinct piece is built once."""
     top_pos = {w.apex_idx: i for i, w in enumerate(top_wits)}
     bot_pos = {w.apex_idx: i for i, w in enumerate(bot_wits)}
     top_off = np.cumsum([0] + [w.ind.dim for w in top_wits])
     bot_off = np.cumsum([0] + [w.ind.dim for w in bot_wits])
     big = np.zeros((int(bot_off[-1]), int(top_off[-1])), dtype=complex)
+    pieces = {}
     for yi in range(len(y.apex)):
         x1, x2 = y.up(yi), y.down(yi)
         if x1 not in top_pos or x2 not in bot_pos:
             continue
         i1, i2 = top_pos[x1], bot_pos[x2]
-        r1_top = top_wits[i1].r1
-        r1_bot = bot_wits[i2].r1
-        s_hom = y.up.hom(yi)
-        t_hom = y.down.hom(yi)
-        t1_hom = y.top.right.hom(x1)
-        t2_hom = y.bottom.right.hom(x2)
-        comp_hom = s_hom.then(t1_hom)
-        if comp_hom != t_hom.then(t2_hom):
-            raise NumericalFailure("strictness lost in composite homs")
-        v_y = restrict_rep(s_hom, r1_top)
-        # eta side: the right unit r1_top -> ind_s(v_y), then induced along t1
-        # and flattened
-        ind_s = induce_rep(s_hom, v_y)
-        eta = _unit_kernel(ind_s, r1_top.matrices)
-        staged1 = induce_rep(t1_hom, ind_s)
-        direct = induce_rep(comp_hom, v_y)
-        flat1 = flatten_induction(staged1, direct)
-        mor1 = induced_morphism(top_wits[i1].ind, staged1, eta)
-        # eps side: the left counit ind_t(restrict(t, r1_bot)) -> r1_bot,
-        # induced along t2
-        res_t = restrict_rep(t_hom, r1_bot)
-        ind_t = induce_rep(t_hom, res_t)
-        eps = _counit_kernel(ind_t, r1_bot.matrices)
-        staged2 = induce_rep(t2_hom, ind_t)
-        direct2 = induce_rep(t_hom.then(t2_hom), res_t)
-        flat2 = flatten_induction(staged2, direct2)
-        mor2 = induced_morphism(staged2, bot_wits[i2].ind, eps)
-        if flat1.shape != flat2.shape or flat1.shape[0] != flat1.shape[1]:
-            raise NumericalFailure("staged and direct inductions disagree in size")
-        piece = mor2 @ np.linalg.solve(flat2, flat1) @ mor1
+        tw, bw = top_wits[i1], bot_wits[i2]
+        # RepModels hash by identity: shared models give equal keys
+        key = (y.up.hom(yi), y.down.hom(yi), tw.r1, tw.ind, bw.r1, bw.ind)
+        if key not in pieces:
+            pieces[key] = _transfer_piece(*key)
         big[
             int(bot_off[i2]) : int(bot_off[i2 + 1]),
             int(top_off[i1]) : int(top_off[i1 + 1]),
-        ] += piece
+        ] += pieces[key]
     return big
+
+
+def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
+    """mor2 . flat2^-1 . flat1 . mor1 from the top witness's pushforward
+    ind_top = ind_{t1}(r1_top) to the bottom one's ind_bot = ind_{t2}(r1_bot),
+    for a span-map apex object with up hom s_hom and down hom t_hom."""
+    t1_hom, t2_hom = ind_top.hom, ind_bot.hom
+    comp_hom = s_hom.then(t1_hom)
+    if comp_hom != t_hom.then(t2_hom):
+        raise NumericalFailure("strictness lost in composite homs")
+    v_y = restrict_rep(s_hom, r1_top)
+    # eta side: the right unit r1_top -> ind_s(v_y), then induced along t1
+    # and flattened
+    ind_s = induce_rep(s_hom, v_y)
+    eta = _unit_kernel(ind_s, r1_top.matrices)
+    staged1 = induce_rep(t1_hom, ind_s)
+    direct = induce_rep(comp_hom, v_y)
+    flat1 = flatten_induction(staged1, direct)
+    mor1 = induced_morphism(ind_top, staged1, eta)
+    # eps side: the left counit ind_t(restrict(t, r1_bot)) -> r1_bot,
+    # induced along t2
+    res_t = restrict_rep(t_hom, r1_bot)
+    ind_t = induce_rep(t_hom, res_t)
+    eps = _counit_kernel(ind_t, r1_bot.matrices)
+    staged2 = induce_rep(t2_hom, ind_t)
+    direct2 = induce_rep(t_hom.then(t2_hom), res_t)
+    flat2 = flatten_induction(staged2, direct2)
+    mor2 = induced_morphism(staged2, ind_bot, eps)
+    if flat1.shape != flat2.shape or flat1.shape[0] != flat1.shape[1]:
+        raise NumericalFailure("staged and direct inductions disagree in size")
+    return mor2 @ np.linalg.solve(flat2, flat1) @ mor1
 
 
 def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
@@ -423,7 +444,8 @@ class BetaReport:
         )
 
 
-def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> BetaReport:
+def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
+                    lam_x=None, lam_xp=None) -> BetaReport:
     """Check that composition is respected: the matrix of the composite span
     equals the integer product of the two matrices, and on each composite-apex
     class the comparison map
@@ -432,10 +454,13 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> Be
 
     (from induction along the fibred-product projection to induction along the
     middle leg, on the regular representation) is well defined and invertible.
+    ``lam_x`` and ``lam_xp`` may pass in the factors' ``lambda_span`` results.
     """
-    composite = compose_spans(x, xp)
-    lam_x = lambda_span(x, seed=seed, tol=tol)
-    lam_xp = lambda_span(xp, seed=seed, tol=tol)
+    composite, cat = compose_spans_with_comma(x, xp)
+    if lam_x is None:
+        lam_x = lambda_span(x, seed=seed, tol=tol)
+    if lam_xp is None:
+        lam_xp = lambda_span(xp, seed=seed, tol=tol)
     lam_c = lambda_span(composite, seed=seed, tol=tol)
     product = compose_2linear(lam_xp.map, lam_x.map)
     if not np.array_equal(product.dims, lam_c.map.dims):
@@ -443,7 +468,6 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> Be
             f"composite dims {lam_c.map.dims.tolist()} != product "
             f"{product.dims.tolist()}"
         )
-    cat = comma_category(x.right, xp.left)
     gammas = []
     for pair in sorted(cat.pair_data):
         gammas.append(_gamma_pair_witness(x, xp, cat, pair))
@@ -491,17 +515,18 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
         cond = float(sv[0] / sv[-1])
     else:
         cond = 1.0
-    # module-map property: gamma . (+) rho_lhs(l) == rho_rhs(s'(l)) . gamma
+    # module-map property: gamma . (+) rho_lhs(l) == rho_rhs(s'(l)) . gamma,
+    # one column block of the direct sum at a time, for every l at once
     defect = 0.0
     if gamma.size:
-        for l in range(xp.apex.aut(b_idx).order):
-            act = np.zeros((total, total), dtype=complex)
-            off = 0
-            for lhs in lhs_models:
-                act[off : off + lhs.dim, off : off + lhs.dim] = lhs.matrices[l]
-                off += lhs.dim
-            d = np.max(np.abs(gamma @ act - rhs.matrices[sp_hom(l)] @ gamma))
-            defect = max(defect, float(d))
+        image = rhs.matrices[sp_hom.map] @ gamma
+        off = 0
+        for lhs in lhs_models:
+            if lhs.dim:
+                blk = slice(off, off + lhs.dim)
+                d = np.max(np.abs(gamma[:, blk] @ lhs.matrices - image[:, :, blk]))
+                defect = max(defect, float(d))
+            off += lhs.dim
     return GammaWitness(pair, gamma, cond, defect)
 
 
@@ -520,14 +545,13 @@ def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
     in the witness's intertwiner basis.  Returns (composite result, dict of
     matrices per (row, col), comma metadata).
     """
-    composite = compose_spans(x, xp)
+    composite, cat = compose_spans_with_comma(x, xp)
     if lam_x is None:
         lam_x = lambda_span(x, seed=seed, tol=tol)
     if lam_xp is None:
         lam_xp = lambda_span(xp, seed=seed, tol=tol)
     if lam_c is None:
         lam_c = lambda_span(composite, seed=seed, tol=tol)
-    cat = comma_category(x.right, xp.left)
     mid = lam_x.target_object
     isos = {}
     for r in range(len(lam_c.target_object.basis)):
@@ -623,19 +647,24 @@ class FunctorialityReport:
 
 def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     """Run the coherence and composition checks over a suite of spans and
-    span maps; failures are reported, not raised."""
+    span maps; failures are reported, not raised.
+
+    Each input span and span map is linearized at most once, when a check
+    first needs it; an input in no checked pair is never linearized.  The
+    results live only for this call."""
     report = FunctorialityReport()
     seed, tol = config.seed, config.tolerance
     spans = list(config.spans)
     maps = list(config.spanmaps)
 
-    lam_cache = {}
+    # each input is linearized once, the first time a check needs it
+    @cache
+    def lam_span(i):
+        return lambda_span(spans[i], seed=seed, tol=tol)
 
-    def lam(s):
-        key = id(s)
-        if key not in lam_cache:
-            lam_cache[key] = lambda_span(s, seed=seed, tol=tol)
-        return lam_cache[key]
+    @cache
+    def lam_map(i):
+        return lambda_spanmap(maps[i], seed=seed, tol=tol)
 
     # (a) compositor dimension checks + gamma invertibility
     pairs = [
@@ -647,7 +676,8 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     for i, j in pairs:
         name = f"span[{i}] ; span[{j}]"
         try:
-            rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol)
+            rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol,
+                                  lam_x=lam_span(i), lam_xp=lam_span(j))
             report.results.append(
                 CheckResult(
                     "compositor",
@@ -683,9 +713,9 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
         left_unit = compose_spans(identity_span(s.source), s)
         right_unit = compose_spans(s, identity_span(s.target))
         ok = np.array_equal(
-            lambda_span(left_unit, seed=seed, tol=tol).map.dims, lam(s).map.dims
+            lambda_span(left_unit, seed=seed, tol=tol).map.dims, lam_span(i).map.dims
         ) and np.array_equal(
-            lambda_span(right_unit, seed=seed, tol=tol).map.dims, lam(s).map.dims
+            lambda_span(right_unit, seed=seed, tol=tol).map.dims, lam_span(i).map.dims
         )
         report.results.append(CheckResult("unitor", f"span[{i}]", bool(ok)))
 
@@ -704,10 +734,7 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
             report.skipped.append(f"vertical {name}: {exc}")
             continue
         lhs = lambda_spanmap(comp, seed=seed, tol=tol).morphism
-        rhs = vcompose_2morph(
-            lambda_spanmap(maps[i], seed=seed, tol=tol).morphism,
-            lambda_spanmap(maps[j], seed=seed, tol=tol).morphism,
-        )
+        rhs = vcompose_2morph(lam_map(i).morphism, lam_map(j).morphism)
         dev = _blocks_deviation(lhs, rhs)
         report.results.append(CheckResult("vertical", name, dev < tol * 10, dev))
 
@@ -726,8 +753,8 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
             report.skipped.append(f"horizontal {name}: {exc}")
             continue
         lam_comp = lambda_spanmap(comp, seed=seed, tol=tol)
-        lam_j = lambda_spanmap(maps[j], seed=seed, tol=tol)
-        lam_i = lambda_spanmap(maps[i], seed=seed, tol=tol)
+        lam_j = lam_map(j)
+        lam_i = lam_map(i)
         hcomp = hcompose_2morph(lam_j.morphism, lam_i.morphism)
         _, iso_top, _ = composite_block_iso(
             maps[i].top, maps[j].top, lam_x=lam_i.source_result,

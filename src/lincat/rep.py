@@ -153,7 +153,8 @@ def trivial_rep(g: FinGroup) -> RepModel:
     return RepModel(g, np.ones((g.order, 1, 1), dtype=complex))
 
 
-# largest dense array (bytes) that regular_rep may allocate: order 256
+# largest dense array (bytes) that regular_rep or intertwiner_basis may
+# allocate: a regular representation of order 256
 MAX_DENSE_BYTES = 2**28
 
 
@@ -446,11 +447,19 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
         P = (1/|G|) sum_g r2(g^-1) (x) r1(g)^T,
 
     formed in one contraction over the group; the rank is checked against the
-    character count and every basis element against every group element."""
+    character count and every basis element against every group element.
+    Raises InputTooLarge before forming P when it would take more than
+    MAX_DENSE_BYTES."""
     if r1.group != r2.group:
         raise GroupMismatch("intertwiners need both models on one group")
     g = r1.group
     d1, d2 = r1.dim, r2.dim
+    nbytes = (d1 * d2) ** 2 * 16
+    if nbytes > MAX_DENSE_BYTES:
+        raise InputTooLarge(
+            f"intertwiner projector on {d2}x{d1} matrices needs {nbytes} bytes, "
+            f"above the limit of {MAX_DENSE_BYTES}"
+        )
     expected = hom_dim(r1.character, r2.character)
     if d1 == 0 or d2 == 0:
         if expected:

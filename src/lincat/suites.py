@@ -91,24 +91,6 @@ def span_over_points(apex: Groupoid) -> Span:
     return Span(apex, leg, leg)
 
 
-def _one_object_functor(hom: GroupHom, src_name="*", tgt_name="*"):
-    src = one_object_groupoid(hom.source, src_name)
-    tgt = one_object_groupoid(hom.target, tgt_name)
-    return GroupoidFunctor(src, tgt, [0], [hom])
-
-
-def inclusion_span(hom: GroupHom, to_terminal_on="left") -> Span:
-    """A span with one-object apex B(source), one leg the inclusion into
-    B(target) and the other the unique functor to the terminal groupoid."""
-    apex = one_object_groupoid(hom.source)
-    one = terminal_groupoid()
-    incl = GroupoidFunctor(apex, one_object_groupoid(hom.target), [0], [hom])
-    term = GroupoidFunctor.to_terminal(apex, one)
-    if to_terminal_on == "left":
-        return Span(apex, term, incl)
-    return Span(apex, incl, term)
-
-
 def mixed_groupoid() -> Groupoid:
     return Groupoid(
         [

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from lincat.errors import AxiomViolation, GroupMismatch
+import lincat.groups
+from lincat.errors import AxiomViolation, GroupMismatch, InputTooLarge
 from lincat.groups import (
     GroupHom,
     all_homs,
@@ -178,6 +179,20 @@ def test_trivial_hom_everywhere(s3, one):
     f = trivial_hom(s3, one)
     assert f.image() == [0]
     assert len(f.kernel()) == 6
+
+
+def test_all_homs_size_guard(z2, v4, s3, monkeypatch):
+    def no_candidate(*args, **kwargs):
+        raise AssertionError("a candidate was built before the guard")
+
+    # V4 needs two generators: 6^2 images into S3
+    monkeypatch.setattr(lincat.groups, "MAX_HOM_CANDIDATES", 6**2 - 1)
+    with monkeypatch.context() as m:
+        m.setattr(lincat.groups, "GroupHom", no_candidate)
+        with pytest.raises(InputTooLarge):
+            all_homs(v4, s3)
+    monkeypatch.setattr(lincat.groups, "MAX_HOM_CANDIDATES", 6)
+    assert len(all_homs(z2, s3)) == 4
 
 
 def test_all_homs_counts(z2, z3, z4, s3, one):

@@ -24,6 +24,8 @@ from lincat.groupoids import (
 )
 from lincat.groups import cyclic_group, identity_hom, symmetric_group, trivial_group
 from lincat.linearization import (
+    SuiteConfig,
+    _big_transfer,
     _check_dual_path,
     beta_compositor,
     composite_block_iso,
@@ -44,7 +46,16 @@ from lincat.suites import (
     span_over_points,
     z2_in_s3,
 )
-from lincat.rep import DEFAULT_TOL, irreps
+from lincat.rep import (
+    DEFAULT_TOL,
+    _counit_kernel,
+    _unit_kernel,
+    flatten_induction,
+    induce_rep,
+    induced_morphism,
+    irreps,
+    restrict_rep,
+)
 from lincat.twovect import TwoMorphism, hcompose_2morph, vcompose_2morph
 
 DATA = "src/lincat/data"
@@ -489,3 +500,109 @@ def test_lambda_span_computes_each_leg_pair_once(monkeypatch):
     lam = lambda_span(x)
     assert len(calls) == len(keys) * per_key < len(x.apex) * per_key
     assert np.array_equal(lam.map.dims, _dims_oracle(x))
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap lincat.linearization.<name>; the returned list collects the
+    (first argument, result) pair of every call."""
+    log = []
+    real = getattr(lincat.linearization, name)
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        log.append((args[0], out))
+        return out
+
+    monkeypatch.setattr(lincat.linearization, name, wrapper)
+    return log
+
+
+def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
+    suite = default_suite()
+    linearized = _record_calls(monkeypatch, "lambda_spanmap")
+    vertical = _record_calls(monkeypatch, "vertical_compose_spanmaps")
+    horizontal = _record_calls(monkeypatch, "horizontal_compose_spanmaps")
+    assert verify_functoriality(suite).ok
+    composites = [out for _, out in vertical + horizontal]
+    assert composites
+
+    def times(y):
+        return sum(z is y for z, _ in linearized)
+
+    assert [times(y) for y in suite.spanmaps] == [1] * len(suite.spanmaps)
+    assert all(times(z) == 1 for z in composites)
+    assert len(linearized) == len(suite.spanmaps) + len(composites)
+
+    # with one pair per section, every other input map is never linearized
+    linearized.clear()
+    maps = suite.spanmaps
+    vpair = next((i, j) for i, a in enumerate(maps) for j, b in enumerate(maps)
+                 if a.bottom == b.top)
+    hpair = next((i, j) for i, a in enumerate(maps) for j, b in enumerate(maps)
+                 if a.top.target == b.top.source)
+    small = SuiteConfig(suite.groupoids, suite.spans, maps, max_pairs=1)
+    assert verify_functoriality(small).ok
+    paired = set(vpair) | set(hpair)
+    assert len(paired) < len(maps)
+    assert [times(y) for y in maps] == [int(i in paired) for i in range(len(maps))]
+
+
+def _big_transfer_reference(y, top_wits, bot_wits):
+    """The dual-path transfer with every apex object's piece built on its own."""
+    top_pos = {w.apex_idx: i for i, w in enumerate(top_wits)}
+    bot_pos = {w.apex_idx: i for i, w in enumerate(bot_wits)}
+    top_off = np.cumsum([0] + [w.ind.dim for w in top_wits])
+    bot_off = np.cumsum([0] + [w.ind.dim for w in bot_wits])
+    big = np.zeros((bot_off[-1], top_off[-1]), dtype=complex)
+    for yi in range(len(y.apex)):
+        x1, x2 = y.up(yi), y.down(yi)
+        if x1 not in top_pos or x2 not in bot_pos:
+            continue
+        i1, i2 = top_pos[x1], bot_pos[x2]
+        r1_top, r1_bot = top_wits[i1].r1, bot_wits[i2].r1
+        s_hom, t_hom = y.up.hom(yi), y.down.hom(yi)
+        t1_hom, t2_hom = y.top.right.hom(x1), y.bottom.right.hom(x2)
+        v_y = restrict_rep(s_hom, r1_top)
+        ind_s = induce_rep(s_hom, v_y)
+        staged1 = induce_rep(t1_hom, ind_s)
+        flat1 = flatten_induction(staged1, induce_rep(s_hom.then(t1_hom), v_y))
+        mor1 = induced_morphism(top_wits[i1].ind, staged1,
+                                _unit_kernel(ind_s, r1_top.matrices))
+        res_t = restrict_rep(t_hom, r1_bot)
+        ind_t = induce_rep(t_hom, res_t)
+        staged2 = induce_rep(t2_hom, ind_t)
+        flat2 = flatten_induction(staged2, induce_rep(t_hom.then(t2_hom), res_t))
+        mor2 = induced_morphism(staged2, bot_wits[i2].ind,
+                                _counit_kernel(ind_t, r1_bot.matrices))
+        big[bot_off[i2]:bot_off[i2 + 1], top_off[i1]:top_off[i1 + 1]] += (
+            mor2 @ np.linalg.solve(flat2, flat1) @ mor1
+        )
+    return big
+
+
+def test_big_transfer_shares_pieces_between_equal_keys(monkeypatch):
+    suite = random_suite(5, n_spans=4, n_maps=3)
+    y = vertical_compose_spanmaps(suite.spanmaps[0], suite.spanmaps[0])
+    built = []
+    real = lincat.linearization._transfer_piece
+
+    def counted(*key):
+        built.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(lincat.linearization, "_transfer_piece", counted)
+    res = lambda_spanmap(y, check=False)
+    lam_top, lam_bot = res.source_result, res.target_result
+    contributions = 0
+    for key, top_wits in lam_top.details.items():
+        bot_wits = lam_bot.details[key]
+        got = _big_transfer(y, top_wits, bot_wits)
+        want = _big_transfer_reference(y, top_wits, bot_wits)
+        assert got.shape == want.shape
+        if got.size:
+            assert np.max(np.abs(got - want)) < 1e-12
+        tops = {w.apex_idx for w in top_wits}
+        bots = {w.apex_idx for w in bot_wits}
+        contributions += sum(y.up(yi) in tops and y.down(yi) in bots
+                             for yi in range(len(y.apex)))
+    assert 0 < len(built) < contributions

@@ -23,6 +23,7 @@ from lincat.groups import (
     trivial_hom,
 )
 import lincat.rep
+from lincat.linearization import _project_onto_intertwiners
 from lincat.rep import (
     Character,
     character_inner,
@@ -362,6 +363,50 @@ def test_intertwiner_projector_matches_kron_reference(s3, s4):
                     seen_rank5 |= len(basis) == 5 and gens == [t01]
     # the 3-dim S4 irreps restricted to <(0 1)> are 2 + 1: rank 2^2 + 1^2
     assert seen_rank5
+
+
+def _loop_projection(f, r1, r2):
+    """(1/|G|) sum_g r2(g^-1) f r1(g), one product per group element."""
+    g = r1.group
+    out = np.zeros(f.shape, dtype=complex)
+    for a in range(g.order):
+        out += r2.matrices[g.inv[a]] @ f @ r1.matrices[a]
+    return out / g.order
+
+
+def test_batched_projection_matches_per_element_loop(s3, s4):
+    perms4 = sorted(itertools.permutations(range(4)))
+    subgroups = {
+        s3: [[1], [3], [1, 3]],
+        s4: [
+            [perms4.index((1, 0, 2, 3))],
+            [perms4.index((1, 2, 3, 0))],
+            [perms4.index((1, 0, 3, 2)), perms4.index((2, 3, 0, 1))],
+            [perms4.index((1, 0, 2, 3)), perms4.index((1, 2, 0, 3))],
+        ],
+    }
+    rng = np.random.default_rng(0)
+    for g, gen_lists in subgroups.items():
+        for gens in gen_lists:
+            _, incl = subgroup_embedding(g, _generated(g, gens))
+            pulled = [restrict_rep(incl, w) for w in irreps(g)]
+            for r1 in pulled:
+                for r2 in pulled:
+                    shape = (3, r2.dim, r1.dim)
+                    fs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    got = _project_onto_intertwiners(fs, r1, r2)
+                    want = np.array([_loop_projection(f, r1, r2) for f in fs])
+                    assert got.shape == shape
+                    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_intertwiner_projector_size_guard(s3, monkeypatch):
+    w = irreps(s3)[2]  # the 2-dimensional irrep: a (2*2)^2 projector
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 16 * 16 - 1)
+    with pytest.raises(InputTooLarge):
+        intertwiner_basis(w, w)
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 16 * 16)
+    assert len(intertwiner_basis(w, w)) == 1
 
 
 def test_regular_rep_size_guard():
