@@ -132,8 +132,8 @@ def cmd_span(args, out):
 def cmd_compose(args, out):
     s1 = _expect(parse(args.first), ("span",), args.first)
     s2 = _expect(parse(args.second), ("span",), args.second)
-    comp = compose_spans(s1, s2)
     beta = beta_compositor(s1, s2, seed=args.seed) if args.verify_beta else None
+    comp = beta.composite if beta is not None else compose_spans(s1, s2)
     if args.output == "json":
         obj = {"composite": to_document_obj(comp, name="composite")}
         obj["apex"] = [

@@ -6,6 +6,12 @@ pullbacks are computed as comma categories: isomorphism classes of objects over
 a pair (a, b) with f(a) = g(b) = c correspond to double cosets
 im(f_a) \\ Aut(c) / im(g_b), and the automorphism group of the class with
 mediating morphism m is the fibred product {(h, k) : f(h)*m = m*g(k)}.
+
+Each class is read off one array D[h, k] = f(h)*m*g(k)^-1 over H x K: its
+values are the double coset, the first occurrence of each value in row-major
+order is that element's lexicographically first witness (h0, k0), and the
+entries equal to m are the fibred product, in lexicographic order.  The
+fibred-product table is then array arithmetic on the codes h*|K| + k.
 """
 
 from __future__ import annotations
@@ -261,7 +267,7 @@ class CommaClass:
 
     The class sits over the pair (a_idx, b_idx) with common image c_idx, has
     mediating morphism ``rep`` (an element of Aut(c), minimal in its double
-    coset unless a selector chose otherwise), and automorphism group ``fib``
+    coset unless ``admissible`` refused it), and automorphism group ``fib``
     materialized on the lexicographically sorted pairs ``pairs``.
     """
 
@@ -272,10 +278,6 @@ class CommaClass:
     pairs: list
     fib: FinGroup
     pair_index: dict
-    # for every m in Aut(c): which class it belongs to and a witness (h0, k0)
-    # with m = f(h0) * rep * g(k0)^-1 (shared per (a, b) pair, set by the builder)
-    coset_class: np.ndarray = None
-    witness: list = None
 
 
 @dataclass
@@ -284,33 +286,32 @@ class CommaCategory:
     proj_left: GroupoidFunctor
     proj_right: GroupoidFunctor
     classes: list
-    # (a_idx, b_idx) -> (coset_class array over Aut(c), witness list, class ids)
+    # (a_idx, b_idx) -> (coset_class, witness, class ids): for every m in
+    # Aut(c), the class it belongs to and the lex-first (h0, k0) with
+    # m = f(h0) * rep * g(k0)^-1
     pair_data: dict = None
 
 
-def _fibred_product(f: GroupHom, g: GroupHom, c: FinGroup, m: int):
-    """Pairs (h, k) with f(h)*m = m*g(k), as a group on lex-sorted pairs."""
-    pairs = []
-    for h in range(f.source.order):
-        lhs = c.mul(f(h), m)
-        for k in range(g.source.order):
-            if lhs == c.mul(m, g(k)):
-                pairs.append((h, k))
-    pairs.sort()
-    fib = _table_group(
-        pairs,
-        lambda p, q: (f.source.mul(p[0], q[0]), g.source.mul(p[1], q[1])),
-        name=f"fib[{m}]",
-    )
-    return pairs, fib, {p: i for i, p in enumerate(pairs)}
+def _coset_array(c: FinGroup, fh: GroupHom, gh: GroupHom, m: int):
+    """D[h, k] = f(h) * m * g(k)^-1 over all of H x K."""
+    return c.mult[c.mult[fh.map, m][:, None], c.inv[gh.map]]
 
 
-def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, rep_selector=None) -> CommaCategory:
+def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> CommaCategory:
     """Skeleton of the comma category (f | g) with its two projections.
 
-    ``rep_selector(a, b, c_idx, f_hom, g_hom, c_group, coset_elements)`` may
-    pick the mediating representative of each double coset (or return None to
-    refuse); the default takes the minimal element index.
+    Over each pair (a, b) with f(a) = g(b) = c, every class comes from one
+    array D[h, k] = f(h) * m * g(k)^-1, where m is the representative: its
+    values are the double coset im(f_a) m im(g_b), the first occurrence of
+    each value in row-major order is that element's lex-first witness, and
+    ``np.nonzero(D == m)`` is the fibred product at m, already lex-sorted.
+    The default representative is the smallest element of Aut(c) not yet in
+    a class, which is the smallest element of its double coset.
+
+    ``admissible(c_idx, u, v)`` may refuse representatives: the candidates m
+    of a double coset are tried in increasing order, with u = f(hs) and
+    v = g(ks) the images of the fibred-product pairs (hs, ks) at m, and the
+    first accepted one is kept; if none is, StrictnessViolation is raised.
     """
     if f.target != g.target:
         raise TargetMismatch("comma category needs functors with a common target")
@@ -323,40 +324,46 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, rep_selector=None) ->
             c_idx = f(a)
             c = f.target.aut(c_idx)
             fh, gh = f.hom(a), g.hom(b)
-            im_f = fh.image()
-            im_g = gh.image()
+            nk = gh.source.order
             coset_class = -np.ones(c.order, dtype=np.int64)
             witness = [None] * c.order
             class_ids = []
             for m0 in range(c.order):
                 if coset_class[m0] >= 0:
                     continue
-                # double coset im(f_a) * m0 * im(g_b)
-                coset = sorted(
-                    {c.mul(c.mul(u, m0), v) for u in im_f for v in im_g}
-                )
-                rep = coset[0]
-                if rep_selector is not None:
-                    rep = rep_selector(a, b, c_idx, fh, gh, c, coset)
-                    if rep is None:
+                rep = m0
+                d = _coset_array(c, fh, gh, rep)
+                if admissible is not None:
+                    present = np.zeros(c.order, dtype=bool)
+                    present[d.ravel()] = True
+                    for rep in np.flatnonzero(present).tolist():
+                        d = _coset_array(c, fh, gh, rep)
+                        hs, ks = np.nonzero(d == rep)
+                        if admissible(c_idx, fh.map[hs], gh.map[ks]):
+                            break
+                    else:
                         raise StrictnessViolation(
                             f"no admissible representative in the double coset of "
                             f"{m0} over objects ({a}, {b})"
                         )
-                pairs, fib, index = _fibred_product(fh, gh, c, rep)
-                cls = CommaClass(a, b, c_idx, rep, pairs, fib, index)
+                hs, ks = np.nonzero(d == rep)
+                pairs = list(zip(hs.tolist(), ks.tolist()))
+                fib = _table_group(
+                    hs * nk + ks,
+                    fh.source.mult[hs[:, None], hs] * nk + gh.source.mult[ks[:, None], ks],
+                    name=f"fib[{rep}]",
+                )
                 cid = len(classes)
-                classes.append(cls)
+                classes.append(CommaClass(a, b, c_idx, rep, pairs, fib,
+                                          {p: i for i, p in enumerate(pairs)}))
                 class_ids.append(cid)
-                for h in range(fh.source.order):
-                    u = fh(h)
-                    for k in range(gh.source.order):
-                        mm = c.mul(c.mul(u, rep), c.inv[gh(k)])
-                        if witness[mm] is None:
-                            coset_class[mm] = cid
-                            witness[mm] = (h, k)
-                cls.coset_class = coset_class
-                cls.witness = witness
+                # first occurrence of each coset element in row-major order
+                first = np.full(c.order, d.size)
+                np.minimum.at(first, d.ravel(), np.arange(d.size))
+                members = np.flatnonzero(first < d.size)
+                coset_class[members] = cid
+                for mm, w in zip(members.tolist(), first[members].tolist()):
+                    witness[mm] = divmod(w, nk)
             pair_data[(a, b)] = (coset_class, witness, class_ids)
     names = []
     groups = []
@@ -425,26 +432,12 @@ def vertical_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
         raise SpanMismatch("middle spans disagree")
     mid = y.bottom
 
-    def selector(a, b, c_idx, fh, gh, c, coset):
-        xl = mid.left.hom(c_idx)
-        xr = mid.right.hom(c_idx)
-        for m in coset:
-            ok = True
-            for h in range(fh.source.order):
-                lhs = c.mul(fh(h), m)
-                for k in range(gh.source.order):
-                    if lhs != c.mul(m, gh(k)):
-                        continue
-                    if xl(fh(h)) != xl(gh(k)) or xr(fh(h)) != xr(gh(k)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return m
-        return None
+    def admissible(c_idx, u, v):
+        xl = mid.left.hom(c_idx).map
+        xr = mid.right.hom(c_idx).map
+        return np.array_equal(xl[u], xl[v]) and np.array_equal(xr[u], xr[v])
 
-    cat = comma_category(y.down, yp.up, rep_selector=selector)
+    cat = comma_category(y.down, yp.up, admissible=admissible)
     up = cat.proj_left.then(y.up)
     down = cat.proj_right.then(yp.down)
     return SpanMap(y.top, yp.bottom, cat.groupoid, up, down)
@@ -461,18 +454,8 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
     sigma = yp.up.then(yp.top.left)    # Y' -> A2
     cat = comma_category(tau, sigma)
 
-    top_cat = comma_category(y.top.right, yp.top.left)
-    bot_cat = comma_category(y.bottom.right, yp.bottom.left)
-    top_span = Span(
-        top_cat.groupoid,
-        top_cat.proj_left.then(y.top.left),
-        top_cat.proj_right.then(yp.top.right),
-    )
-    bot_span = Span(
-        bot_cat.groupoid,
-        bot_cat.proj_left.then(y.bottom.left),
-        bot_cat.proj_right.then(yp.bottom.right),
-    )
+    top_span, top_cat = compose_spans_with_comma(y.top, yp.top)
+    bot_span, bot_cat = compose_spans_with_comma(y.bottom, yp.bottom)
 
     z = cat.groupoid
     mediators = [cat.classes[zi].rep for zi in range(len(z))]

@@ -53,22 +53,18 @@ def _check_table(table):
 class FinGroup:
     """A finite group given by its multiplication table over element indices."""
 
-    def __init__(self, mult, name=None, _validated=False):
+    def __init__(self, mult, name=None):
         try:
             table = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
         except ValueError:
             raise AxiomViolation(
                 "identity", (-1,), "multiplication table is not square"
             ) from None
-        if not _validated:
-            table = _check_table(table)
-        self.mult = table
+        self.mult = table = _check_table(table)
         self.order = int(table.shape[0])
         self.name = name if name is not None else f"G{self.order}"
-        inv = np.empty(self.order, dtype=np.int64)
-        for a in range(self.order):
-            inv[a] = int(np.nonzero(table[a] == 0)[0][0])
-        self.inv = inv
+        # each row is a permutation, so its one 0 is its smallest entry
+        self.inv = np.argmin(table, axis=1)
         self.fingerprint = table.tobytes()
 
     @cached_property
@@ -141,7 +137,7 @@ class GroupHom:
         if m[0] != 0:
             raise GroupMismatch("hom does not preserve the identity")
         lhs = m[self.source.mult]
-        rhs = self.target.mult[np.ix_(m, m)]
+        rhs = self.target.mult[m[:, None], m]
         if not np.array_equal(lhs, rhs):
             a, b = np.argwhere(lhs != rhs)[0]
             raise GroupMismatch(f"not a homomorphism at pair ({a}, {b})")
@@ -186,19 +182,33 @@ def trivial_hom(source: FinGroup, target: FinGroup) -> GroupHom:
 # constructions
 
 
-def _table_group(elements, product, name=None) -> FinGroup:
-    """The group on an ordered element list (identity first) whose table
-    holds the position of ``product(a, b)``; raises AxiomViolation if the
-    list is not closed under the product."""
-    index = {e: i for i, e in enumerate(elements)}
-    table = np.empty((len(elements), len(elements)), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            c = index.get(product(a, b))
-            if c is None:
-                raise AxiomViolation("inverse", (a, b), "element set is not closed")
-            table[i, j] = c
+def _table_group(codes, products, name=None) -> FinGroup:
+    """The group on the elements with increasing integer ``codes`` (identity
+    first), where ``products[i, j]`` is the code of element i times element j.
+    The table holds the positions of the products; raises AxiomViolation if
+    the codes are not closed under the product."""
+    codes = np.asarray(codes, dtype=np.int64)
+    products = np.asarray(products, dtype=np.int64)
+    table = np.minimum(np.searchsorted(codes, products), len(codes) - 1)
+    missing = codes[table] != products
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        raise AxiomViolation(
+            "inverse", (int(codes[i]), int(codes[j])), "element set is not closed"
+        )
     return FinGroup(table, name=name)
+
+
+def _permutation_group(perms, name=None) -> FinGroup:
+    """The group on a list of one-line permutations, coded by position."""
+    n = len(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    arr = np.array(perms, dtype=np.int64).reshape(n, -1)
+    products = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        # arr[i][arr[j]] is perms[i] * perms[j]: apply perms[j] first
+        products[i] = [index.get(r, -1) for r in map(tuple, arr[i, arr].tolist())]
+    return _table_group(np.arange(n), products, name=name)
 
 
 def _compose_perms(p, q):
@@ -218,17 +228,14 @@ def cyclic_group(n: int) -> FinGroup:
 def symmetric_group(n: int) -> FinGroup:
     """S_n on points 0..n-1; elements are one-line permutations in lexicographic
     order, so the identity permutation has index 0."""
-    perms = sorted(itertools.permutations(range(n)))
-    return _table_group(perms, _compose_perms, name=f"S{n}")
+    return _permutation_group(sorted(itertools.permutations(range(n))), name=f"S{n}")
 
 
 def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
     """Product group; element (a, b) has index a*h.order + b."""
-    return _table_group(
-        list(itertools.product(range(g.order), range(h.order))),
-        lambda p, q: (g.mul(p[0], q[0]), h.mul(p[1], q[1])),
-        name=f"{g.name}x{h.name}",
-    )
+    products = g.mult[:, None, :, None] * h.order + h.mult[None, :, None, :]
+    n = g.order * h.order
+    return _table_group(np.arange(n), products.reshape(n, n), name=f"{g.name}x{h.name}")
 
 
 def group_from_permutations(generators, n_points, name=None, max_order=500):
@@ -254,7 +261,7 @@ def group_from_permutations(generators, n_points, name=None, max_order=500):
             raise AxiomViolation(
                 "inverse", (-1,), f"generated group exceeds the cap of {max_order} elements"
             )
-    return _table_group(sorted(elements), _compose_perms, name=name)
+    return _permutation_group(sorted(elements), name=name)
 
 
 def subgroup_embedding(g: FinGroup, elements, name=None):
@@ -264,8 +271,10 @@ def subgroup_embedding(g: FinGroup, elements, name=None):
     elems = sorted(set(int(e) for e in elements))
     if not elems or elems[0] != 0:
         raise AxiomViolation("identity", (0,), "subgroup must contain the identity")
-    sub = _table_group(elems, g.mul, name=name or f"{g.name}_sub{len(elems)}")
-    incl = GroupHom(sub, g, np.array(elems, dtype=np.int64))
+    codes = np.array(elems, dtype=np.int64)
+    sub = _table_group(codes, g.mult[codes[:, None], codes],
+                       name=name or f"{g.name}_sub{len(elems)}")
+    incl = GroupHom(sub, g, codes)
     return sub, incl
 
 

@@ -120,7 +120,8 @@ def test_verify_small_suite(capsys):
     assert obj["ok"] is True
 
 
-def test_compose_with_beta(capsys, tmp_path):
+def _write_rev_and_fig1(tmp_path):
+    """fig1's reverse and fig1 as span documents; they compose."""
     from lincat.documents import serialize
     from lincat.suites import fig1_span
     from lincat.groupoids import reverse_span
@@ -129,6 +130,11 @@ def test_compose_with_beta(capsys, tmp_path):
     p2 = tmp_path / "fig1.json"
     p1.write_bytes(serialize(reverse_span(fig1_span()), name="rev"))
     p2.write_bytes(serialize(fig1_span(), name="fig1"))
+    return p1, p2
+
+
+def test_compose_with_beta(capsys, tmp_path):
+    p1, p2 = _write_rev_and_fig1(tmp_path)
     code, out, _ = run_cli(
         capsys, "--output", "json", "compose", str(p1), str(p2), "--verify-beta"
     )
@@ -137,6 +143,29 @@ def test_compose_with_beta(capsys, tmp_path):
     assert obj["beta"]["dims_ok"] is True
     assert obj["beta"]["dims"] == [[2, 1], [1, 2]]
     assert len(obj["apex"]) == 6
+
+
+def test_compose_with_beta_builds_one_comma_category(capsys, tmp_path, monkeypatch):
+    import lincat.groupoids
+
+    p1, p2 = _write_rev_and_fig1(tmp_path)
+    _, plain, _ = run_cli(capsys, "--output", "json", "compose", str(p1), str(p2))
+    calls = []
+    real = lincat.groupoids.comma_category
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lincat.groupoids, "comma_category", counted)
+    code, out, _ = run_cli(
+        capsys, "--output", "json", "compose", str(p1), str(p2), "--verify-beta"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    with_beta = json.loads(out)
+    del with_beta["beta"]
+    assert with_beta == json.loads(plain)
 
 
 def test_verify_impossible_tolerance_exits_1(capsys):

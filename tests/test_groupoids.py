@@ -1,7 +1,11 @@
+import functools
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincat.errors import (
     IndexOutOfRange,
@@ -29,8 +33,11 @@ from lincat.groupoids import (
     weak_pullback,
 )
 from lincat.groups import (
+    all_homs,
     cyclic_group,
+    direct_product,
     subgroup_embedding,
+    symmetric_group,
     trivial_group,
     trivial_hom,
 )
@@ -171,7 +178,7 @@ def test_pullback_projections_are_functors(z2_in_s3, s3):
     assert cls.rep == 0
     assert cls.pairs == [(0, 0), (1, 1)]
     # witnesses cover all of Aut(c)
-    assert all(w is not None for w in cls.witness)
+    assert all(w is not None for w in cat.pair_data[(0, 0)][1])
 
 
 # --- span composition -------------------------------------------------------
@@ -377,3 +384,163 @@ def test_compose_associativity_nontrivial_auts(s3):
     left = compose_spans(compose_spans(a, b), c)
     right = compose_spans(a, compose_spans(b, c))
     assert iso_class_data(left) == iso_class_data(right)
+
+
+# --- comma categories against the loop construction --------------------------
+
+
+def comma_oracle(f, g, admissible=None):
+    """Oracle: the comma category by plain loops.  Double cosets by set
+    comprehension, fibred products by scanning all of H x K, lex-first
+    witnesses by a row-major double loop, and representatives by scanning
+    the sorted double coset with ``admissible``.  Returns the classes as
+    (a, b, c, rep, pairs, fib table) tuples and the pair data."""
+    classes, pair_data = [], {}
+    for a in range(len(f.source)):
+        for b in range(len(g.source)):
+            if f(a) != g(b):
+                continue
+            c_idx = f(a)
+            c = f.target.aut(c_idx)
+            fh, gh = f.hom(a), g.hom(b)
+            hgrp, kgrp = fh.source, gh.source
+
+            def fibred(m):
+                return [(h, k) for h in range(hgrp.order) for k in range(kgrp.order)
+                        if c.mul(fh(h), m) == c.mul(m, gh(k))]
+
+            coset_class = [-1] * c.order
+            witness = [None] * c.order
+            class_ids = []
+            for m0 in range(c.order):
+                if coset_class[m0] >= 0:
+                    continue
+                coset = sorted({c.mul(c.mul(u, m0), v)
+                                for u in fh.image() for v in gh.image()})
+                rep = coset[0]
+                if admissible is not None:
+                    rep = next((m for m in coset if admissible(
+                        c_idx,
+                        np.array([fh(h) for h, _ in fibred(m)], dtype=np.int64),
+                        np.array([gh(k) for _, k in fibred(m)], dtype=np.int64),
+                    )), None)
+                    if rep is None:
+                        raise StrictnessViolation(
+                            f"no admissible representative in the double coset of "
+                            f"{m0} over objects ({a}, {b})"
+                        )
+                pairs = fibred(rep)
+                index = {p: i for i, p in enumerate(pairs)}
+                table = [[index[(hgrp.mul(p[0], q[0]), kgrp.mul(p[1], q[1]))]
+                          for q in pairs] for p in pairs]
+                cid = len(classes)
+                classes.append((a, b, c_idx, rep, pairs, table))
+                class_ids.append(cid)
+                for h in range(hgrp.order):
+                    for k in range(kgrp.order):
+                        mm = c.mul(c.mul(fh(h), rep), c.inv[gh(k)])
+                        if witness[mm] is None:
+                            coset_class[mm] = cid
+                            witness[mm] = (h, k)
+            pair_data[(a, b)] = (coset_class, witness, class_ids)
+    return classes, pair_data
+
+
+def assert_matches_oracle(cat, f, g, admissible=None):
+    classes, pair_data = comma_oracle(f, g, admissible)
+    assert [(c.a_idx, c.b_idx, c.c_idx, c.rep, c.pairs, c.fib.mult.tolist())
+            for c in cat.classes] == classes
+    assert {key: (cc.tolist(), w, ids) for key, (cc, w, ids) in cat.pair_data.items()} \
+        == pair_data
+    for cid, (a, b, _, _, pairs, _) in enumerate(classes):
+        assert cat.classes[cid].pair_index == {p: i for i, p in enumerate(pairs)}
+        assert (cat.proj_left(cid), cat.proj_right(cid)) == (a, b)
+        assert cat.proj_left.hom(cid).map.tolist() == [h for h, _ in pairs]
+        assert cat.proj_right.hom(cid).map.tolist() == [k for _, k in pairs]
+
+
+def test_comma_categories_of_verification_match_loop_oracle(monkeypatch):
+    import lincat.groupoids
+    from lincat.linearization import verify_functoriality
+    from lincat.suites import default_suite, random_suite
+
+    calls = []
+    real = lincat.groupoids.comma_category
+
+    def recorded(f, g, admissible=None):
+        try:
+            cat = real(f, g, admissible=admissible)
+        except StrictnessViolation as exc:
+            calls.append((f, g, admissible, exc))
+            raise
+        calls.append((f, g, admissible, cat))
+        return cat
+
+    monkeypatch.setattr(lincat.groupoids, "comma_category", recorded)
+    for suite in (default_suite(), random_suite(1)):
+        verify_functoriality(suite)
+    assert any(adm is not None for _, _, adm, _ in calls)
+    assert any(isinstance(out, StrictnessViolation) for *_, out in calls)
+    for f, g, admissible, out in calls:
+        if isinstance(out, StrictnessViolation):
+            with pytest.raises(StrictnessViolation) as err:
+                comma_oracle(f, g, admissible)
+            assert str(err.value) == str(out)
+        else:
+            assert_matches_oracle(out, f, g, admissible)
+
+
+_SMALL_GROUPS = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                 direct_product(cyclic_group(2), cyclic_group(2)), symmetric_group(3)]
+
+
+@functools.cache
+def _small_homs(i, j):
+    return all_homs(_SMALL_GROUPS[i], _SMALL_GROUPS[j])
+
+
+@st.composite
+def cospans(draw):
+    """Two functors f, g into one groupoid of at most two objects, each from a
+    groupoid of at most two objects, drawn from small groups and all homs."""
+    small = st.integers(0, len(_SMALL_GROUPS) - 1)
+    target_ids = draw(st.lists(small, min_size=1, max_size=2))
+    target = Groupoid([(f"c{i}", _SMALL_GROUPS[t]) for i, t in enumerate(target_ids)])
+
+    def functor(prefix):
+        objs, omap, homs = [], [], []
+        for i in range(draw(st.integers(1, 2))):
+            c = draw(st.integers(0, len(target) - 1))
+            s = draw(small)
+            objs.append((f"{prefix}{i}", _SMALL_GROUPS[s]))
+            omap.append(c)
+            homs.append(draw(st.sampled_from(_small_homs(s, target_ids[c]))))
+        return GroupoidFunctor(Groupoid(objs), target, omap, homs)
+
+    return functor("a"), functor("b")
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(cospans())
+def test_comma_category_properties_on_random_functors(fg):
+    f, g = fg
+    cat = comma_category(f, g)
+    for (a, b), (coset_class, witness, class_ids) in cat.pair_data.items():
+        c = f.target.aut(f(a))
+        fh, gh = f.hom(a), g.hom(b)
+        n_h, n_k = fh.source.order, gh.source.order
+        # coset_class partitions Aut(c) into the double cosets of the reps
+        assert sorted(set(coset_class.tolist())) == class_ids
+        for cid in class_ids:
+            rep = cat.classes[cid].rep
+            coset = {c.mul(c.mul(fh(h), rep), c.inv[gh(k)])
+                     for h in range(n_h) for k in range(n_k)}
+            assert coset == set(np.flatnonzero(coset_class == cid).tolist())
+            # orbit-stabilizer: |H| |K| = |fib| |double coset|
+            assert n_h * n_k == cat.classes[cid].fib.order * len(coset)
+        # each witness is the lex-first (h0, k0) with m = f(h0) rep g(k0)^-1
+        for m in range(c.order):
+            rep = cat.classes[coset_class[m]].rep
+            hits = [(h, k) for h in range(n_h) for k in range(n_k)
+                    if c.mul(c.mul(fh(h), rep), c.inv[gh(k)]) == m]
+            assert witness[m] == hits[0]

@@ -135,6 +135,17 @@ def test_group_from_permutations_matches_symmetric():
         assert np.array_equal(g.mult, symmetric_group(n).mult)
 
 
+def test_group_from_permutations_17_cycle_matches_dict_table():
+    # 17^17 overflows int64, so no fixed-radix code of the one-line
+    # permutations can stand in for the positions here
+    n = 17
+    elements = sorted(tuple((i + k) % n for i in range(n)) for k in range(n))
+    index = {p: i for i, p in enumerate(elements)}
+    ref = [[index[tuple(p[i] for i in q)] for q in elements] for p in elements]
+    g = group_from_permutations([list(range(1, n)) + [0]], n)
+    assert g.mult.tolist() == ref
+
+
 def test_group_from_permutations_cap():
     with pytest.raises(AxiomViolation):
         group_from_permutations([list(range(1, 7)) + [0]], 7, max_order=5)
