@@ -17,6 +17,8 @@ from .errors import AxiomViolation, GroupMismatch, InputTooLarge
 
 # most generator-image assignments that all_homs may try
 MAX_HOM_CANDIDATES = 2**20
+# most points that group_from_permutations lets its permutations act on
+MAX_DEGREE = 2**20
 
 
 def _check_table(table):
@@ -60,6 +62,8 @@ class FinGroup:
             raise AxiomViolation(
                 "identity", (-1,), "multiplication table is not square"
             ) from None
+        except OverflowError:
+            raise AxiomViolation("identity", (-1,), "entry out of range") from None
         self.mult = table = _check_table(table)
         self.order = int(table.shape[0])
         self.name = name if name is not None else f"G{self.order}"
@@ -129,7 +133,10 @@ class GroupHom:
     map: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.int64)
+        try:
+            m = np.asarray(self.map, dtype=np.int64)
+        except OverflowError:
+            raise GroupMismatch("hom table entry out of range") from None
         if m.shape != (self.source.order,):
             raise GroupMismatch("hom table length does not match source order")
         if m.min() < 0 or m.max() >= self.target.order:
@@ -241,7 +248,12 @@ def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
 def group_from_permutations(generators, n_points, name=None, max_order=500):
     """Close a set of one-line permutations under composition and return the
     resulting permutation group as a table.  The identity gets index 0 and the
-    remaining elements are sorted lexicographically."""
+    remaining elements are sorted lexicographically.  Raises InputTooLarge
+    before building any permutation when ``n_points`` exceeds MAX_DEGREE."""
+    if n_points > MAX_DEGREE:
+        raise InputTooLarge(
+            f"permutations of {n_points} points are above the limit of {MAX_DEGREE}"
+        )
     gens = [tuple(p) for p in generators]
     for p in gens:
         if sorted(p) != list(range(n_points)):

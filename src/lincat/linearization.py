@@ -496,18 +496,14 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
             f"comparison spaces differ in dimension at pair {pair}: "
             f"{total} vs {rhs.dim}"
         )
-    gamma = np.zeros((rhs.dim, total), dtype=complex)
-    off = 0
+    # column (i, j) of a class with representative m is
+    # s'(k_i) m^-1 (x) C e_j = s'(k_i) . (m^-1 (x) C e_j)
+    blocks = []
     for cid, lhs in zip(class_ids, lhs_models):
-        cls = cat.classes[cid]
-        m_inv = c_group.inv[cls.rep]
-        dw = lhs.block_dim
-        for i, ki in enumerate(lhs.coset_reps):
-            elt = c_group.mul(sp_hom(ki), m_inv)
-            for j in range(dw):
-                base_vec = lhs.invariant_basis[:, j]
-                gamma[:, off + i * dw + j] = rhs.tensor_coords(elt, base_vec)
-        off += lhs.dim
+        at_m = rhs.tensor_coords(c_group.inv[cat.classes[cid].rep], lhs.invariant_basis)
+        cols = rhs.matrices[sp_hom.map[lhs.coset_reps]] @ at_m
+        blocks.append(cols.transpose(1, 0, 2).reshape(rhs.dim, lhs.dim))
+    gamma = np.concatenate(blocks, axis=1)
     if gamma.size:
         sv = np.linalg.svd(gamma, compute_uv=False)
         if sv[-1] <= 1e-12 * max(1.0, sv[0]):

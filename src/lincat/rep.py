@@ -13,8 +13,12 @@ concrete space
 
     (left coset reps of im f in H)  x  (ker f)-invariants of V,
 
-with the invariants materialized through the averaging projector.  The
-Nakayama map identifies this tensor model with the hom model
+with the invariants materialized through the averaging projector.  Each
+element h of H is decomposed once per induced model as h = h_i f(lift[h])
+with h_i a coset representative; the induced matrices, the tensor
+coordinates of h (x) v and every map into or out of an induced model are
+array expressions over that decomposition.  The Nakayama map identifies this
+tensor model with the hom model
 Hom_{C[G]}(C[H], V) and makes the induction a two-sided adjoint of
 restriction; the four unit/counit maps of the two adjunctions are produced as
 explicit matrices in these distinguished bases.
@@ -22,6 +26,7 @@ explicit matrices in these distinguished bases.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -291,23 +296,30 @@ def restrict_rep(f: GroupHom, r: RepModel) -> RepModel:
 class InducedRep(RepModel):
     """Concrete model of C[H] tensor_{C[G]} V along f : G -> H.
 
+    Every h in H factors once as h = h_i f(g) with h_i = coset_reps[i],
+    i = coset_index[h] and g = lift[h], so h (x) v = h_i (x) g.v; its
+    coordinates are C^H V(g) v in block i and zero elsewhere (C the invariant
+    basis).  ``tensor_coords`` applies this rule, and ``induce_rep`` builds
+    the matrices from the same decomposition.
+
     Attributes:
         hom: the homomorphism f.
         base: the G-model V that was induced.
         coset_reps: minimal-index representatives of the left cosets h*im(f).
         coset_index: coset id per element of H.
-        section: minimal-index preimage per element of im(f).
-        invariant_basis: orthonormal basis (columns) of the ker(f)-invariants.
+        lift: per element h of H, the minimal-index g in G with
+            h = coset_reps[coset_index[h]] * f(g).
+        invariant_basis: orthonormal basis C (columns) of the ker(f)-invariants.
     """
 
     def __init__(self, group, matrices, basis_labels, hom, base, coset_reps,
-                 coset_index, section, invariant_basis):
+                 coset_index, lift, invariant_basis):
         super().__init__(group, matrices, basis_labels)
         self.hom = hom
         self.base = base
         self.coset_reps = coset_reps
         self.coset_index = coset_index
-        self.section = section
+        self.lift = lift
         self.invariant_basis = invariant_basis
 
     @property
@@ -316,20 +328,22 @@ class InducedRep(RepModel):
 
     def tensor_coords(self, h, vec):
         """Coordinates of the tensor  h (x) vec  (vec in V-coordinates; the
-        columns of a matrix are sent to columns)."""
+        columns of a matrix are sent to columns).  ``h`` may also be an array
+        of elements, with ``vec`` stacking one vector or matrix per element
+        along axis 0: the result is then the coordinates of the sum of the
+        tensors, accumulated per coset."""
+        h = np.asarray(h)
         vec = np.asarray(vec, dtype=complex)
-        out = np.zeros((self.dim,) + vec.shape[1:], dtype=complex)
+        if h.ndim == 0:
+            h, vec = h[None], vec[None]
+        tail = vec.shape[2:]
+        vec = vec.reshape(len(h), vec.shape[1], math.prod(tail))
         dw = self.block_dim
-        if dw == 0:
-            return out
-        hh = self.group
-        i = int(self.coset_index[h])
-        u = hh.mul(hh.inv[self.coset_reps[i]], h)
-        gu = self.section[u]
-        out[i * dw : (i + 1) * dw] = self.invariant_basis.conj().T @ (
-            self.base.matrices[gu] @ vec
-        )
-        return out
+        out = np.zeros((len(self.coset_reps), dw, vec.shape[2]), dtype=complex)
+        if dw:
+            terms = self.base.matrices[self.lift[h]] @ vec
+            np.add.at(out, self.coset_index[h], self.invariant_basis.conj().T @ terms)
+        return out.reshape((self.dim,) + tail)
 
 
 def _invariant_basis(v: RepModel, kernel):
@@ -358,31 +372,34 @@ def _cosets(mult, image):
 
 
 def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
-    """Induction of v along f, on the basis  h_i (x) e_j  (cosets x invariants)."""
+    """Induction of v along f, on the basis  h_i (x) e_j  (cosets x invariants):
+    a sends h_i to a h_i = h_j f(lift[a h_i]), so block (j, i) of a is
+    C^H V(lift[a h_i]) C."""
     if v.group != f.source:
         raise GroupMismatch("model lives on the wrong group for this induction")
     h = f.target
     image = f.image()
-    section = {}
-    for g in range(f.source.order):
-        u = f(g)
-        if u not in section:
-            section[u] = g
+    reps, coset_index = _cosets(h.mult, image)
+    # h = h_i u with u = h_i^-1 h in im(f), and lift[h] is the first
+    # occurrence of u in f's table
+    preimage = np.full(h.order, f.source.order)
+    np.minimum.at(preimage, f.map, np.arange(f.source.order))
+    lift = preimage[h.mult[h.inv[reps][coset_index], np.arange(h.order)]]
     c = _invariant_basis(v, f.kernel())
     dw = c.shape[1]
-    reps, coset_index = _cosets(h.mult, image)
     n = len(reps)
-    dim = n * dw
-    mats = np.zeros((h.order, dim, dim), dtype=complex)
-    sigma = {u: c.conj().T @ v.matrices[section[u]] @ c for u in image}
-    for a in range(h.order):
-        for i, hi in enumerate(reps):
-            ahi = h.mul(a, hi)
-            j = int(coset_index[ahi])
-            u = h.mul(h.inv[reps[j]], ahi)
-            mats[a, j * dw : (j + 1) * dw, i * dw : (i + 1) * dw] = sigma[u]
+    # C^H V(g) C at the preimages g of im(f), which are all the lifts
+    lifts = preimage[image]
+    blocks = np.zeros((f.source.order, dw, dw), dtype=complex)
+    blocks[lifts] = c.conj().T @ v.matrices[lifts] @ c
+    ahi = h.mult[:, reps]
+    mats = np.zeros((h.order, n, dw, n, dw), dtype=complex)
+    mats[np.arange(h.order)[:, None], coset_index[ahi], :, np.arange(n), :] = (
+        blocks[lift[ahi]]
+    )
     labels = [f"h{hi}⊗e{j}" for hi in reps for j in range(dw)]
-    return InducedRep(h, mats, labels, f, v, reps, coset_index, section, c)
+    return InducedRep(h, mats.reshape(h.order, n * dw, n * dw), labels, f, v, reps,
+                      coset_index, lift, c)
 
 
 def induced_morphism(ind_source: InducedRep, ind_target: InducedRep, phi):
@@ -394,14 +411,13 @@ def induced_morphism(ind_source: InducedRep, ind_target: InducedRep, phi):
     if ind_source.hom != ind_target.hom:
         raise ModelMismatch("inductions along different homomorphisms")
     phi = np.asarray(phi, dtype=complex)
-    dws, dwt = ind_source.block_dim, ind_target.block_dim
     n = len(ind_source.coset_reps)
-    out = np.zeros((ind_target.dim, ind_source.dim), dtype=complex)
-    if dws and dwt:
-        block = ind_target.invariant_basis.conj().T @ phi @ ind_source.invariant_basis
-        for i in range(n):
-            out[i * dwt : (i + 1) * dwt, i * dws : (i + 1) * dws] = block
-    return out
+    out = np.zeros((n, ind_target.block_dim, n, ind_source.block_dim), dtype=complex)
+    diag = np.arange(n)
+    out[diag, :, diag, :] = (
+        ind_target.invariant_basis.conj().T @ phi @ ind_source.invariant_basis
+    )
+    return out.reshape(ind_target.dim, ind_source.dim)
 
 
 def flatten_induction(outer: InducedRep, direct: InducedRep):
@@ -409,31 +425,21 @@ def flatten_induction(outer: InducedRep, direct: InducedRep):
 
     ``outer`` must be an induction (along f) of an InducedRep (along g), and
     ``direct`` the induction of the same base along the composite g.then(f).
+    Column (i, j) is the sum over the inner cosets q of
+    r_i f(r_q) (x) C_g w_{q,j}, with w_j the j-th ker(f)-invariant vector of
+    ind_g V and w_{q,j} its block q.
     """
     inner = outer.base
     if not isinstance(inner, InducedRep):
         raise ModelMismatch("outer induction must sit on an induced model")
     if direct.hom != inner.hom.then(outer.hom):
         raise ModelMismatch("direct induction is not along the composite hom")
-    hh = outer.group
-    f = outer.hom
-    dw_out = outer.block_dim
-    dw_in = inner.block_dim
-    out = np.zeros((direct.dim, outer.dim), dtype=complex)
-    for i, ri in enumerate(outer.coset_reps):
-        for j in range(dw_out):
-            w = outer.invariant_basis[:, j]  # a ker(f)-invariant vector of ind_g V
-            col = np.zeros(direct.dim, dtype=complex)
-            for q, rq in enumerate(inner.coset_reps):
-                for l in range(dw_in):
-                    coeff = w[q * dw_in + l]
-                    if abs(coeff) < 1e-15:
-                        continue
-                    elt = hh.mul(ri, f(rq))
-                    base_vec = inner.invariant_basis[:, l]
-                    col += coeff * direct.tensor_coords(elt, base_vec)
-            out[:, i * dw_out + j] = col
-    return out
+    w = outer.invariant_basis.reshape(
+        len(inner.coset_reps), inner.block_dim, outer.block_dim
+    )
+    vecs = inner.invariant_basis @ w
+    elts = outer.group.mult[outer.coset_reps][:, outer.hom.map[inner.coset_reps]]
+    return np.concatenate([direct.tensor_coords(row, vecs) for row in elts], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +506,13 @@ def _nakayama_data(f: GroupHom, v: RepModel, tol):
     SingularMap unless the matrix is square and numerically invertible."""
     ind = induce_rep(f, v)
     h = f.target
-    c = ind.invariant_basis
-    dw = c.shape[1]
     image = f.image()
     rreps, _ = _cosets(h.mult.T, image)
-    mat = np.zeros((ind.dim, len(rreps) * dw), dtype=complex)
-    for i, ri in enumerate(rreps):
-        for j in range(dw):
-            col = np.zeros(ind.dim, dtype=complex)
-            for u in image:
-                hh = h.mul(u, ri)  # runs over the right coset im(f) * ri once
-                g = ind.section[u]
-                val = v.matrices[g] @ c[:, j]
-                col += ind.tensor_coords(h.inv[hh], val)
-            mat[:, i * dw + j] = col
+    # phi_{i,j} at u r_i, for every u in im(f) and its lift g: g . (C e_j)
+    vals = v.matrices[ind.lift[image]] @ ind.invariant_basis
+    mat = np.concatenate(
+        [ind.tensor_coords(h.inv[h.mult[image, ri]], vals) for ri in rreps], axis=1
+    )
     mat /= f.source.order
     if mat.shape[0] != mat.shape[1]:
         raise SingularMap("hom and tensor models have different dimensions")
@@ -541,23 +540,15 @@ def _unit_kernel(ind: InducedRep, mats) -> np.ndarray:
     ``ind`` is induced along f : G -> H and ``mats`` stacks one matrix M[a]
     per element of H.  With M the action of the H-model whose restriction
     was induced, this is the right unit."""
-    h = ind.group
-    out = np.zeros((ind.dim, mats.shape[2]), dtype=complex)
-    for a in range(h.order):
-        out += ind.tensor_coords(h.inv[a], mats[a])
-    return out / ind.hom.source.order
+    return ind.tensor_coords(ind.group.inv, mats) / ind.hom.source.order
 
 
 def _counit_kernel(ind: InducedRep, mats) -> np.ndarray:
     """The map h_i (x) e_j -> M[h_i] C e_j on the cosets x invariants basis of
     ``ind``.  With M the action of the H-model whose restriction was induced,
     this is the left counit."""
-    out = np.zeros((mats.shape[1], ind.dim), dtype=complex)
-    dw = ind.block_dim
-    if dw:
-        for i, hi in enumerate(ind.coset_reps):
-            out[:, i * dw : (i + 1) * dw] = mats[hi] @ ind.invariant_basis
-    return out
+    out = mats[ind.coset_reps] @ ind.invariant_basis
+    return out.transpose(1, 0, 2).reshape(mats.shape[1], ind.dim)
 
 
 def eta_L(f: GroupHom, fmodel: RepModel) -> LinearMap:

@@ -78,23 +78,10 @@ class TwoLinearMap:
 
 def compose_2linear(a: TwoLinearMap, b: TwoLinearMap) -> TwoLinearMap:
     """Composite a . b (apply b first): dims are the integer product
-    a.dims @ b.dims.  Hom bases survive only if both maps carry them, as
-    tensor products ordered (middle label, a-basis index, b-basis index)."""
+    a.dims @ b.dims."""
     if a.domain != b.codomain:
         raise BasisMismatch("maps are not composable: domain of a != codomain of b")
-    dims = a.dims @ b.dims
-    hom_bases = None
-    if a.hom_bases is not None and b.hom_bases is not None:
-        hom_bases = {}
-        for r in range(len(a.codomain)):
-            for c in range(len(b.domain)):
-                basis = []
-                for j in range(len(a.domain)):
-                    for p in a.hom_bases.get((r, j), []):
-                        for q in b.hom_bases.get((j, c), []):
-                            basis.append(LinearMap(np.kron(p.entries, q.entries)))
-                hom_bases[(r, c)] = basis
-    return TwoLinearMap(b.domain, a.codomain, dims, hom_bases)
+    return TwoLinearMap(b.domain, a.codomain, a.dims @ b.dims)
 
 
 def dagger(t: TwoLinearMap) -> TwoLinearMap:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lincat.cli import main
 
 DATA = "src/lincat/data"
@@ -76,6 +78,45 @@ def test_missing_file_exit_2(capsys, tmp_path):
         code, _, err = run_cli(capsys, "card", str(path))
         assert code == 2
         assert err.startswith("error: ")
+
+
+def _groupoid_doc(group_spec):
+    return {
+        "format_version": "1",
+        "kind": "groupoid",
+        "payload": "B",
+        "definitions": {
+            "groups": [dict(name="G", **group_spec)],
+            "groupoids": [{"name": "B", "objects": [{"name": "*", "group": "G"}]}],
+        },
+    }
+
+
+def _functor_doc(hom_map):
+    doc = _groupoid_doc({"mult": [[0]]})
+    doc["kind"], doc["payload"] = "functor", "F"
+    doc["definitions"]["functors"] = [
+        {"name": "F", "source": "B", "target": "B", "object_map": [0], "hom_maps": [hom_map]}
+    ]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _groupoid_doc({"mult": [[0, 1], [1, 2**63]]}),
+        _functor_doc([2**64]),
+        _groupoid_doc({"permutation_generators": [[0]], "degree": 2**62}),
+        _groupoid_doc({"permutation_generators": [], "degree": 2**62}),
+    ],
+    ids=["mult", "hom_maps", "degree-with-generator", "degree-without-generators"],
+)
+def test_oversized_integer_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "card", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_wrong_kind_exit_2(capsys):

@@ -54,6 +54,15 @@ def test_compose_zero_column():
     assert np.all(comp.dims == 0)
 
 
+def test_compose_keeps_dims_only():
+    basis = {(r, c): [LinearMap(np.eye(1))] * int(FIG1_DIMS[r, c])
+             for r in range(2) for c in range(3)}
+    t = TwoLinearMap(Y, Z, FIG1_DIMS, basis)
+    comp = compose_2linear(t, dagger(t))
+    assert comp.hom_bases is None
+    assert comp.dims.tolist() == [[2, 1], [1, 2]]
+
+
 def test_compose_mismatch():
     with pytest.raises(BasisMismatch):
         compose_2linear(fig1_map(), fig1_map())
