@@ -9,6 +9,7 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -326,21 +327,25 @@ def build_parser():
     return p
 
 
+def _check_options(args):
+    """Resolve the seed and reject a negative seed or a tolerance that is
+    NaN, infinite or negative before any work."""
+    if args.seed is None:
+        args.seed = _seed_default()
+    if args.seed < 0:
+        raise LincatError(f"seed must be non-negative, got {args.seed}")
+    tol = getattr(args, "tolerance", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise LincatError(f"tolerance must be finite and non-negative, got {tol}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        try:
-            args.seed = _seed_default()
-        except LincatError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
     try:
+        _check_options(args)
         return args.func(args, sys.stdout)
-    except LincatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (LincatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -12,11 +12,19 @@ values are the double coset, the first occurrence of each value in row-major
 order is that element's lexicographically first witness (h0, k0), and the
 entries equal to m are the fibred product, in lexicographic order.  The
 fibred-product table is then array arithmetic on the codes h*|K| + k.
+
+A composite span keeps the comma category it was built from (``Span.comma``),
+so its classes, witnesses and pair codes are read, not rebuilt.  A horizontal
+composite of span maps takes each leg from those arrays: the candidate
+witnesses of a mediator are its recorded witness times each pair of its
+class, all candidates' conjugated pair tables come out of one searchsorted
+over the class's pair codes, and the first (top, bottom) candidate pair on
+which both feet agree, in row-major order, is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -165,11 +173,17 @@ class GroupoidFunctor:
 
 @dataclass
 class Span:
-    """A diagram  source <- apex -> target  of groupoid functors."""
+    """A diagram  source <- apex -> target  of groupoid functors.
+
+    A span built by ``compose_spans`` keeps in ``comma`` the comma category
+    whose skeleton is its apex; any other span has None.  Equality and
+    serialization ignore it.
+    """
 
     apex: Groupoid
     left: GroupoidFunctor
     right: GroupoidFunctor
+    comma: CommaCategory = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.left.source != self.apex or self.right.source != self.apex:
@@ -396,23 +410,19 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor):
     return cat.groupoid, cat.proj_left, cat.proj_right
 
 
-def compose_spans_with_comma(x: Span, xp: Span):
-    """Composite span (x first, then xp) by weak pullback over the shared foot,
-    with the comma category (x.right | xp.left) whose skeleton is its apex."""
+def compose_spans(x: Span, xp: Span) -> Span:
+    """Composite span (x first, then xp) by weak pullback over the shared foot.
+
+    The composite keeps the comma category (x.right | xp.left) whose skeleton
+    is its apex as ``comma``, so later steps read its classes instead of
+    composing again."""
     if x.target != xp.source:
         raise TargetMismatch(
             f"cannot compose: {x.target.name} is not {xp.source.name}"
         )
     cat = comma_category(x.right, xp.left)
-    composite = Span(
-        cat.groupoid, cat.proj_left.then(x.left), cat.proj_right.then(xp.right)
-    )
-    return composite, cat
-
-
-def compose_spans(x: Span, xp: Span) -> Span:
-    """Composite span (x first, then xp) by weak pullback over the shared foot."""
-    return compose_spans_with_comma(x, xp)[0]
+    return Span(cat.groupoid, cat.proj_left.then(x.left),
+                cat.proj_right.then(xp.right), comma=cat)
 
 
 # ---------------------------------------------------------------------------
@@ -447,127 +457,75 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
     """Horizontal composite over the shared foot groupoid: the apex is the weak
     pullback of the two composites into that foot, and the legs are the induced
     functors into the composite top and bottom spans, keeping each mediating
-    morphism intact."""
+    morphism intact.
+
+    At each apex object z with mediator m and fibred-product pairs (hs, ks),
+    the candidate witnesses of m in a composite are the recorded witness times
+    each pair of m's class, in the class's pair order.  A candidate (h0, k0)
+    carries (h, k) to (h0^-1 u(h) h0, k0^-1 v(k) k0), where u and v are the
+    span maps' legs; it is kept if every pair of z lands in the class.  The
+    first (top, bottom) candidate pair in row-major order on which both feet
+    agree gives z's up and down homs; if there is none, StrictnessViolation
+    is raised."""
     if y.top.target != yp.top.source:
         raise SpanMismatch("span targets/sources do not chain")
     tau = y.up.then(y.top.right)       # Y -> A2, equal to down.then(bottom.right)
     sigma = yp.up.then(yp.top.left)    # Y' -> A2
     cat = comma_category(tau, sigma)
-
-    top_span, top_cat = compose_spans_with_comma(y.top, yp.top)
-    bot_span, bot_cat = compose_spans_with_comma(y.bottom, yp.bottom)
-
-    z = cat.groupoid
-    mediators = [cat.classes[zi].rep for zi in range(len(z))]
-    u_top = cat.proj_left.then(y.up)
-    v_top = cat.proj_right.then(yp.up)
-    u_bot = cat.proj_left.then(y.down)
-    v_bot = cat.proj_right.then(yp.down)
-    up, down = _strictified_legs(
-        cat, top_cat, bot_cat, top_span, bot_span, u_top, v_top, u_bot, v_bot, mediators
-    )
-    return SpanMap(top_span, bot_span, z, up, down)
-
-
-def _strictified_legs(cat, top_cat, bot_cat, top_span, bot_span,
-                      u_top, v_top, u_bot, v_bot, mediators):
-    """Build the up/down legs of a horizontal composite, choosing double-coset
-    witnesses so that the result commutes strictly; raise otherwise."""
+    top = compose_spans(y.top, yp.top)
+    bot = compose_spans(y.bottom, yp.bottom)
     z = cat.groupoid
     up_omap, up_homs = [], []
     down_omap, down_homs = [], []
-    for zi in range(len(z)):
-        m = mediators[zi]
-        fib_z = cat.classes[zi]
-        choice = _strict_witness_choice(
-            z.aut(zi), fib_z, m,
-            top_cat, u_top(zi), v_top(zi), u_top.hom(zi), v_top.hom(zi),
-            bot_cat, u_bot(zi), v_bot(zi), u_bot.hom(zi), v_bot.hom(zi),
-            top_span, bot_span,
-        )
-        if choice is None:
+    for zi, cls in enumerate(cat.classes):
+        a, b, m = cls.a_idx, cls.b_idx, cls.rep
+        hs, ks = cat.proj_left.hom(zi).map, cat.proj_right.hom(zi).map
+        tcid, t_tabs = _witness_tables(top.comma, y.up(a), yp.up(b), m,
+                                       y.up.hom(a).map[hs], yp.up.hom(b).map[ks])
+        bcid, b_tabs = _witness_tables(bot.comma, y.down(a), yp.down(b), m,
+                                       y.down.hom(a).map[hs], yp.down.hom(b).map[ks])
+        # (top candidate, bottom candidate, w): both feet homs agree on w
+        agree = np.ones((len(t_tabs), len(b_tabs), len(hs)), dtype=bool)
+        for tf, bf in ((top.left, bot.left), (top.right, bot.right)):
+            agree &= tf(tcid) == bf(bcid)
+            agree &= tf.hom(tcid).map[t_tabs][:, None] == bf.hom(bcid).map[b_tabs][None]
+        hits = np.argwhere(agree.all(axis=2))
+        if not len(hits):
             raise StrictnessViolation(
                 f"horizontal composite cannot be strictified at apex object {zi}"
             )
-        (tcid, t_table), (bcid, b_table) = choice
+        ti, bi = hits[0]
         up_omap.append(tcid)
-        up_homs.append(GroupHom(z.aut(zi), top_cat.classes[tcid].fib, t_table))
+        up_homs.append(GroupHom(cls.fib, top.comma.classes[tcid].fib, t_tabs[ti]))
         down_omap.append(bcid)
-        down_homs.append(GroupHom(z.aut(zi), bot_cat.classes[bcid].fib, b_table))
-    up = GroupoidFunctor(z, top_cat.groupoid, up_omap, up_homs)
-    down = GroupoidFunctor(z, bot_cat.groupoid, down_omap, down_homs)
-    return up, down
+        down_homs.append(GroupHom(cls.fib, bot.comma.classes[bcid].fib, b_tabs[bi]))
+    up = GroupoidFunctor(z, top.apex, up_omap, up_homs)
+    down = GroupoidFunctor(z, bot.apex, down_omap, down_homs)
+    return SpanMap(top, bot, z, up, down)
 
 
-def _leg_table(fibz_group, uh, vh, h0, k0, cls, auta, autb):
-    """Transport (h, k) -> (h0^-1 u(h) h0, k0^-1 v(k) k0) into the fibred
-    product at the class representative; None if any pair falls outside."""
-    table = np.empty(fibz_group.order, dtype=np.int64)
-    for w, (h, k) in enumerate(_pairs_of(fibz_group, uh, vh)):
-        hh = auta.mul(auta.inv[h0], auta.mul(h, h0))
-        kk = autb.mul(autb.inv[k0], autb.mul(k, k0))
-        if (hh, kk) not in cls.pair_index:
-            return None
-        table[w] = cls.pair_index[(hh, kk)]
-    return table
-
-
-def _pairs_of(fibz_group, uh, vh):
-    return [(uh(w), vh(w)) for w in range(fibz_group.order)]
-
-
-def _strict_witness_choice(fibz_group, fib_cls, m,
-                           top_cat, ta, tb, t_uh, t_vh,
-                           bot_cat, ba, bb, b_uh, b_vh,
-                           top_span, bot_span):
-    """Search witness choices (top and bottom) making both feet composites of a
-    horizontal composite agree at one apex object."""
-    t_coset, t_witness, _ = top_cat.pair_data[(ta, tb)]
-    b_coset, b_witness, _ = bot_cat.pair_data[(ba, bb)]
-    tcid, bcid = int(t_coset[m]), int(b_coset[m])
-    t_cls, b_cls = top_cat.classes[tcid], bot_cat.classes[bcid]
-    t_auta = top_cat.proj_left.target.aut(ta)
-    t_autb = top_cat.proj_right.target.aut(tb)
-    b_auta = bot_cat.proj_left.target.aut(ba)
-    b_autb = bot_cat.proj_right.target.aut(bb)
-    th0, tk0 = t_witness[m]
-    bh0, bk0 = b_witness[m]
-    # the valid witnesses differ from the recorded one by fibred-product elements
-    t_options = []
-    for dh, dk in t_cls.pairs:
-        h0 = t_auta.mul(th0, dh)
-        k0 = t_autb.mul(tk0, dk)
-        table = _leg_table(fibz_group, t_uh, t_vh, h0, k0, t_cls, t_auta, t_autb)
-        if table is not None:
-            t_options.append((h0, k0, table))
-    b_options = []
-    for dh, dk in b_cls.pairs:
-        h0 = b_auta.mul(bh0, dh)
-        k0 = b_autb.mul(bk0, dk)
-        table = _leg_table(fibz_group, b_uh, b_vh, h0, k0, b_cls, b_auta, b_autb)
-        if table is not None:
-            b_options.append((h0, k0, table))
-    for th, tk, t_table in t_options:
-        for bh, bk, b_table in b_options:
-            if _feet_agree(fibz_group, top_span, tcid, t_table,
-                           bot_span, bcid, b_table):
-                return (tcid, t_table), (bcid, b_table)
-    return None
-
-
-def _feet_agree(fibz_group, top_span, tcid, t_table, bot_span, bcid, b_table):
-    if top_span.left(tcid) != bot_span.left(bcid):
-        return False
-    if top_span.right(tcid) != bot_span.right(bcid):
-        return False
-    tl, tr = top_span.left.hom(tcid), top_span.right.hom(tcid)
-    bl, br = bot_span.left.hom(bcid), bot_span.right.hom(bcid)
-    for w in range(fibz_group.order):
-        if tl(int(t_table[w])) != bl(int(b_table[w])):
-            return False
-        if tr(int(t_table[w])) != br(int(b_table[w])):
-            return False
-    return True
+def _witness_tables(cat: CommaCategory, a: int, b: int, m: int, u, v):
+    """The class id of m over (a, b) in ``cat`` and, one row per admissible
+    witness of m, the positions in the class's pairs of (h0^-1 u h0,
+    k0^-1 v k0).  The witnesses are the recorded one times each pair of the
+    class, in pair order; a row is kept only if every carried pair lies in
+    the class."""
+    coset_class, witness, _ = cat.pair_data[(a, b)]
+    cid = int(coset_class[m])
+    auta = cat.proj_left.target.aut(a)
+    autb = cat.proj_right.target.aut(b)
+    ph, pk = cat.proj_left.hom(cid).map, cat.proj_right.hom(cid).map
+    wh, wk = witness[m]
+    h0 = auta.mult[wh, ph]
+    k0 = autb.mult[wk, pk]
+    hh = auta.mult[auta.mult[auta.inv[h0][:, None], u], h0[:, None]]
+    kk = autb.mult[autb.mult[autb.inv[k0][:, None], v], k0[:, None]]
+    # the class's pair codes ascend, because its pairs are lex-sorted
+    codes = ph * autb.order + pk
+    want = hh * autb.order + kk
+    pos = np.searchsorted(codes, want)
+    found = codes[np.minimum(pos, len(codes) - 1)] == want
+    return cid, pos[found.all(axis=1)]
 
 
 def iso_class_data(x: Span):

@@ -45,6 +45,7 @@ from .errors import (
     IntertwinerProjectionFailure,
     NumericalFailure,
     SingularMap,
+    SpanMismatch,
     StrictnessViolation,
 )
 from .groupoids import (
@@ -53,7 +54,6 @@ from .groupoids import (
     Span,
     SpanMap,
     compose_spans,
-    compose_spans_with_comma,
     horizontal_compose_spanmaps,
     identity_span,
     vertical_compose_spanmaps,
@@ -456,7 +456,8 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
     middle leg, on the regular representation) is well defined and invertible.
     ``lam_x`` and ``lam_xp`` may pass in the factors' ``lambda_span`` results.
     """
-    composite, cat = compose_spans_with_comma(x, xp)
+    composite = compose_spans(x, xp)
+    cat = composite.comma
     if lam_x is None:
         lam_x = lambda_span(x, seed=seed, tol=tol)
     if lam_xp is None:
@@ -538,16 +539,24 @@ def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
     A column indexed by (middle label (a2,W2), u' in the second span's entry
     basis, u in the first span's entry basis) is sent to the family, over
     composite-apex witnesses (x_o, m, x'_o), of  u' . W2(m^-1) . u  expressed
-    in the witness's intertwiner basis.  Returns (composite result, dict of
+    in the witness's intertwiner basis.  Returns (composite span, dict of
     matrices per (row, col), comma metadata).
+
+    ``lam_c`` must be ``lambda_span`` of a span built by ``compose_spans(x,
+    xp)``: its comma category is read from the span, and the spans are
+    composed only when ``lam_c`` is not given.
     """
-    composite, cat = compose_spans_with_comma(x, xp)
+    if lam_c is None:
+        lam_c = lambda_span(compose_spans(x, xp), seed=seed, tol=tol)
+    composite = lam_c.span
+    cat = composite.comma
+    if (cat is None or cat.proj_left.target != x.apex
+            or cat.proj_right.target != xp.apex):
+        raise SpanMismatch("lam_c does not linearize a composite of x and xp")
     if lam_x is None:
         lam_x = lambda_span(x, seed=seed, tol=tol)
     if lam_xp is None:
         lam_xp = lambda_span(xp, seed=seed, tol=tol)
-    if lam_c is None:
-        lam_c = lambda_span(composite, seed=seed, tol=tol)
     mid = lam_x.target_object
     isos = {}
     for r in range(len(lam_c.target_object.basis)):

@@ -107,7 +107,7 @@ def hom_dim(a: Character, b: Character, int_tol=INT_TOL) -> int:
 class RepModel:
     """An explicit matrix representation: one invertible matrix per element."""
 
-    def __init__(self, group: FinGroup, matrices, basis_labels=None, check=False):
+    def __init__(self, group: FinGroup, matrices, basis_labels=None):
         matrices = np.asarray(matrices, dtype=complex)
         if matrices.shape[0] != group.order or matrices.ndim != 3:
             raise GroupMismatch("need one square matrix per group element")
@@ -118,8 +118,6 @@ class RepModel:
         self.dim = int(matrices.shape[1])
         self.basis_labels = list(basis_labels) if basis_labels is not None else None
         self._character = None
-        if check:
-            self.check()
 
     def check(self, tol=DEFAULT_TOL):
         g = self.group

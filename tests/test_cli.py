@@ -222,3 +222,27 @@ def test_verify_impossible_tolerance_exits_1(capsys):
     )
     assert code == 1
     assert "VERIFICATION FAILED" in out
+
+
+def test_negative_seed_flag_exit_2(capsys):
+    code, out, err = run_cli(capsys, "--seed", "-1", "basis", f"{DATA}/bs3.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: seed must be non-negative")
+
+
+def test_negative_seed_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("LINCAT_SEED", "-5")
+    code, out, err = run_cli(capsys, "basis", f"{DATA}/bs3.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: seed must be non-negative")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_exit_2(capsys, tol):
+    code, out, err = run_cli(capsys, "twomorph", "--tolerance", tol,
+                             f"{DATA}/gmap_bz2.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be finite and non-negative")

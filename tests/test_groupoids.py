@@ -490,6 +490,117 @@ def test_comma_categories_of_verification_match_loop_oracle(monkeypatch):
             assert_matches_oracle(out, f, g, admissible)
 
 
+# --- horizontal composites against the loop witness search ------------------
+
+
+def horizontal_legs_reference(y, yp):
+    """Reference: the up and down legs of the horizontal composite of y and
+    yp by plain loops, as (object map, hom tables) pairs.  For each apex
+    object, every witness h0 = wh*dh, k0 = wk*dk of its mediator is tried in
+    the order of its class's pairs (dh, dk); a witness is kept if conjugating
+    each pair (u(h), v(k)) by it lands in the class.  The first (top, bottom)
+    pair of kept witnesses, top outermost, on which both feet agree wins."""
+    cat = comma_category(y.up.then(y.top.right), yp.up.then(yp.top.left))
+    top = compose_spans(y.top, yp.top)
+    bot = compose_spans(y.bottom, yp.bottom)
+
+    def options(comp, leg, leg_p, zi):
+        cls_z = cat.classes[zi]
+        ta, tb = leg(cls_z.a_idx), leg_p(cls_z.b_idx)
+        uh, vh = leg.hom(cls_z.a_idx), leg_p.hom(cls_z.b_idx)
+        coset, witness, _ = comp.comma.pair_data[(ta, tb)]
+        cid = int(coset[cls_z.rep])
+        cls = comp.comma.classes[cid]
+        auta = comp.comma.proj_left.target.aut(ta)
+        autb = comp.comma.proj_right.target.aut(tb)
+        wh, wk = witness[cls_z.rep]
+        tables = []
+        for dh, dk in cls.pairs:
+            h0, k0 = auta.mul(wh, dh), autb.mul(wk, dk)
+            table = []
+            for h, k in cls_z.pairs:
+                hh = auta.mul(auta.inv[h0], auta.mul(uh(h), h0))
+                kk = autb.mul(autb.inv[k0], autb.mul(vh(k), k0))
+                if (hh, kk) not in cls.pair_index:
+                    break
+                table.append(cls.pair_index[(hh, kk)])
+            else:
+                tables.append(table)
+        return cid, tables
+
+    def feet_agree(tcid, t_table, bcid, b_table):
+        for tf, bf in ((top.left, bot.left), (top.right, bot.right)):
+            if tf(tcid) != bf(bcid):
+                return False
+            if any(tf.hom(tcid)(t) != bf.hom(bcid)(b) for t, b in zip(t_table, b_table)):
+                return False
+        return True
+
+    up, down = ([], []), ([], [])
+    for zi in range(len(cat.groupoid)):
+        tcid, t_options = options(top, y.up, yp.up, zi)
+        bcid, b_options = options(bot, y.down, yp.down, zi)
+        choice = next(((t, b) for t in t_options for b in b_options
+                       if feet_agree(tcid, t, bcid, b)), None)
+        if choice is None:
+            raise StrictnessViolation(
+                f"horizontal composite cannot be strictified at apex object {zi}"
+            )
+        for leg, cid, table in ((up, tcid, choice[0]), (down, bcid, choice[1])):
+            leg[0].append(cid)
+            leg[1].append(table)
+    return up, down
+
+
+def test_horizontal_legs_match_loop_reference():
+    from lincat.suites import default_suite, random_suite
+
+    checked = 0
+    for suite in (default_suite(), random_suite(1), random_suite(2),
+                  random_suite(5, n_spans=4, n_maps=3)):
+        maps = suite.spanmaps
+        for y, yp in itertools.product(maps, repeat=2):
+            if y.top.target != yp.top.source:
+                continue
+            try:
+                comp = horizontal_compose_spanmaps(y, yp)
+            except StrictnessViolation as exc:
+                with pytest.raises(StrictnessViolation) as err:
+                    horizontal_legs_reference(y, yp)
+                assert str(err.value) == str(exc)
+                continue
+            up, down = horizontal_legs_reference(y, yp)
+            for leg, (omap, tables) in ((comp.up, up), (comp.down, down)):
+                assert leg.object_map.tolist() == omap
+                assert [h.map.tolist() for h in leg.hom_maps] == tables
+            checked += 1
+    assert checked == 78
+
+
+def test_horizontal_strictness_violation_matches_loop_reference():
+    # the left factor maps Z3 into S3, whose right leg is the sign; over the
+    # odd mediator every witness is odd and inverts Z3 on the top composite's
+    # left foot, which the bottom composite leaves alone
+    s3, z2 = symmetric_group(3), cyclic_group(2)
+    sign = next(h for h in all_homs(s3, z2) if h.map.any())
+    z3, incl = subgroup_embedding(s3, [0, 3, 4], name="Z3")
+    bs3, bz2, bz3 = (one_object_groupoid(g) for g in (s3, z2, z3))
+    pt = terminal_groupoid()
+    top = Span(bs3, GroupoidFunctor.identity(bs3), GroupoidFunctor(bs3, bz2, [0], [sign]))
+    up = GroupoidFunctor(bz3, bs3, [0], [incl])
+    bottom = Span(bz3, up.then(top.left), up.then(top.right))
+    y = SpanMap(top, bottom, bz3, up, GroupoidFunctor.identity(bz3))
+    yp = SpanMap.identity(Span(pt, GroupoidFunctor(pt, bz2, [0], [trivial_hom(pt.aut(0), z2)]),
+                               GroupoidFunctor.identity(pt)))
+    with pytest.raises(StrictnessViolation) as err:
+        horizontal_compose_spanmaps(y, yp)
+    with pytest.raises(StrictnessViolation) as ref:
+        horizontal_legs_reference(y, yp)
+    assert str(err.value) == str(ref.value) == (
+        "horizontal composite cannot be strictified at apex object 1"
+    )
+
+
 _SMALL_GROUPS = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
                  direct_product(cyclic_group(2), cyclic_group(2)), symmetric_group(3)]
 

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from lincat.groupoids import compose_spans_with_comma
+from lincat.groupoids import compose_spans
 from lincat.groups import all_homs, cyclic_group, direct_product, symmetric_group, trivial_group
 from lincat.linearization import _gamma_pair_witness
 from lincat.rep import (
@@ -274,7 +274,7 @@ def test_gamma_columns_match_loop():
     for x, xp in itertools.product(spans, repeat=2):
         if x.target != xp.source:
             continue
-        _, cat = compose_spans_with_comma(x, xp)
+        cat = compose_spans(x, xp).comma
         for pair in sorted(cat.pair_data):
             got = _gamma_pair_witness(x, xp, cat, pair).matrix
             assert_close(got, ref_gamma(x, xp, cat, pair))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import lincat.linearization
 from lincat.documents import parse
-from lincat.errors import IntertwinerProjectionFailure
+from lincat.errors import IntertwinerProjectionFailure, SpanMismatch
 from lincat.groupoids import (
     Groupoid,
     GroupoidFunctor,
@@ -356,6 +356,51 @@ def test_horizontal_composition_with_correspondence():
         if lhs.size:
             assert np.max(np.abs(lhs - rhs)) < TOL
 
+
+
+def _count_comma_categories(monkeypatch):
+    """Wrap lincat.groupoids.comma_category; the returned list grows by one
+    entry per call."""
+    import lincat.groupoids
+
+    calls = []
+    real = lincat.groupoids.comma_category
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lincat.groupoids, "comma_category", counted)
+    return calls
+
+
+def test_verify_functoriality_builds_each_composite_comma_once(monkeypatch):
+    # the horizontal section reads the comma categories of the top and bottom
+    # composites from the spans that horizontal_compose_spanmaps built
+    calls = _count_comma_categories(monkeypatch)
+    assert verify_functoriality(default_suite()).ok
+    assert len(calls) == 296
+
+
+def test_composite_block_iso_reads_comma_of_given_composite(monkeypatch):
+    g1 = groupoidification_map(one_object_groupoid(cyclic_group(2)))
+    g2 = groupoidification_map(one_object_groupoid(symmetric_group(3)))
+    top = horizontal_compose_spanmaps(g1, g2).top
+    lam_c = lambda_span(top)
+    _, fresh, _ = composite_block_iso(g1.top, g2.top)
+    calls = _count_comma_categories(monkeypatch)
+    composite, isos, cat = composite_block_iso(g1.top, g2.top, lam_c=lam_c)
+    assert calls == []
+    assert composite is top and cat is top.comma
+    assert isos.keys() == fresh.keys()
+    assert all(np.array_equal(isos[k], fresh[k]) for k in isos)
+    bare = Span(top.apex, top.left, top.right)
+    assert bare == top and bare.comma is None
+    with pytest.raises(SpanMismatch):
+        composite_block_iso(g1.top, g2.top, lam_c=lambda_span(bare))
+    bz2 = identity_span(one_object_groupoid(cyclic_group(2)))
+    with pytest.raises(SpanMismatch):
+        composite_block_iso(g1.top, g2.top, lam_c=lambda_span(compose_spans(bz2, bz2)))
 
 # --- suite -------------------------------------------------------------------
 
