@@ -291,7 +291,6 @@ class CommaClass:
     rep: int
     pairs: list
     fib: FinGroup
-    pair_index: dict
 
 
 @dataclass
@@ -368,8 +367,7 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
                     name=f"fib[{rep}]",
                 )
                 cid = len(classes)
-                classes.append(CommaClass(a, b, c_idx, rep, pairs, fib,
-                                          {p: i for i, p in enumerate(pairs)}))
+                classes.append(CommaClass(a, b, c_idx, rep, pairs, fib))
                 class_ids.append(cid)
                 # first occurrence of each coset element in row-major order
                 first = np.full(c.order, d.size)

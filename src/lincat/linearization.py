@@ -7,11 +7,13 @@ direct sum, over apex objects x lying above (a1, a2), of the space of
 Aut(x)-intertwiners between the two pullbacks of W1 and W2; the entry
 dimensions are computed by character arithmetic and cross-checked against the
 multiplicity of W2 in the induced representation.  An apex object's
-summands depend only on its two feet and its leg homs s, t, so the matrix is
-built in one pass over apex objects that computes them once per key
-(a1, a2, s, t): the pullbacks s*W1, t*W2, the pushforwards t_*s*W1, the
-count with its cross-check and the intertwiner bases.  Every apex object with
-that key is a witness sharing those models, which the dual path below reads.
+summands depend only on its leg homs s, t (whose targets fix the feet's
+groups, hence their irreps), so the matrix is built in one pass over apex
+objects that computes them once per key (s, t, seed, tol): the pullbacks
+s*W1, t*W2, the pushforwards t_*s*W1, the count with its cross-check and the
+intertwiner bases, indexed by irrep position within each foot.  Every apex
+object with that key is a witness sharing those models, which the dual path
+below reads.
 
 A strict span of span maps is sent to a matrix of linear operators between
 those intertwiner spaces, evaluated in closed form as
@@ -24,15 +26,21 @@ product over the group.  A second, independent evaluation path pastes the
 explicit unit/counit matrices on induced models and must agree within
 tolerance; a span-map apex object's unit/counit piece depends only on its up
 and down homs and its witnesses' models, so apex objects that share them
-share one piece within a call.
+share one piece.
 
-``verify_functoriality`` linearizes each input span and span map at most
-once per run, the first time a check needs it, and hands those results to
-the compositor, unitor, vertical and horizontal checks.
+Outside a run, each ``lambda_span`` call computes its leg entries afresh and
+each dual-path block its pieces.  ``verify_functoriality`` opens one run memo
+for the length of the call (in a context variable, so concurrent runs in
+other threads keep their own): every span it linearizes shares the leg
+entries of equal keys, and every span map the transfer pieces of equal keys.
+It also linearizes each input span and span map at most once, the first time
+a check needs it, and hands those results to the compositor, unitor,
+vertical and horizontal checks.
 """
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -126,6 +134,18 @@ class LambdaSpanResult:
     details: dict = field(repr=False, default=None)
 
 
+@dataclass
+class _RunMemo:
+    """Work shared by every check of one ``verify_functoriality`` call."""
+
+    legs: dict = field(default_factory=dict)    # (s, t, seed, tol) -> entries
+    pieces: dict = field(default_factory=dict)  # dual-path transfer pieces
+
+
+# the memo of the verify_functoriality call running in this context, if any
+_RUN = contextvars.ContextVar("lincat_run_memo", default=None)
+
+
 def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult:
     """Matrix of intertwiner spaces for a span, with explicit hom bases."""
     src = lambda_object(x.source, seed=seed)
@@ -133,14 +153,19 @@ def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult
     nrow, ncol = len(tgt.basis), len(src.basis)
     dims = np.zeros((nrow, ncol), dtype=np.int64)
     details = {(r, c): [] for r in range(nrow) for c in range(ncol)}
-    # an apex object's entries depend only on its feet and leg homs
-    memo = {}
+    # an apex object's entries depend only on its leg homs; a run shares them
+    run = _RUN.get()
+    legs = run.legs if run is not None else {}
     # apex objects in increasing order, so each entry's witnesses ascend
     for xi in range(len(x.apex)):
-        key = (x.left(xi), x.right(xi), x.left.hom(xi), x.right.hom(xi))
-        if key not in memo:
-            memo[key] = _leg_entries(src, tgt, *key, xi, tol)
-        for r, c, d, r1, r2, basis, ind in memo[key]:
+        rows, cols = tgt.positions[x.right(xi)], src.positions[x.left(xi)]
+        s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
+        key = (s_hom, t_hom, seed, tol)
+        if key not in legs:
+            legs[key] = _leg_entries(s_hom, t_hom, [w for _, w in cols],
+                                     [w for _, w in rows], xi, tol)
+        for k2, k1, d, r1, r2, basis, ind in legs[key]:
+            r, c = rows[k2][0], cols[k1][0]
             details[(r, c)].append(_EntryWitness(xi, r1, r2, basis, ind))
             dims[r, c] += d
     hom_bases = {k: [b for w in wits for b in w.basis] for k, wits in details.items()}
@@ -149,16 +174,17 @@ def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult
     return LambdaSpanResult(x, tmap, witnesses, src, tgt, details)
 
 
-def _leg_entries(src, tgt, a1, a2, s_hom, t_hom, xi, tol):
-    """The entries (r, c, dim, s*W1, t*W2, intertwiner basis, t_*s*W1) of an
-    apex object above (a1, a2) with leg homs s_hom, t_hom; ``xi`` is the
-    first such apex object, named in the cross-check's error."""
-    pulled2 = [(r, w2, restrict_rep(t_hom, w2)) for r, w2 in tgt.positions[a2]]
+def _leg_entries(s_hom, t_hom, irreps1, irreps2, xi, tol):
+    """The entries (k2, k1, dim, s*W1, t*W2, intertwiner basis, t_*s*W1) of an
+    apex object with leg homs s_hom, t_hom, for W1 = irreps1[k1] and
+    W2 = irreps2[k2] the irreps of its feet's groups; ``xi`` is the first
+    such apex object, named in the cross-check's error."""
+    pulled2 = [(k2, w2, restrict_rep(t_hom, w2)) for k2, w2 in enumerate(irreps2)]
     entries = []
-    for c, w1 in src.positions[a1]:
+    for k1, w1 in enumerate(irreps1):
         r1 = restrict_rep(s_hom, w1)
         ind = induce_rep(t_hom, r1)
-        for r, w2, r2 in pulled2:
+        for k2, w2, r2 in pulled2:
             # the basis's length is the character count: intertwiner_basis
             # raises RankMismatch otherwise
             basis = intertwiner_basis(r1, r2, tol=tol)
@@ -170,7 +196,7 @@ def _leg_entries(src, tgt, a1, a2, s_hom, t_hom, xi, tol):
                     f"intertwiner count {d} disagrees with induced "
                     f"multiplicity {d_ind} at apex object {xi}"
                 )
-            entries.append((r, c, d, r1, r2, basis, ind))
+            entries.append((k2, k1, d, r1, r2, basis, ind))
     return entries
 
 
@@ -286,20 +312,23 @@ def _big_transfer(y: SpanMap, top_wits, bot_wits):
     models are the witnesses' pushforwards.  A span-map apex object's piece
     depends only on its up and down homs and the models of its top and
     bottom witnesses, which ``lambda_span`` shares between apex objects with
-    equal feet and leg homs; each distinct piece is built once."""
+    equal leg homs; each distinct piece is built once per call, or once per
+    run inside ``verify_functoriality``."""
     top_pos = {w.apex_idx: i for i, w in enumerate(top_wits)}
     bot_pos = {w.apex_idx: i for i, w in enumerate(bot_wits)}
     top_off = np.cumsum([0] + [w.ind.dim for w in top_wits])
     bot_off = np.cumsum([0] + [w.ind.dim for w in bot_wits])
     big = np.zeros((int(bot_off[-1]), int(top_off[-1])), dtype=complex)
-    pieces = {}
+    run = _RUN.get()
+    pieces = run.pieces if run is not None else {}
     for yi in range(len(y.apex)):
         x1, x2 = y.up(yi), y.down(yi)
         if x1 not in top_pos or x2 not in bot_pos:
             continue
         i1, i2 = top_pos[x1], bot_pos[x2]
         tw, bw = top_wits[i1], bot_wits[i2]
-        # RepModels hash by identity: shared models give equal keys
+        # RepModels hash by identity: shared models give equal keys, and the
+        # run's shared leg entries keep the same models for the whole run
         key = (y.up.hom(yi), y.down.hom(yi), tw.r1, tw.ind, bw.r1, bw.ind)
         if key not in pieces:
             pieces[key] = _transfer_piece(*key)
@@ -655,8 +684,19 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     span maps; failures are reported, not raised.
 
     Each input span and span map is linearized at most once, when a check
-    first needs it; an input in no checked pair is never linearized.  The
-    results live only for this call."""
+    first needs it; an input in no checked pair is never linearized.  Every
+    span linearized during the call shares the leg entries of equal leg
+    homs, and every span map the dual-path pieces of equal keys, through one
+    run memo.  These results live only for this call."""
+    token = _RUN.set(_RunMemo())
+    try:
+        return _check_suite(config)
+    finally:
+        _RUN.reset(token)
+
+
+def _check_suite(config: SuiteConfig) -> FunctorialityReport:
+    """The checks of ``verify_functoriality``, run inside its run memo."""
     report = FunctorialityReport()
     seed, tol = config.seed, config.tolerance
     spans = list(config.spans)
@@ -671,6 +711,14 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     def lam_map(i):
         return lambda_spanmap(maps[i], seed=seed, tol=tol)
 
+    # composites of input pairs, shared by the compositor and the associator
+    composites = {}
+
+    def composite(i, j):
+        if (i, j) not in composites:
+            composites[i, j] = compose_spans(spans[i], spans[j])
+        return composites[i, j]
+
     # (a) compositor dimension checks + gamma invertibility
     pairs = [
         (i, j)
@@ -683,6 +731,7 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
         try:
             rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol,
                                   lam_x=lam_span(i), lam_xp=lam_span(j))
+            composites[i, j] = rep.composite
             report.results.append(
                 CheckResult(
                     "compositor",
@@ -705,8 +754,8 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     ][: config.max_triples]
     for i, j, k in triples:
         name = f"span[{i}] ; span[{j}] ; span[{k}]"
-        left = compose_spans(compose_spans(spans[i], spans[j]), spans[k])
-        right = compose_spans(spans[i], compose_spans(spans[j], spans[k]))
+        left = compose_spans(composite(i, j), spans[k])
+        right = compose_spans(spans[i], composite(j, k))
         dl = lambda_span(left, seed=seed, tol=tol).map.dims
         dr = lambda_span(right, seed=seed, tol=tol).map.dims
         report.results.append(

@@ -608,9 +608,10 @@ class ZigzagReport:
         return self.max_deviation < tol
 
 
-def verify_zigzag(f: GroupHom, probes) -> ZigzagReport:
+def verify_zigzag(f: GroupHom, probes, tol=DEFAULT_TOL) -> ZigzagReport:
     """Evaluate the four triangle identities of the two adjunctions on each
-    probe representation and report the worst deviation from the identity."""
+    probe representation and report the worst deviation from the identity;
+    ``tol`` is the singularity cut of the exterior trace map inside eps_R."""
     report = ZigzagReport(f)
     for idx, probe in enumerate(probes):
         if probe.group == f.source:
@@ -621,7 +622,7 @@ def verify_zigzag(f: GroupHom, probes) -> ZigzagReport:
             comp1 = eps_L(f, ind).entries @ push_eta
             report.deviations[(idx, "left_push")] = _dev_from_eye(comp1)
             # (Id . eps_R) o (eta_R . Id) = Id on the induced model
-            push_eps = induced_morphism(ind2, ind, eps_R(f, probe).entries)
+            push_eps = induced_morphism(ind2, ind, eps_R(f, probe, tol=tol).entries)
             comp4 = push_eps @ eta_R(f, ind).entries
             report.deviations[(idx, "right_push")] = _dev_from_eye(comp4)
         elif probe.group == f.target:
@@ -630,7 +631,7 @@ def verify_zigzag(f: GroupHom, probes) -> ZigzagReport:
             comp2 = eps_L(f, probe).entries @ eta_L(f, res).entries
             report.deviations[(idx, "left_pull")] = _dev_from_eye(comp2)
             # (eps_R . Id) o (Id . eta_R) = Id on the restricted model
-            comp3 = eps_R(f, res).entries @ eta_R(f, probe).entries
+            comp3 = eps_R(f, res, tol=tol).entries @ eta_R(f, probe).entries
             report.deviations[(idx, "right_pull")] = _dev_from_eye(comp3)
         else:
             raise ModelMismatch("probe representation does not match either group")

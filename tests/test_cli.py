@@ -224,6 +224,23 @@ def test_verify_impossible_tolerance_exits_1(capsys):
     assert "VERIFICATION FAILED" in out
 
 
+def test_verify_tolerance_reaches_zigzag(capsys, monkeypatch):
+    import lincat.rep
+
+    seen = []
+    real = lincat.rep._nakayama_data
+
+    def spied(f, v, tol):
+        seen.append(tol)
+        return real(f, v, tol)
+
+    monkeypatch.setattr(lincat.rep, "_nakayama_data", spied)
+    code, out, _ = run_cli(capsys, "--output", "json", "verify", "--tolerance", "1e-6")
+    assert code == 0
+    assert json.loads(out)["zigzag"]
+    assert seen and set(seen) == {1e-6}
+
+
 def test_negative_seed_flag_exit_2(capsys):
     code, out, err = run_cli(capsys, "--seed", "-1", "basis", f"{DATA}/bs3.json")
     assert code == 2

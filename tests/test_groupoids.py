@@ -453,7 +453,6 @@ def assert_matches_oracle(cat, f, g, admissible=None):
     assert {key: (cc.tolist(), w, ids) for key, (cc, w, ids) in cat.pair_data.items()} \
         == pair_data
     for cid, (a, b, _, _, pairs, _) in enumerate(classes):
-        assert cat.classes[cid].pair_index == {p: i for i, p in enumerate(pairs)}
         assert (cat.proj_left(cid), cat.proj_right(cid)) == (a, b)
         assert cat.proj_left.hom(cid).map.tolist() == [h for h, _ in pairs]
         assert cat.proj_right.hom(cid).map.tolist() == [k for _, k in pairs]
@@ -514,6 +513,7 @@ def horizontal_legs_reference(y, yp):
         auta = comp.comma.proj_left.target.aut(ta)
         autb = comp.comma.proj_right.target.aut(tb)
         wh, wk = witness[cls_z.rep]
+        pair_index = {p: i for i, p in enumerate(cls.pairs)}
         tables = []
         for dh, dk in cls.pairs:
             h0, k0 = auta.mul(wh, dh), autb.mul(wk, dk)
@@ -521,9 +521,9 @@ def horizontal_legs_reference(y, yp):
             for h, k in cls_z.pairs:
                 hh = auta.mul(auta.inv[h0], auta.mul(uh(h), h0))
                 kk = autb.mul(autb.inv[k0], autb.mul(vh(k), k0))
-                if (hh, kk) not in cls.pair_index:
+                if (hh, kk) not in pair_index:
                     break
-                table.append(cls.pair_index[(hh, kk)])
+                table.append(pair_index[(hh, kk)])
             else:
                 tables.append(table)
         return cid, tables

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -376,10 +378,11 @@ def _count_comma_categories(monkeypatch):
 
 def test_verify_functoriality_builds_each_composite_comma_once(monkeypatch):
     # the horizontal section reads the comma categories of the top and bottom
-    # composites from the spans that horizontal_compose_spanmaps built
+    # composites from the spans that horizontal_compose_spanmaps built, and
+    # the associator's inner composites are the compositor's (12 of them)
     calls = _count_comma_categories(monkeypatch)
     assert verify_functoriality(default_suite()).ok
-    assert len(calls) == 296
+    assert len(calls) == 284
 
 
 def test_composite_block_iso_reads_comma_of_given_composite(monkeypatch):
@@ -651,3 +654,91 @@ def test_big_transfer_shares_pieces_between_equal_keys(monkeypatch):
         contributions += sum(y.up(yi) in tops and y.down(yi) in bots
                              for yi in range(len(y.apex)))
     assert 0 < len(built) < contributions
+
+
+# --- the run memo of verify_functoriality -----------------------------------
+
+
+def test_verify_functoriality_builds_each_leg_entry_once(monkeypatch):
+    keys = []
+    real = lincat.linearization._leg_entries
+
+    def counted(s_hom, t_hom, irreps1, irreps2, xi, tol):
+        keys.append((s_hom, t_hom, tol))
+        return real(s_hom, t_hom, irreps1, irreps2, xi, tol)
+
+    monkeypatch.setattr(lincat.linearization, "_leg_entries", counted)
+    assert verify_functoriality(random_suite(5, n_spans=4, n_maps=3)).ok
+    assert len(keys) == len(set(keys)) == 74
+
+
+def test_run_memo_lives_only_for_the_call(monkeypatch):
+    run_memo = lincat.linearization._RUN
+    seen = []
+    real = lincat.linearization._leg_entries
+
+    def spied(*args):
+        seen.append(run_memo.get())
+        return real(*args)
+
+    monkeypatch.setattr(lincat.linearization, "_leg_entries", spied)
+    assert verify_functoriality(default_suite()).ok
+    assert seen and seen[0] is not None
+    assert all(memo is seen[0] for memo in seen)
+    assert run_memo.get() is None
+    # outside a run, lambda_span builds its leg entries afresh
+    seen.clear()
+    lambda_span(default_suite().spans[0])
+    assert seen and all(memo is None for memo in seen)
+
+    def failing(*args):
+        raise RuntimeError("leg entries failed")
+
+    monkeypatch.setattr(lincat.linearization, "_leg_entries", failing)
+    with pytest.raises(RuntimeError, match="leg entries failed"):
+        verify_functoriality(default_suite())
+    assert run_memo.get() is None
+
+
+def _report_rows(report):
+    return ([(r.section, r.name, r.passed, r.deviation, r.note) for r in report.results],
+            list(report.skipped))
+
+
+def test_concurrent_runs_keep_their_own_memo():
+    suites = [default_suite(), random_suite(5)]
+    want = [_report_rows(verify_functoriality(suite)) for suite in suites]
+    got = [None] * len(suites)
+
+    def run(i):
+        got[i] = _report_rows(verify_functoriality(suites[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(suites))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+def test_run_lambda_spans_equal_standalone_recomputation(monkeypatch):
+    suite = random_suite(5, n_spans=4, n_maps=3)
+    recorded = _record_calls(monkeypatch, "lambda_span")
+    assert verify_functoriality(suite).ok
+    monkeypatch.undo()
+    assert len(recorded) == 48
+    for x, lam in recorded:
+        alone = lambda_span(x, seed=suite.seed, tol=suite.tolerance)
+        assert np.array_equal(lam.map.dims, alone.map.dims)
+        assert lam.witnesses == alone.witnesses
+        assert lam.map.hom_bases.keys() == alone.map.hom_bases.keys()
+        for key, basis in alone.map.hom_bases.items():
+            got = lam.map.hom_bases[key]
+            assert len(got) == len(basis)
+            assert all(np.array_equal(a.entries, b.entries) for a, b in zip(got, basis))
