@@ -30,7 +30,8 @@ for k, r in enumerate(irreps(s3)):
 print()
 print("induction of the trivial Z2-representation up to S3:")
 ind = induce_rep(incl, trivial_rep(z2))
-print(f"  dimension {ind.dim} on basis {ind.basis_labels}")
+print(f"  dimension {ind.dim}: coset representatives {ind.coset_reps}, "
+      f"block dimension {ind.block_dim}")
 for k, r in enumerate(irreps(s3)):
     m = hom_dim(ind.character, r.character)
     print(f"  multiplicity of irrep {k} (dim {r.dim}): {m}")

@@ -1,21 +1,18 @@
 """Matrix calculus for 2-vector spaces.
 
 2-linear maps are integer matrices of hom-space dimensions; 2-morphisms are
-block matrices of linear maps.  Composition, the dagger, and the group
-2-algebra convolution all reduce to familiar index gymnastics.
+block matrices of linear maps.  Composition and the dagger both reduce to
+familiar index gymnastics.
 """
 
 import numpy as np
 
 from lincat import (
-    GradedVector,
     TwoBasis,
     TwoLinearMap,
     TwoMorphism,
     compose_2linear,
-    cyclic_group,
     dagger,
-    graded_convolution,
     hcompose_2morph,
     vcompose_2morph,
 )
@@ -40,11 +37,3 @@ third = TwoMorphism(unit, unit, {(0, 0): np.array([[1 / 3]])})
 print("  vertical:", vcompose_2morph(half, third).blocks[(0, 0)][0, 0])
 print("  horizontal:", hcompose_2morph(half, third).blocks[(0, 0)][0, 0])
 
-print()
-print("the group 2-algebra on Z2: dimension vectors convolve over the group")
-z2 = cyclic_group(2)
-v = GradedVector(z2, [1, 1])
-print("  [1,1] * [1,1] =", graded_convolution(v, v).dims)
-delta = GradedVector(z2, [1, 0])
-print("  convolution with the delta at the identity is the identity:",
-      graded_convolution(v, delta).dims)

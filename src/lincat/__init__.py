@@ -90,13 +90,11 @@ from .rep import (
     verify_zigzag,
 )
 from .twovect import (
-    GradedVector,
     TwoBasis,
     TwoLinearMap,
     TwoMorphism,
     compose_2linear,
     dagger,
-    graded_convolution,
     hcompose_2morph,
     vcompose_2morph,
 )

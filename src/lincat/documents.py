@@ -150,9 +150,8 @@ class Document:
 
 
 class _Resolver:
-    def __init__(self, defs, max_group_order=500):
+    def __init__(self, defs):
         self.raw = defs
-        self.max_group_order = max_group_order
         self.groups = {}
         self.groupoids = {}
         self.functors = {}
@@ -170,9 +169,7 @@ class _Resolver:
         elif "permutation_generators" in spec:
             gens = spec["permutation_generators"]
             degree = spec.get("degree", max((len(p) for p in gens), default=1))
-            g = group_from_permutations(
-                gens, degree, name=name, max_order=self.max_group_order
-            )
+            g = group_from_permutations(gens, degree, name=name)
         else:
             raise SchemaError(
                 f"group {name!r} needs 'mult' or 'permutation_generators'"
@@ -250,7 +247,7 @@ def _find(items, name):
     return None
 
 
-def parse_obj(data, max_group_order=500) -> Document:
+def parse_obj(data) -> Document:
     """Validate a raw document object and resolve its payload."""
     if not isinstance(data, dict):
         raise SchemaError("a document must be a JSON object")
@@ -261,7 +258,7 @@ def parse_obj(data, max_group_order=500) -> Document:
         jsonschema.validate(data, document_schema(kind))
     except jsonschema.ValidationError as exc:
         raise SchemaError(exc.message, path=list(exc.absolute_path)) from None
-    resolver = _Resolver(data.get("definitions", {}), max_group_order)
+    resolver = _Resolver(data.get("definitions", {}))
     payload_name = data["payload"]
     if kind == "group":
         payload = resolver.group(payload_name)
@@ -283,14 +280,14 @@ def parse_obj(data, max_group_order=500) -> Document:
     return Document(kind, payload, data["format_version"], name)
 
 
-def parse(path, max_group_order=500) -> Document:
+def parse(path) -> Document:
     """Read and resolve a document file."""
     with open(path, "rb") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
-    return parse_obj(data, max_group_order)
+    return parse_obj(data)
 
 
 class _Collector:

@@ -19,6 +19,8 @@ from .errors import AxiomViolation, GroupMismatch, InputTooLarge
 MAX_HOM_CANDIDATES = 2**20
 # most points that group_from_permutations lets its permutations act on
 MAX_DEGREE = 2**20
+# most elements that group_from_permutations lets a closure reach
+MAX_GROUP_ORDER = 500
 
 
 def _check_table(table):
@@ -36,12 +38,14 @@ def _check_table(table):
         bad_row = np.nonzero(table[0] != idx)[0]
         g = bad_row[0] if len(bad_row) else np.nonzero(table[:, 0] != idx)[0][0]
         raise AxiomViolation("identity", (int(g),))
-    # every row and column is a permutation
-    for a in range(n):
-        if len(set(table[a].tolist())) != n:
-            raise AxiomViolation("inverse", (a,), f"row {a} is not a permutation")
-        if len(set(table[:, a].tolist())) != n:
-            raise AxiomViolation("inverse", (a,), f"column {a} is not a permutation")
+    # every row and column is a permutation: sorted, each one is 0..n-1
+    bad_rows = (np.sort(table, axis=1) != idx).any(axis=1)
+    bad_cols = (np.sort(table, axis=0) != idx[:, None]).any(axis=0)
+    bad = np.nonzero(bad_rows | bad_cols)[0]
+    if len(bad):
+        a = int(bad[0])
+        what = "row" if bad_rows[a] else "column"
+        raise AxiomViolation("inverse", (a,), f"{what} {a} is not a permutation")
     # associativity: (a*b)*c == a*(b*c), one row a at a time (O(n^2) memory)
     for a in range(n):
         lhs = table[table[a], :]   # lhs[b,c] = table[table[a,b], c]
@@ -245,11 +249,12 @@ def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
     return _table_group(np.arange(n), products.reshape(n, n), name=f"{g.name}x{h.name}")
 
 
-def group_from_permutations(generators, n_points, name=None, max_order=500):
+def group_from_permutations(generators, n_points, name=None):
     """Close a set of one-line permutations under composition and return the
     resulting permutation group as a table.  The identity gets index 0 and the
     remaining elements are sorted lexicographically.  Raises InputTooLarge
-    before building any permutation when ``n_points`` exceeds MAX_DEGREE."""
+    before building any permutation when ``n_points`` exceeds MAX_DEGREE, and
+    AxiomViolation once the closure exceeds MAX_GROUP_ORDER elements."""
     if n_points > MAX_DEGREE:
         raise InputTooLarge(
             f"permutations of {n_points} points are above the limit of {MAX_DEGREE}"
@@ -269,9 +274,10 @@ def group_from_permutations(generators, n_points, name=None, max_order=500):
                     elements.add(r)
                     nxt.append(r)
         frontier = nxt
-        if len(elements) > max_order:
+        if len(elements) > MAX_GROUP_ORDER:
             raise AxiomViolation(
-                "inverse", (-1,), f"generated group exceeds the cap of {max_order} elements"
+                "inverse", (-1,),
+                f"generated group exceeds the cap of {MAX_GROUP_ORDER} elements",
             )
     return _permutation_group(sorted(elements), name=name)
 

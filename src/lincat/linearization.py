@@ -465,10 +465,10 @@ class BetaReport:
     def max_defect(self):
         return max((g.module_map_defect for g in self.gammas), default=0.0)
 
-    def ok(self, tol=DEFAULT_TOL, cond_cap=1e6):
+    def ok(self, tol=DEFAULT_TOL):
         return (
             self.dims_ok
-            and self.max_condition_number < cond_cap
+            and self.max_condition_number < 1e6
             and self.max_defect < tol
         )
 

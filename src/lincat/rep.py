@@ -95,11 +95,11 @@ def character_inner(a: Character, b: Character) -> complex:
     return complex(np.sum(sizes * a.values * np.conj(b.values)) / a.group.order)
 
 
-def hom_dim(a: Character, b: Character, int_tol=INT_TOL) -> int:
+def hom_dim(a: Character, b: Character) -> int:
     """Dimension of the space of intertwiners between reps with these characters."""
     val = character_inner(a, b)
     n = round(val.real)
-    if abs(val - n) > int_tol:
+    if abs(val - n) > INT_TOL:
         raise NonIntegralMultiplicity(f"character pairing {val} is not an integer")
     return int(n)
 
@@ -107,16 +107,15 @@ def hom_dim(a: Character, b: Character, int_tol=INT_TOL) -> int:
 class RepModel:
     """An explicit matrix representation: one invertible matrix per element."""
 
-    def __init__(self, group: FinGroup, matrices, basis_labels=None):
+    def __init__(self, group: FinGroup, matrices):
         matrices = np.asarray(matrices, dtype=complex)
-        if matrices.shape[0] != group.order or matrices.ndim != 3:
+        if matrices.ndim != 3 or matrices.shape[0] != group.order:
             raise GroupMismatch("need one square matrix per group element")
         if matrices.shape[1] != matrices.shape[2]:
             raise GroupMismatch("representation matrices must be square")
         self.group = group
         self.matrices = matrices
         self.dim = int(matrices.shape[1])
-        self.basis_labels = list(basis_labels) if basis_labels is not None else None
         self._character = None
 
     def check(self, tol=DEFAULT_TOL):
@@ -156,8 +155,8 @@ def trivial_rep(g: FinGroup) -> RepModel:
     return RepModel(g, np.ones((g.order, 1, 1), dtype=complex))
 
 
-# largest dense array (bytes) that regular_rep or intertwiner_basis may
-# allocate: a regular representation of order 256
+# largest dense array (bytes) that regular_rep, irreps or intertwiner_basis
+# may allocate: a regular representation of order 256
 MAX_DENSE_BYTES = 2**28
 
 
@@ -203,7 +202,7 @@ def _char_of(g: FinGroup, basis):
     return np.array([np.vdot(basis, basis[_left_action(g, c[0])]) for c in g.classes])
 
 
-def _split(g: FinGroup, basis, rng, cluster_tol=1e-6):
+def _split(g: FinGroup, basis, rng):
     """Split an invariant subspace with a random averaged Hermitian operator,
     (1/|G|) sum_a S(a) h S(a)^H with S(a) the compression of reg(a), summed
     element by element."""
@@ -218,7 +217,7 @@ def _split(g: FinGroup, basis, rng, cluster_tol=1e-6):
     pieces = []
     start = 0
     for i in range(1, k + 1):
-        if i == k or evals[i] - evals[i - 1] > cluster_tol:
+        if i == k or evals[i] - evals[i - 1] > 1e-6:
             block = basis @ vecs[:, start:i]
             block, _ = np.linalg.qr(block)
             pieces.append(block)
@@ -226,16 +225,24 @@ def _split(g: FinGroup, basis, rng, cluster_tol=1e-6):
     return pieces
 
 
-def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL, use_cache=True):
+def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """All irreducible unitary representations of g, in a deterministic order:
     ascending dimension, then lexicographically by character value tuple over
-    the conjugacy classes (real parts compared before imaginary parts)."""
+    the conjugacy classes (real parts compared before imaginary parts).
+    Results are cached per (table, seed).  On a miss, raises InputTooLarge
+    before allocating when the |G| x |G| basis of C[G] would take more than
+    MAX_DENSE_BYTES."""
     key = (g.fingerprint, seed)
-    if use_cache:
-        with _IRREP_LOCK:
-            cached = _IRREP_CACHE.get(key)
-        if cached is not None:
-            return cached
+    with _IRREP_LOCK:
+        cached = _IRREP_CACHE.get(key)
+    if cached is not None:
+        return cached
+    nbytes = g.order**2 * 16
+    if nbytes > MAX_DENSE_BYTES:
+        raise InputTooLarge(
+            f"irreducible representations of a group of order {g.order} need "
+            f"{nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
+        )
     rng = np.random.default_rng(seed)
     queue = [np.eye(g.order, dtype=complex)]
     simple = []
@@ -274,9 +281,8 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL, use_cache=True):
             want = 1.0 if i == j else 0.0
             if abs(character_inner(r.character, s.character) - want) > tol:
                 raise NumericalFailure("computed characters are not orthonormal")
-    if use_cache:
-        with _IRREP_LOCK:
-            _IRREP_CACHE[key] = result
+    with _IRREP_LOCK:
+        _IRREP_CACHE[key] = result
     return result
 
 
@@ -288,7 +294,7 @@ def restrict_rep(f: GroupHom, r: RepModel) -> RepModel:
     """Pullback along f: element g acts by r(f(g)) on the same space."""
     if r.group != f.target:
         raise GroupMismatch("model lives on the wrong group for this restriction")
-    return RepModel(f.source, r.matrices[f.map], basis_labels=r.basis_labels)
+    return RepModel(f.source, r.matrices[f.map])
 
 
 class InducedRep(RepModel):
@@ -310,9 +316,9 @@ class InducedRep(RepModel):
         invariant_basis: orthonormal basis C (columns) of the ker(f)-invariants.
     """
 
-    def __init__(self, group, matrices, basis_labels, hom, base, coset_reps,
-                 coset_index, lift, invariant_basis):
-        super().__init__(group, matrices, basis_labels)
+    def __init__(self, group, matrices, hom, base, coset_reps, coset_index,
+                 lift, invariant_basis):
+        super().__init__(group, matrices)
         self.hom = hom
         self.base = base
         self.coset_reps = coset_reps
@@ -395,8 +401,7 @@ def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
     mats[np.arange(h.order)[:, None], coset_index[ahi], :, np.arange(n), :] = (
         blocks[lift[ahi]]
     )
-    labels = [f"h{hi}⊗e{j}" for hi in reps for j in range(dw)]
-    return InducedRep(h, mats.reshape(h.order, n * dw, n * dw), labels, f, v, reps,
+    return InducedRep(h, mats.reshape(h.order, n * dw, n * dw), f, v, reps,
                       coset_index, lift, c)
 
 

@@ -188,9 +188,8 @@ def default_suite(seed=DEFAULT_SEED, tolerance=DEFAULT_TOL) -> SuiteConfig:
     return SuiteConfig(groupoids, spans, maps, tolerance=tolerance, seed=seed)
 
 
-def random_suite(seed, n_groupoids=4, n_spans=6, n_maps=4,
-                 max_group_order=24, max_objects=4, max_apex_objects=6,
-                 tolerance=DEFAULT_TOL) -> SuiteConfig:
+def random_suite(seed, n_groupoids=4, n_spans=6, n_maps=4, max_objects=4,
+                 max_apex_objects=6) -> SuiteConfig:
     """Seeded random suite within the documented bounds.  Span maps are drawn
     from the families that are strict by construction: maps over the terminal
     groupoid and maps between identity spans with equal legs."""
@@ -203,7 +202,6 @@ def random_suite(seed, n_groupoids=4, n_spans=6, n_maps=4,
         direct_product(cyclic_group(2), cyclic_group(2)),
         symmetric_group(3),
     ]
-    pool = [g for g in pool if g.order <= max_group_order]
     hom_cache = {}
 
     def homs_between(g, h):
@@ -250,6 +248,4 @@ def random_suite(seed, n_groupoids=4, n_spans=6, n_maps=4,
         else:
             s = spans[int(rng.integers(0, len(spans)))]
             maps.append(SpanMap.identity(s))
-    return SuiteConfig(
-        groupoids + [one], spans, maps, tolerance=tolerance, seed=seed
-    )
+    return SuiteConfig(groupoids + [one], spans, maps, seed=seed)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, GroupMismatch, ShapeMismatch
-from .groups import FinGroup
+from .errors import BasisMismatch, ShapeMismatch
 from .rep import LinearMap
 
 
@@ -156,28 +155,3 @@ def hcompose_2morph(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
             blocks[(r, c)] = blk
     return TwoMorphism(src, tgt, blocks)
 
-
-@dataclass
-class GradedVector:
-    """Vector of dimensions graded by the elements of a finite group."""
-
-    group: FinGroup
-    dims: np.ndarray
-
-    def __post_init__(self):
-        self.dims = np.asarray(self.dims, dtype=np.int64)
-        if self.dims.shape != (self.group.order,):
-            raise GroupMismatch("need one dimension per group element")
-
-
-def graded_convolution(v: GradedVector, w: GradedVector) -> GradedVector:
-    """Product of group-graded dimension vectors:
-    out[h] = sum over g*g' = h of v[g] * w[g']."""
-    if v.group != w.group:
-        raise GroupMismatch("graded vectors live on different groups")
-    g = v.group
-    out = np.zeros(g.order, dtype=np.int64)
-    for a in range(g.order):
-        for b in range(g.order):
-            out[g.mul(a, b)] += v.dims[a] * w.dims[b]
-    return GradedVector(g, out)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import lincat.groups
 from lincat.documents import parse, parse_obj, serialize
 from lincat.errors import (
     AxiomViolation,
@@ -55,7 +56,8 @@ def test_permutation_generators_expand():
     assert doc.payload == symmetric_group(3)
 
 
-def test_permutation_generator_cap():
+def test_permutation_generator_cap(monkeypatch):
+    monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
     with pytest.raises(Exception):
         parse_obj(
             {
@@ -70,8 +72,7 @@ def test_permutation_generator_cap():
                     ]
                 },
                 "payload": "big",
-            },
-            max_group_order=5,
+            }
         )
 
 

@@ -57,6 +57,46 @@ def test_validate_identity_violation():
     assert err.value.kind == "identity"
 
 
+def _first_non_permutation(table):
+    """Oracle: the first a whose row, else whose column, is not a permutation."""
+    n = len(table)
+    for a in range(n):
+        if len(set(table[a])) != n:
+            return a, f"row {a} is not a permutation"
+        if len({row[a] for row in table}) != n:
+            return a, f"column {a} is not a permutation"
+    return None
+
+
+def test_validate_inverse_reports_first_row_or_column():
+    cases = [
+        # every row is a permutation, column 1 is not
+        [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+        # row 1 and column 1 both fail: the row is reported
+        [[0, 1, 2], [1, 1, 2], [2, 0, 1]],
+        # column 1 fails before row 2
+        [[0, 1, 2], [1, 2, 0], [2, 2, 1]],
+    ]
+    # Z5 with one entry off the identity row and column overwritten
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        t = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+        a, b = rng.integers(1, 5, 2)
+        t[a][b] = int(rng.integers(0, 5))
+        cases.append(t)
+    for table in cases:
+        want = _first_non_permutation(table)
+        if want is None:
+            continue
+        with pytest.raises(AxiomViolation) as err:
+            validate_group(table)
+        assert (err.value.kind, err.value.witness, str(err.value)) == (
+            "inverse", (want[0],), want[1])
+    with pytest.raises(AxiomViolation) as err:
+        validate_group(cases[0])
+    assert (err.value.kind, err.value.witness) == ("inverse", (1,))
+
+
 def test_validate_associativity_violation():
     # rows/columns are permutations and index 0 is an identity, but the
     # operation x*y = x + y + x*y*(x-y) mod 5 over Z5 fails associativity
@@ -146,9 +186,10 @@ def test_group_from_permutations_17_cycle_matches_dict_table():
     assert g.mult.tolist() == ref
 
 
-def test_group_from_permutations_cap():
+def test_group_from_permutations_cap(monkeypatch):
+    monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
     with pytest.raises(AxiomViolation):
-        group_from_permutations([list(range(1, 7)) + [0]], 7, max_order=5)
+        group_from_permutations([list(range(1, 7)) + [0]], 7)
 
 
 def test_direct_product_orders(z2, z3, s3):

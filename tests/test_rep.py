@@ -26,6 +26,7 @@ import lincat.rep
 from lincat.linearization import _project_onto_intertwiners
 from lincat.rep import (
     Character,
+    RepModel,
     character_inner,
     eps_L,
     eps_R,
@@ -132,9 +133,29 @@ def test_irreps_dims_of_order_60_and_120(maker, dims):
     assert [r.dim for r in irreps(maker())] == dims
 
 
-def test_irreps_deterministic_order(s3):
-    a = irreps(s3, use_cache=False)
-    b = irreps(s3, use_cache=False)
+@pytest.fixture
+def clear_irrep_cache():
+    """Empty the irreps cache for one test, restoring its entries afterwards;
+    calling the returned function empties it again."""
+
+    def clear():
+        with lincat.rep._IRREP_LOCK:
+            lincat.rep._IRREP_CACHE.clear()
+
+    with lincat.rep._IRREP_LOCK:
+        saved = dict(lincat.rep._IRREP_CACHE)
+    clear()
+    yield clear
+    with lincat.rep._IRREP_LOCK:
+        lincat.rep._IRREP_CACHE.clear()
+        lincat.rep._IRREP_CACHE.update(saved)
+
+
+def test_irreps_deterministic_order(s3, clear_irrep_cache):
+    a = irreps(s3)
+    clear_irrep_cache()
+    b = irreps(s3)
+    assert a is not b
     for ra, rb in zip(a, b):
         assert np.max(np.abs(ra.matrices - rb.matrices)) == 0.0
     dims = [r.dim for r in a]
@@ -152,12 +173,13 @@ def test_permutation_kernel_matches_dense_regular_rep(s4):
     assert np.max(np.abs(lincat.rep._char_of(s4, basis) - chi)) < 1e-12
 
 
-def test_irreps_never_builds_the_regular_representation(s4, monkeypatch):
+def test_irreps_never_builds_the_regular_representation(s4, monkeypatch,
+                                                        clear_irrep_cache):
     def refuse(g):
         raise AssertionError("irreps must not call regular_rep")
 
     monkeypatch.setattr(lincat.rep, "regular_rep", refuse)
-    rs = irreps(s4, use_cache=False)
+    rs = irreps(s4)
     assert [r.dim for r in rs] == [1, 1, 2, 3, 3]
 
 
@@ -217,6 +239,12 @@ def test_restrict_along_trivial_hom(s3, one):
     f = trivial_hom(one, s3)
     res = restrict_rep(f, w2)
     assert np.max(np.abs(res.matrices[0] - np.eye(2))) < TOL
+
+
+def test_rep_model_rejects_bad_shapes(z2):
+    for bad in (5, np.ones((2, 1)), np.ones((3, 1, 1)), np.ones((2, 1, 2))):
+        with pytest.raises(GroupMismatch):
+            RepModel(z2, bad)
 
 
 def test_restrict_group_mismatch(z2_in_s3, z2):
@@ -407,6 +435,15 @@ def test_intertwiner_projector_size_guard(s3, monkeypatch):
         intertwiner_basis(w, w)
     monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 16 * 16)
     assert len(intertwiner_basis(w, w)) == 1
+
+
+def test_irreps_size_guard(s4, monkeypatch, clear_irrep_cache):
+    # on a cache miss, the |G| x |G| basis of C[S4] takes 24*24*16 bytes
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16 - 1)
+    with pytest.raises(InputTooLarge, match="order 24 need 9216 bytes"):
+        irreps(s4)
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16)
+    assert [r.dim for r in irreps(s4)] == [1, 1, 2, 3, 3]
 
 
 def test_regular_rep_size_guard():

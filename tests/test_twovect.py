@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from lincat.errors import BasisMismatch, GroupMismatch, ShapeMismatch
-from lincat.groups import cyclic_group, symmetric_group
+from lincat.errors import BasisMismatch, ShapeMismatch
 from lincat.rep import LinearMap
 from lincat.twovect import (
-    GradedVector,
     TwoBasis,
     TwoLinearMap,
     TwoMorphism,
     compose_2linear,
     dagger,
-    graded_convolution,
     hcompose_2morph,
     vcompose_2morph,
 )
@@ -165,46 +162,3 @@ def test_interchange_law_random_blocks():
         for key in lhs.blocks:
             assert np.allclose(lhs.blocks[key], rhs.blocks[key], atol=1e-10)
 
-
-# --- graded convolution -----------------------------------------------------
-
-
-def test_convolution_deltas(z2):
-    a = GradedVector(z2, [1, 0])
-    b = GradedVector(z2, [0, 1])
-    assert graded_convolution(a, b).dims.tolist() == [0, 1]
-
-
-def test_convolution_double_loop(z2):
-    v = GradedVector(z2, [1, 1])
-    # oracle: direct double loop
-    out = [0, 0]
-    for a in range(2):
-        for b in range(2):
-            out[z2.mul(a, b)] += 1
-    assert graded_convolution(v, v).dims.tolist() == out == [2, 2]
-
-
-def test_convolution_unit(z2):
-    delta = GradedVector(z2, [1, 0])
-    v = GradedVector(z2, [3, 5])
-    assert graded_convolution(v, delta).dims.tolist() == [3, 5]
-    assert graded_convolution(delta, v).dims.tolist() == [3, 5]
-
-
-@pytest.mark.parametrize("maker", [lambda: cyclic_group(2), lambda: cyclic_group(3), lambda: symmetric_group(3)])
-def test_convolution_associative_exhaustive(maker):
-    g = maker()
-    rng = np.random.default_rng(11)
-    for _ in range(4):
-        u = GradedVector(g, rng.integers(0, 3, g.order))
-        v = GradedVector(g, rng.integers(0, 3, g.order))
-        w = GradedVector(g, rng.integers(0, 3, g.order))
-        lhs = graded_convolution(graded_convolution(u, v), w)
-        rhs = graded_convolution(u, graded_convolution(v, w))
-        assert lhs.dims.tolist() == rhs.dims.tolist()
-
-
-def test_convolution_group_mismatch(z2, z3):
-    with pytest.raises(GroupMismatch):
-        graded_convolution(GradedVector(z2, [1, 0]), GradedVector(z3, [1, 0, 0]))
