@@ -47,8 +47,8 @@ for v in irreps(z2):
 
 print()
 print("the exterior trace map identifies the two models of induction:")
-n = nakayama(incl, trivial_rep(z2))
-print(f"  a {n.rows}x{n.cols} matrix, condition number {n.condition_number:.3f}")
+n, cond = nakayama(incl, trivial_rep(z2))
+print(f"  a {n.shape[0]}x{n.shape[1]} matrix, condition number {cond:.3f}")
 
 print()
 print("triangle identities of both adjunctions on probe representations:")

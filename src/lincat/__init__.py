@@ -72,7 +72,6 @@ from .rep import (
     Character,
     InducedRep,
     Irrep,
-    LinearMap,
     RepModel,
     character_inner,
     eps_L,

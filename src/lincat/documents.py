@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import jsonschema
 import numpy as np
@@ -141,6 +142,14 @@ def document_schema(kind):
     }
 
 
+@cache
+def _validator(kind):
+    """The Draft 2020-12 validator of ``document_schema(kind)``, built once per
+    kind.  The schemas are constants, so they are checked against the
+    metaschema by the test suite rather than on every parse."""
+    return jsonschema.Draft202012Validator(document_schema(kind))
+
+
 @dataclass
 class Document:
     kind: str
@@ -254,10 +263,10 @@ def parse_obj(data) -> Document:
     kind = data.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown or missing document kind {kind!r}")
-    try:
-        jsonschema.validate(data, document_schema(kind))
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(exc.message, path=list(exc.absolute_path)) from None
+    # the error jsonschema.validate would raise: the best match among all
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(data))
+    if error is not None:
+        raise SchemaError(error.message, path=list(error.absolute_path))
     resolver = _Resolver(data.get("definitions", {}))
     payload_name = data["payload"]
     if kind == "group":

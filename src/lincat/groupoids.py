@@ -282,14 +282,15 @@ class CommaClass:
     The class sits over the pair (a_idx, b_idx) with common image c_idx, has
     mediating morphism ``rep`` (an element of Aut(c), minimal in its double
     coset unless ``admissible`` refused it), and automorphism group ``fib``
-    materialized on the lexicographically sorted pairs ``pairs``.
+    materialized on the lexicographically sorted pairs (h, k) of the fibred
+    product; the comma category's projection homs at the class read off its
+    components.
     """
 
     a_idx: int
     b_idx: int
     c_idx: int
     rep: int
-    pairs: list
     fib: FinGroup
 
 
@@ -329,6 +330,8 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
     if f.target != g.target:
         raise TargetMismatch("comma category needs functors with a common target")
     classes = []
+    left_homs = []
+    right_homs = []
     pair_data = {}
     for a in range(len(f.source)):
         for b in range(len(g.source)):
@@ -360,14 +363,16 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
                             f"{m0} over objects ({a}, {b})"
                         )
                 hs, ks = np.nonzero(d == rep)
-                pairs = list(zip(hs.tolist(), ks.tolist()))
                 fib = _table_group(
                     hs * nk + ks,
                     fh.source.mult[hs[:, None], hs] * nk + gh.source.mult[ks[:, None], ks],
                     name=f"fib[{rep}]",
                 )
                 cid = len(classes)
-                classes.append(CommaClass(a, b, c_idx, rep, pairs, fib))
+                classes.append(CommaClass(a, b, c_idx, rep, fib))
+                # projections forget to the two components
+                left_homs.append(GroupHom(fib, f.source.aut(a), hs))
+                right_homs.append(GroupHom(fib, g.source.aut(b), ks))
                 class_ids.append(cid)
                 # first occurrence of each coset element in row-major order
                 first = np.full(c.order, d.size)
@@ -385,17 +390,8 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
         names.append(f"({na}|{cls.rep}|{nb})")
         groups.append(cls.fib)
     apex = Groupoid(list(zip(names, groups)))
-    # projections forget to the two components
     left_omap = [cls.a_idx for cls in classes]
-    left_homs = [
-        GroupHom(cls.fib, f.source.aut(cls.a_idx), np.array([p[0] for p in cls.pairs]))
-        for cls in classes
-    ]
     right_omap = [cls.b_idx for cls in classes]
-    right_homs = [
-        GroupHom(cls.fib, g.source.aut(cls.b_idx), np.array([p[1] for p in cls.pairs]))
-        for cls in classes
-    ]
     proj_left = GroupoidFunctor(apex, f.source, left_omap, left_homs)
     proj_right = GroupoidFunctor(apex, g.source, right_omap, right_homs)
     return CommaCategory(apex, proj_left, proj_right, classes, pair_data)

@@ -254,7 +254,7 @@ def group_from_permutations(generators, n_points, name=None):
     resulting permutation group as a table.  The identity gets index 0 and the
     remaining elements are sorted lexicographically.  Raises InputTooLarge
     before building any permutation when ``n_points`` exceeds MAX_DEGREE, and
-    AxiomViolation once the closure exceeds MAX_GROUP_ORDER elements."""
+    as soon as the closure would hold more than MAX_GROUP_ORDER elements."""
     if n_points > MAX_DEGREE:
         raise InputTooLarge(
             f"permutations of {n_points} points are above the limit of {MAX_DEGREE}"
@@ -271,14 +271,14 @@ def group_from_permutations(generators, n_points, name=None):
             for q in gens:
                 r = _compose_perms(p, q)
                 if r not in elements:
+                    if len(elements) >= MAX_GROUP_ORDER:
+                        raise InputTooLarge(
+                            f"generated group exceeds the cap of "
+                            f"{MAX_GROUP_ORDER} elements"
+                        )
                     elements.add(r)
                     nxt.append(r)
         frontier = nxt
-        if len(elements) > MAX_GROUP_ORDER:
-            raise AxiomViolation(
-                "inverse", (-1,),
-                f"generated group exceeds the cap of {MAX_GROUP_ORDER} elements",
-            )
     return _permutation_group(sorted(elements), name=name)
 
 

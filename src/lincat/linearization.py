@@ -120,7 +120,7 @@ class _EntryWitness:
     apex_idx: int
     r1: RepModel  # pullback of W1 along the left leg
     r2: RepModel  # pullback of W2 along the right leg
-    basis: list   # intertwiner basis (may be empty)
+    basis: np.ndarray  # intertwiner basis, (rank, r2.dim, r1.dim); rank may be 0
     ind: InducedRep  # pushforward of r1 along the right leg
 
 
@@ -278,7 +278,6 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
             col0 = 0
             for tw in top_wits:
                 ncols = len(tw.basis)
-                fs = np.array([f.entries for f in tw.basis])
                 row0 = 0
                 for bw in bot_wits:
                     nrows = len(bw.basis)
@@ -286,9 +285,9 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
                     if coeff and ncols and nrows:
                         # Frobenius coordinates of every projected f in the
                         # bottom witness's basis, in one product
-                        pf = _project_onto_intertwiners(fs, bw.r1, bw.r2)
-                        b2 = np.array([b.entries for b in bw.basis])
-                        coords = b2.reshape(nrows, -1).conj() @ pf.reshape(ncols, -1).T
+                        pf = _project_onto_intertwiners(tw.basis, bw.r1, bw.r2)
+                        coords = (bw.basis.reshape(nrows, -1).conj()
+                                  @ pf.reshape(ncols, -1).T)
                         block[row0 : row0 + nrows, col0 : col0 + ncols] = (
                             float(coeff) * coords
                         )
@@ -399,7 +398,7 @@ def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
                 ind2 = bw.ind
                 kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
                 for f2 in bw.basis:
-                    proj = _counit_kernel(ind2, w2.matrices @ f2.entries) / kappa
+                    proj = _counit_kernel(ind2, w2.matrices @ f2) / kappa
                     projections.append((lo2, ind2.dim, proj))
                 lo2 += ind2.dim
             alt = np.zeros((nrows, ncols), dtype=complex)
@@ -409,7 +408,7 @@ def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
                 for f in tw.basis:
                     iota = np.zeros((big.shape[1], w2.dim), dtype=complex)
                     iota[lo : lo + tw.ind.dim, :] = _unit_kernel(
-                        tw.ind, f.entries.conj().T @ w2.matrices
+                        tw.ind, f.conj().T @ w2.matrices
                     )
                     image = big @ iota
                     for i, (lo2, dim2, proj) in enumerate(projections):
@@ -606,9 +605,9 @@ def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
                             cls = cat.classes[wit.apex_idx]
                             if cls.a_idx == q_idx and cls.b_idx == p_idx:
                                 m_inv = x.target.aut(cls.c_idx).inv[cls.rep]
-                                e = up.entries @ w2.matrices[m_inv] @ uq.entries
+                                e = up @ w2.matrices[m_inv] @ uq
                                 for i, b in enumerate(wit.basis):
-                                    col[off + i] = np.sum(np.conj(b.entries) * e)
+                                    col[off + i] = np.sum(np.conj(b) * e)
                             off += len(wit.basis)
                         cols.append(col)
             mat = (
@@ -630,6 +629,12 @@ def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
 # functoriality suite
 
 
+# most composable pairs (per section) and triples that one verification run
+# checks, in enumeration order
+MAX_PAIRS = 64
+MAX_TRIPLES = 6
+
+
 @dataclass
 class SuiteConfig:
     groupoids: list
@@ -637,8 +642,6 @@ class SuiteConfig:
     spanmaps: list
     tolerance: float = DEFAULT_TOL
     seed: int = DEFAULT_SEED
-    max_pairs: int = 64
-    max_triples: int = 6
 
 
 @dataclass
@@ -725,7 +728,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
         for i, a in enumerate(spans)
         for j, b in enumerate(spans)
         if a.target == b.source
-    ][: config.max_pairs]
+    ][:MAX_PAIRS]
     for i, j in pairs:
         name = f"span[{i}] ; span[{j}]"
         try:
@@ -751,7 +754,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
         for j, b in enumerate(spans)
         for k, c in enumerate(spans)
         if a.target == b.source and b.target == c.source
-    ][: config.max_triples]
+    ][:MAX_TRIPLES]
     for i, j, k in triples:
         name = f"span[{i}] ; span[{j}] ; span[{k}]"
         left = compose_spans(composite(i, j), spans[k])
@@ -779,7 +782,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
         for i, a in enumerate(maps)
         for j, b in enumerate(maps)
         if a.bottom == b.top
-    ][: config.max_pairs]
+    ][:MAX_PAIRS]
     for i, j in vpairs:
         name = f"map[{i}] ; map[{j}]"
         try:
@@ -798,7 +801,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
         for i, a in enumerate(maps)
         for j, b in enumerate(maps)
         if a.top.target == b.top.source
-    ][: config.max_pairs]
+    ][:MAX_PAIRS]
     for i, j in hpairs:
         name = f"map[{i}] * map[{j}]"
         try:

@@ -49,28 +49,6 @@ INT_TOL = 1e-6
 
 
 @dataclass
-class LinearMap:
-    """A complex matrix with explicit row/column counts (either may be zero)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2:
-            raise ValueError("LinearMap entries must be a matrix")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("LinearMap entries must be finite")
-
-    @property
-    def rows(self):
-        return self.entries.shape[0]
-
-    @property
-    def cols(self):
-        return self.entries.shape[1]
-
-
-@dataclass
 class Character:
     """Class function of a representation: one value per conjugacy class."""
 
@@ -457,8 +435,9 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
 
     formed in one contraction over the group; the rank is checked against the
     character count and every basis element against every group element.
-    Raises InputTooLarge before forming P when it would take more than
-    MAX_DENSE_BYTES."""
+    Returns the basis as one C-contiguous (rank, r2.dim, r1.dim) array, of
+    rank 0 when either dimension is 0.  Raises InputTooLarge before forming P
+    when it would take more than MAX_DENSE_BYTES."""
     if r1.group != r2.group:
         raise GroupMismatch("intertwiners need both models on one group")
     g = r1.group
@@ -473,7 +452,7 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
     if d1 == 0 or d2 == 0:
         if expected:
             raise RankMismatch("positive character count on a zero-dimensional space")
-        return []
+        return np.zeros((0, d2, d1), dtype=complex)
     # P[(i,k),(j,l)] = (1/|G|) sum_a r2(a^-1)[i,j] r1(a)[l,k]
     s = np.einsum("aij,alk->ikjl", r2.matrices[g.inv], r1.matrices)
     s = s.reshape(d2 * d1, d2 * d1) / g.order
@@ -484,15 +463,16 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
         raise RankMismatch(
             f"projector rank {rank} disagrees with character count {expected}"
         )
-    stack = u[:, :rank].T.reshape(rank, 1, d2, d1)
+    basis = np.ascontiguousarray(u[:, :rank].T).reshape(rank, d2, d1)
     # residual of f r1(a) = r2(a) f for every basis element f and element a
+    stack = basis[:, None]
     worst = np.abs(stack @ r1.matrices - r2.matrices @ stack).max(axis=(1, 2, 3))
     bad = np.nonzero(worst > 10 * tol)[0]
     if bad.size:
         raise RankMismatch(
             f"projected basis element fails equivariance: {worst[bad[0]]}"
         )
-    return [LinearMap(u[:, k].reshape(d2, d1)) for k in range(rank)]
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +508,12 @@ def _nakayama_data(f: GroupHom, v: RepModel, tol):
     return mat, ind, cond
 
 
-def nakayama(f: GroupHom, v: RepModel, tol=DEFAULT_TOL) -> LinearMap:
-    """Matrix of the exterior trace map from the hom model of induction to the
-    tensor model, in the distinguished bases; raises SingularMap if it is not
-    invertible.  The returned map carries a ``condition_number`` attribute."""
+def nakayama(f: GroupHom, v: RepModel, tol=DEFAULT_TOL):
+    """(matrix, condition number) of the exterior trace map from the hom model
+    of induction to the tensor model, in the distinguished bases; raises
+    SingularMap if it is not invertible."""
     mat, _, cond = _nakayama_data(f, v, tol)
-    out = LinearMap(mat)
-    out.condition_number = cond
-    return out
+    return mat, cond
 
 
 def _unit_kernel(ind: InducedRep, mats) -> np.ndarray:
@@ -554,7 +532,7 @@ def _counit_kernel(ind: InducedRep, mats) -> np.ndarray:
     return out.transpose(1, 0, 2).reshape(mats.shape[1], ind.dim)
 
 
-def eta_L(f: GroupHom, fmodel: RepModel) -> LinearMap:
+def eta_L(f: GroupHom, fmodel: RepModel) -> np.ndarray:
     """Unit of the adjunction with induction on the right:  v -> 1 (x) v."""
     if fmodel.group != f.source:
         raise ModelMismatch("eta_L needs a model of the source group")
@@ -563,28 +541,28 @@ def eta_L(f: GroupHom, fmodel: RepModel) -> LinearMap:
     dw = ind.block_dim
     if dw:
         out[0:dw, :] = ind.invariant_basis.conj().T
-    return LinearMap(out)
+    return out
 
 
-def eps_L(f: GroupHom, gmodel: RepModel) -> LinearMap:
+def eps_L(f: GroupHom, gmodel: RepModel) -> np.ndarray:
     """Counit of the same adjunction: sum of multiplication maps
     h (x) v -> h . v on the induced model of the restriction."""
     if gmodel.group != f.target:
         raise ModelMismatch("eps_L needs a model of the target group")
     ind = induce_rep(f, restrict_rep(f, gmodel))
-    return LinearMap(_counit_kernel(ind, gmodel.matrices))
+    return _counit_kernel(ind, gmodel.matrices)
 
 
-def eta_R(f: GroupHom, gmodel: RepModel) -> LinearMap:
+def eta_R(f: GroupHom, gmodel: RepModel) -> np.ndarray:
     """Unit of the adjunction with induction on the left:
     v -> (1/#G) sum_{h in H} h^-1 (x) h.v."""
     if gmodel.group != f.target:
         raise ModelMismatch("eta_R needs a model of the target group")
     ind = induce_rep(f, restrict_rep(f, gmodel))
-    return LinearMap(_unit_kernel(ind, gmodel.matrices))
+    return _unit_kernel(ind, gmodel.matrices)
 
 
-def eps_R(f: GroupHom, fmodel: RepModel, tol=DEFAULT_TOL) -> LinearMap:
+def eps_R(f: GroupHom, fmodel: RepModel, tol=DEFAULT_TOL) -> np.ndarray:
     """Counit of the same adjunction: evaluation at the identity composed with
     the inverse of the exterior trace map."""
     if fmodel.group != f.source:
@@ -597,7 +575,7 @@ def eps_R(f: GroupHom, fmodel: RepModel, tol=DEFAULT_TOL) -> LinearMap:
         # representative is the identity, stored first
         ev[:, 0:dw] = ind.invariant_basis
     inv = np.linalg.inv(mat) if mat.shape[0] else mat
-    return LinearMap(ev @ inv)
+    return ev @ inv
 
 
 @dataclass
@@ -623,20 +601,20 @@ def verify_zigzag(f: GroupHom, probes, tol=DEFAULT_TOL) -> ZigzagReport:
             ind = induce_rep(f, probe)
             ind2 = induce_rep(f, restrict_rep(f, ind))
             # (eps_L . Id) o (Id . eta_L) = Id on the induced model
-            push_eta = induced_morphism(ind, ind2, eta_L(f, probe).entries)
-            comp1 = eps_L(f, ind).entries @ push_eta
+            push_eta = induced_morphism(ind, ind2, eta_L(f, probe))
+            comp1 = eps_L(f, ind) @ push_eta
             report.deviations[(idx, "left_push")] = _dev_from_eye(comp1)
             # (Id . eps_R) o (eta_R . Id) = Id on the induced model
-            push_eps = induced_morphism(ind2, ind, eps_R(f, probe, tol=tol).entries)
-            comp4 = push_eps @ eta_R(f, ind).entries
+            push_eps = induced_morphism(ind2, ind, eps_R(f, probe, tol=tol))
+            comp4 = push_eps @ eta_R(f, ind)
             report.deviations[(idx, "right_push")] = _dev_from_eye(comp4)
         elif probe.group == f.target:
             res = restrict_rep(f, probe)
             # (Id . eps_L) o (eta_L . Id) = Id on the restricted model
-            comp2 = eps_L(f, probe).entries @ eta_L(f, res).entries
+            comp2 = eps_L(f, probe) @ eta_L(f, res)
             report.deviations[(idx, "left_pull")] = _dev_from_eye(comp2)
             # (eps_R . Id) o (Id . eta_R) = Id on the restricted model
-            comp3 = eps_R(f, res, tol=tol).entries @ eta_R(f, probe).entries
+            comp3 = eps_R(f, res, tol=tol) @ eta_R(f, probe)
             report.deviations[(idx, "right_pull")] = _dev_from_eye(comp3)
         else:
             raise ModelMismatch("probe representation does not match either group")

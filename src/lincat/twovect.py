@@ -2,8 +2,8 @@
 
 A 2-vector space is presented by a finite basis of simple objects; 2-linear
 maps between them are matrices of nonnegative integers (dimensions of the hom
-vector spaces), optionally with an explicit basis per entry; 2-morphisms are
-block matrices of linear maps.  Tensor/direct-sum index ordering is
+vector spaces), optionally with an explicit basis of matrices per entry;
+2-morphisms are block matrices of linear maps.  Tensor/direct-sum index ordering is
 lexicographic with the left factor major, and block layouts are row-major by
 codomain label, so every composite is bit-reproducible.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatch, ShapeMismatch
-from .rep import LinearMap
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class TwoBasis:
 
 class TwoLinearMap:
     """A codomain x domain matrix of hom-space dimensions, with optional
-    explicit hom bases per entry (a list of LinearMap of that length)."""
+    explicit hom bases per entry (a sequence of that many complex matrices)."""
 
     def __init__(self, domain: TwoBasis, codomain: TwoBasis, dims, hom_bases=None):
         dims = np.asarray(dims, dtype=np.int64)
@@ -89,7 +88,7 @@ def dagger(t: TwoLinearMap) -> TwoLinearMap:
     hom_bases = None
     if t.hom_bases is not None:
         hom_bases = {
-            (c, r): [LinearMap(m.entries.conj().T) for m in basis]
+            (c, r): [m.conj().T for m in basis]
             for (r, c), basis in t.hom_bases.items()
         }
     return TwoLinearMap(t.codomain, t.domain, t.dims.T.copy(), hom_bases)

@@ -1,12 +1,14 @@
 import json
 
+import jsonschema
 import pytest
 
 import lincat.groups
-from lincat.documents import parse, parse_obj, serialize
+from lincat.documents import KINDS, document_schema, parse, parse_obj, serialize
 from lincat.errors import (
     AxiomViolation,
     IndexOutOfRange,
+    InputTooLarge,
     SchemaError,
     UnresolvedReference,
 )
@@ -58,7 +60,7 @@ def test_permutation_generators_expand():
 
 def test_permutation_generator_cap(monkeypatch):
     monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
-    with pytest.raises(Exception):
+    with pytest.raises(InputTooLarge):
         parse_obj(
             {
                 "format_version": "1",
@@ -159,6 +161,49 @@ def test_schema_error_reports_path():
 def test_unknown_kind():
     with pytest.raises(SchemaError):
         parse_obj({"format_version": "1", "kind": "nope", "definitions": {}, "payload": "x"})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_document_schema_passes_the_metaschema(kind):
+    jsonschema.Draft202012Validator.check_schema(document_schema(kind))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a definition without its name
+        {
+            "format_version": "1",
+            "kind": "group",
+            "definitions": {"groups": [{"mult": [[0]]}]},
+            "payload": "x",
+        },
+        # a wrong version and an unknown key
+        {
+            "format_version": "2",
+            "kind": "span",
+            "definitions": {},
+            "payload": "x",
+            "extra": 1,
+        },
+        # a malformed definitions block and an empty payload name
+        {
+            "format_version": "1",
+            "kind": "suite",
+            "definitions": {"spans": 3, "groups": [{"name": "", "mult": [["a"]]}]},
+            "payload": {"spans": [""]},
+        },
+    ],
+    ids=["group", "span", "suite"],
+)
+def test_schema_error_matches_jsonschema_validate(data):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(data, document_schema(data["kind"]))
+    with pytest.raises(SchemaError) as got:
+        parse_obj(data)
+    expected = SchemaError(want.value.message, path=list(want.value.absolute_path))
+    assert str(got.value) == str(expected)
+    assert got.value.path == expected.path
 
 
 @pytest.mark.parametrize(

@@ -188,8 +188,34 @@ def test_group_from_permutations_17_cycle_matches_dict_table():
 
 def test_group_from_permutations_cap(monkeypatch):
     monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(InputTooLarge):
         group_from_permutations([list(range(1, 7)) + [0]], 7)
+
+
+def test_group_from_permutations_stops_at_the_cap(monkeypatch):
+    # the nine transpositions (0 i) of 10 points each give a new element in
+    # the first step; the closure stops at the first one beyond the cap
+    monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
+    made = []
+    real = lincat.groups._compose_perms
+
+    def spied(p, q):
+        made.append(real(p, q))
+        return made[-1]
+
+    monkeypatch.setattr(lincat.groups, "_compose_perms", spied)
+    gens = []
+    for i in range(1, 10):
+        t = list(range(10))
+        t[0], t[i] = i, 0
+        gens.append(t)
+    with pytest.raises(InputTooLarge, match="cap of 5 elements"):
+        group_from_permutations(gens, 10)
+    assert len(made) == 5
+    made.clear()
+    with pytest.raises(InputTooLarge):
+        group_from_permutations([list(range(1, 10)) + [0]], 10)
+    assert len(made) == 5
 
 
 def test_direct_product_orders(z2, z3, s3):

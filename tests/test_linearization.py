@@ -219,7 +219,7 @@ def test_lambda_spanmap_blocks_are_intertwiners():
                     if n:
                         coords = blk[row : row + n, col]
                         mapped = sum(
-                            coords[i] * bw.basis[i].entries for i in range(n)
+                            coords[i] * bw.basis[i] for i in range(n)
                         )
                         g = bw.r1.group
                         for a in range(g.order):
@@ -521,7 +521,7 @@ def test_lambda_span_properties_on_random_spans(seed):
             concat = [b for w in wits for b in w.basis]
             basis = lam.map.hom_bases[key]
             assert len(basis) == len(concat) == lam.map.dims[key]
-            assert all(a is b for a, b in zip(basis, concat))
+            assert all(np.shares_memory(a, b) for a, b in zip(basis, concat))
 
 
 def test_lambda_span_computes_each_leg_pair_once(monkeypatch):
@@ -588,8 +588,8 @@ def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
                  if a.bottom == b.top)
     hpair = next((i, j) for i, a in enumerate(maps) for j, b in enumerate(maps)
                  if a.top.target == b.top.source)
-    small = SuiteConfig(suite.groupoids, suite.spans, maps, max_pairs=1)
-    assert verify_functoriality(small).ok
+    monkeypatch.setattr(lincat.linearization, "MAX_PAIRS", 1)
+    assert verify_functoriality(suite).ok
     paired = set(vpair) | set(hpair)
     assert len(paired) < len(maps)
     assert [times(y) for y in maps] == [int(i in paired) for i in range(len(maps))]
@@ -741,4 +741,4 @@ def test_run_lambda_spans_equal_standalone_recomputation(monkeypatch):
         for key, basis in alone.map.hom_bases.items():
             got = lam.map.hom_bases[key]
             assert len(got) == len(basis)
-            assert all(np.array_equal(a.entries, b.entries) for a, b in zip(got, basis))
+            assert all(np.array_equal(a, b) for a, b in zip(got, basis))
