@@ -371,8 +371,8 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
                 cid = len(classes)
                 classes.append(CommaClass(a, b, c_idx, rep, fib))
                 # projections forget to the two components
-                left_homs.append(GroupHom(fib, f.source.aut(a), hs))
-                right_homs.append(GroupHom(fib, g.source.aut(b), ks))
+                left_homs.append(GroupHom._derived(fib, f.source.aut(a), hs))
+                right_homs.append(GroupHom._derived(fib, g.source.aut(b), ks))
                 class_ids.append(cid)
                 # first occurrence of each coset element in row-major order
                 first = np.full(c.order, d.size)
@@ -457,10 +457,10 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
     the candidate witnesses of m in a composite are the recorded witness times
     each pair of m's class, in the class's pair order.  A candidate (h0, k0)
     carries (h, k) to (h0^-1 u(h) h0, k0^-1 v(k) k0), where u and v are the
-    span maps' legs; it is kept if every pair of z lands in the class.  The
-    first (top, bottom) candidate pair in row-major order on which both feet
-    agree gives z's up and down homs; if there is none, StrictnessViolation
-    is raised."""
+    span maps' legs; every pair of z lands in the class, because the span
+    maps' legs agree on the shared foot.  The first (top, bottom) candidate
+    pair in row-major order on which both feet agree gives z's up and down
+    homs; if there is none, StrictnessViolation is raised."""
     if y.top.target != yp.top.source:
         raise SpanMismatch("span targets/sources do not chain")
     tau = y.up.then(y.top.right)       # Y -> A2, equal to down.then(bottom.right)
@@ -499,11 +499,10 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
 
 
 def _witness_tables(cat: CommaCategory, a: int, b: int, m: int, u, v):
-    """The class id of m over (a, b) in ``cat`` and, one row per admissible
-    witness of m, the positions in the class's pairs of (h0^-1 u h0,
-    k0^-1 v k0).  The witnesses are the recorded one times each pair of the
-    class, in pair order; a row is kept only if every carried pair lies in
-    the class."""
+    """The class id of m over (a, b) in ``cat`` and, one row per witness of
+    m, the positions in the class's pairs of (h0^-1 u h0, k0^-1 v k0).  The
+    witnesses are the recorded one times each pair of the class, in pair
+    order."""
     coset_class, witness, _ = cat.pair_data[(a, b)]
     cid = int(coset_class[m])
     auta = cat.proj_left.target.aut(a)
@@ -516,10 +515,8 @@ def _witness_tables(cat: CommaCategory, a: int, b: int, m: int, u, v):
     kk = autb.mult[autb.mult[autb.inv[k0][:, None], v], k0[:, None]]
     # the class's pair codes ascend, because its pairs are lex-sorted
     codes = ph * autb.order + pk
-    want = hh * autb.order + kk
-    pos = np.searchsorted(codes, want)
-    found = codes[np.minimum(pos, len(codes) - 1)] == want
-    return cid, pos[found.all(axis=1)]
+    # every row lands in the class, since tau = y.up;y.top.right = y.down;y.bottom.right
+    return cid, np.searchsorted(codes, hh * autb.order + kk)
 
 
 def iso_class_data(x: Span):

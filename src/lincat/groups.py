@@ -3,6 +3,18 @@
 Elements of a group of order n are the indices 0..n-1 and index 0 is the
 identity.  ``mult[a, b]`` is the product a*b, with the convention that for
 permutations acting on points, (p*q)(i) = p(q(i)) (apply q first).
+
+The group axioms are proved once, where a table enters the program:
+``FinGroup(mult)`` and ``validate_group`` (every document table,
+``cyclic_group``, ``trivial_group``) and the permutation closures of
+``group_from_permutations`` and ``symmetric_group`` check identity, inverses
+and associativity in full.  Tables derived from validated groups check only
+closure: ``subgroup_embedding``, ``direct_product`` and the fibred products of
+``groupoids.comma_category`` are subsets of a validated group (or of a product
+of two) that hold the identity, and a closed subset of a finite group is a
+subgroup, its associativity and inverses inherited.  Likewise a hom's law is
+checked by ``GroupHom(...)``, but not again for composites (``then``), for the
+projections of a fibred product, or for the homs ``all_homs`` has just tested.
 """
 
 from __future__ import annotations
@@ -68,7 +80,20 @@ class FinGroup:
             ) from None
         except OverflowError:
             raise AxiomViolation("identity", (-1,), "entry out of range") from None
-        self.mult = table = _check_table(table)
+        self._set_table(_check_table(table), name)
+
+    @classmethod
+    def _subgroup_table(cls, table, name=None) -> "FinGroup":
+        """A group on ``table`` without the axiom proof: only for tables of a
+        subset of an already validated group (or of a product of them) that
+        contains the identity at index 0 and is closed under the product, so
+        associativity and inverses are inherited."""
+        g = cls.__new__(cls)
+        g._set_table(np.ascontiguousarray(table, dtype=np.int64), name)
+        return g
+
+    def _set_table(self, table, name):
+        self.mult = table
         self.order = int(table.shape[0])
         self.name = name if name is not None else f"G{self.order}"
         # each row is a permutation, so its one 0 is its smallest entry
@@ -154,6 +179,15 @@ class GroupHom:
             raise GroupMismatch(f"not a homomorphism at pair ({a}, {b})")
         self.map = m
 
+    @classmethod
+    def _derived(cls, source, target, m) -> "GroupHom":
+        """A hom without the law check, for a table ``m`` whose law holds by
+        construction: a composite of homs, a projection of a fibred product,
+        or a table whose law the caller has just checked."""
+        h = cls.__new__(cls)
+        h.source, h.target, h.map = source, target, np.asarray(m, dtype=np.int64)
+        return h
+
     def __call__(self, a):
         return int(self.map[a])
 
@@ -161,7 +195,7 @@ class GroupHom:
         """Composite ``other . self`` (apply self first)."""
         if self.target != other.source:
             raise GroupMismatch("homs are not composable")
-        return GroupHom(self.source, other.target, other.map[self.map])
+        return GroupHom._derived(self.source, other.target, other.map[self.map])
 
     def kernel(self):
         return [int(a) for a in np.nonzero(self.map == 0)[0]]
@@ -193,8 +227,8 @@ def trivial_hom(source: FinGroup, target: FinGroup) -> GroupHom:
 # constructions
 
 
-def _table_group(codes, products, name=None) -> FinGroup:
-    """The group on the elements with increasing integer ``codes`` (identity
+def _closed_table(codes, products):
+    """The table on the elements with increasing integer ``codes`` (identity
     first), where ``products[i, j]`` is the code of element i times element j.
     The table holds the positions of the products; raises AxiomViolation if
     the codes are not closed under the product."""
@@ -207,7 +241,14 @@ def _table_group(codes, products, name=None) -> FinGroup:
         raise AxiomViolation(
             "inverse", (int(codes[i]), int(codes[j])), "element set is not closed"
         )
-    return FinGroup(table, name=name)
+    return table
+
+
+def _table_group(codes, products, name=None) -> FinGroup:
+    """The subgroup on ``codes`` of an already validated group (or product of
+    groups) whose product gives ``products``: only closure is checked, since a
+    closed subset holding the identity inherits the other axioms."""
+    return FinGroup._subgroup_table(_closed_table(codes, products), name=name)
 
 
 def _permutation_group(perms, name=None) -> FinGroup:
@@ -219,7 +260,8 @@ def _permutation_group(perms, name=None) -> FinGroup:
     for i in range(n):
         # arr[i][arr[j]] is perms[i] * perms[j]: apply perms[j] first
         products[i] = [index.get(r, -1) for r in map(tuple, arr[i, arr].tolist())]
-    return _table_group(np.arange(n), products, name=name)
+    # permutation closures get the full axiom proof, like any outside table
+    return FinGroup(_closed_table(np.arange(n), products), name=name)
 
 
 def _compose_perms(p, q):
@@ -360,5 +402,5 @@ def all_homs(source: FinGroup, target: FinGroup):
         lhs = m[source.mult]
         rhs = target.mult[np.ix_(m, m)]
         if np.array_equal(lhs, rhs):
-            homs.append(GroupHom(source, target, m))
+            homs.append(GroupHom._derived(source, target, m))
     return homs

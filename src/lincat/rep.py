@@ -331,6 +331,12 @@ class InducedRep(RepModel):
 def _invariant_basis(v: RepModel, kernel):
     if v.dim == 0:
         return np.zeros((0, 0), dtype=complex)
+    eye = np.eye(v.dim, dtype=complex)
+    # a trivial kernel fixes every vector, and the SVD of an exact identity is
+    # the identity; a model whose identity matrix is off by rounding keeps the
+    # SVD, which may rotate the basis inside the degenerate space
+    if len(kernel) == 1 and np.array_equal(v.matrices[0], eye):
+        return eye
     p = np.zeros((v.dim, v.dim), dtype=complex)
     for k in kernel:
         p += v.matrices[k]

@@ -147,7 +147,7 @@ def test_unresolved_reference():
 
 
 def test_schema_error_reports_path():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         parse_obj(
             {
                 "format_version": "1",
@@ -156,6 +156,24 @@ def test_schema_error_reports_path():
                 "payload": "x",
             }
         )
+    assert err.value.path == ["definitions", "groups", 0]
+
+
+def test_non_associative_document_table_is_rejected():
+    # a Latin square with identity 0 (an order-5 loop): only the
+    # associativity proof can reject it
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3]]
+    with pytest.raises(AxiomViolation) as err:
+        parse_obj(
+            {
+                "format_version": "1",
+                "kind": "group",
+                "definitions": {"groups": [{"name": "L5", "mult": loop}]},
+                "payload": "L5",
+            }
+        )
+    assert (err.value.kind, err.value.witness) == ("associativity", (1, 1, 2))
 
 
 def test_unknown_kind():

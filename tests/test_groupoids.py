@@ -33,6 +33,8 @@ from lincat.groupoids import (
     weak_pullback,
 )
 from lincat.groups import (
+    GroupHom,
+    _check_table,
     all_homs,
     cyclic_group,
     direct_product,
@@ -497,6 +499,51 @@ def test_comma_categories_of_verification_match_loop_oracle(monkeypatch):
             assert_matches_oracle(out, f, g, admissible)
 
 
+def _assert_hom_law(h):
+    m = h.map
+    assert m.dtype == np.int64 and m.shape == (h.source.order,)
+    assert np.array_equal(m[h.source.mult], h.target.mult[m[:, None], m])
+
+
+def test_derived_tables_and_homs_pass_the_full_proofs(monkeypatch):
+    # fibred products check only closure, and their projections and every
+    # GroupHom.then composite skip the hom law; here each one gets the full
+    # proof that the hot path leaves out
+    import lincat.groupoids
+    from lincat.linearization import verify_functoriality
+    from lincat.suites import default_suite, random_suite
+
+    cats, composites = [], []
+    real_comma, real_then = lincat.groupoids.comma_category, GroupHom.then
+
+    def recorded_comma(f, g, admissible=None):
+        cats.append(real_comma(f, g, admissible=admissible))
+        return cats[-1]
+
+    def recorded_then(self, other):
+        composites.append(real_then(self, other))
+        return composites[-1]
+
+    monkeypatch.setattr(lincat.groupoids, "comma_category", recorded_comma)
+    monkeypatch.setattr(GroupHom, "then", recorded_then)
+    for suite in (default_suite(), random_suite(5, n_spans=4, n_maps=3),
+                  random_suite(23, n_spans=4, n_maps=3)):
+        verify_functoriality(suite)
+    classes = 0
+    for cat in cats:
+        for cls in cat.classes:
+            fib = cls.fib
+            _check_table(fib.mult)
+            assert fib.mult.dtype == fib.inv.dtype == np.int64
+            assert (fib.mult[np.arange(fib.order), fib.inv] == 0).all()
+            classes += 1
+        for h in cat.proj_left.hom_maps + cat.proj_right.hom_maps:
+            _assert_hom_law(h)
+    for h in composites:
+        _assert_hom_law(h)
+    assert len(cats) > 300 and classes > 1000 and len(composites) > 3000
+
+
 # --- horizontal composites against the loop witness search ------------------
 
 
@@ -583,6 +630,49 @@ def test_horizontal_legs_match_loop_reference():
                 assert [h.map.tolist() for h in leg.hom_maps] == tables
             checked += 1
     assert checked == 78
+
+
+def test_witness_rows_all_land_in_the_class(monkeypatch):
+    # _witness_tables keeps every candidate row without a membership test:
+    # each witness of m carries z's pairs into m's class, because
+    # tau = y.up;y.top.right = y.down;y.bottom.right.  Recompute the test.
+    import lincat.groupoids
+    from lincat.suites import default_suite, random_suite
+
+    real = lincat.groupoids._witness_tables
+    rows = []
+
+    def checked(cat, a, b, m, u, v):
+        cid, pos = real(cat, a, b, m, u, v)
+        coset_class, witness, _ = cat.pair_data[(a, b)]
+        auta = cat.proj_left.target.aut(a)
+        autb = cat.proj_right.target.aut(b)
+        pairs = _class_pairs(cat, cid)
+        index = {p: i for i, p in enumerate(pairs)}
+        wh, wk = witness[m]
+        want = []
+        for dh, dk in pairs:
+            h0, k0 = auta.mult[wh, dh], autb.mult[wk, dk]
+            carried = zip(auta.mult[auta.mult[auta.inv[h0], u], h0].tolist(),
+                          autb.mult[autb.mult[autb.inv[k0], v], k0].tolist())
+            want.append([index.get(p, -1) for p in carried])
+        assert int(coset_class[m]) == cid
+        assert pos.tolist() == want
+        rows.append(len(want))
+        return cid, pos
+
+    monkeypatch.setattr(lincat.groupoids, "_witness_tables", checked)
+    suites = [default_suite(), random_suite(1), random_suite(2),
+              random_suite(5, n_spans=4, n_maps=3)]
+    suites += [random_suite(seed) for seed in range(50)]
+    for suite in suites:
+        for y, yp in itertools.product(suite.spanmaps, repeat=2):
+            if y.top.target == yp.top.source:
+                try:
+                    horizontal_compose_spanmaps(y, yp)
+                except StrictnessViolation:
+                    pass
+    assert len(rows) > 10000 and sum(rows) > 20000
 
 
 def test_horizontal_strictness_violation_matches_loop_reference():

@@ -6,6 +6,7 @@ import pytest
 import lincat.groups
 from lincat.errors import AxiomViolation, GroupMismatch, InputTooLarge
 from lincat.groups import (
+    FinGroup,
     GroupHom,
     all_homs,
     conjugacy_classes,
@@ -238,8 +239,68 @@ def test_subgroup_embedding_is_hom(s3):
 
 
 def test_subgroup_embedding_rejects_non_closed(s3):
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(AxiomViolation, match="element set is not closed"):
         subgroup_embedding(s3, [0, 1, 2])
+
+
+# a Latin square with identity 0 (an order-5 loop) that is not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+         [4, 2, 0, 1, 3]]
+
+
+def test_non_associative_table_is_rejected():
+    t = np.array(LOOP5)
+    idx = np.arange(5)
+    # only the associativity proof can reject it
+    assert (np.sort(t, axis=0) == idx[:, None]).all()
+    assert (np.sort(t, axis=1) == idx).all()
+    assert (t[0] == idx).all() and (t[:, 0] == idx).all()
+    for build in (FinGroup, validate_group):
+        with pytest.raises(AxiomViolation) as err:
+            build(LOOP5)
+        assert (err.value.kind, err.value.witness) == ("associativity", (1, 1, 2))
+
+
+def _subgroups(g):
+    """Every subgroup of g generated by two elements, by closure."""
+    found = set()
+    for a, b in itertools.product(range(g.order), repeat=2):
+        elems, frontier = {0}, [0]
+        while frontier:
+            frontier = [c for c in {g.mul(x, y) for x in frontier for y in (a, b)}
+                        if c not in elems]
+            elems.update(frontier)
+        found.add(tuple(sorted(elems)))
+    return sorted(found)
+
+
+def test_closure_only_groups_match_the_full_proof(s3, s4, z2, z3, v4):
+    # the subgroups of S4 (all two-generated: 30 of them) and some products
+    derived = [subgroup_embedding(s4, elems)[0] for elems in _subgroups(s4)]
+    assert len(derived) == 30
+    derived += [direct_product(s3, z2), direct_product(z3, v4), direct_product(s4, s3)]
+    for g in derived:
+        checked = FinGroup(g.mult, name=g.name)
+        assert g == checked and hash(g) == hash(checked)
+        assert g.fingerprint == checked.fingerprint
+        for attr in ("mult", "inv"):
+            got, want = getattr(g, attr), getattr(checked, attr)
+            assert got.dtype == want.dtype == np.int64
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+        assert g.order == checked.order and g.name == checked.name
+
+
+def test_unchecked_homs_satisfy_the_law(z2, z4, s3, s4):
+    # all_homs and then skip GroupHom's law check; the checked constructor
+    # must accept every one of them and give an equal hom
+    derived = all_homs(s3, s3) + all_homs(z4, s4)
+    derived += [f.then(g) for f in all_homs(z4, s3) for g in all_homs(s3, z2)]
+    derived += [f.then(g) for f in all_homs(z2, s4) for g in all_homs(s4, s3)]
+    assert len(derived) == 10 + 16 + 4 * 2 + 10 * 10
+    for f in derived:
+        assert f.map.dtype == np.int64
+        assert GroupHom(f.source, f.target, f.map.copy()) == f
 
 
 def test_hom_validation_rejects_non_hom(z4, z2):

@@ -17,6 +17,7 @@ from lincat.groupoids import compose_spans
 from lincat.groups import all_homs, cyclic_group, direct_product, symmetric_group, trivial_group
 from lincat.linearization import _gamma_pair_witness
 from lincat.rep import (
+    RepModel,
     _counit_kernel,
     _cosets,
     _invariant_basis,
@@ -197,6 +198,42 @@ def test_induce_rep_matches_loop_bit_for_bit():
         assert list(ind.coset_reps) == reps
         assert np.array_equal(ind.coset_index, coset_index)
         assert np.array_equal(ind.invariant_basis, c)
+
+
+def ref_invariant_basis(v, kernel):
+    """The SVD route for every kernel: left singular vectors of the average
+    of v over the kernel, with singular value above 1/2."""
+    p = sum(v.matrices[k] for k in kernel) / len(kernel)
+    u, s, _ = np.linalg.svd(p)
+    return u[:, : int(np.sum(s > 0.5))]
+
+
+def test_trivial_kernel_shortcut_matches_the_svd_bit_for_bit(monkeypatch):
+    import lincat.rep
+    from lincat.linearization import verify_functoriality
+
+    real = lincat.rep._invariant_basis
+    dims, exact = set(), 0
+
+    def checked(v, kernel):
+        nonlocal exact
+        c = real(v, kernel)
+        if len(kernel) == 1 and v.dim:
+            want = ref_invariant_basis(v, kernel)
+            assert c.dtype == want.dtype and c.tobytes() == want.tobytes()
+            dims.add(v.dim)
+            exact += np.array_equal(v.matrices[0], np.eye(v.dim))
+        return c
+
+    monkeypatch.setattr(lincat.rep, "_invariant_basis", checked)
+    for suite in (default_suite(), random_suite(1), random_suite(2),
+                  random_suite(5, n_spans=4, n_maps=3)):
+        verify_functoriality(suite)
+    assert dims == {1, 2, 3, 4, 6, 12} and exact > 400
+    # the shortcut's input at every dim reached: an exact identity
+    for n in dims:
+        v = RepModel(trivial_group(), np.eye(n, dtype=complex)[None])
+        assert real(v, [0]).tobytes() == ref_invariant_basis(v, [0]).tobytes()
 
 
 def test_lift_is_the_minimal_coset_decomposition():
