@@ -63,6 +63,8 @@ class Groupoid:
         return len(self.objects)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (
             isinstance(other, Groupoid)
             and self.names == other.names
@@ -128,6 +130,18 @@ class GroupoidFunctor:
         self.hom_maps = hom_maps
 
     @classmethod
+    def _derived(cls, source, target, object_map, hom_maps) -> "GroupoidFunctor":
+        """A functor without the checks, for data that is right by
+        construction: a composite of functors, a projection of a comma
+        category, or a leg of a horizontal composite, whose homs run between
+        the right groups because they were built on them."""
+        f = cls.__new__(cls)
+        f.source, f.target = source, target
+        f.object_map = np.asarray(object_map, dtype=np.int64)
+        f.hom_maps = list(hom_maps)
+        return f
+
+    @classmethod
     def identity(cls, a: Groupoid) -> "GroupoidFunctor":
         return cls(a, a, np.arange(len(a)), [identity_hom(g) for _, g in a.objects])
 
@@ -156,7 +170,7 @@ class GroupoidFunctor:
         homs = [
             self.hom_maps[i].then(other.hom_maps[self(i)]) for i in range(len(self.source))
         ]
-        return GroupoidFunctor(self.source, other.target, omap, homs)
+        return GroupoidFunctor._derived(self.source, other.target, omap, homs)
 
     def __eq__(self, other):
         return (
@@ -392,8 +406,8 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
     apex = Groupoid(list(zip(names, groups)))
     left_omap = [cls.a_idx for cls in classes]
     right_omap = [cls.b_idx for cls in classes]
-    proj_left = GroupoidFunctor(apex, f.source, left_omap, left_homs)
-    proj_right = GroupoidFunctor(apex, g.source, right_omap, right_homs)
+    proj_left = GroupoidFunctor._derived(apex, f.source, left_omap, left_homs)
+    proj_right = GroupoidFunctor._derived(apex, g.source, right_omap, right_homs)
     return CommaCategory(apex, proj_left, proj_right, classes, pair_data)
 
 
@@ -493,8 +507,8 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
         up_homs.append(GroupHom(cls.fib, top.comma.classes[tcid].fib, t_tabs[ti]))
         down_omap.append(bcid)
         down_homs.append(GroupHom(cls.fib, bot.comma.classes[bcid].fib, b_tabs[bi]))
-    up = GroupoidFunctor(z, top.apex, up_omap, up_homs)
-    down = GroupoidFunctor(z, bot.apex, down_omap, down_homs)
+    up = GroupoidFunctor._derived(z, top.apex, up_omap, up_homs)
+    down = GroupoidFunctor._derived(z, bot.apex, down_omap, down_homs)
     return SpanMap(top, bot, z, up, down)
 
 

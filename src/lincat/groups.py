@@ -99,6 +99,8 @@ class FinGroup:
         # each row is a permutation, so its one 0 is its smallest entry
         self.inv = np.argmin(table, axis=1)
         self.fingerprint = table.tobytes()
+        # set by direct_product only; outside fingerprint, __eq__ and __hash__
+        self.factors = None
 
     @cached_property
     def classes(self):
@@ -121,6 +123,8 @@ class FinGroup:
         return self.order
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return isinstance(other, FinGroup) and self.fingerprint == other.fingerprint
 
     def __hash__(self):
@@ -285,10 +289,16 @@ def symmetric_group(n: int) -> FinGroup:
 
 
 def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
-    """Product group; element (a, b) has index a*h.order + b."""
+    """Product group; element (a, b) has index a*h.order + b.
+
+    The product records ``factors = (g, h)``, from which ``rep.irreps`` builds
+    its irreps.  The factors sit outside ``fingerprint``, ``__eq__`` and
+    ``__hash__``: the product equals any group with the same table."""
     products = g.mult[:, None, :, None] * h.order + h.mult[None, :, None, :]
     n = g.order * h.order
-    return _table_group(np.arange(n), products.reshape(n, n), name=f"{g.name}x{h.name}")
+    p = _table_group(np.arange(n), products.reshape(n, n), name=f"{g.name}x{h.name}")
+    p.factors = (g, h)
+    return p
 
 
 def group_from_permutations(generators, n_points, name=None):

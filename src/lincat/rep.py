@@ -2,11 +2,13 @@
 
 Everything here works in double-precision complex arithmetic.  Irreducible
 representations are found by splitting C[G] with seeded random equivariant
-operators, so all bases are reproducible for a fixed seed.  The splitting
-never forms the regular representation as matrices: element a sends e_j to
-e_{aj}, so it acts on a basis of a subspace (its columns) by a row
-permutation, and every compression, character and averaged operator is
-computed from permuted rows of that basis, one element at a time.
+operators, so all bases are reproducible for a fixed seed; a product recorded
+by ``direct_product`` takes Kronecker products of its factors' irreps
+instead.  The splitting never forms the regular representation as matrices:
+element a sends e_j to e_{aj}, so it acts on a basis of a subspace (its
+columns) by a row permutation.  Characters and the final irrep matrices are
+read from permuted rows of that basis, one element at a time; the averaged
+operator that splits a subspace is one convolution over the table.
 
 Induction along an arbitrary homomorphism f : G -> H is realized on the
 concrete space
@@ -168,7 +170,7 @@ def _left_action(g: FinGroup, a):
 def _subrep(g: FinGroup, basis):
     """The regular representation compressed to the orthonormal columns of
     ``basis``: basis^H @ basis[mult[inv[a]]], yielded element by element so
-    that a caller summing over the group never holds all |G| matrices."""
+    that a caller never holds all |G| permuted copies of the basis."""
     bh = basis.conj().T
     for a in range(g.order):
         yield bh @ basis[_left_action(g, a)]
@@ -180,18 +182,25 @@ def _char_of(g: FinGroup, basis):
     return np.array([np.vdot(basis, basis[_left_action(g, c[0])]) for c in g.classes])
 
 
+def _averaged(g: FinGroup, basis, h):
+    """(1/|G|) sum_a S(a) h S(a)^H with S(a) = B^H reg(a) B the compression to
+    the columns B of ``basis``, in closed form.
+
+    The sum is B^H T B with T the twirl of M = B h B^H, and since reg(a) sends
+    e_j to e_{aj}, T[x, y] = (1/|G|) sum_a M[a^-1 x, a^-1 y] = f[x^-1 y] is a
+    convolution: f[c] = (1/|G|) sum_u M[u, u c], one gather over the table."""
+    m = basis @ h @ basis.conj().T
+    f = m[np.arange(g.order)[:, None], g.mult].mean(axis=0)
+    t = f[g.mult[g.inv]]
+    return basis.conj().T @ t @ basis
+
+
 def _split(g: FinGroup, basis, rng):
-    """Split an invariant subspace with a random averaged Hermitian operator,
-    (1/|G|) sum_a S(a) h S(a)^H with S(a) the compression of reg(a), summed
-    element by element."""
+    """Split an invariant subspace along the eigenspaces of a random averaged
+    Hermitian operator (``_averaged``), which commutes with the action."""
     k = basis.shape[1]
     a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    h = a + a.conj().T
-    avg = np.zeros((k, k), dtype=complex)
-    for sub in _subrep(g, basis):
-        avg += sub @ h @ sub.conj().T
-    avg /= g.order
-    evals, vecs = np.linalg.eigh(avg)
+    evals, vecs = np.linalg.eigh(_averaged(g, basis, a + a.conj().T))
     pieces = []
     start = 0
     for i in range(1, k + 1):
@@ -203,14 +212,73 @@ def _split(g: FinGroup, basis, rng):
     return pieces
 
 
+def _char_key(chi):
+    """Rounded character values: the sort and deduplication key of an irrep."""
+    return tuple((round(v.real, 8), round(v.imag, 8)) for v in chi)
+
+
+def _irreps_by_splitting(g: FinGroup, seed):
+    """(character key, irrep) pairs, one per character, from splitting C[G]."""
+    rng = np.random.default_rng(seed)
+    queue = [np.eye(g.order, dtype=complex)]
+    found = {}
+    while queue:
+        basis = queue.pop(0)
+        chi = _char_of(g, basis)
+        norm = np.sum(g.class_sizes * chi * np.conj(chi)).real / g.order
+        if abs(norm - round(norm)) > INT_TOL:
+            raise NumericalFailure(f"character norm {norm} is not integral")
+        if round(norm) == 1:
+            found.setdefault(_char_key(chi), (basis, chi))
+            continue
+        for attempt in range(40):
+            pieces = _split(g, basis, rng)
+            if len(pieces) > 1:
+                queue.extend(pieces)
+                break
+        else:
+            raise NumericalFailure("failed to split a reducible invariant subspace")
+    return [(key, Irrep(g, list(_subrep(g, basis)), Character(g, chi)))
+            for key, (basis, chi) in found.items()]
+
+
+def _irreps_of_product(g: FinGroup, seed, tol):
+    """(character key, irrep) pairs of a recorded product G x H: (a, b) acts
+    by kron(U(a), V(b)) for every pair of factor irreps U, V."""
+    left, right = g.factors
+    reps = [c[0] for c in g.classes]
+    out = []
+    for u in irreps(left, seed=seed, tol=tol):
+        for v in irreps(right, seed=seed, tol=tol):
+            d = u.dim * v.dim
+            mats = np.einsum("aij,bkl->abikjl", u.matrices, v.matrices)
+            mats = mats.reshape(g.order, d, d)
+            chi = np.trace(mats[reps], axis1=1, axis2=2)
+            out.append((_char_key(chi), Irrep(g, mats, Character(g, chi))))
+    return out
+
+
+def _structure_key(g: FinGroup):
+    """The table of g, with its factors' keys if g is a recorded product."""
+    if g.factors is None:
+        return g.fingerprint
+    return (g.fingerprint,) + tuple(_structure_key(f) for f in g.factors)
+
+
 def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     """All irreducible unitary representations of g, in a deterministic order:
     ascending dimension, then lexicographically by character value tuple over
     the conjugacy classes (real parts compared before imaginary parts).
-    Results are cached per (table, seed).  On a miss, raises InputTooLarge
-    before allocating when the |G| x |G| basis of C[G] would take more than
-    MAX_DENSE_BYTES."""
-    key = (g.fingerprint, seed)
+
+    A product recorded by ``direct_product`` takes its irreps from its
+    factors' (recursively, for nested products): kron(U(a), V(b)) for every
+    pair of factor irreps.  Any other group splits C[G].  Results are cached
+    per (table, seed), and a recorded product's key also holds its factors'
+    keys, so a product and an equal table built another way keep separate
+    entries and bases.  On a miss, raises InputTooLarge before allocating
+    when |G|^2 complex numbers (the basis of C[G], or all the product's
+    matrices) would take more than MAX_DENSE_BYTES."""
+    key = (_structure_key(g), seed)
     with _IRREP_LOCK:
         cached = _IRREP_CACHE.get(key)
     if cached is not None:
@@ -221,44 +289,20 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
             f"irreducible representations of a group of order {g.order} need "
             f"{nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
         )
-    rng = np.random.default_rng(seed)
-    queue = [np.eye(g.order, dtype=complex)]
-    simple = []
-    while queue:
-        basis = queue.pop(0)
-        chi = _char_of(g, basis)
-        norm = np.sum(g.class_sizes * chi * np.conj(chi)).real / g.order
-        if abs(norm - round(norm)) > INT_TOL:
-            raise NumericalFailure(f"character norm {norm} is not integral")
-        if round(norm) == 1:
-            simple.append((basis, chi))
-            continue
-        for attempt in range(40):
-            pieces = _split(g, basis, rng)
-            if len(pieces) > 1:
-                queue.extend(pieces)
-                break
-        else:
-            raise NumericalFailure("failed to split a reducible invariant subspace")
-    # one representative per character
-    found = {}
-    for basis, chi in simple:
-        chikey = tuple((round(v.real, 8), round(v.imag, 8)) for v in chi)
-        if chikey not in found:
-            found[chikey] = Irrep(g, list(_subrep(g, basis)), Character(g, chi))
-    result = sorted(
-        found.values(),
-        key=lambda r: (r.dim, tuple((round(v.real, 8), round(v.imag, 8)) for v in r.character.values)),
-    )
+    if g.factors is None:
+        keyed = _irreps_by_splitting(g, seed)
+    else:
+        keyed = _irreps_of_product(g, seed, tol)
+    result = [r for _, r in sorted(keyed, key=lambda kr: (kr[1].dim, kr[0]))]
     if sum(r.dim**2 for r in result) != g.order:
         raise NumericalFailure(
             f"irrep dimensions {[r.dim for r in result]} do not satisfy sum d^2 = |G|"
         )
-    for i, r in enumerate(result):
-        for j, s in enumerate(result):
-            want = 1.0 if i == j else 0.0
-            if abs(character_inner(r.character, s.character) - want) > tol:
-                raise NumericalFailure("computed characters are not orthonormal")
+    # Gram matrix of the characters: (1/|G|) sum_C |C| chi_i(C) conj(chi_j(C))
+    chars = np.array([r.character.values for r in result])
+    gram = (chars * g.class_sizes) @ chars.conj().T / g.order
+    if np.max(np.abs(gram - np.eye(len(result)))) > tol:
+        raise NumericalFailure("computed characters are not orthonormal")
     with _IRREP_LOCK:
         _IRREP_CACHE[key] = result
     return result

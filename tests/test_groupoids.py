@@ -544,6 +544,29 @@ def test_derived_tables_and_homs_pass_the_full_proofs(monkeypatch):
     assert len(cats) > 300 and classes > 1000 and len(composites) > 3000
 
 
+def test_derived_functors_pass_the_checked_constructor(monkeypatch):
+    # composites, comma projections and horizontal legs skip the functor
+    # checks; here each one is rebuilt through GroupoidFunctor(...)
+    from lincat.linearization import verify_functoriality
+    from lincat.suites import default_suite, random_suite
+
+    derived = []
+    real = GroupoidFunctor._derived.__func__
+
+    def recorded(cls, *args):
+        derived.append(real(cls, *args))
+        return derived[-1]
+
+    monkeypatch.setattr(GroupoidFunctor, "_derived", classmethod(recorded))
+    for suite in (default_suite(), random_suite(1),
+                  random_suite(5, n_spans=4, n_maps=3)):
+        verify_functoriality(suite)
+    for f in derived:
+        g = GroupoidFunctor(f.source, f.target, f.object_map, f.hom_maps)
+        assert g == f and f.object_map.dtype == np.int64
+    assert len(derived) > 1000
+
+
 # --- horizontal composites against the loop witness search ------------------
 
 

@@ -231,6 +231,15 @@ def test_direct_product_orders(z2, z3, s3):
         assert g.mult[a * m + b, c * m + d] == s3.mult[a, c] * m + z2.mult[b, d]
 
 
+def test_direct_product_records_factors_outside_equality(z2, s3):
+    g = direct_product(s3, z2)
+    assert g.factors[0] is s3 and g.factors[1] is z2
+    plain = FinGroup(g.mult)
+    assert plain.factors is None and s3.factors is None
+    assert g == plain and plain == g and hash(g) == hash(plain)
+    assert g == g and g != s3
+
+
 def test_subgroup_embedding_is_hom(s3):
     sub, incl = subgroup_embedding(s3, [0, 2])
     assert sub.order == 2

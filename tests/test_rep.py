@@ -11,6 +11,7 @@ from lincat.errors import (
     RankMismatch,
 )
 from lincat.groups import (
+    FinGroup,
     GroupHom,
     conjugacy_classes,
     cyclic_group,
@@ -103,6 +104,8 @@ def test_irreps_s3(s3):
         lambda: symmetric_group(4),
         lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
         lambda: symmetric_group(5),
+        lambda: direct_product(symmetric_group(3), symmetric_group(3)),
+        lambda: direct_product(symmetric_group(4), cyclic_group(2)),
     ],
 )
 def test_irreps_complete_orthonormal_unitary(maker):
@@ -171,6 +174,39 @@ def test_permutation_kernel_matches_dense_regular_rep(s4):
     assert np.max(np.abs(np.array(list(lincat.rep._subrep(s4, basis))) - dense)) < 1e-12
     chi = [np.trace(dense[c[0]]) for c in s4.classes]
     assert np.max(np.abs(lincat.rep._char_of(s4, basis) - chi)) < 1e-12
+
+
+def _element_sum_average(g, basis, h):
+    # reference: (1/|G|) sum_a S(a) h S(a)^H, element by element, with S(a)
+    # the compression of the dense regular representation
+    total = np.zeros_like(h)
+    for mat in regular_rep(g).matrices:
+        s = basis.conj().T @ mat @ basis
+        total += s @ h @ s.conj().T
+    return total / g.order
+
+
+def test_closed_form_average_matches_element_sum(s4):
+    rng = np.random.default_rng(1)
+    a5 = group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5)
+    # an isotypic block of C[S4]: the range of the projector
+    # (d/|G|) sum_a conj(chi(a)) reg(a) of a 3-dimensional irrep, in a random
+    # orthonormal basis
+    w = irreps(s4)[3]
+    chi = np.trace(w.matrices, axis1=1, axis2=2)
+    proj = np.einsum("a,anm->nm", chi.conj(), regular_rep(s4).matrices)
+    u, sv, _ = np.linalg.svd(proj * w.dim / s4.order)
+    assert int(np.sum(sv > 0.5)) == w.dim**2
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    block = u[:, : w.dim**2] @ q
+    cases = [(s4, np.eye(s4.order, dtype=complex)), (s4, block),
+             (a5, np.eye(a5.order, dtype=complex))]
+    for g, basis in cases:
+        k = basis.shape[1]
+        a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        h = a + a.conj().T
+        got = lincat.rep._averaged(g, basis, h)
+        assert np.max(np.abs(got - _element_sum_average(g, basis, h))) < 1e-12
 
 
 def test_irreps_never_builds_the_regular_representation(s4, monkeypatch,
@@ -652,3 +688,73 @@ def test_irrep_cache_concurrent_reads(s4):
     assert not errors
     dims = {tuple(r.dim for r in rs) for rs in results}
     assert len(dims) == 1
+
+
+# --- irreps of recorded products --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: direct_product(symmetric_group(3), symmetric_group(3)),
+        lambda: direct_product(symmetric_group(4), cyclic_group(2)),
+        lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+        lambda: direct_product(direct_product(symmetric_group(3), cyclic_group(2)),
+                               cyclic_group(3)),
+    ],
+    ids=["S3xS3", "S4xZ2", "Z2xZ2", "(S3xZ2)xZ3"],
+)
+def test_product_irreps_match_the_split_table(maker):
+    # oracle: the same table without recorded factors splits C[G]
+    p = maker()
+    assert p.factors is not None
+    plain = FinGroup(p.mult)
+    assert plain.factors is None
+    got, want = irreps(p), irreps(plain)
+    assert [r.dim for r in got] == [r.dim for r in want]
+    for r, s in zip(got, want):
+        assert np.max(np.abs(r.character.values - s.character.values)) < 1e-12
+        r.check()
+        m = r.matrices
+        assert np.max(np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(r.dim))) < TOL
+
+
+def test_product_and_equal_table_keep_separate_cache_entries(s3, clear_irrep_cache):
+    p = direct_product(s3, s3)
+    plain = FinGroup(p.mult)
+    assert p == plain and p.fingerprint == plain.fingerprint
+    a, b = irreps(p), irreps(plain)
+    assert a is not b
+    assert irreps(p) is a and irreps(plain) is b
+    # the entries: S3, the product and the plain table
+    assert len(lincat.rep._IRREP_CACHE) == 3
+    # a nested product's key holds its factors' keys all the way down
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    inner = direct_product(s3, z2)
+    q1 = direct_product(inner, z3)
+    q2 = direct_product(FinGroup(inner.mult), z3)
+    assert q1 == q2 and irreps(q1) is not irreps(q2)
+
+
+def test_s4_squared_irreps_come_from_the_factors(s4, monkeypatch, clear_irrep_cache):
+    irreps(s4)
+
+    def refuse(*args):
+        raise AssertionError("a recorded product must not split C[G]")
+
+    monkeypatch.setattr(lincat.rep, "_split", refuse)
+    rs = irreps(direct_product(s4, s4))
+    assert len(rs) == 25
+    assert sum(r.dim**2 for r in rs) == 576
+
+
+def test_product_irreps_size_guard(s3, z4, monkeypatch, clear_irrep_cache):
+    # the product route allocates |G|^2 complex numbers too, and is guarded
+    # before its factors' irreps are computed
+    p = direct_product(s3, z4)
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16 - 1)
+    with pytest.raises(InputTooLarge, match="order 24 need 9216 bytes"):
+        irreps(p)
+    assert not lincat.rep._IRREP_CACHE
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16)
+    assert sum(r.dim**2 for r in irreps(p)) == 24
