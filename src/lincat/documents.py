@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-import jsonschema
 import numpy as np
 
 from .errors import IndexOutOfRange, SchemaError, UnresolvedReference
@@ -146,7 +145,11 @@ def document_schema(kind):
 def _validator(kind):
     """The Draft 2020-12 validator of ``document_schema(kind)``, built once per
     kind.  The schemas are constants, so they are checked against the
-    metaschema by the test suite rather than on every parse."""
+    metaschema by the test suite rather than on every parse.  jsonschema is
+    imported here, on the first parse, so that importing lincat does not pay
+    for it."""
+    import jsonschema
+
     return jsonschema.Draft202012Validator(document_schema(kind))
 
 
@@ -263,8 +266,11 @@ def parse_obj(data) -> Document:
     kind = data.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown or missing document kind {kind!r}")
+    validator = _validator(kind)
+    from jsonschema.exceptions import best_match
+
     # the error jsonschema.validate would raise: the best match among all
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(data))
+    error = best_match(validator.iter_errors(data))
     if error is not None:
         raise SchemaError(error.message, path=list(error.absolute_path))
     resolver = _Resolver(data.get("definitions", {}))

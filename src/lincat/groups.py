@@ -33,6 +33,10 @@ MAX_HOM_CANDIDATES = 2**20
 MAX_DEGREE = 2**20
 # most elements that group_from_permutations lets a closure reach
 MAX_GROUP_ORDER = 500
+# largest dense array (bytes) that direct_product, and rep's regular_rep,
+# irreps and intertwiner_basis, may allocate: a regular representation of
+# order 256
+MAX_DENSE_BYTES = 2**28
 
 
 def _check_table(table):
@@ -111,6 +115,14 @@ class FinGroup:
     def class_sizes(self):
         """Number of elements in each conjugacy class."""
         return np.array([len(c) for c in self.classes])
+
+    @cached_property
+    def class_of(self):
+        """The index in ``classes`` of each element's conjugacy class."""
+        out = np.empty(self.order, dtype=np.int64)
+        for c, members in enumerate(self.classes):
+            out[members] = c
+        return out
 
     def mul(self, a, b):
         return int(self.mult[a, b])
@@ -293,9 +305,17 @@ def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
 
     The product records ``factors = (g, h)``, from which ``rep.irreps`` builds
     its irreps.  The factors sit outside ``fingerprint``, ``__eq__`` and
-    ``__hash__``: the product equals any group with the same table."""
-    products = g.mult[:, None, :, None] * h.order + h.mult[None, :, None, :]
+    ``__hash__``: the product equals any group with the same table.  Raises
+    InputTooLarge before allocating when the product's table of n^2 int64
+    entries would take more than MAX_DENSE_BYTES."""
     n = g.order * h.order
+    nbytes = n * n * 8
+    if nbytes > MAX_DENSE_BYTES:
+        raise InputTooLarge(
+            f"product table of a group of order {n} needs {nbytes} bytes, "
+            f"above the limit of {MAX_DENSE_BYTES}"
+        )
+    products = g.mult[:, None, :, None] * h.order + h.mult[None, :, None, :]
     p = _table_group(np.arange(n), products.reshape(n, n), name=f"{g.name}x{h.name}")
     p.factors = (g, h)
     return p

@@ -4,16 +4,27 @@ A groupoid A is sent to the 2-vector space with one basis label per pair
 (object of A, irreducible representation of its automorphism group).  A span
 A1 <- X -> A2 is sent to the matrix whose ((a2,W2),(a1,W1)) entry is the
 direct sum, over apex objects x lying above (a1, a2), of the space of
-Aut(x)-intertwiners between the two pullbacks of W1 and W2; the entry
-dimensions are computed by character arithmetic and cross-checked against the
-multiplicity of W2 in the induced representation.  An apex object's
+Aut(x)-intertwiners between the two pullbacks of W1 and W2.  An apex object's
 summands depend only on its leg homs s, t (whose targets fix the feet's
-groups, hence their irreps), so the matrix is built in one pass over apex
-objects that computes them once per key (s, t, seed, tol): the pullbacks
-s*W1, t*W2, the pushforwards t_*s*W1, the count with its cross-check and the
-intertwiner bases, indexed by irrep position within each foot.  Every apex
-object with that key is a witness sharing those models, which the dual path
-below reads.
+groups, hence their irreps), and ``lambda_span`` works in two layers:
+
+* **Characters, eagerly.**  The entry dims and their witnesses (every apex
+  object over the entry, in increasing order) are class-function arithmetic:
+  an apex object adds conj(B) diag(|c|/|Aut x|) A^T, with A and B the feet's
+  irreducible characters pulled back along s and t to the classes c of
+  Aut(x).  Each block is cross-checked against <Ind_t Res_s chi1, chi2> on
+  the right foot, with the induced character from the class map of t; both
+  routes must be integral and agree.  One block per key of leg homs by value
+  (tables, not hom objects) is computed.
+* **Models, on first access.**  ``details`` and ``map.hom_bases`` are built
+  together the first time either is read, once per key (s, t, seed, tol):
+  the pullbacks s*W1, t*W2, the pushforwards t_*s*W1 and the intertwiner
+  bases, with the projector's rank check, the induced-multiplicity
+  cross-check and a check of each entry's basis length against the
+  character dims.  Every apex object with that key is a witness sharing
+  those models, which the dual path below reads.  So the models' errors,
+  such as ``InputTooLarge`` from the intertwiner projector, arise on that
+  first access rather than in ``lambda_span``.
 
 A strict span of span maps is sent to a matrix of linear operators between
 those intertwiner spaces, evaluated in closed form as
@@ -28,14 +39,16 @@ tolerance; a span-map apex object's unit/counit piece depends only on its up
 and down homs and its witnesses' models, so apex objects that share them
 share one piece.
 
-Outside a run, each ``lambda_span`` call computes its leg entries afresh and
-each dual-path block its pieces.  ``verify_functoriality`` opens one run memo
-for the length of the call (in a context variable, so concurrent runs in
-other threads keep their own): every span it linearizes shares the leg
-entries of equal keys, and every span map the transfer pieces of equal keys.
-It also linearizes each input span and span map at most once, the first time
-a check needs it, and hands those results to the compositor, unitor,
-vertical and horizontal checks.
+Outside a run, each ``lambda_span`` call computes its dims blocks and, once
+read, its models afresh, and each dual-path block its pieces.
+``verify_functoriality`` opens one run memo for the length of the call (in a
+context variable, so concurrent runs in other threads keep their own): every
+span it linearizes shares the dims blocks and the models of equal keys, and
+every span map the transfer pieces of equal keys.  It also linearizes each
+input span and span map at most once, the first time a check needs it, and
+hands those results to the compositor, unitor, vertical and horizontal
+checks.  The compositor, associator and unitor checks read only dims, so
+only the vertical and horizontal checks build models.
 """
 
 from __future__ import annotations
@@ -51,6 +64,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IntertwinerProjectionFailure,
+    NonIntegralMultiplicity,
     NumericalFailure,
     SingularMap,
     SpanMismatch,
@@ -66,12 +80,15 @@ from .groupoids import (
     identity_span,
     vertical_compose_spanmaps,
 )
+from .groups import GroupHom
 from .rep import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    INT_TOL,
     InducedRep,
     RepModel,
     _counit_kernel,
+    _structure_key,
     _unit_kernel,
     flatten_induction,
     hom_dim,
@@ -131,13 +148,24 @@ class LambdaSpanResult:
     witnesses: dict
     source_object: LambdaObject
     target_object: LambdaObject
-    details: dict = field(repr=False, default=None)
+    # builds the per-entry witnesses' models once, on first call
+    _models: object = field(repr=False)
+
+    @property
+    def details(self):
+        """Per entry, the ``_EntryWitness`` of each of its apex objects, with
+        their models and intertwiner bases.  Built on the first access of
+        ``details`` or ``map.hom_bases``, which checks every entry's basis
+        length against ``map.dims``."""
+        self.map.hom_bases  # builds the models through their length check
+        return self._models()
 
 
 @dataclass
 class _RunMemo:
     """Work shared by every check of one ``verify_functoriality`` call."""
 
+    dims: dict = field(default_factory=dict)    # leg homs by value -> dims block
     legs: dict = field(default_factory=dict)    # (s, t, seed, tol) -> entries
     pieces: dict = field(default_factory=dict)  # dual-path transfer pieces
 
@@ -147,16 +175,113 @@ _RUN = contextvars.ContextVar("lincat_run_memo", default=None)
 
 
 def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult:
-    """Matrix of intertwiner spaces for a span, with explicit hom bases."""
+    """Matrix of intertwiner spaces for a span.
+
+    ``map.dims`` and ``witnesses`` come from characters; ``details`` and
+    ``map.hom_bases`` (the models and intertwiner bases) are built on first
+    access."""
     src = lambda_object(x.source, seed=seed)
     tgt = lambda_object(x.target, seed=seed)
     nrow, ncol = len(tgt.basis), len(src.basis)
     dims = np.zeros((nrow, ncol), dtype=np.int64)
-    details = {(r, c): [] for r in range(nrow) for c in range(ncol)}
-    # an apex object's entries depend only on its leg homs; a run shares them
+    witnesses = {(r, c): [] for r in range(nrow) for c in range(ncol)}
+    # an apex object's dims depend only on its leg homs, keyed by their
+    # tables and their groups' tables; a run shares them
     run = _RUN.get()
-    legs = run.legs if run is not None else {}
+    blocks = run.dims if run is not None else {}
     # apex objects in increasing order, so each entry's witnesses ascend
+    for xi in range(len(x.apex)):
+        rows, cols = tgt.positions[x.right(xi)], src.positions[x.left(xi)]
+        s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
+        key = (s_hom.source.fingerprint, s_hom.map.tobytes(),
+               _structure_key(s_hom.target), t_hom.map.tobytes(),
+               _structure_key(t_hom.target), seed)
+        if key not in blocks:
+            blocks[key] = _leg_dims(s_hom, t_hom, [w for _, w in cols],
+                                    [w for _, w in rows], xi)
+        # an object's basis positions are consecutive
+        r0, c0 = rows[0][0], cols[0][0]
+        dims[r0 : r0 + len(rows), c0 : c0 + len(cols)] += blocks[key]
+        for r in range(r0, r0 + len(rows)):
+            for c in range(c0, c0 + len(cols)):
+                witnesses[(r, c)].append(xi)
+    models = cache(lambda: _entry_models(x, src, tgt, run, seed, tol))
+
+    def hom_bases():
+        return {k: [b for w in wits for b in w.basis] for k, wits in models().items()}
+
+    tmap = TwoLinearMap(src.basis, tgt.basis, dims, hom_bases)
+    return LambdaSpanResult(x, tmap, witnesses, src, tgt, models)
+
+
+def _characters(table):
+    """The characters of a list of irreps, one row each."""
+    return np.array([w.character.values for w in table])
+
+
+def _pulled_characters(table, hom: GroupHom):
+    """Characters of the irreps ``table`` of hom.target pulled back along
+    ``hom``: one row per irrep, one column per conjugacy class of its source."""
+    reps = [c[0] for c in hom.source.classes]
+    return _characters(table)[:, hom.target.class_of[hom.map[reps]]]
+
+
+def _restricted_pairing(s_hom, t_hom, irreps1, irreps2):
+    """<Res_s chi1, Res_t chi2> on the apex group X, for every pair of feet
+    irreps: (conj B) diag(|c|/|X|) A^T over the classes c of X."""
+    x = s_hom.source
+    a = _pulled_characters(irreps1, s_hom)
+    b = _pulled_characters(irreps2, t_hom)
+    return (b.conj() * (x.class_sizes / x.order)) @ a.T
+
+
+def _induced_pairing(s_hom, t_hom, irreps1, irreps2):
+    """<Ind_t Res_s chi1, chi2> on the right foot H, for every pair of feet
+    irreps, with the induced character from the class map of t:
+    Ind_t psi(C) = |H| / (|X| |C|) sum over classes c of X with t(c) in C
+    of |c| psi(c)."""
+    x, h = s_hom.source, t_hom.target
+    pulled = _pulled_characters(irreps1, s_hom) * x.class_sizes
+    image = h.class_of[t_hom.map[[c[0] for c in x.classes]]]
+    pushed = np.zeros((len(h.classes), len(irreps1)), dtype=complex)
+    np.add.at(pushed, image, pulled.T)
+    pushed *= (h.order / (x.order * h.class_sizes))[:, None]
+    return (_characters(irreps2).conj() * (h.class_sizes / h.order)) @ pushed
+
+
+def _leg_dims(s_hom, t_hom, irreps1, irreps2, xi):
+    """The (k2, k1) block of intertwiner dims of an apex object with leg homs
+    s_hom, t_hom, for W1 = irreps1[k1] and W2 = irreps2[k2], by two routes
+    that must agree (Frobenius reciprocity): the pairing of the two
+    restrictions on the apex group, and that of the pushforward with W2 on
+    the right foot.  ``xi`` is the first such apex object, named in errors."""
+    routes = [_integral(pairing(s_hom, t_hom, irreps1, irreps2), xi)
+              for pairing in (_restricted_pairing, _induced_pairing)]
+    if not np.array_equal(*routes):
+        raise NumericalFailure(
+            f"restricted character pairings {routes[0].tolist()} disagree with "
+            f"induced multiplicities {routes[1].tolist()} at apex object {xi}"
+        )
+    return routes[0]
+
+
+def _integral(values, xi):
+    """Round a block of character pairings, raising NonIntegralMultiplicity
+    unless each is within INT_TOL of an integer."""
+    n = np.round(values.real)
+    if np.max(np.abs(values - n)) > INT_TOL:
+        raise NonIntegralMultiplicity(
+            f"character pairing is not an integer at apex object {xi}: {values.tolist()}"
+        )
+    return n.astype(np.int64)
+
+
+def _entry_models(x: Span, src, tgt, run, seed, tol):
+    """Per entry of ``lambda_span(x)``, the ``_EntryWitness`` of each apex
+    object over it, from the leg entries of its leg homs; ``run`` is the run
+    memo that was current when the span was linearized, if any."""
+    details = {(r, c): [] for r in range(len(tgt.basis)) for c in range(len(src.basis))}
+    legs = run.legs if run is not None else {}
     for xi in range(len(x.apex)):
         rows, cols = tgt.positions[x.right(xi)], src.positions[x.left(xi)]
         s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
@@ -164,14 +289,10 @@ def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult
         if key not in legs:
             legs[key] = _leg_entries(s_hom, t_hom, [w for _, w in cols],
                                      [w for _, w in rows], xi, tol)
-        for k2, k1, d, r1, r2, basis, ind in legs[key]:
-            r, c = rows[k2][0], cols[k1][0]
-            details[(r, c)].append(_EntryWitness(xi, r1, r2, basis, ind))
-            dims[r, c] += d
-    hom_bases = {k: [b for w in wits for b in w.basis] for k, wits in details.items()}
-    witnesses = {k: [w.apex_idx for w in wits] for k, wits in details.items()}
-    tmap = TwoLinearMap(src.basis, tgt.basis, dims, hom_bases)
-    return LambdaSpanResult(x, tmap, witnesses, src, tgt, details)
+        for k2, k1, _, r1, r2, basis, ind in legs[key]:
+            details[(rows[k2][0], cols[k1][0])].append(
+                _EntryWitness(xi, r1, r2, basis, ind))
+    return details
 
 
 def _leg_entries(s_hom, t_hom, irreps1, irreps2, xi, tol):
@@ -688,9 +809,9 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
 
     Each input span and span map is linearized at most once, when a check
     first needs it; an input in no checked pair is never linearized.  Every
-    span linearized during the call shares the leg entries of equal leg
-    homs, and every span map the dual-path pieces of equal keys, through one
-    run memo.  These results live only for this call."""
+    span linearized during the call shares the dims blocks and the models of
+    equal leg homs, and every span map the dual-path pieces of equal keys,
+    through one run memo.  These results live only for this call."""
     token = _RUN.set(_RunMemo())
     try:
         return _check_suite(config)

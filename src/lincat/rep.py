@@ -43,7 +43,7 @@ from .errors import (
     RankMismatch,
     SingularMap,
 )
-from .groups import FinGroup, GroupHom
+from .groups import MAX_DENSE_BYTES, FinGroup, GroupHom
 
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-8
@@ -133,11 +133,6 @@ class Irrep(RepModel):
 
 def trivial_rep(g: FinGroup) -> RepModel:
     return RepModel(g, np.ones((g.order, 1, 1), dtype=complex))
-
-
-# largest dense array (bytes) that regular_rep, irreps or intertwiner_basis
-# may allocate: a regular representation of order 256
-MAX_DENSE_BYTES = 2**28
 
 
 def regular_rep(g: FinGroup) -> RepModel:
@@ -238,8 +233,18 @@ def _irreps_by_splitting(g: FinGroup, seed):
                 break
         else:
             raise NumericalFailure("failed to split a reducible invariant subspace")
-    return [(key, Irrep(g, list(_subrep(g, basis)), Character(g, chi)))
-            for key, (basis, chi) in found.items()]
+    out = []
+    for key, (basis, chi) in found.items():
+        mats = np.array(list(_subrep(g, basis)))
+        # the identity's compression basis^H basis is I up to a rounding-level
+        # scale: divide that scale out (a 1-dimensional irrep's values become
+        # exact ratios) and store the identity exactly, so that restrictions
+        # of the irrep keep an exact identity
+        d = basis.shape[1]
+        mats /= np.trace(mats[0]).real / d
+        mats[0] = np.eye(d)
+        out.append((key, Irrep(g, mats, Character(g, chi))))
+    return out
 
 
 def _irreps_of_product(g: FinGroup, seed, tol):
@@ -253,6 +258,7 @@ def _irreps_of_product(g: FinGroup, seed, tol):
             d = u.dim * v.dim
             mats = np.einsum("aij,bkl->abikjl", u.matrices, v.matrices)
             mats = mats.reshape(g.order, d, d)
+            mats[0] = np.eye(d)
             chi = np.trace(mats[reps], axis1=1, axis2=2)
             out.append((_char_key(chi), Irrep(g, mats, Character(g, chi))))
     return out
@@ -272,7 +278,8 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
 
     A product recorded by ``direct_product`` takes its irreps from its
     factors' (recursively, for nested products): kron(U(a), V(b)) for every
-    pair of factor irreps.  Any other group splits C[G].  Results are cached
+    pair of factor irreps.  Any other group splits C[G].  On both routes the
+    identity element acts by an exact identity matrix.  Results are cached
     per (table, seed), and a recorded product's key also holds its factors'
     keys, so a product and an equal table built another way keep separate
     entries and bases.  On a miss, raises InputTooLarge before allocating
@@ -377,8 +384,9 @@ def _invariant_basis(v: RepModel, kernel):
         return np.zeros((0, 0), dtype=complex)
     eye = np.eye(v.dim, dtype=complex)
     # a trivial kernel fixes every vector, and the SVD of an exact identity is
-    # the identity; a model whose identity matrix is off by rounding keeps the
-    # SVD, which may rotate the basis inside the degenerate space
+    # the identity (irreps and their restrictions act so at index 0); a model
+    # whose identity matrix is off by rounding keeps the SVD, which may rotate
+    # the basis inside the degenerate space
     if len(kernel) == 1 and np.array_equal(v.matrices[0], eye):
         return eye
     p = np.zeros((v.dim, v.dim), dtype=complex)

@@ -38,7 +38,11 @@ class TwoBasis:
 
 class TwoLinearMap:
     """A codomain x domain matrix of hom-space dimensions, with optional
-    explicit hom bases per entry (a sequence of that many complex matrices)."""
+    explicit hom bases per entry (a sequence of that many complex matrices).
+
+    ``hom_bases`` may also be given as a function of no arguments that
+    returns them: it is called on the first access of ``hom_bases``, and
+    the basis lengths are checked against ``dims`` then."""
 
     def __init__(self, domain: TwoBasis, codomain: TwoBasis, dims, hom_bases=None):
         dims = np.asarray(dims, dtype=np.int64)
@@ -52,14 +56,25 @@ class TwoLinearMap:
         self.domain = domain
         self.codomain = codomain
         self.dims = dims
-        if hom_bases is not None:
-            for (r, c), basis in hom_bases.items():
-                if len(basis) != dims[r, c]:
-                    raise ShapeMismatch(
-                        f"hom basis at ({r},{c}) has {len(basis)} elements, "
-                        f"dims says {dims[r, c]}"
-                    )
-        self.hom_bases = hom_bases
+        self._hom_bases = hom_bases
+        if not callable(hom_bases):
+            self._check_lengths(hom_bases)
+
+    @property
+    def hom_bases(self):
+        if callable(self._hom_bases):
+            bases = self._hom_bases()
+            self._check_lengths(bases)
+            self._hom_bases = bases
+        return self._hom_bases
+
+    def _check_lengths(self, hom_bases):
+        for (r, c), basis in (hom_bases or {}).items():
+            if len(basis) != self.dims[r, c]:
+                raise ShapeMismatch(
+                    f"hom basis at ({r},{c}) has {len(basis)} elements, "
+                    f"dims says {self.dims[r, c]}"
+                )
 
     @classmethod
     def identity(cls, basis: TwoBasis):

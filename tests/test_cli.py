@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lincat.cli
 from lincat.cli import main
 
 DATA = "src/lincat/data"
@@ -263,3 +268,19 @@ def test_bad_tolerance_exit_2(capsys, tol):
     assert code == 2
     assert out == ""
     assert err.startswith("error: tolerance must be finite and non-negative")
+
+
+def test_jsonschema_is_imported_on_the_first_parse_only():
+    src = pathlib.Path(lincat.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys, lincat.cli\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        "lincat.cli.main(['--output', 'json', 'card', sys.argv[1]])\n"
+        "assert 'jsonschema' in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(src / "lincat" / "data" / "bz2.json")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)

@@ -240,6 +240,31 @@ def test_direct_product_records_factors_outside_equality(z2, s3):
     assert g == g and g != s3
 
 
+def test_direct_product_size_guard(monkeypatch):
+    s4, s5 = symmetric_group(4), symmetric_group(5)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a product table was built before the guard")
+
+    # S5 x S5: 14,400^2 int64 entries are 1.66 GB
+    with monkeypatch.context() as m:
+        m.setattr(lincat.groups, "_table_group", no_table)
+        with pytest.raises(InputTooLarge, match="order 14400 needs 1658880000 bytes"):
+            direct_product(s5, s5)
+    g = direct_product(s4, s4)
+    assert g.order == 576 and g.factors == (s4, s4)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 576 * 576 * 8 - 1)
+    with pytest.raises(InputTooLarge):
+        direct_product(s4, s4)
+
+
+def test_class_of_inverts_classes():
+    for g in (symmetric_group(4), direct_product(symmetric_group(3), cyclic_group(2))):
+        assert len(g.class_of) == g.order
+        for c, members in enumerate(g.classes):
+            assert g.class_of[members].tolist() == [c] * len(members)
+
+
 def test_subgroup_embedding_is_hom(s3):
     sub, incl = subgroup_embedding(s3, [0, 2])
     assert sub.order == 2

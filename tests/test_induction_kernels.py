@@ -14,7 +14,15 @@ import itertools
 import numpy as np
 
 from lincat.groupoids import compose_spans
-from lincat.groups import all_homs, cyclic_group, direct_product, symmetric_group, trivial_group
+from lincat.groups import (
+    all_homs,
+    cyclic_group,
+    direct_product,
+    group_from_permutations,
+    identity_hom,
+    symmetric_group,
+    trivial_group,
+)
 from lincat.linearization import _gamma_pair_witness
 from lincat.rep import (
     RepModel,
@@ -234,6 +242,19 @@ def test_trivial_kernel_shortcut_matches_the_svd_bit_for_bit(monkeypatch):
     for n in dims:
         v = RepModel(trivial_group(), np.eye(n, dtype=complex)[None])
         assert real(v, [0]).tobytes() == ref_invariant_basis(v, [0]).tobytes()
+
+
+def test_irrep_restrictions_take_the_trivial_kernel_shortcut():
+    # irreps store an exact identity at index 0, on the splitting route (S3,
+    # A5) and the product route (S4 x Z2), so a restriction along the identity
+    # hom has the identity as its invariant basis, not an SVD of it
+    a5 = group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5)
+    for g in (symmetric_group(3), direct_product(symmetric_group(4), cyclic_group(2)), a5):
+        f = identity_hom(g)
+        for w in irreps(g):
+            assert np.array_equal(w.matrices[0], np.eye(w.dim))
+            c = _invariant_basis(restrict_rep(f, w), f.kernel())
+            assert c.dtype == complex and np.array_equal(c, np.eye(w.dim))
 
 
 def test_lift_is_the_minimal_coset_decomposition():

@@ -8,8 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lincat.linearization
+import lincat.rep
 from lincat.documents import parse
-from lincat.errors import IntertwinerProjectionFailure, SpanMismatch
+from lincat.errors import (
+    InputTooLarge,
+    IntertwinerProjectionFailure,
+    NonIntegralMultiplicity,
+    NumericalFailure,
+    SpanMismatch,
+)
 from lincat.groupoids import (
     Groupoid,
     GroupoidFunctor,
@@ -546,8 +553,99 @@ def test_lambda_span_computes_each_leg_pair_once(monkeypatch):
 
     monkeypatch.setattr(lincat.linearization, "intertwiner_basis", counted)
     lam = lambda_span(x)
+    assert calls == []  # dims come from characters; models wait for access
+    lam.details
     assert len(calls) == len(keys) * per_key < len(x.apex) * per_key
     assert np.array_equal(lam.map.dims, _dims_oracle(x))
+
+
+# --- the character layer: dims without models --------------------------------
+
+
+def _spans_and_composites(suite):
+    """The suite's spans, every composable pair's composite and both unitor
+    composites of every span."""
+    spans = list(suite.spans)
+    out = spans + [compose_spans(a, b) for a in spans for b in spans
+                   if a.target == b.source]
+    for x in spans:
+        out += [compose_spans(identity_span(x.source), x),
+                compose_spans(x, identity_span(x.target))]
+    return out
+
+
+@pytest.mark.parametrize("suite_seed", [None] + list(range(20)),
+                         ids=lambda k: "default" if k is None else f"random{k}")
+def test_character_dims_equal_the_built_models(suite_seed):
+    suite = default_suite() if suite_seed is None else random_suite(suite_seed)
+    for x in _spans_and_composites(suite):
+        lam = lambda_span(x, seed=suite.seed, tol=suite.tolerance)
+        dims, witnesses = lam.map.dims.copy(), dict(lam.witnesses)
+        # the models: every apex object over an entry, with its basis
+        details = lam.details
+        assert {k: [w.apex_idx for w in wits] for k, wits in details.items()} == witnesses
+        built = np.zeros_like(dims)
+        for key, wits in details.items():
+            built[key] = sum(len(w.basis) for w in wits)
+            assert len(lam.map.hom_bases[key]) == dims[key]
+        assert np.array_equal(built, dims)
+        assert np.array_equal(lam.map.dims, dims)
+
+
+@pytest.mark.parametrize("route", ["_restricted_pairing", "_induced_pairing"])
+def test_character_routes_must_agree(monkeypatch, route):
+    x = compose_spans(fig1_span(), reverse_span(fig1_span()))
+    want = lambda_span(x).map.dims
+    real = getattr(lincat.linearization, route)
+
+    def perturbed(shift):
+        def pairing(*args):
+            out = real(*args).copy()
+            out[0, 0] += shift
+            return out
+        return pairing
+
+    monkeypatch.setattr(lincat.linearization, route, perturbed(1.0))
+    with pytest.raises(NumericalFailure, match="disagree"):
+        lambda_span(x)
+    monkeypatch.setattr(lincat.linearization, route, perturbed(0.5))
+    with pytest.raises(NonIntegralMultiplicity):
+        lambda_span(x)
+    monkeypatch.setattr(lincat.linearization, route, perturbed(1e-9))
+    assert np.array_equal(lambda_span(x).map.dims, want)
+
+
+def test_dims_only_sections_build_no_models(monkeypatch):
+    built = []
+    real = lincat.linearization._leg_entries
+
+    def spied(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lincat.linearization, "_leg_entries", spied)
+    for suite in (default_suite(), random_suite(5, n_spans=4, n_maps=3)):
+        # without span maps, only the compositor, associator and unitor
+        # sections run
+        report = verify_functoriality(SuiteConfig(suite.groupoids, suite.spans, []))
+        assert report.ok
+        assert {r.section for r in report.results} == {"compositor", "associator",
+                                                       "unitor"}
+    assert built == []
+
+
+def test_projector_size_guard_waits_for_the_models(monkeypatch):
+    s3 = symmetric_group(3)
+    x = identity_span(one_object_groupoid(s3))
+    irreps(s3)  # cached before the limit drops below the table's 576 bytes
+    # the (2*2)^2 projector of the 2-dimensional irrep needs 256 bytes
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 255)
+    lam = lambda_span(x)
+    assert np.array_equal(lam.map.dims, np.eye(3, dtype=int))
+    with pytest.raises(InputTooLarge, match="intertwiner projector"):
+        lam.details
+    with pytest.raises(InputTooLarge, match="intertwiner projector"):
+        lam.map.hom_bases
 
 
 def _record_calls(monkeypatch, name):
@@ -669,7 +767,9 @@ def test_verify_functoriality_builds_each_leg_entry_once(monkeypatch):
 
     monkeypatch.setattr(lincat.linearization, "_leg_entries", counted)
     assert verify_functoriality(random_suite(5, n_spans=4, n_maps=3)).ok
-    assert len(keys) == len(set(keys)) == 74
+    # only the vertical and horizontal sections build models (through
+    # lambda_spanmap and composite_block_iso); every other check reads dims
+    assert len(keys) == len(set(keys)) == 4
 
 
 def test_run_memo_lives_only_for_the_call(monkeypatch):
@@ -686,9 +786,9 @@ def test_run_memo_lives_only_for_the_call(monkeypatch):
     assert seen and seen[0] is not None
     assert all(memo is seen[0] for memo in seen)
     assert run_memo.get() is None
-    # outside a run, lambda_span builds its leg entries afresh
+    # outside a run, lambda_span's models build their leg entries afresh
     seen.clear()
-    lambda_span(default_suite().spans[0])
+    lambda_span(default_suite().spans[0]).details
     assert seen and all(memo is None for memo in seen)
 
     def failing(*args):

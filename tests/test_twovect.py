@@ -50,6 +50,22 @@ def test_compose_zero_column():
     assert np.all(comp.dims == 0)
 
 
+def test_hom_bases_built_and_checked_on_first_access():
+    calls = []
+
+    def build(short=False):
+        calls.append(short)
+        return {(r, c): [np.eye(1, dtype=complex)] * (int(FIG1_DIMS[r, c]) - short)
+                for r in range(2) for c in range(3)}
+
+    t = TwoLinearMap(Y, Z, FIG1_DIMS, build)
+    assert calls == []
+    assert t.hom_bases is t.hom_bases and calls == [False]
+    bad = TwoLinearMap(Y, Z, FIG1_DIMS, lambda: build(short=True))
+    with pytest.raises(ShapeMismatch, match="dims says 1"):
+        bad.hom_bases
+
+
 def test_compose_keeps_dims_only():
     basis = {(r, c): [np.eye(1, dtype=complex)] * int(FIG1_DIMS[r, c])
              for r in range(2) for c in range(3)}
