@@ -13,8 +13,9 @@ order is that element's lexicographically first witness (h0, k0), and the
 entries equal to m are the fibred product, in lexicographic order.  The
 fibred-product table is then array arithmetic on the codes h*|K| + k.
 
-A composite span keeps the comma category it was built from (``Span.comma``),
-so its classes, witnesses and pair codes are read, not rebuilt.  A horizontal
+A composite span keeps the comma category it was built from (``Span.comma``)
+and the two spans it composes (``Span.factors``), so its classes, witnesses,
+pair codes and factors are read, not rebuilt.  A horizontal
 composite of span maps takes each leg from those arrays: the candidate
 witnesses of a mediator are its recorded witness times each pair of its
 class, all candidates' conjugated pair tables come out of one searchsorted
@@ -190,14 +191,16 @@ class Span:
     """A diagram  source <- apex -> target  of groupoid functors.
 
     A span built by ``compose_spans`` keeps in ``comma`` the comma category
-    whose skeleton is its apex; any other span has None.  Equality and
-    serialization ignore it.
+    whose skeleton is its apex and in ``factors`` the pair of spans it
+    composes; any other span has None in both.  Equality and serialization
+    ignore them.
     """
 
     apex: Groupoid
     left: GroupoidFunctor
     right: GroupoidFunctor
     comma: CommaCategory = field(default=None, compare=False, repr=False)
+    factors: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.left.source != self.apex or self.right.source != self.apex:
@@ -422,15 +425,15 @@ def compose_spans(x: Span, xp: Span) -> Span:
     """Composite span (x first, then xp) by weak pullback over the shared foot.
 
     The composite keeps the comma category (x.right | xp.left) whose skeleton
-    is its apex as ``comma``, so later steps read its classes instead of
-    composing again."""
+    is its apex as ``comma`` and (x, xp) as ``factors``, so later steps read
+    its classes and factors instead of composing again."""
     if x.target != xp.source:
         raise TargetMismatch(
             f"cannot compose: {x.target.name} is not {xp.source.name}"
         )
     cat = comma_category(x.right, xp.left)
     return Span(cat.groupoid, cat.proj_left.then(x.left),
-                cat.proj_right.then(xp.right), comma=cat)
+                cat.proj_right.then(xp.right), comma=cat, factors=(x, xp))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ groups, hence their irreps), and ``lambda_span`` works in two layers:
   irreducible characters pulled back along s and t to the classes c of
   Aut(x).  Each block is cross-checked against <Ind_t Res_s chi1, chi2> on
   the right foot, with the induced character from the class map of t; both
-  routes must be integral and agree.  One block per key of leg homs by value
-  (tables, not hom objects) is computed.
+  routes must be integral and agree.  One block per leg key is computed:
+  the apex group's table, the leg homs' tables, the feet's structure keys
+  (which fix their irreps), seed and tol.
 * **Models, on first access.**  ``details`` and ``map.hom_bases`` are built
-  together the first time either is read, once per key (s, t, seed, tol):
+  together the first time either is read, once per leg key:
   the pullbacks s*W1, t*W2, the pushforwards t_*s*W1 and the intertwiner
   bases, with the projector's rank check, the induced-multiplicity
   cross-check and a check of each entry's basis length against the
@@ -40,15 +41,15 @@ and down homs and its witnesses' models, so apex objects that share them
 share one piece.
 
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
-read, its models afresh, and each dual-path block its pieces.
-``verify_functoriality`` opens one run memo for the length of the call (in a
-context variable, so concurrent runs in other threads keep their own): every
-span it linearizes shares the dims blocks and the models of equal keys, and
-every span map the transfer pieces of equal keys.  It also linearizes each
-input span and span map at most once, the first time a check needs it, and
-hands those results to the compositor, unitor, vertical and horizontal
-checks.  The compositor, associator and unitor checks read only dims, so
-only the vertical and horizontal checks build models.
+read, its models afresh, and each dual-path block its pieces.  Inside
+``verify_functoriality``, one run memo (in a context variable, so concurrent
+runs keep their own) is the only way work is shared: dims blocks and leg
+entries by leg key, dual-path pieces by their homs and models, and the
+results of the inputs the run registers (its spans, its span maps and those
+maps' top and bottom spans) by identity, so ``lambda_span`` and
+``lambda_spanmap`` build each once.  Composites are not kept, since each is
+read by the one check that builds it.  Only the vertical and horizontal
+checks build models; the others read dims.
 """
 
 from __future__ import annotations
@@ -165,13 +166,27 @@ class LambdaSpanResult:
 class _RunMemo:
     """Work shared by every check of one ``verify_functoriality`` call."""
 
-    dims: dict = field(default_factory=dict)    # leg homs by value -> dims block
-    legs: dict = field(default_factory=dict)    # (s, t, seed, tol) -> entries
-    pieces: dict = field(default_factory=dict)  # dual-path transfer pieces
+    inputs: dict  # id -> input span, span map or map's top/bottom span
+    results: dict = field(default_factory=dict)  # (id, seed, tol[, check]) -> result
+    dims: dict = field(default_factory=dict)     # leg key -> dims block
+    legs: dict = field(default_factory=dict)     # leg key -> entries
+    pieces: dict = field(default_factory=dict)   # dual-path transfer pieces
 
 
 # the memo of the verify_functoriality call running in this context, if any
 _RUN = contextvars.ContextVar("lincat_run_memo", default=None)
+
+
+def _once(obj, build, *args):
+    """``build(obj, *args)``; inside a run, the result for an input the run
+    registered is built once and kept, keyed by the input's identity."""
+    run = _RUN.get()
+    if run is None or id(obj) not in run.inputs:
+        return build(obj, *args)
+    key = (id(obj), *args)
+    if key not in run.results:
+        run.results[key] = build(obj, *args)
+    return run.results[key]
 
 
 def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult:
@@ -180,32 +195,43 @@ def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult
     ``map.dims`` and ``witnesses`` come from characters; ``details`` and
     ``map.hom_bases`` (the models and intertwiner bases) are built on first
     access."""
+    return _once(x, _lambda_span, seed, tol)
+
+
+def _lambda_span(x: Span, seed, tol) -> LambdaSpanResult:
+    """The ``lambda_span`` builder."""
     src = lambda_object(x.source, seed=seed)
     tgt = lambda_object(x.target, seed=seed)
     nrow, ncol = len(tgt.basis), len(src.basis)
     dims = np.zeros((nrow, ncol), dtype=np.int64)
     witnesses = {(r, c): [] for r in range(nrow) for c in range(ncol)}
-    # an apex object's dims depend only on its leg homs, keyed by their
-    # tables and their groups' tables; a run shares them
+    # an apex object's dims and models depend only on its leg key; a run
+    # shares both by that key
     run = _RUN.get()
-    blocks = run.dims if run is not None else {}
+    blocks, legs = (run.dims, run.legs) if run is not None else ({}, {})
+    placed = []  # per apex object: its leg key and its block's corner
+    first = {}   # leg key -> the arguments of its leg entries
     # apex objects in increasing order, so each entry's witnesses ascend
     for xi in range(len(x.apex)):
         rows, cols = tgt.positions[x.right(xi)], src.positions[x.left(xi)]
         s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
         key = (s_hom.source.fingerprint, s_hom.map.tobytes(),
                _structure_key(s_hom.target), t_hom.map.tobytes(),
-               _structure_key(t_hom.target), seed)
+               _structure_key(t_hom.target), seed, tol)
+        if key not in first:
+            first[key] = (s_hom, t_hom, [w for _, w in cols], [w for _, w in rows], xi)
         if key not in blocks:
-            blocks[key] = _leg_dims(s_hom, t_hom, [w for _, w in cols],
-                                    [w for _, w in rows], xi)
+            blocks[key] = _leg_dims(*first[key])
         # an object's basis positions are consecutive
         r0, c0 = rows[0][0], cols[0][0]
+        placed.append((key, r0, c0))
         dims[r0 : r0 + len(rows), c0 : c0 + len(cols)] += blocks[key]
         for r in range(r0, r0 + len(rows)):
             for c in range(c0, c0 + len(cols)):
                 witnesses[(r, c)].append(xi)
-    models = cache(lambda: _entry_models(x, src, tgt, run, seed, tol))
+    # the models close over the legs dict, not the run memo, so a memo whose
+    # results hold them is still freed by reference counting
+    models = cache(lambda: _entry_models(placed, first, legs, witnesses, tol))
 
     def hom_bases():
         return {k: [b for w in wits for b in w.basis] for k, wits in models().items()}
@@ -276,22 +302,16 @@ def _integral(values, xi):
     return n.astype(np.int64)
 
 
-def _entry_models(x: Span, src, tgt, run, seed, tol):
-    """Per entry of ``lambda_span(x)``, the ``_EntryWitness`` of each apex
-    object over it, from the leg entries of its leg homs; ``run`` is the run
-    memo that was current when the span was linearized, if any."""
-    details = {(r, c): [] for r in range(len(tgt.basis)) for c in range(len(src.basis))}
-    legs = run.legs if run is not None else {}
-    for xi in range(len(x.apex)):
-        rows, cols = tgt.positions[x.right(xi)], src.positions[x.left(xi)]
-        s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
-        key = (s_hom, t_hom, seed, tol)
+def _entry_models(placed, first, legs, witnesses, tol):
+    """Per entry (key of ``witnesses``), the ``_EntryWitness`` of each apex
+    object over it, from the leg entries kept in ``legs`` by each object's
+    leg key in ``placed``; ``first`` holds each key's leg-entry arguments."""
+    details = {k: [] for k in witnesses}
+    for xi, (key, r0, c0) in enumerate(placed):
         if key not in legs:
-            legs[key] = _leg_entries(s_hom, t_hom, [w for _, w in cols],
-                                     [w for _, w in rows], xi, tol)
+            legs[key] = _leg_entries(*first[key], tol)
         for k2, k1, _, r1, r2, basis, ind in legs[key]:
-            details[(rows[k2][0], cols[k1][0])].append(
-                _EntryWitness(xi, r1, r2, basis, ind))
+            details[(r0 + k2, c0 + k1)].append(_EntryWitness(xi, r1, r2, basis, ind))
     return details
 
 
@@ -376,6 +396,11 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
     pasting unit/counit matrices on induced models and the two answers must
     agree within ``tol``.
     """
+    return _once(y, _lambda_spanmap, seed, tol, check)
+
+
+def _lambda_spanmap(y: SpanMap, seed, tol, check) -> LambdaSpanMapResult:
+    """The ``lambda_spanmap`` builder."""
     lam_top = lambda_span(y.top, seed=seed, tol=tol)
     lam_bot = lambda_span(y.bottom, seed=seed, tol=tol)
     coeffs = {}
@@ -593,8 +618,7 @@ class BetaReport:
         )
 
 
-def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
-                    lam_x=None, lam_xp=None) -> BetaReport:
+def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> BetaReport:
     """Check that composition is respected: the matrix of the composite span
     equals the integer product of the two matrices, and on each composite-apex
     class the comparison map
@@ -603,14 +627,11 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
 
     (from induction along the fibred-product projection to induction along the
     middle leg, on the regular representation) is well defined and invertible.
-    ``lam_x`` and ``lam_xp`` may pass in the factors' ``lambda_span`` results.
     """
     composite = compose_spans(x, xp)
     cat = composite.comma
-    if lam_x is None:
-        lam_x = lambda_span(x, seed=seed, tol=tol)
-    if lam_xp is None:
-        lam_xp = lambda_span(xp, seed=seed, tol=tol)
+    lam_x = lambda_span(x, seed=seed, tol=tol)
+    lam_xp = lambda_span(xp, seed=seed, tol=tol)
     lam_c = lambda_span(composite, seed=seed, tol=tol)
     product = compose_2linear(lam_xp.map, lam_x.map)
     if not np.array_equal(product.dims, lam_c.map.dims):
@@ -680,32 +701,22 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
 # block correspondence for horizontal composites
 
 
-def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
-                        seed=DEFAULT_SEED, tol=DEFAULT_TOL):
-    """Per basis pair, the isomorphism from the tensor-product hom bases of the
-    matrix product onto the hom bases of the composite span's matrix.
-
-    A column indexed by (middle label (a2,W2), u' in the second span's entry
-    basis, u in the first span's entry basis) is sent to the family, over
-    composite-apex witnesses (x_o, m, x'_o), of  u' . W2(m^-1) . u  expressed
-    in the witness's intertwiner basis.  Returns (composite span, dict of
-    matrices per (row, col), comma metadata).
-
-    ``lam_c`` must be ``lambda_span`` of a span built by ``compose_spans(x,
-    xp)``: its comma category is read from the span, and the spans are
-    composed only when ``lam_c`` is not given.
-    """
-    if lam_c is None:
-        lam_c = lambda_span(compose_spans(x, xp), seed=seed, tol=tol)
+def composite_block_iso(lam_c: LambdaSpanResult, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
+    """Per basis pair (row, col), the isomorphism from the tensor-product hom
+    bases of the matrix product onto the hom bases of the composite span's
+    matrix.  ``lam_c`` is ``lambda_span``, with this seed and tol, of a span
+    built by ``compose_spans(x, xp)``; x, xp and the comma category are read
+    from it (``factors``, ``comma``).  A column indexed by (middle label
+    (a2,W2), u' in xp's entry basis, u in x's entry basis) is sent to the
+    family, over composite-apex witnesses (x_o, m, x'_o), of  u' . W2(m^-1)
+    . u  expressed in the witness's intertwiner basis."""
     composite = lam_c.span
     cat = composite.comma
-    if (cat is None or cat.proj_left.target != x.apex
-            or cat.proj_right.target != xp.apex):
-        raise SpanMismatch("lam_c does not linearize a composite of x and xp")
-    if lam_x is None:
-        lam_x = lambda_span(x, seed=seed, tol=tol)
-    if lam_xp is None:
-        lam_xp = lambda_span(xp, seed=seed, tol=tol)
+    if cat is None or composite.factors is None:
+        raise SpanMismatch("lam_c does not linearize a span built by compose_spans")
+    x, xp = composite.factors
+    lam_x = lambda_span(x, seed=seed, tol=tol)
+    lam_xp = lambda_span(xp, seed=seed, tol=tol)
     mid = lam_x.target_object
     isos = {}
     for r in range(len(lam_c.target_object.basis)):
@@ -743,7 +754,7 @@ def composite_block_iso(x: Span, xp: Span, lam_x=None, lam_xp=None, lam_c=None,
                 if sv[-1] <= 1e-9 * max(1.0, sv[0]):
                     raise SingularMap(f"block correspondence at ({r},{c}) is singular")
             isos[(r, c)] = mat
-    return composite, isos, cat
+    return isos
 
 
 # ---------------------------------------------------------------------------
@@ -807,12 +818,14 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     """Run the coherence and composition checks over a suite of spans and
     span maps; failures are reported, not raised.
 
-    Each input span and span map is linearized at most once, when a check
-    first needs it; an input in no checked pair is never linearized.  Every
-    span linearized during the call shares the dims blocks and the models of
-    equal leg homs, and every span map the dual-path pieces of equal keys,
-    through one run memo.  These results live only for this call."""
-    token = _RUN.set(_RunMemo())
+    The call's run memo registers the spans, the span maps and the maps' top
+    and bottom spans: each is linearized at most once, when a check first
+    needs it.  Every span linearized during the call shares the dims blocks
+    and models of equal leg keys, and every span map the dual-path pieces of
+    equal keys.  These results live only for this call."""
+    inputs = [*config.spans, *config.spanmaps]
+    inputs += [x for y in config.spanmaps for x in (y.top, y.bottom)]
+    token = _RUN.set(_RunMemo({id(obj): obj for obj in inputs}))
     try:
         return _check_suite(config)
     finally:
@@ -825,23 +838,8 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
     seed, tol = config.seed, config.tolerance
     spans = list(config.spans)
     maps = list(config.spanmaps)
-
-    # each input is linearized once, the first time a check needs it
-    @cache
-    def lam_span(i):
-        return lambda_span(spans[i], seed=seed, tol=tol)
-
-    @cache
-    def lam_map(i):
-        return lambda_spanmap(maps[i], seed=seed, tol=tol)
-
     # composites of input pairs, shared by the compositor and the associator
     composites = {}
-
-    def composite(i, j):
-        if (i, j) not in composites:
-            composites[i, j] = compose_spans(spans[i], spans[j])
-        return composites[i, j]
 
     # (a) compositor dimension checks + gamma invertibility
     pairs = [
@@ -853,8 +851,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
     for i, j in pairs:
         name = f"span[{i}] ; span[{j}]"
         try:
-            rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol,
-                                  lam_x=lam_span(i), lam_xp=lam_span(j))
+            rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol)
             composites[i, j] = rep.composite
             report.results.append(
                 CheckResult(
@@ -878,8 +875,11 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
     ][:MAX_TRIPLES]
     for i, j, k in triples:
         name = f"span[{i}] ; span[{j}] ; span[{k}]"
-        left = compose_spans(composite(i, j), spans[k])
-        right = compose_spans(spans[i], composite(j, k))
+        for p, q in ((i, j), (j, k)):
+            if (p, q) not in composites:
+                composites[p, q] = compose_spans(spans[p], spans[q])
+        left = compose_spans(composites[i, j], spans[k])
+        right = compose_spans(spans[i], composites[j, k])
         dl = lambda_span(left, seed=seed, tol=tol).map.dims
         dr = lambda_span(right, seed=seed, tol=tol).map.dims
         report.results.append(
@@ -888,12 +888,11 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
 
     # (c) unitor checks at the dimension level
     for i, s in enumerate(spans):
-        left_unit = compose_spans(identity_span(s.source), s)
-        right_unit = compose_spans(s, identity_span(s.target))
-        ok = np.array_equal(
-            lambda_span(left_unit, seed=seed, tol=tol).map.dims, lam_span(i).map.dims
-        ) and np.array_equal(
-            lambda_span(right_unit, seed=seed, tol=tol).map.dims, lam_span(i).map.dims
+        dims = lambda_span(s, seed=seed, tol=tol).map.dims
+        ok = all(
+            np.array_equal(lambda_span(unit, seed=seed, tol=tol).map.dims, dims)
+            for unit in (compose_spans(identity_span(s.source), s),
+                         compose_spans(s, identity_span(s.target)))
         )
         report.results.append(CheckResult("unitor", f"span[{i}]", bool(ok)))
 
@@ -912,7 +911,8 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
             report.skipped.append(f"vertical {name}: {exc}")
             continue
         lhs = lambda_spanmap(comp, seed=seed, tol=tol).morphism
-        rhs = vcompose_2morph(lam_map(i).morphism, lam_map(j).morphism)
+        rhs = vcompose_2morph(lambda_spanmap(maps[i], seed=seed, tol=tol).morphism,
+                              lambda_spanmap(maps[j], seed=seed, tol=tol).morphism)
         dev = _blocks_deviation(lhs, rhs)
         report.results.append(CheckResult("vertical", name, dev < tol * 10, dev))
 
@@ -931,19 +931,10 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
             report.skipped.append(f"horizontal {name}: {exc}")
             continue
         lam_comp = lambda_spanmap(comp, seed=seed, tol=tol)
-        lam_j = lam_map(j)
-        lam_i = lam_map(i)
-        hcomp = hcompose_2morph(lam_j.morphism, lam_i.morphism)
-        _, iso_top, _ = composite_block_iso(
-            maps[i].top, maps[j].top, lam_x=lam_i.source_result,
-            lam_xp=lam_j.source_result, lam_c=lam_comp.source_result,
-            seed=seed, tol=tol,
-        )
-        _, iso_bot, _ = composite_block_iso(
-            maps[i].bottom, maps[j].bottom, lam_x=lam_i.target_result,
-            lam_xp=lam_j.target_result, lam_c=lam_comp.target_result,
-            seed=seed, tol=tol,
-        )
+        hcomp = hcompose_2morph(lambda_spanmap(maps[j], seed=seed, tol=tol).morphism,
+                                lambda_spanmap(maps[i], seed=seed, tol=tol).morphism)
+        iso_top = composite_block_iso(lam_comp.source_result, seed=seed, tol=tol)
+        iso_bot = composite_block_iso(lam_comp.target_result, seed=seed, tol=tol)
         dev = 0.0
         for key, blk in lam_comp.morphism.blocks.items():
             lhs = blk @ iso_top[key]

@@ -151,7 +151,8 @@ def vcompose_2morph(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
 def hcompose_2morph(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
     """Horizontal composite a . b between the composite 2-linear maps, with
     blocks assembled as direct sums over the middle basis of tensor products
-    kron(a-block, b-block), middle label major."""
+    kron(a-block, b-block), middle label major.  An empty piece (a factor
+    with no rows or no columns) still moves the offsets by its shape."""
     if a.source.domain != b.source.codomain:
         raise ShapeMismatch("horizontal composition needs chaining bases")
     src = compose_2linear(a.source, b.source)
@@ -162,10 +163,12 @@ def hcompose_2morph(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
             blk = np.zeros((tgt.dims[r, c], src.dims[r, c]), dtype=complex)
             ro = co = 0
             for j in range(len(a.source.domain)):
-                piece = np.kron(a.blocks[(r, j)], b.blocks[(j, c)])
-                blk[ro : ro + piece.shape[0], co : co + piece.shape[1]] = piece
-                ro += piece.shape[0]
-                co += piece.shape[1]
+                p, q = a.blocks[(r, j)], b.blocks[(j, c)]
+                rows, cols = p.shape[0] * q.shape[0], p.shape[1] * q.shape[1]
+                if rows and cols:
+                    blk[ro : ro + rows, co : co + cols] = np.kron(p, q)
+                ro += rows
+                co += cols
             blocks[(r, c)] = blk
     return TwoMorphism(src, tgt, blocks)
 

@@ -194,12 +194,8 @@ def test_criterion_6_vertical_horizontal():
                 hc = hcompose_2morph(
                     lambda_spanmap(b).morphism, lambda_spanmap(a).morphism
                 )
-                _, iso_top, _ = composite_block_iso(
-                    a.top, b.top, lam_c=lam_comp.source_result
-                )
-                _, iso_bot, _ = composite_block_iso(
-                    a.bottom, b.bottom, lam_c=lam_comp.target_result
-                )
+                iso_top = composite_block_iso(lam_comp.source_result)
+                iso_bot = composite_block_iso(lam_comp.target_result)
                 for key, blk in lam_comp.morphism.blocks.items():
                     lhs = blk @ iso_top[key]
                     rhs = iso_bot[key] @ hc.blocks[key]

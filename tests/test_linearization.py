@@ -1,5 +1,7 @@
+import gc
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +33,16 @@ from lincat.groupoids import (
     terminal_groupoid,
     vertical_compose_spanmaps,
 )
-from lincat.groups import cyclic_group, identity_hom, symmetric_group, trivial_group
+from lincat.groups import (
+    FinGroup,
+    cyclic_group,
+    direct_product,
+    identity_hom,
+    subgroup_embedding,
+    symmetric_group,
+    trivial_group,
+    trivial_hom,
+)
 from lincat.linearization import (
     SuiteConfig,
     _big_transfer,
@@ -355,10 +366,8 @@ def test_horizontal_composition_with_correspondence():
     hc = hcompose_2morph(
         lambda_spanmap(g2).morphism, lambda_spanmap(g1).morphism
     )
-    _, iso_top, _ = composite_block_iso(g1.top, g2.top, lam_c=lam_comp.source_result)
-    _, iso_bot, _ = composite_block_iso(
-        g1.bottom, g2.bottom, lam_c=lam_comp.target_result
-    )
+    iso_top = composite_block_iso(lam_comp.source_result)
+    iso_bot = composite_block_iso(lam_comp.target_result)
     for key, blk in lam_comp.morphism.blocks.items():
         lhs = blk @ iso_top[key]
         rhs = iso_bot[key] @ hc.blocks[key]
@@ -396,21 +405,22 @@ def test_composite_block_iso_reads_comma_of_given_composite(monkeypatch):
     g1 = groupoidification_map(one_object_groupoid(cyclic_group(2)))
     g2 = groupoidification_map(one_object_groupoid(symmetric_group(3)))
     top = horizontal_compose_spanmaps(g1, g2).top
+    assert top.factors[0] is g1.top and top.factors[1] is g2.top
+    fresh = composite_block_iso(lambda_span(compose_spans(g1.top, g2.top)))
     lam_c = lambda_span(top)
-    _, fresh, _ = composite_block_iso(g1.top, g2.top)
     calls = _count_comma_categories(monkeypatch)
-    composite, isos, cat = composite_block_iso(g1.top, g2.top, lam_c=lam_c)
+    isos = composite_block_iso(lam_c)
     assert calls == []
-    assert composite is top and cat is top.comma
     assert isos.keys() == fresh.keys()
     assert all(np.array_equal(isos[k], fresh[k]) for k in isos)
     bare = Span(top.apex, top.left, top.right)
-    assert bare == top and bare.comma is None
+    assert bare == top and bare.comma is None and bare.factors is None
     with pytest.raises(SpanMismatch):
-        composite_block_iso(g1.top, g2.top, lam_c=lambda_span(bare))
-    bz2 = identity_span(one_object_groupoid(cyclic_group(2)))
+        composite_block_iso(lambda_span(bare))
+    # a comma category without factors does not name the spans to read
     with pytest.raises(SpanMismatch):
-        composite_block_iso(g1.top, g2.top, lam_c=lambda_span(compose_spans(bz2, bz2)))
+        composite_block_iso(lambda_span(Span(top.apex, top.left, top.right,
+                                             comma=top.comma)))
 
 # --- suite -------------------------------------------------------------------
 
@@ -665,10 +675,14 @@ def _record_calls(monkeypatch, name):
 
 def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
     suite = default_suite()
-    linearized = _record_calls(monkeypatch, "lambda_spanmap")
+    # builds, not calls: a registered input's later calls read the run memo
+    linearized = _record_calls(monkeypatch, "_lambda_spanmap")
+    built = _record_calls(monkeypatch, "_lambda_span")
     vertical = _record_calls(monkeypatch, "vertical_compose_spanmaps")
     horizontal = _record_calls(monkeypatch, "horizontal_compose_spanmaps")
     assert verify_functoriality(suite).ok
+    # no span object is built twice (the log keeps each alive, so ids differ)
+    assert len({id(x) for x, _ in built}) == len(built) == 224
     composites = [out for _, out in vertical + horizontal]
     assert composites
 
@@ -800,6 +814,54 @@ def test_run_memo_lives_only_for_the_call(monkeypatch):
     assert run_memo.get() is None
 
 
+def _inclusion_span(g, apex_name):
+    """1 <- BH -> BG for H the cyclic subgroup of g generated by element 2."""
+    elems, e = {0}, 2
+    while e not in elems:
+        elems.add(e)
+        e = int(g.mult[e, 2])
+    sub, incl = subgroup_embedding(g, sorted(elems))
+    apex = Groupoid([(apex_name, sub)])
+    point = terminal_groupoid()
+    return Span(apex, GroupoidFunctor(apex, point, [0], [trivial_hom(sub, point.aut(0))]),
+                GroupoidFunctor(apex, one_object_groupoid(g), [0], [incl]))
+
+
+def test_run_keeps_feet_with_equal_tables_but_other_irreps_apart():
+    # G as a recorded product takes its irreps from its factors, G' (the same
+    # table) splits C[G']: their irreps differ in basis, so leg entries that
+    # agree on hom tables must not be shared between the two spans
+    g = direct_product(symmetric_group(3), cyclic_group(2))
+    gp = FinGroup(g.mult)
+    spans = [_inclusion_span(g, "h"), _inclusion_span(gp, "h'")]
+    assert spans[0] != spans[1]
+    assert spans[0].left.hom(0) == spans[1].left.hom(0)
+    assert spans[0].right.hom(0) == spans[1].right.hom(0)
+    maps = [SpanMap.identity(x) for x in spans]
+    report = verify_functoriality(SuiteConfig([], spans, maps))
+    assert report.ok, "\n".join(report.summary_lines())
+    assert {r.section for r in report.results} == {"unitor", "vertical"}
+
+
+def test_finished_run_memo_is_freed_by_reference_counting(monkeypatch):
+    refs = []
+    real = lincat.linearization._RunMemo
+
+    def tracked(*args, **kwargs):
+        memo = real(*args, **kwargs)
+        refs.append(weakref.ref(memo))
+        return memo
+
+    monkeypatch.setattr(lincat.linearization, "_RunMemo", tracked)
+    gc.disable()
+    try:
+        report = verify_functoriality(random_suite(5, n_spans=4, n_maps=3))
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+    assert report.ok
+
+
 def _report_rows(report):
     return ([(r.section, r.name, r.passed, r.deviation, r.note) for r in report.results],
             list(report.skipped))
@@ -829,10 +891,12 @@ def test_concurrent_runs_keep_their_own_memo():
 
 def test_run_lambda_spans_equal_standalone_recomputation(monkeypatch):
     suite = random_suite(5, n_spans=4, n_maps=3)
-    recorded = _record_calls(monkeypatch, "lambda_span")
+    recorded = _record_calls(monkeypatch, "_lambda_span")
     assert verify_functoriality(suite).ok
     monkeypatch.undo()
-    assert len(recorded) == 48
+    # builds, not calls: each registered input is built once, and its later
+    # calls read the run memo
+    assert len(recorded) == 38
     for x, lam in recorded:
         alone = lambda_span(x, seed=suite.seed, tol=suite.tolerance)
         assert np.array_equal(lam.map.dims, alone.map.dims)

@@ -177,3 +177,39 @@ def test_interchange_law_random_blocks():
         for key in lhs.blocks:
             assert np.allclose(lhs.blocks[key], rhs.blocks[key], atol=1e-10)
 
+
+
+def _random_morphism(rng, dom, cod):
+    """A 2-morphism between two random 2-linear maps dom -> cod whose dims
+    (0 to 3) include zeros, with random complex blocks."""
+    shape = (len(cod), len(dom))
+    src = TwoLinearMap(dom, cod, rng.integers(0, 4, size=shape))
+    tgt = TwoLinearMap(dom, cod, rng.integers(0, 4, size=shape))
+    blocks = {(r, c): rng.normal(size=(tgt.dims[r, c], src.dims[r, c]))
+              + 1j * rng.normal(size=(tgt.dims[r, c], src.dims[r, c]))
+              for r in range(shape[0]) for c in range(shape[1])}
+    return TwoMorphism(src, tgt, blocks)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hcompose_matches_plain_kron_assembly(seed):
+    rng = np.random.default_rng(seed)
+    x = TwoBasis([(f"x{i}", 0, 1) for i in range(2)])
+    m = TwoBasis([(f"m{i}", 0, 1) for i in range(4)])
+    a = _random_morphism(rng, m, Z)
+    b = _random_morphism(rng, x, m)
+    got = hcompose_2morph(a, b)
+    empty = 0
+    for (r, c), blk in got.blocks.items():
+        # oracle: every piece through np.kron, empty ones included
+        pieces = [np.kron(a.blocks[(r, j)], b.blocks[(j, c)]) for j in range(len(m))]
+        empty += sum(p.size == 0 and p.shape != (0, 0) for p in pieces)
+        want = np.zeros((sum(p.shape[0] for p in pieces),
+                         sum(p.shape[1] for p in pieces)), dtype=complex)
+        ro = co = 0
+        for p in pieces:
+            want[ro : ro + p.shape[0], co : co + p.shape[1]] = p
+            ro, co = ro + p.shape[0], co + p.shape[1]
+        assert np.array_equal(blk, want)
+    # zero-row and zero-column pieces that still move an offset occur
+    assert empty > 0
