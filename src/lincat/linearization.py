@@ -40,6 +40,12 @@ tolerance; a span-map apex object's unit/counit piece depends only on its up
 and down homs and its witnesses' models, so apex objects that share them
 share one piece.
 
+The compositor beta_{x,x'} : Lambda(x') . Lambda(x) => Lambda(x;x') is a
+``TwoMorphism`` (``composite_block_iso``); the horizontal check is its
+naturality.  Each kind of numerical check has one routine: 2-cells compare by
+``_blocks_deviation``, invertibility by ``rep._condition``, integrality by
+``rep._integral``.
+
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
 read, its models afresh, and each dual-path block its pieces.  Inside
 ``verify_functoriality``, one run memo (in a context variable, so concurrent
@@ -58,16 +64,14 @@ import contextvars
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     IntertwinerProjectionFailure,
-    NonIntegralMultiplicity,
     NumericalFailure,
-    SingularMap,
     SpanMismatch,
     StrictnessViolation,
 )
@@ -85,10 +89,11 @@ from .groups import GroupHom
 from .rep import (
     DEFAULT_SEED,
     DEFAULT_TOL,
-    INT_TOL,
     InducedRep,
     RepModel,
+    _condition,
     _counit_kernel,
+    _integral,
     _structure_key,
     _unit_kernel,
     flatten_induction,
@@ -281,7 +286,7 @@ def _leg_dims(s_hom, t_hom, irreps1, irreps2, xi):
     that must agree (Frobenius reciprocity): the pairing of the two
     restrictions on the apex group, and that of the pushforward with W2 on
     the right foot.  ``xi`` is the first such apex object, named in errors."""
-    routes = [_integral(pairing(s_hom, t_hom, irreps1, irreps2), xi)
+    routes = [_integral(pairing(s_hom, t_hom, irreps1, irreps2), f" at apex object {xi}")
               for pairing in (_restricted_pairing, _induced_pairing)]
     if not np.array_equal(*routes):
         raise NumericalFailure(
@@ -289,17 +294,6 @@ def _leg_dims(s_hom, t_hom, irreps1, irreps2, xi):
             f"induced multiplicities {routes[1].tolist()} at apex object {xi}"
         )
     return routes[0]
-
-
-def _integral(values, xi):
-    """Round a block of character pairings, raising NonIntegralMultiplicity
-    unless each is within INT_TOL of an integer."""
-    n = np.round(values.real)
-    if np.max(np.abs(values - n)) > INT_TOL:
-        raise NonIntegralMultiplicity(
-            f"character pairing is not an integer at apex object {xi}: {values.tolist()}"
-        )
-    return n.astype(np.int64)
 
 
 def _entry_models(placed, first, legs, witnesses, tol):
@@ -516,13 +510,13 @@ def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
 
 
 def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
-    """Recompute every block by the unit/counit route and compare."""
-    rows = [
-        (a2, r, w2)
-        for a2, pairs in enumerate(lam_top.target_object.positions)
-        for r, w2 in pairs
-    ]
+    """Recompute every block by the unit/counit route, as a 2-cell parallel
+    to ``morphism``, and raise IntertwinerProjectionFailure, naming the worst
+    entry, unless the two agree within ``tol``."""
+    rows = [(a2, r, w2) for a2, pairs in enumerate(lam_top.target_object.positions)
+            for r, w2 in pairs]
     cache = {}
+    alts = {}
     for a2, r, w2 in rows:
         for c in range(len(lam_top.source_object.basis)):
             top_wits = lam_top.details[(r, c)]
@@ -548,31 +542,24 @@ def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
                     projections.append((lo2, ind2.dim, proj))
                 lo2 += ind2.dim
             alt = np.zeros((nrows, ncols), dtype=complex)
-            col = 0
-            lo = 0
+            col = lo = 0
             for tw in top_wits:
                 for f in tw.basis:
                     iota = np.zeros((big.shape[1], w2.dim), dtype=complex)
-                    iota[lo : lo + tw.ind.dim, :] = _unit_kernel(
-                        tw.ind, f.conj().T @ w2.matrices
-                    )
+                    iota[lo : lo + tw.ind.dim, :] = _unit_kernel(tw.ind, f.conj().T @ w2.matrices)
                     image = big @ iota
                     for i, (lo2, dim2, proj) in enumerate(projections):
-                        alt[i, col] = np.trace(
-                            proj @ image[lo2 : lo2 + dim2, :]
-                        ) / w2.dim
+                        alt[i, col] = np.trace(proj @ image[lo2 : lo2 + dim2, :]) / w2.dim
                     col += 1
                 lo += tw.ind.dim
-            dev = (
-                float(np.max(np.abs(alt - morphism.blocks[(r, c)])))
-                if alt.size
-                else 0.0
-            )
-            if dev > tol:
-                raise IntertwinerProjectionFailure(
-                    f"closed-form and unit/counit paths disagree by {dev} "
-                    f"at entry ({r},{c})"
-                )
+            alts[(r, c)] = alt
+    alt = TwoMorphism(morphism.source, morphism.target, alts)
+    dev, key = _blocks_deviation(alt, morphism)
+    if dev > tol:
+        raise IntertwinerProjectionFailure(
+            f"closed-form and unit/counit paths disagree by {dev} "
+            f"at entry ({key[0]},{key[1]})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +662,7 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
         cols = rhs.matrices[sp_hom.map[lhs.coset_reps]] @ at_m
         blocks.append(cols.transpose(1, 0, 2).reshape(rhs.dim, lhs.dim))
     gamma = np.concatenate(blocks, axis=1)
-    if gamma.size:
-        sv = np.linalg.svd(gamma, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-            raise SingularMap(f"comparison map at pair {pair} is singular")
-        cond = float(sv[0] / sv[-1])
-    else:
-        cond = 1.0
+    cond = _condition(gamma, 1e-12, f"comparison map at pair {pair} is singular")
     # module-map property: gamma . (+) rho_lhs(l) == rho_rhs(s'(l)) . gamma,
     # one column block of the direct sum at a time, for every l at once
     defect = 0.0
@@ -698,18 +679,21 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
 
 
 # ---------------------------------------------------------------------------
-# block correspondence for horizontal composites
+# the compositor as a 2-cell
 
 
-def composite_block_iso(lam_c: LambdaSpanResult, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
-    """Per basis pair (row, col), the isomorphism from the tensor-product hom
-    bases of the matrix product onto the hom bases of the composite span's
-    matrix.  ``lam_c`` is ``lambda_span``, with this seed and tol, of a span
-    built by ``compose_spans(x, xp)``; x, xp and the comma category are read
-    from it (``factors``, ``comma``).  A column indexed by (middle label
-    (a2,W2), u' in xp's entry basis, u in x's entry basis) is sent to the
-    family, over composite-apex witnesses (x_o, m, x'_o), of  u' . W2(m^-1)
-    . u  expressed in the witness's intertwiner basis."""
+def composite_block_iso(lam_c: LambdaSpanResult, seed=DEFAULT_SEED,
+                        tol=DEFAULT_TOL) -> TwoMorphism:
+    """The compositor beta_{x,xp} : Lambda(xp) . Lambda(x) => Lambda(x;xp), a
+    ``TwoMorphism`` from ``compose_2linear`` of the factors' maps to the
+    composite's.  ``lam_c`` is ``lambda_span``, with this seed and tol, of a
+    span built by ``compose_spans(x, xp)``, which names x, xp and the comma
+    category (``factors``, ``comma``).  A column, indexed in
+    ``hcompose_2morph``'s layout by (middle label (a2,W2), u' in xp's entry
+    basis, u in x's), is sent at each composite witness (x_o, m, x'_o) with u'
+    from x'_o and u from x_o to u' . W2(m^-1) . u in the witness's basis: one
+    Frobenius-coordinate product per witness.  Raises SingularMap unless every
+    block is invertible."""
     composite = lam_c.span
     cat = composite.comma
     if cat is None or composite.factors is None:
@@ -717,44 +701,56 @@ def composite_block_iso(lam_c: LambdaSpanResult, seed=DEFAULT_SEED, tol=DEFAULT_
     x, xp = composite.factors
     lam_x = lambda_span(x, seed=seed, tol=tol)
     lam_xp = lambda_span(xp, seed=seed, tol=tol)
-    mid = lam_x.target_object
-    isos = {}
-    for r in range(len(lam_c.target_object.basis)):
-        for c in range(len(lam_c.source_object.basis)):
-            n = int(lam_c.map.dims[r, c])
-            cols = []
-            for jmid, w2 in chain.from_iterable(mid.positions):
-                # (apex object, basis element) pairs of the two factor entries
-                ups = [(pw.apex_idx, up) for pw in lam_xp.details[(r, jmid)]
-                       for up in pw.basis]
-                uqs = [(qw.apex_idx, uq) for qw in lam_x.details[(jmid, c)]
-                       for uq in qw.basis]
-                for p_idx, up in ups:
-                    for q_idx, uq in uqs:
-                        col = np.zeros(n, dtype=complex)
-                        off = 0
-                        for wit in lam_c.details[(r, c)]:
-                            cls = cat.classes[wit.apex_idx]
-                            if cls.a_idx == q_idx and cls.b_idx == p_idx:
-                                m_inv = x.target.aut(cls.c_idx).inv[cls.rep]
-                                e = up @ w2.matrices[m_inv] @ uq
-                                for i, b in enumerate(wit.basis):
-                                    col[off + i] = np.sum(np.conj(b) * e)
-                            off += len(wit.basis)
-                        cols.append(col)
-            mat = (
-                np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=complex)
+    product = compose_2linear(lam_xp.map, lam_x.map)
+    mid = lam_x.target_object.positions
+    blocks = {}
+    for (r, c), wits in lam_c.details.items():
+        n, ncols = int(lam_c.map.dims[r, c]), int(product.dims[r, c])
+        if ncols != n:
+            raise DimensionMismatch(
+                f"block iso at ({r},{c}) is {(n, ncols)}, expected square {n}"
             )
-            if mat.shape != (n, n):
-                raise DimensionMismatch(
-                    f"block iso at ({r},{c}) is {mat.shape}, expected square {n}"
+        if not n:
+            continue
+        # first column of each middle label's piece
+        sizes = lam_xp.map.dims[r] * lam_x.map.dims[:, c]
+        starts = np.cumsum(sizes) - sizes
+        mat = np.zeros((n, n), dtype=complex)
+        row = 0
+        for wit in wits:
+            rank = len(wit.basis)
+            if not rank:
+                continue
+            cls = cat.classes[wit.apex_idx]
+            m_inv = x.target.aut(cls.c_idx).inv[cls.rep]
+            terms, cols = [], []
+            for jmid, w2 in mid[cls.c_idx]:
+                p0, pw = _basis_start(lam_xp.details[(r, jmid)], cls.b_idx)
+                q0, qw = _basis_start(lam_x.details[(jmid, c)], cls.a_idx)
+                if not (len(pw.basis) and len(qw.basis)):
+                    continue
+                e = (pw.basis @ w2.matrices[m_inv])[:, None] @ qw.basis
+                terms.append(e.reshape(-1, e.shape[2] * e.shape[3]))
+                ip, iq = p0 + np.arange(len(pw.basis)), q0 + np.arange(len(qw.basis))
+                cols.append((starts[jmid] + ip[:, None] * lam_x.map.dims[jmid, c] + iq).ravel())
+            if terms:
+                mat[row : row + rank, np.concatenate(cols)] = (
+                    wit.basis.reshape(rank, -1).conj() @ np.concatenate(terms).T
                 )
-            if n:
-                sv = np.linalg.svd(mat, compute_uv=False)
-                if sv[-1] <= 1e-9 * max(1.0, sv[0]):
-                    raise SingularMap(f"block correspondence at ({r},{c}) is singular")
-            isos[(r, c)] = mat
-    return isos
+            row += rank
+        _condition(mat, 1e-9, f"block correspondence at ({r},{c}) is singular")
+        blocks[(r, c)] = mat
+    return TwoMorphism(product, lam_c.map, blocks)
+
+
+def _basis_start(wits, apex_idx):
+    """The position in an entry's basis of the first element of apex object
+    ``apex_idx``'s witness, and that witness."""
+    start = 0
+    for w in wits:
+        if w.apex_idx == apex_idx:
+            return start, w
+        start += len(w.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +838,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
     composites = {}
 
     # (a) compositor dimension checks + gamma invertibility
-    pairs = [
-        (i, j)
-        for i, a in enumerate(spans)
-        for j, b in enumerate(spans)
-        if a.target == b.source
-    ][:MAX_PAIRS]
-    for i, j in pairs:
+    for i, j in islice(_pairs(spans, lambda a, b: a.target == b.source), MAX_PAIRS):
         name = f"span[{i}] ; span[{j}]"
         try:
             rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol)
@@ -857,7 +847,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
                 CheckResult(
                     "compositor",
                     name,
-                    rep.ok(tol=max(tol, 1e-7)),
+                    rep.ok(tol=tol),
                     rep.max_defect,
                     f"max gamma condition {rep.max_condition_number:.2e}",
                 )
@@ -866,14 +856,9 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
             report.results.append(CheckResult("compositor", name, False, note=str(exc)))
 
     # (b) associator coherence at the dimension level
-    triples = [
-        (i, j, k)
-        for i, a in enumerate(spans)
-        for j, b in enumerate(spans)
-        for k, c in enumerate(spans)
-        if a.target == b.source and b.target == c.source
-    ][:MAX_TRIPLES]
-    for i, j, k in triples:
+    triples = ((i, j, k) for i, j in _pairs(spans, lambda a, b: a.target == b.source)
+               for k, c in enumerate(spans) if spans[j].target == c.source)
+    for i, j, k in islice(triples, MAX_TRIPLES):
         name = f"span[{i}] ; span[{j}] ; span[{k}]"
         for p, q in ((i, j), (j, k)):
             if (p, q) not in composites:
@@ -897,13 +882,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
         report.results.append(CheckResult("unitor", f"span[{i}]", bool(ok)))
 
     # (d) vertical composition
-    vpairs = [
-        (i, j)
-        for i, a in enumerate(maps)
-        for j, b in enumerate(maps)
-        if a.bottom == b.top
-    ][:MAX_PAIRS]
-    for i, j in vpairs:
+    for i, j in islice(_pairs(maps, lambda a, b: a.bottom == b.top), MAX_PAIRS):
         name = f"map[{i}] ; map[{j}]"
         try:
             comp = vertical_compose_spanmaps(maps[i], maps[j])
@@ -913,17 +892,13 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
         lhs = lambda_spanmap(comp, seed=seed, tol=tol).morphism
         rhs = vcompose_2morph(lambda_spanmap(maps[i], seed=seed, tol=tol).morphism,
                               lambda_spanmap(maps[j], seed=seed, tol=tol).morphism)
-        dev = _blocks_deviation(lhs, rhs)
+        dev, _ = _blocks_deviation(lhs, rhs)
         report.results.append(CheckResult("vertical", name, dev < tol * 10, dev))
 
-    # (e) horizontal composition, compared through the block correspondence
-    hpairs = [
-        (i, j)
-        for i, a in enumerate(maps)
-        for j, b in enumerate(maps)
-        if a.top.target == b.top.source
-    ][:MAX_PAIRS]
-    for i, j in hpairs:
+    # (e) horizontal composition: beta is natural,
+    # Lambda(y * y') . beta_top = beta_bot . (Lambda(y') o Lambda(y))
+    for i, j in islice(_pairs(maps, lambda a, b: a.top.target == b.top.source),
+                       MAX_PAIRS):
         name = f"map[{i}] * map[{j}]"
         try:
             comp = horizontal_compose_spanmaps(maps[i], maps[j])
@@ -933,25 +908,33 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
         lam_comp = lambda_spanmap(comp, seed=seed, tol=tol)
         hcomp = hcompose_2morph(lambda_spanmap(maps[j], seed=seed, tol=tol).morphism,
                                 lambda_spanmap(maps[i], seed=seed, tol=tol).morphism)
-        iso_top = composite_block_iso(lam_comp.source_result, seed=seed, tol=tol)
-        iso_bot = composite_block_iso(lam_comp.target_result, seed=seed, tol=tol)
-        dev = 0.0
-        for key, blk in lam_comp.morphism.blocks.items():
-            lhs = blk @ iso_top[key]
-            rhs = iso_bot[key] @ hcomp.blocks[key]
-            if lhs.size:
-                dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+        beta_top = composite_block_iso(lam_comp.source_result, seed=seed, tol=tol)
+        beta_bot = composite_block_iso(lam_comp.target_result, seed=seed, tol=tol)
+        dev, _ = _blocks_deviation(vcompose_2morph(beta_top, lam_comp.morphism),
+                                   vcompose_2morph(hcomp, beta_bot))
         report.results.append(CheckResult("horizontal", name, dev < tol * 10, dev))
 
     return report
 
 
+def _pairs(items, linked):
+    """The index pairs (i, j) with linked(items[i], items[j]), lazily, in
+    enumeration order."""
+    return ((i, j) for i, a in enumerate(items) for j, b in enumerate(items)
+            if linked(a, b))
+
+
 def _blocks_deviation(a: TwoMorphism, b: TwoMorphism):
-    dev = 0.0
+    """The worst entrywise deviation between the blocks of two parallel
+    2-cells, and the (row, col) of the block where it occurs (None when no
+    block has entries); inf at the first block whose shapes differ."""
+    dev, worst = 0.0, None
     for key, blk in a.blocks.items():
         other = b.blocks[key]
         if blk.shape != other.shape:
-            return float("inf")
+            return float("inf"), key
         if blk.size:
-            dev = max(dev, float(np.max(np.abs(blk - other))))
-    return dev
+            d = float(np.max(np.abs(blk - other)))
+            if worst is None or d > dev:
+                dev, worst = d, key
+    return dev, worst

@@ -78,10 +78,32 @@ def character_inner(a: Character, b: Character) -> complex:
 def hom_dim(a: Character, b: Character) -> int:
     """Dimension of the space of intertwiners between reps with these characters."""
     val = character_inner(a, b)
-    n = round(val.real)
-    if abs(val - n) > INT_TOL:
-        raise NonIntegralMultiplicity(f"character pairing {val} is not an integer")
-    return int(n)
+    return int(_integral(val))
+
+
+def _integral(values, where=""):
+    """Round character pairings (a number or an array) to integers, raising
+    NonIntegralMultiplicity unless each is within INT_TOL of one; ``where``
+    ends the error's message."""
+    values = np.asarray(values)
+    n = np.rint(values.real)
+    if (abs(values - n) > INT_TOL).any():
+        raise NonIntegralMultiplicity(
+            f"character pairing {values.tolist()} is not an integer{where}"
+        )
+    return n.astype(np.int64)
+
+
+def _condition(mat, cut, message):
+    """Condition number of the square matrix ``mat`` by its singular values
+    (1.0 when it is empty), raising SingularMap(message) when the smallest is
+    at most ``cut`` times max(1, the largest)."""
+    if not mat.size:
+        return 1.0
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv[-1] <= cut * max(1.0, sv[0]):
+        raise SingularMap(message)
+    return float(sv[0] / sv[-1])
 
 
 class RepModel:
@@ -557,13 +579,7 @@ def _nakayama_data(f: GroupHom, v: RepModel, tol):
     mat /= f.source.order
     if mat.shape[0] != mat.shape[1]:
         raise SingularMap("hom and tensor models have different dimensions")
-    cond = 1.0
-    if mat.shape[0]:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
-            raise SingularMap("exterior trace map is numerically singular")
-        cond = float(sv[0] / sv[-1])
-    return mat, ind, cond
+    return mat, ind, _condition(mat, tol, "exterior trace map is numerically singular")
 
 
 def nakayama(f: GroupHom, v: RepModel, tol=DEFAULT_TOL):

@@ -197,8 +197,8 @@ def test_criterion_6_vertical_horizontal():
                 iso_top = composite_block_iso(lam_comp.source_result)
                 iso_bot = composite_block_iso(lam_comp.target_result)
                 for key, blk in lam_comp.morphism.blocks.items():
-                    lhs = blk @ iso_top[key]
-                    rhs = iso_bot[key] @ hc.blocks[key]
+                    lhs = blk @ iso_top.blocks[key]
+                    rhs = iso_bot.blocks[key] @ hc.blocks[key]
                     if lhs.size:
                         assert np.max(np.abs(lhs - rhs)) < TOL
                 hchecked += 1

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import itertools
 import sys
 import threading
 import weakref
@@ -18,6 +20,7 @@ from lincat.errors import (
     NonIntegralMultiplicity,
     NumericalFailure,
     SpanMismatch,
+    StrictnessViolation,
 )
 from lincat.groupoids import (
     Groupoid,
@@ -44,6 +47,8 @@ from lincat.groups import (
     trivial_hom,
 )
 from lincat.linearization import (
+    MAX_PAIRS,
+    MAX_TRIPLES,
     SuiteConfig,
     _big_transfer,
     _check_dual_path,
@@ -67,6 +72,7 @@ from lincat.suites import (
     z2_in_s3,
 )
 from lincat.rep import (
+    DEFAULT_SEED,
     DEFAULT_TOL,
     _counit_kernel,
     _unit_kernel,
@@ -76,7 +82,7 @@ from lincat.rep import (
     irreps,
     restrict_rep,
 )
-from lincat.twovect import TwoMorphism, hcompose_2morph, vcompose_2morph
+from lincat.twovect import TwoMorphism, compose_2linear, hcompose_2morph, vcompose_2morph
 
 DATA = "src/lincat/data"
 
@@ -265,7 +271,9 @@ def test_dual_path_catches_a_wrong_block():
     assert np.allclose(blocks[key], [[0.5]])
     blocks[key] = blocks[key] + 1e-3
     wrong = TwoMorphism(res.morphism.source, res.morphism.target, blocks)
-    with pytest.raises(IntertwinerProjectionFailure):
+    # the error names the entry where the two paths disagree
+    with pytest.raises(IntertwinerProjectionFailure,
+                       match=rf"at entry \({key[0]},{key[1]}\)$"):
         _check_dual_path(sm, res.source_result, res.target_result, wrong,
                          tol=DEFAULT_TOL)
 
@@ -314,6 +322,25 @@ def test_beta_inclusion_spans_double_cosets():
     assert sorted(comp.apex.aut(i).order for i in range(len(comp.apex))) == [1, 2]
     assert rep.dims_composite.tolist() == [[2]]
     assert rep.max_condition_number < 1e6
+
+
+def test_compositor_check_judges_gamma_defect_against_tol(monkeypatch):
+    # a defect of 5e-8 lies between the default tol (1e-8) and 1e-7: the
+    # suite's tolerance decides, with no floor of its own
+    real = lincat.linearization._gamma_pair_witness
+
+    def defective(*args):
+        witness = real(*args)
+        witness.module_map_defect = 5e-8
+        return witness
+
+    monkeypatch.setattr(lincat.linearization, "_gamma_pair_witness", defective)
+    strict = verify_functoriality(default_suite()).section("compositor")
+    assert any(r.deviation == 5e-8 for r in strict)
+    assert all(r.passed == (r.deviation < DEFAULT_TOL) for r in strict)
+    loose = verify_functoriality(
+        dataclasses.replace(default_suite(), tolerance=1e-7)).section("compositor")
+    assert all(r.passed for r in loose)
 
 
 def test_beta_gamma_invertible_across_suite():
@@ -369,11 +396,95 @@ def test_horizontal_composition_with_correspondence():
     iso_top = composite_block_iso(lam_comp.source_result)
     iso_bot = composite_block_iso(lam_comp.target_result)
     for key, blk in lam_comp.morphism.blocks.items():
-        lhs = blk @ iso_top[key]
-        rhs = iso_bot[key] @ hc.blocks[key]
+        lhs = blk @ iso_top.blocks[key]
+        rhs = iso_bot.blocks[key] @ hc.blocks[key]
         if lhs.size:
             assert np.max(np.abs(lhs - rhs)) < TOL
 
+
+
+def _beta_blocks_reference(lam_c):
+    """The compositor's blocks of a composite's ``lambda_span`` result, one
+    basis element at a time: column (middle label, u', u) is sent, at each
+    composite witness (x_o, m, x'_o) with u' from x'_o and u from x_o, to the
+    Frobenius coordinates of u' . W2(m^-1) . u."""
+    x, xp = lam_c.span.factors
+    cat = lam_c.span.comma
+    lam_x, lam_xp = lambda_span(x), lambda_span(xp)
+    blocks = {}
+    for (r, c), wits in lam_c.details.items():
+        n = int(lam_c.map.dims[r, c])
+        cols = []
+        for jmid, w2 in itertools.chain.from_iterable(lam_x.target_object.positions):
+            ups = [(pw.apex_idx, up) for pw in lam_xp.details[(r, jmid)] for up in pw.basis]
+            uqs = [(qw.apex_idx, uq) for qw in lam_x.details[(jmid, c)] for uq in qw.basis]
+            for p_idx, up in ups:
+                for q_idx, uq in uqs:
+                    col = np.zeros(n, dtype=complex)
+                    off = 0
+                    for wit in wits:
+                        cls = cat.classes[wit.apex_idx]
+                        if cls.a_idx == q_idx and cls.b_idx == p_idx:
+                            m_inv = x.target.aut(cls.c_idx).inv[cls.rep]
+                            e = up @ w2.matrices[m_inv] @ uq
+                            for i, b in enumerate(wit.basis):
+                                col[off + i] = np.sum(np.conj(b) * e)
+                        off += len(wit.basis)
+                    cols.append(col)
+        blocks[(r, c)] = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+    return blocks
+
+
+@pytest.mark.parametrize("suite_seed", [None, *range(8)])
+def test_beta_blocks_match_reference_loop(suite_seed):
+    suite = default_suite() if suite_seed is None else random_suite(suite_seed)
+    checked = 0
+    for y, yp in itertools.product(suite.spanmaps, repeat=2):
+        if y.top.target != yp.top.source:
+            continue
+        try:
+            comp = horizontal_compose_spanmaps(y, yp)
+        except StrictnessViolation:
+            continue
+        for span in (comp.top, comp.bottom):
+            lam_c = lambda_span(span)
+            beta = composite_block_iso(lam_c)
+            x, xp = span.factors
+            assert beta.source == compose_2linear(lambda_span(xp).map, lambda_span(x).map)
+            assert beta.target is lam_c.map
+            want = _beta_blocks_reference(lam_c)
+            assert beta.blocks.keys() == want.keys()
+            for key, blk in want.items():
+                assert beta.blocks[key].shape == blk.shape
+                if blk.size:
+                    assert np.max(np.abs(beta.blocks[key] - blk)) < 1e-12
+            checked += 1
+    assert checked > 0
+
+
+def test_horizontal_check_catches_a_scaled_beta_block(monkeypatch):
+    # scale one non-empty block of each top composite's compositor by
+    # 1 + 1e-6; the bottom one is left alone, so naturality must fail
+    tops = []
+    real_compose = lincat.linearization.horizontal_compose_spanmaps
+    real_beta = lincat.linearization.composite_block_iso
+
+    def recorded(y, yp):
+        comp = real_compose(y, yp)
+        tops.append(comp.top)
+        return comp
+
+    def scaled(lam_c, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
+        beta = real_beta(lam_c, seed=seed, tol=tol)
+        if any(lam_c.span is top for top in tops):
+            key = next(k for k, b in beta.blocks.items() if b.size)
+            beta.blocks[key] = beta.blocks[key] * (1 + 1e-6)
+        return beta
+
+    monkeypatch.setattr(lincat.linearization, "horizontal_compose_spanmaps", recorded)
+    monkeypatch.setattr(lincat.linearization, "composite_block_iso", scaled)
+    horizontal = verify_functoriality(default_suite()).section("horizontal")
+    assert tops and not all(r.passed for r in horizontal)
 
 
 def _count_comma_categories(monkeypatch):
@@ -411,8 +522,8 @@ def test_composite_block_iso_reads_comma_of_given_composite(monkeypatch):
     calls = _count_comma_categories(monkeypatch)
     isos = composite_block_iso(lam_c)
     assert calls == []
-    assert isos.keys() == fresh.keys()
-    assert all(np.array_equal(isos[k], fresh[k]) for k in isos)
+    assert isos.blocks.keys() == fresh.blocks.keys()
+    assert all(np.array_equal(isos.blocks[k], fresh.blocks[k]) for k in isos.blocks)
     bare = Span(top.apex, top.left, top.right)
     assert bare == top and bare.comma is None and bare.factors is None
     with pytest.raises(SpanMismatch):
@@ -431,6 +542,23 @@ def test_verify_functoriality_default_suite():
     assert report.max_deviation < TOL
     sections = {r.section for r in report.results}
     assert sections == {"compositor", "associator", "unitor", "vertical", "horizontal"}
+
+
+def test_checked_pairs_and_triples_are_the_first_composable_ones():
+    # the compositor and associator sections check the first MAX_PAIRS pairs
+    # and MAX_TRIPLES triples of the full enumeration, in its order
+    suite = default_suite()
+    spans = suite.spans
+    pairs = [(i, j) for i, a in enumerate(spans) for j, b in enumerate(spans)
+             if a.target == b.source]
+    triples = [(i, j, k) for i, j in pairs for k, c in enumerate(spans)
+               if spans[j].target == c.source]
+    assert len(triples) > MAX_TRIPLES
+    report = verify_functoriality(suite)
+    assert [r.name for r in report.section("compositor")] == [
+        f"span[{i}] ; span[{j}]" for i, j in pairs[:MAX_PAIRS]]
+    assert [r.name for r in report.section("associator")] == [
+        f"span[{i}] ; span[{j}] ; span[{k}]" for i, j, k in triples[:MAX_TRIPLES]]
 
 
 def test_verify_functoriality_identity_spans_only():
