@@ -121,14 +121,12 @@ class TwoMorphism:
         self.blocks = {}
         for r in range(len(source.codomain)):
             for c in range(len(source.domain)):
-                blk = np.asarray(
-                    blocks.get((r, c), np.zeros((target.dims[r, c], source.dims[r, c]))),
-                    dtype=complex,
-                )
-                if blk.shape != (target.dims[r, c], source.dims[r, c]):
+                shape = (target.dims[r, c], source.dims[r, c])
+                blk = blocks.get((r, c))
+                blk = np.zeros(shape, dtype=complex) if blk is None else np.asarray(blk, dtype=complex)
+                if blk.shape != shape:
                     raise ShapeMismatch(
-                        f"block ({r},{c}) has shape {blk.shape}, expected "
-                        f"({target.dims[r, c]}, {source.dims[r, c]})"
+                        f"block ({r},{c}) has shape {blk.shape}, expected {shape}"
                     )
                 self.blocks[(r, c)] = blk
 

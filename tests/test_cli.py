@@ -8,6 +8,7 @@ import pytest
 
 import lincat.cli
 from lincat.cli import main
+from lincat.errors import IntertwinerProjectionFailure, SingularMap
 
 DATA = "src/lincat/data"
 
@@ -215,8 +216,10 @@ def test_compose_with_beta_builds_one_comma_category(capsys, tmp_path, monkeypat
 
 
 def test_verify_impossible_tolerance_exits_1(capsys):
-    # with tolerance 0 even exact checks cannot pass, exercising the
-    # verification-failure exit path
+    # with tolerance 0 the vertical and horizontal checks fail, since they
+    # require a float deviation below 10 * tol; the exact checks (compositor,
+    # associator, unitor) still pass.  This exercises the verification-failure
+    # exit path
     code, out, _ = run_cli(
         capsys,
         "verify",
@@ -227,6 +230,30 @@ def test_verify_impossible_tolerance_exits_1(capsys):
     )
     assert code == 1
     assert "VERIFICATION FAILED" in out
+
+
+@pytest.mark.parametrize("target, error, sections", [
+    ("_condition", SingularMap, {"horizontal"}),
+    ("_check_dual_path", IntertwinerProjectionFailure, {"vertical", "horizontal"}),
+], ids=["singular-beta-block", "dual-path-disagrees"])
+def test_verify_reports_check_errors_and_exits_1(capsys, monkeypatch, target, error,
+                                                 sections):
+    # an error by which a check fails (a singular compositor block, or the
+    # two evaluation paths disagreeing) is a failed check, not an input error
+    import lincat.linearization
+
+    def failing(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(lincat.linearization, target, failing)
+    code, out, _ = run_cli(capsys, "--output", "json", "verify")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    failed = {c["section"] for c in checks if not c["passed"]}
+    assert failed == sections
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert "-- injected failure" in out and "VERIFICATION FAILED" in out
 
 
 def test_verify_tolerance_reaches_zigzag(capsys, monkeypatch):

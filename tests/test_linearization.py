@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import sys
@@ -38,6 +37,7 @@ from lincat.groupoids import (
 )
 from lincat.groups import (
     FinGroup,
+    GroupHom,
     cyclic_group,
     direct_product,
     identity_hom,
@@ -82,7 +82,13 @@ from lincat.rep import (
     irreps,
     restrict_rep,
 )
-from lincat.twovect import TwoMorphism, compose_2linear, hcompose_2morph, vcompose_2morph
+from lincat.twovect import (
+    TwoLinearMap,
+    TwoMorphism,
+    compose_2linear,
+    hcompose_2morph,
+    vcompose_2morph,
+)
 
 DATA = "src/lincat/data"
 
@@ -324,34 +330,87 @@ def test_beta_inclusion_spans_double_cosets():
     assert rep.max_condition_number < 1e6
 
 
-def test_compositor_check_judges_gamma_defect_against_tol(monkeypatch):
-    # a defect of 5e-8 lies between the default tol (1e-8) and 1e-7: the
-    # suite's tolerance decides, with no floor of its own
-    real = lincat.linearization._gamma_pair_witness
-
-    def defective(*args):
-        witness = real(*args)
-        witness.module_map_defect = 5e-8
-        return witness
-
-    monkeypatch.setattr(lincat.linearization, "_gamma_pair_witness", defective)
-    strict = verify_functoriality(default_suite()).section("compositor")
-    assert any(r.deviation == 5e-8 for r in strict)
-    assert all(r.passed == (r.deviation < DEFAULT_TOL) for r in strict)
-    loose = verify_functoriality(
-        dataclasses.replace(default_suite(), tolerance=1e-7)).section("compositor")
-    assert all(r.passed for r in loose)
+def _drop_class(cat):
+    """Forget the last double-coset class of the first apex-object pair."""
+    pair = min(cat.pair_data)
+    coset_class, witness, class_ids = cat.pair_data[pair]
+    cat.pair_data[pair] = (coset_class, witness, class_ids[:-1])
 
 
-def test_beta_gamma_invertible_across_suite():
+def _drop_fibred_pair(cat):
+    """Forget the last pair of the first class's fibred product."""
+    cid = cat.pair_data[min(cat.pair_data)][2][0]
+    for proj in (cat.proj_left, cat.proj_right):
+        hom = proj.hom_maps[cid]
+        proj.hom_maps[cid] = GroupHom._derived(hom.source, hom.target, hom.map[:-1])
+
+
+@pytest.mark.parametrize("mutate", [_drop_class, _drop_fibred_pair],
+                         ids=["dropped-class", "dropped-fibred-pair"])
+def test_compositor_reports_a_broken_comparison_map(monkeypatch, mutate):
+    # the comma data behind every composite beta_compositor builds is broken
+    # at one pair: the report is not ok and the check fails, nothing raises
+    real = lincat.linearization.compose_spans
+
+    def broken(x, xp):
+        composite = real(x, xp)
+        mutate(composite.comma)
+        return composite
+
+    monkeypatch.setattr(lincat.linearization, "compose_spans", broken)
+    fig1 = fig1_span()
+    rep = beta_compositor(reverse_span(fig1), fig1)
+    assert rep.dims_ok and not rep.ok()
+    assert rep.max_defect >= 1 and rep.max_condition_number == float("inf")
+    checks = verify_functoriality(default_suite()).section("compositor")
+    assert checks and not any(r.passed for r in checks)
+    assert all(r.deviation >= 1 and r.note == "max gamma condition inf" for r in checks)
+
+
+def test_compositor_reports_a_dims_mismatch(monkeypatch):
+    real = lincat.linearization.compose_2linear
+
+    def shifted(a, b):
+        product = real(a, b)
+        return TwoLinearMap(product.domain, product.codomain, product.dims + 1)
+
+    monkeypatch.setattr(lincat.linearization, "compose_2linear", shifted)
+    fig1 = fig1_span()
+    rep = beta_compositor(reverse_span(fig1), fig1)
+    assert not rep.dims_ok and rep.max_defect == 0 and not rep.ok()
+    checks = verify_functoriality(default_suite()).section("compositor")
+    assert checks and not any(r.passed for r in checks)
+
+
+def test_compositor_is_exact_at_tolerance_zero():
+    p = parse(f"{DATA}/suite_small.json").payload
+    report = verify_functoriality(
+        SuiteConfig(p["groupoids"], p["spans"], p["spanmaps"], tolerance=0.0))
+    checks = report.section("compositor")
+    assert len(checks) == 4
+    assert all(r.passed and r.deviation == 0.0 for r in checks)
+
+
+def test_beta_gamma_invertible_across_suite(monkeypatch):
+    # the comparison maps are checked from the tables: no model, no SVD
     spans = default_suite().spans
     pairs = [
         (a, b) for a in spans for b in spans if a.target == b.source
     ]
-    for a, b in pairs[:12]:
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("beta_compositor must build no model and take no SVD")
+
+    for module in (lincat.rep, lincat.linearization):
+        monkeypatch.setattr(module, "induce_rep", refuse)
+        monkeypatch.setattr(module, "_condition", refuse)
+    monkeypatch.setattr(lincat.rep, "regular_rep", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert len(pairs) > 12
+    for a, b in pairs:
         rep = beta_compositor(a, b)
         assert rep.ok()
-        assert rep.max_condition_number < 1e6
+        assert rep.max_condition_number == 1.0
 
 
 # --- vertical / horizontal ---------------------------------------------------
