@@ -34,11 +34,16 @@ those intertwiner spaces, evaluated in closed form as
 
 with P the group-average projection onto intertwiners over the bottom
 witness, taken for all basis elements of a top witness in one batched
-product over the group.  A second, independent evaluation path pastes the
-explicit unit/counit matrices on induced models and must agree within
-tolerance; a span-map apex object's unit/counit piece depends only on its up
-and down homs and its witnesses' models, so apex objects that share them
-share one piece.
+product over the group.  A second, independent evaluation path (the dual
+path) pastes the explicit unit/counit matrices on induced models and must
+agree within tolerance.  It works one (top, bottom) witness pair at a time:
+the pair's transfer T between the two pushforwards is the sum of the
+unit/counit pieces of the span-map apex objects over it, and its sub-block
+is one contraction of T with the stacked unit embeddings of the top basis
+and the counit projections of the bottom one.  A piece depends only on its
+up and down homs and its witnesses' models, so apex objects that share them
+share one piece; it builds five induced models, its two staged inductions
+flattening into one direct induction.
 
 The compositor beta_{x,x'} : Lambda(x') . Lambda(x) => Lambda(x;x') is a
 ``TwoMorphism`` (``composite_block_iso``); the horizontal check is its
@@ -74,6 +79,7 @@ from .errors import (
     DimensionMismatch,
     IntertwinerProjectionFailure,
     NumericalFailure,
+    RankMismatch,
     SingularMap,
     SpanMismatch,
     StrictnessViolation,
@@ -439,50 +445,107 @@ def _lambda_spanmap(y: SpanMap, seed, tol, check) -> LambdaSpanMapResult:
 # --- secondary evaluation path (unit/counit pasting on induced models) -----
 
 
-def _big_transfer(y: SpanMap, top_wits, bot_wits):
-    """The presheaf-level map between the block models
-    (+)_{x1} ind_{t1}(s1*W1)  ->  (+)_{x2} ind_{t2}(s2*W1)
-    obtained by pasting the right unit along y.up with the left counit along
-    y.down through the staged/direct induction isomorphisms.  The block
-    models are the witnesses' pushforwards.  A span-map apex object's piece
-    depends only on its up and down homs and the models of its top and
-    bottom witnesses, which ``lambda_span`` shares between apex objects with
-    equal leg homs; each distinct piece is built once per call, or once per
-    run inside ``verify_functoriality``."""
-    top_pos = {w.apex_idx: i for i, w in enumerate(top_wits)}
-    bot_pos = {w.apex_idx: i for i, w in enumerate(bot_wits)}
-    top_off = np.cumsum([0] + [w.ind.dim for w in top_wits])
-    bot_off = np.cumsum([0] + [w.ind.dim for w in bot_wits])
-    big = np.zeros((int(bot_off[-1]), int(top_off[-1])), dtype=complex)
+def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
+    """Every block of ``lambda_spanmap(y)`` by pasting the right unit along
+    y.up with the left counit along y.down, as a 2-cell from ``lam_top.map``
+    to ``lam_bot.map``, one witness pair at a time.
+
+    A pair (top witness tw, bottom witness bw) of an entry, both with a
+    nonempty basis, fills its sub-block only when some span-map apex object
+    lies over (tw, bw).  Its transfer T, from tw's pushforward to bw's, is
+    the sum of those apex objects' ``_transfer_piece``s.  A top basis element
+    f embeds W2 into tw's pushforward by the unit kernel on f^dag W2(a); a
+    bottom one f2 projects back by the counit kernel on W2(h) f2, divided by
+    kappa = #Aut(a2) / (#Aut(x2) * dim W2).  The sub-block is the trace of
+    projection . T . embedding over W2, divided by dim W2, in one contraction.
+    A piece depends only on its homs and models, which ``lambda_span``
+    shares between apex objects with equal leg homs; each distinct piece is
+    built once per call, or once per run inside ``verify_functoriality``."""
     run = _RUN.get()
     pieces = run.pieces if run is not None else {}
+    over = {}  # (x1, x2) -> the span-map apex objects over them
     for yi in range(len(y.apex)):
-        x1, x2 = y.up(yi), y.down(yi)
-        if x1 not in top_pos or x2 not in bot_pos:
-            continue
-        i1, i2 = top_pos[x1], bot_pos[x2]
-        tw, bw = top_wits[i1], bot_wits[i2]
-        # RepModels hash by identity: shared models give equal keys, and the
-        # run's shared leg entries keep the same models for the whole run
-        key = (y.up.hom(yi), y.down.hom(yi), tw.r1, tw.ind, bw.r1, bw.ind)
-        if key not in pieces:
-            pieces[key] = _transfer_piece(*key)
-        big[
-            int(bot_off[i2]) : int(bot_off[i2 + 1]),
-            int(top_off[i1]) : int(top_off[i1 + 1]),
-        ] += pieces[key]
-    return big
+        over.setdefault((y.up(yi), y.down(yi)), []).append(yi)
+    rows = [pos for pairs in lam_top.target_object.positions for pos in pairs]
+    transfers = {}  # (top and bottom pushforwards, x1, x2) -> T
+    blocks = {}
+    for r, w2 in rows:
+        for c in range(len(lam_top.source_object.basis)):
+            nrows, ncols = int(lam_bot.map.dims[r, c]), int(lam_top.map.dims[r, c])
+            if not (nrows and ncols):
+                continue
+            tops = _with_offsets(lam_top.details[(r, c)])
+            embeds = {}  # top witness's apex object -> its E
+            block = np.zeros((nrows, ncols), dtype=complex)
+            for row0, bw in _with_offsets(lam_bot.details[(r, c)]):
+                partners = [(col0, tw, yis) for col0, tw in tops
+                            if (yis := over.get((tw.apex_idx, bw.apex_idx)))]
+                if not partners:
+                    continue
+                ind2, nb = bw.ind, len(bw.basis)
+                kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
+                # P[b]: the projection onto W2 of bw's b-th basis element
+                mats = w2.matrices[:, None] @ bw.basis
+                mats = mats.reshape(len(mats), nb * w2.dim, -1)
+                proj = _counit_kernel(ind2, mats).reshape(nb, w2.dim, ind2.dim) / kappa
+                for col0, tw, yis in partners:
+                    if tw.apex_idx not in embeds:
+                        # E[t]: the embedding of W2 of tw's t-th basis element
+                        embeds[tw.apex_idx] = _unit_kernel(tw.ind, np.einsum(
+                            "tjl,ajk->altk", tw.basis.conj(), w2.matrices)
+                        ).transpose(1, 0, 2)
+                    # the irreps W2 of one object share the pushforwards,
+                    # so their entries share T
+                    tkey = (tw.ind, ind2, tw.apex_idx, bw.apex_idx)
+                    if tkey not in transfers:
+                        t = np.zeros((ind2.dim, tw.ind.dim), dtype=complex)
+                        for yi in yis:
+                            # RepModels hash by identity: shared models give
+                            # equal keys, and the run's shared leg entries keep
+                            # the same models for the whole run
+                            key = (y.up.hom(yi), y.down.hom(yi), tw.r1, tw.ind, bw.r1, ind2)
+                            if key not in pieces:
+                                pieces[key] = _transfer_piece(*key)
+                            t += pieces[key]
+                        transfers[tkey] = t
+                    block[row0 : row0 + nb, col0 : col0 + len(tw.basis)] = np.einsum(
+                        "bij,jk,tki->bt", proj, transfers[tkey], embeds[tw.apex_idx]
+                    ) / w2.dim
+            blocks[(r, c)] = block
+    return TwoMorphism(lam_top.map, lam_bot.map, blocks)
+
+
+def _with_offsets(wits):
+    """The witnesses of an entry with a nonempty basis, each with the
+    position of its first basis element in the entry's basis."""
+    out, start = [], 0
+    for w in wits:
+        if len(w.basis):
+            out.append((start, w))
+        start += len(w.basis)
+    return out
 
 
 def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
-    """mor2 . flat2^-1 . flat1 . mor1 from the top witness's pushforward
-    ind_top = ind_{t1}(r1_top) to the bottom one's ind_bot = ind_{t2}(r1_bot),
-    for a span-map apex object with up hom s_hom and down hom t_hom."""
+    """The transfer mor2 . flat2^-1 . flat1 . mor1 from the top witness's
+    pushforward ind_top = ind_{t1}(r1_top) to the bottom one's
+    ind_bot = ind_{t2}(r1_bot), for a span-map apex object with up hom
+    s_hom and down hom t_hom.
+
+    mor1 induces the right unit r1_top -> ind_s(s* r1_top) along t1, and
+    mor2 the left counit ind_t(t* r1_bot) -> r1_bot along t2.  Strictness
+    makes s;t1 = t;t2 and s* r1_top = t* r1_bot, so both staged inductions
+    flatten (flat1, flat2) into the one direct induction along s;t1.  Raises
+    NumericalFailure when either equation fails or the flattenings'
+    sizes do not match."""
     t1_hom, t2_hom = ind_top.hom, ind_bot.hom
     comp_hom = s_hom.then(t1_hom)
     if comp_hom != t_hom.then(t2_hom):
         raise NumericalFailure("strictness lost in composite homs")
     v_y = restrict_rep(s_hom, r1_top)
+    res_t = restrict_rep(t_hom, r1_bot)
+    if not np.array_equal(v_y.matrices, res_t.matrices):
+        raise NumericalFailure("strictness lost in restricted models")
     # eta side: the right unit r1_top -> ind_s(v_y), then induced along t1
     # and flattened
     ind_s = induce_rep(s_hom, v_y)
@@ -491,66 +554,22 @@ def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
     direct = induce_rep(comp_hom, v_y)
     flat1 = flatten_induction(staged1, direct)
     mor1 = induced_morphism(ind_top, staged1, eta)
-    # eps side: the left counit ind_t(restrict(t, r1_bot)) -> r1_bot,
-    # induced along t2
-    res_t = restrict_rep(t_hom, r1_bot)
+    # eps side: the left counit ind_t(res_t) -> r1_bot, induced along t2
     ind_t = induce_rep(t_hom, res_t)
     eps = _counit_kernel(ind_t, r1_bot.matrices)
     staged2 = induce_rep(t2_hom, ind_t)
-    direct2 = induce_rep(t_hom.then(t2_hom), res_t)
-    flat2 = flatten_induction(staged2, direct2)
+    flat2 = flatten_induction(staged2, direct)
     mor2 = induced_morphism(staged2, ind_bot, eps)
-    if flat1.shape != flat2.shape or flat1.shape[0] != flat1.shape[1]:
+    if flat2.shape[0] != flat2.shape[1] or flat2.shape[0] != flat1.shape[0]:
         raise NumericalFailure("staged and direct inductions disagree in size")
     return mor2 @ np.linalg.solve(flat2, flat1) @ mor1
 
 
 def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
-    """Recompute every block by the unit/counit route, as a 2-cell parallel
-    to ``morphism``, and raise IntertwinerProjectionFailure, naming the worst
-    entry, unless the two agree within ``tol``."""
-    rows = [(a2, r, w2) for a2, pairs in enumerate(lam_top.target_object.positions)
-            for r, w2 in pairs]
-    cache = {}
-    alts = {}
-    for a2, r, w2 in rows:
-        for c in range(len(lam_top.source_object.basis)):
-            top_wits = lam_top.details[(r, c)]
-            bot_wits = lam_bot.details[(r, c)]
-            nrows, ncols = morphism.blocks[(r, c)].shape
-            if nrows == 0 and ncols == 0:
-                continue
-            if (a2, c) not in cache:
-                cache[(a2, c)] = _big_transfer(y, top_wits, bot_wits)
-            big = cache[(a2, c)]
-            # embed/project through the Frobenius identifications: the
-            # embedding of W2 attached to f : base -> pullback of W2 is the
-            # unit kernel on f^dag W2(a); the projection attached to f2 is the
-            # counit kernel on W2(h) f2, divided by
-            # kappa = #Aut(a2) / (#Aut(x2) * dim W2)
-            projections = []
-            lo2 = 0
-            for bw in bot_wits:
-                ind2 = bw.ind
-                kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
-                for f2 in bw.basis:
-                    proj = _counit_kernel(ind2, w2.matrices @ f2) / kappa
-                    projections.append((lo2, ind2.dim, proj))
-                lo2 += ind2.dim
-            alt = np.zeros((nrows, ncols), dtype=complex)
-            col = lo = 0
-            for tw in top_wits:
-                for f in tw.basis:
-                    iota = np.zeros((big.shape[1], w2.dim), dtype=complex)
-                    iota[lo : lo + tw.ind.dim, :] = _unit_kernel(tw.ind, f.conj().T @ w2.matrices)
-                    image = big @ iota
-                    for i, (lo2, dim2, proj) in enumerate(projections):
-                        alt[i, col] = np.trace(proj @ image[lo2 : lo2 + dim2, :]) / w2.dim
-                    col += 1
-                lo += tw.ind.dim
-            alts[(r, c)] = alt
-    alt = TwoMorphism(morphism.source, morphism.target, alts)
-    dev, key = _blocks_deviation(alt, morphism)
+    """Recompute every block by the unit/counit route (``_dual_path``) and
+    raise IntertwinerProjectionFailure, naming the worst entry, unless it
+    agrees with ``morphism`` within ``tol``."""
+    dev, key = _blocks_deviation(_dual_path(y, lam_top, lam_bot), morphism)
     if dev > tol:
         raise IntertwinerProjectionFailure(
             f"closed-form and unit/counit paths disagree by {dev} "
@@ -739,9 +758,11 @@ def _basis_start(wits, apex_idx):
 MAX_PAIRS = 64
 MAX_TRIPLES = 6
 
-# the errors by which the dual path and the compositor 2-cell fail a check;
-# verify_functoriality records them as failed checks
-_CHECK_FAILURES = (IntertwinerProjectionFailure, SingularMap, DimensionMismatch)
+# the errors by which the dual path, the compositor 2-cell and the rank
+# decisions of the models they read fail a check; verify_functoriality
+# records them as failed checks
+_CHECK_FAILURES = (IntertwinerProjectionFailure, SingularMap, DimensionMismatch,
+                   RankMismatch)
 
 
 @dataclass
@@ -793,10 +814,11 @@ class FunctorialityReport:
 
 def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     """Run the coherence and composition checks over a suite of spans and
-    span maps; failures are reported, not raised.  A disagreeing dual path or
-    a singular or misshapen compositor block fails its check, with the
-    error's message as the note; other errors, such as ``InputTooLarge``,
-    propagate.
+    span maps; failures are reported, not raised.  A disagreeing dual path,
+    a singular or misshapen compositor block, or an intertwiner rank that
+    fails its check while the models are built (``RankMismatch``) fails its
+    check, with the error's message as the note; other errors, such as
+    ``InputTooLarge``, propagate.
 
     The call's run memo registers the spans, the span maps and the maps' top
     and bottom spans: each is linearized at most once, when a check first

@@ -593,7 +593,8 @@ def nakayama(f: GroupHom, v: RepModel, tol=DEFAULT_TOL):
 def _unit_kernel(ind: InducedRep, mats) -> np.ndarray:
     """(1/#G) sum_{a in H} a^-1 (x) M[a] e for every basis vector e, where
     ``ind`` is induced along f : G -> H and ``mats`` stacks one matrix M[a]
-    per element of H.  With M the action of the H-model whose restriction
+    per element of H (further tail axes stack several such maps, as in
+    ``tensor_coords``).  With M the action of the H-model whose restriction
     was induced, this is the right unit."""
     return ind.tensor_coords(ind.group.inv, mats) / ind.hom.source.order
 

@@ -8,7 +8,7 @@ import pytest
 
 import lincat.cli
 from lincat.cli import main
-from lincat.errors import IntertwinerProjectionFailure, SingularMap
+from lincat.errors import IntertwinerProjectionFailure, RankMismatch, SingularMap
 
 DATA = "src/lincat/data"
 
@@ -232,14 +232,31 @@ def test_verify_impossible_tolerance_exits_1(capsys):
     assert "VERIFICATION FAILED" in out
 
 
+def test_verify_impossible_tolerance_exits_1_on_default_suite(capsys):
+    # at tolerance 0 the intertwiner bases of the default suite's models fail
+    # their equivariance residual (RankMismatch), which fails the vertical
+    # and horizontal checks that build them; the exact checks still pass
+    code, out, _ = run_cli(capsys, "--output", "json", "verify", "--tolerance", "0")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    failed = {c["section"] for c in checks if not c["passed"]}
+    assert failed == {"vertical", "horizontal"}
+    code, out, err = run_cli(capsys, "verify", "--tolerance", "0")
+    assert code == 1
+    assert "VERIFICATION FAILED" in out and err == ""
+
+
 @pytest.mark.parametrize("target, error, sections", [
     ("_condition", SingularMap, {"horizontal"}),
     ("_check_dual_path", IntertwinerProjectionFailure, {"vertical", "horizontal"}),
-], ids=["singular-beta-block", "dual-path-disagrees"])
+    ("intertwiner_basis", RankMismatch, {"vertical", "horizontal"}),
+], ids=["singular-beta-block", "dual-path-disagrees", "rank-mismatch"])
 def test_verify_reports_check_errors_and_exits_1(capsys, monkeypatch, target, error,
                                                  sections):
-    # an error by which a check fails (a singular compositor block, or the
-    # two evaluation paths disagreeing) is a failed check, not an input error
+    # an error by which a check fails (a singular compositor block, the two
+    # evaluation paths disagreeing, or an intertwiner rank decision failing
+    # while the checked models are built) is a failed check, not an input
+    # error
     import lincat.linearization
 
     def failing(*args, **kwargs):

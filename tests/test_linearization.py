@@ -50,8 +50,8 @@ from lincat.linearization import (
     MAX_PAIRS,
     MAX_TRIPLES,
     SuiteConfig,
-    _big_transfer,
     _check_dual_path,
+    _dual_path,
     beta_compositor,
     composite_block_iso,
     degroupoidify,
@@ -282,6 +282,41 @@ def test_dual_path_catches_a_wrong_block():
                        match=rf"at entry \({key[0]},{key[1]}\)$"):
         _check_dual_path(sm, res.source_result, res.target_result, wrong,
                          tol=DEFAULT_TOL)
+
+
+def test_dual_path_catches_a_wrong_block_off_the_first_witness_pair():
+    sm = random_suite(0).spanmaps[2]
+    res = lambda_spanmap(sm)
+    key = (0, 1)
+    # four top and four bottom witnesses, one basis element each
+    for lam in (res.source_result, res.target_result):
+        assert [len(w.basis) for w in lam.details[key]] == [1, 1, 1, 1]
+    blocks = dict(res.morphism.blocks)
+    blocks[key] = blocks[key].copy()
+    blocks[key][3, 2] += 1e-3
+    wrong = TwoMorphism(res.morphism.source, res.morphism.target, blocks)
+    with pytest.raises(IntertwinerProjectionFailure, match=r"at entry \(0,1\)$"):
+        _check_dual_path(sm, res.source_result, res.target_result, wrong,
+                         tol=DEFAULT_TOL)
+
+
+def test_transfer_piece_needs_equal_restricted_models(monkeypatch):
+    # both staged inductions flatten into one direct induction only because
+    # the span map's left legs restrict W1 to the same model
+    keys = []
+    real = lincat.linearization._transfer_piece
+
+    def recorded(*key):
+        keys.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(lincat.linearization, "_transfer_piece", recorded)
+    lambda_spanmap(random_suite(0).spanmaps[2])
+    s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot = keys[0]
+    real(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot)
+    moved = lincat.rep.RepModel(r1_bot.group, -r1_bot.matrices)
+    with pytest.raises(NumericalFailure, match="strictness lost in restricted models"):
+        real(s_hom, t_hom, r1_top, ind_top, moved, ind_bot)
 
 
 def test_dual_path_tolerance_can_be_tightened():
@@ -927,9 +962,68 @@ def _big_transfer_reference(y, top_wits, bot_wits):
     return big
 
 
-def test_big_transfer_shares_pieces_between_equal_keys(monkeypatch):
+def _dual_path_reference(y, lam_top, lam_bot):
+    """The dual path on one dense transfer matrix per (a2, column), with one
+    embedding and one trace per basis element."""
+    blocks = {}
+    for a2, pairs in enumerate(lam_top.target_object.positions):
+        bigs = {}
+        for r, w2 in pairs:
+            for c in range(len(lam_top.source_object.basis)):
+                top_wits, bot_wits = lam_top.details[(r, c)], lam_bot.details[(r, c)]
+                if c not in bigs:
+                    bigs[c] = _big_transfer_reference(y, top_wits, bot_wits)
+                big = bigs[c]
+                projections = []
+                lo2 = 0
+                for bw in bot_wits:
+                    ind2 = bw.ind
+                    kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
+                    for f2 in bw.basis:
+                        proj = _counit_kernel(ind2, w2.matrices @ f2) / kappa
+                        projections.append((lo2, ind2.dim, proj))
+                    lo2 += ind2.dim
+                ncols = sum(len(tw.basis) for tw in top_wits)
+                alt = np.zeros((len(projections), ncols), dtype=complex)
+                col = lo = 0
+                for tw in top_wits:
+                    for f in tw.basis:
+                        iota = np.zeros((big.shape[1], w2.dim), dtype=complex)
+                        iota[lo:lo + tw.ind.dim] = _unit_kernel(
+                            tw.ind, f.conj().T @ w2.matrices)
+                        image = big @ iota
+                        for i, (lo2, dim2, proj) in enumerate(projections):
+                            alt[i, col] = np.trace(proj @ image[lo2:lo2 + dim2]) / w2.dim
+                        col += 1
+                    lo += tw.ind.dim
+                blocks[(r, c)] = alt
+    return TwoMorphism(lam_top.map, lam_bot.map, blocks)
+
+
+def _assert_dual_path_matches_reference(y):
+    """Compares ``_dual_path`` with the reference on ``y``; returns the number
+    of nonempty blocks compared."""
+    res = lambda_spanmap(y, check=False)
+    lam_top, lam_bot = res.source_result, res.target_result
+    got = _dual_path(y, lam_top, lam_bot)
+    want = _dual_path_reference(y, lam_top, lam_bot)
+    assert got.blocks.keys() == want.blocks.keys()
+    for key, blk in got.blocks.items():
+        assert blk.shape == want.blocks[key].shape
+        if blk.size:
+            assert np.max(np.abs(blk - want.blocks[key])) < 1e-12
+    return sum(blk.size > 0 for blk in got.blocks.values())
+
+
+def test_dual_path_matches_reference_loop(monkeypatch):
+    suites = [default_suite()] + [random_suite(seed) for seed in range(8)]
+    assert sum(_assert_dual_path_matches_reference(y)
+               for suite in suites for y in suite.spanmaps) > 0
+
+    # on a composite with repeated leg homs, equal keys share one piece
     suite = random_suite(5, n_spans=4, n_maps=3)
     y = vertical_compose_spanmaps(suite.spanmaps[0], suite.spanmaps[0])
+    assert _assert_dual_path_matches_reference(y) > 0
     built = []
     real = lincat.linearization._transfer_piece
 
@@ -940,16 +1034,12 @@ def test_big_transfer_shares_pieces_between_equal_keys(monkeypatch):
     monkeypatch.setattr(lincat.linearization, "_transfer_piece", counted)
     res = lambda_spanmap(y, check=False)
     lam_top, lam_bot = res.source_result, res.target_result
+    _dual_path(y, lam_top, lam_bot)
+    # the apex objects the dual path reads, once per entry they lie over
     contributions = 0
     for key, top_wits in lam_top.details.items():
-        bot_wits = lam_bot.details[key]
-        got = _big_transfer(y, top_wits, bot_wits)
-        want = _big_transfer_reference(y, top_wits, bot_wits)
-        assert got.shape == want.shape
-        if got.size:
-            assert np.max(np.abs(got - want)) < 1e-12
-        tops = {w.apex_idx for w in top_wits}
-        bots = {w.apex_idx for w in bot_wits}
+        tops = {w.apex_idx for w in top_wits if len(w.basis)}
+        bots = {w.apex_idx for w in lam_bot.details[key] if len(w.basis)}
         contributions += sum(y.up(yi) in tops and y.down(yi) in bots
                              for yi in range(len(y.apex)))
     assert 0 < len(built) < contributions
