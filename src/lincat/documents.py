@@ -5,6 +5,12 @@ its payload.  Rationals serialize as {"num", "den"}, complex numbers as
 [re, im] pairs, matrices row-major.  Group documents may give the full
 multiplication table or ``permutation_generators`` (one-line permutations),
 which are expanded by closure at parse time (with a size cap).
+
+``document_schema(kind)`` is the one schema of each kind.  A document is
+first checked by ``_conforms``, which reads the few keywords those schemas
+use and accepts only documents that satisfy them; any other document goes to
+jsonschema, which decides it and words every rejection.  So a valid document
+never imports jsonschema.
 """
 
 from __future__ import annotations
@@ -141,13 +147,56 @@ def document_schema(kind):
     }
 
 
+# the JSON types of the schemas; ``type(v) is int`` leaves out bool, which
+# jsonschema does too, and integral floats, which it accepts as integers
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+# every keyword that ``_conforms`` decides; ``$schema`` and ``title`` are
+# annotations
+_KEYWORDS = frozenset(
+    {"$schema", "title", "type", "properties", "required", "additionalProperties",
+     "items", "const", "minLength", "minimum"}
+)
+
+
+def _conforms(schema, value) -> bool:
+    """True only if ``value`` satisfies ``schema``; False when it does not or
+    when this check cannot tell (a keyword outside ``_KEYWORDS``, a bool, a
+    float, a container other than dict or list).  False means "ask
+    jsonschema": this check never words a rejection."""
+    if not schema.keys() <= _KEYWORDS:
+        return False
+    t = type(value)
+    if t not in (dict, list, str, int):
+        return False
+    if "type" in schema and _TYPES.get(schema["type"]) is not t:
+        return False
+    if "const" in schema and not (type(schema["const"]) is str and value == schema["const"]):
+        return False
+    if t is str:
+        return len(value) >= schema.get("minLength", 0)
+    if t is int:
+        return "minimum" not in schema or value >= schema["minimum"]
+    if t is dict:
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        if not (extra is True or (extra is False and value.keys() <= props.keys())):
+            return False
+        return all(k in value for k in schema.get("required", ())) and all(
+            _conforms(sub, value[k]) for k, sub in props.items() if k in value
+        )
+    items = schema.get("items")
+    if items is None:
+        return True
+    return all(_conforms(items, v) for v in value)
+
+
 @cache
 def _validator(kind):
     """The Draft 2020-12 validator of ``document_schema(kind)``, built once per
     kind.  The schemas are constants, so they are checked against the
     metaschema by the test suite rather than on every parse.  jsonschema is
-    imported here, on the first parse, so that importing lincat does not pay
-    for it."""
+    imported here, for the first document that ``_conforms`` does not accept,
+    so that importing lincat or parsing a valid document does not pay for it."""
     import jsonschema
 
     return jsonschema.Draft202012Validator(document_schema(kind))
@@ -161,26 +210,53 @@ class Document:
     name: str = "main"
 
 
+# the definitions sections, with the noun their errors use
+_SECTIONS = {
+    "groups": "group",
+    "groupoids": "groupoid",
+    "functors": "functor",
+    "spans": "span",
+    "spanmaps": "span map",
+}
+
+
 class _Resolver:
+    """Builds named definitions on demand, each once.  Runs on a document the
+    schema has accepted, so integer fields may still hold integral floats
+    such as ``1.0``; those that index or count are converted with ``int``."""
+
     def __init__(self, defs):
-        self.raw = defs
+        self.specs = {}
+        for section, noun in _SECTIONS.items():
+            specs = self.specs[section] = {}
+            for i, spec in enumerate(defs.get(section, [])):
+                if spec["name"] in specs:
+                    raise SchemaError(
+                        f"duplicate {noun} name {spec['name']!r}",
+                        path=["definitions", section, i, "name"],
+                    )
+                specs[spec["name"]] = spec
         self.groups = {}
         self.groupoids = {}
         self.functors = {}
         self.spans = {}
         self.spanmaps = {}
 
+    def _spec(self, section, name):
+        spec = self.specs[section].get(name)
+        if spec is None:
+            raise UnresolvedReference(f"{_SECTIONS[section]} {name!r} is not defined")
+        return spec
+
     def group(self, name):
         if name in self.groups:
             return self.groups[name]
-        spec = _find(self.raw.get("groups", []), name)
-        if spec is None:
-            raise UnresolvedReference(f"group {name!r} is not defined")
+        spec = self._spec("groups", name)
         if "mult" in spec:
             g = validate_group(spec["mult"], name=name)
         elif "permutation_generators" in spec:
-            gens = spec["permutation_generators"]
-            degree = spec.get("degree", max((len(p) for p in gens), default=1))
+            gens = [[int(i) for i in p] for p in spec["permutation_generators"]]
+            degree = int(spec.get("degree", max((len(p) for p in gens), default=1)))
             g = group_from_permutations(gens, degree, name=name)
         else:
             raise SchemaError(
@@ -192,9 +268,7 @@ class _Resolver:
     def groupoid(self, name):
         if name in self.groupoids:
             return self.groupoids[name]
-        spec = _find(self.raw.get("groupoids", []), name)
-        if spec is None:
-            raise UnresolvedReference(f"groupoid {name!r} is not defined")
+        spec = self._spec("groupoids", name)
         objs = [(o["name"], self.group(o["group"])) for o in spec["objects"]]
         gpd = Groupoid(objs, name=name)
         self.groupoids[name] = gpd
@@ -203,12 +277,10 @@ class _Resolver:
     def functor(self, name):
         if name in self.functors:
             return self.functors[name]
-        spec = _find(self.raw.get("functors", []), name)
-        if spec is None:
-            raise UnresolvedReference(f"functor {name!r} is not defined")
+        spec = self._spec("functors", name)
         src = self.groupoid(spec["source"])
         tgt = self.groupoid(spec["target"])
-        omap = spec["object_map"]
+        omap = [int(i) for i in spec["object_map"]]
         if len(omap) != len(spec["hom_maps"]):
             raise IndexOutOfRange(
                 f"functor {name!r} has {len(omap)} object images but "
@@ -224,9 +296,7 @@ class _Resolver:
     def span(self, name):
         if name in self.spans:
             return self.spans[name]
-        spec = _find(self.raw.get("spans", []), name)
-        if spec is None:
-            raise UnresolvedReference(f"span {name!r} is not defined")
+        spec = self._spec("spans", name)
         s = Span(
             self.groupoid(spec["apex"]),
             self.functor(spec["left"]),
@@ -238,9 +308,7 @@ class _Resolver:
     def spanmap(self, name):
         if name in self.spanmaps:
             return self.spanmaps[name]
-        spec = _find(self.raw.get("spanmaps", []), name)
-        if spec is None:
-            raise UnresolvedReference(f"span map {name!r} is not defined")
+        spec = self._spec("spanmaps", name)
         sm = SpanMap(
             self.span(spec["top"]),
             self.span(spec["bottom"]),
@@ -252,27 +320,23 @@ class _Resolver:
         return sm
 
 
-def _find(items, name):
-    for item in items:
-        if item["name"] == name:
-            return item
-    return None
-
-
 def parse_obj(data) -> Document:
-    """Validate a raw document object and resolve its payload."""
+    """Validate a raw document object and resolve its payload.  A document
+    that ``_conforms`` does not accept is validated by jsonschema, so every
+    schema error is jsonschema's message and path."""
     if not isinstance(data, dict):
         raise SchemaError("a document must be a JSON object")
     kind = data.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown or missing document kind {kind!r}")
-    validator = _validator(kind)
-    from jsonschema.exceptions import best_match
+    if not _conforms(document_schema(kind), data):
+        validator = _validator(kind)
+        from jsonschema.exceptions import best_match
 
-    # the error jsonschema.validate would raise: the best match among all
-    error = best_match(validator.iter_errors(data))
-    if error is not None:
-        raise SchemaError(error.message, path=list(error.absolute_path))
+        # the error jsonschema.validate would raise: the best match among all
+        error = best_match(validator.iter_errors(data))
+        if error is not None:
+            raise SchemaError(error.message, path=list(error.absolute_path))
     resolver = _Resolver(data.get("definitions", {}))
     payload_name = data["payload"]
     if kind == "group":
@@ -309,7 +373,7 @@ class _Collector:
     """Accumulates named definitions while walking a value's dependencies."""
 
     def __init__(self):
-        self.defs = {k: [] for k in ("groups", "groupoids", "functors", "spans", "spanmaps")}
+        self.defs = {k: [] for k in _SECTIONS}
         self._names = {k: {} for k in self.defs}
 
     def _intern(self, section, obj, key, build, prefer=None):

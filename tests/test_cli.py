@@ -314,17 +314,40 @@ def test_bad_tolerance_exit_2(capsys, tol):
     assert err.startswith("error: tolerance must be finite and non-negative")
 
 
-def test_jsonschema_is_imported_on_the_first_parse_only():
+def test_valid_documents_parse_without_jsonschema():
     src = pathlib.Path(lincat.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
     code = (
         "import sys, lincat.cli\n"
+        "from lincat.documents import parse_obj\n"
+        "from lincat.errors import SchemaError\n"
+        "data = sys.argv[1]\n"
+        "assert lincat.cli.main(['--output', 'json', 'card', data + '/bz2.json']) == 0\n"
+        "assert lincat.cli.main(['--output', 'json', 'verify', '--suite',\n"
+        "                        data + '/suite_small.json']) == 0\n"
         "assert 'jsonschema' not in sys.modules\n"
-        "lincat.cli.main(['--output', 'json', 'card', sys.argv[1]])\n"
+        "try:\n"
+        "    parse_obj({'format_version': '1', 'kind': 'group', 'payload': 'x',\n"
+        "               'definitions': {'groups': [{'mult': [[0]]}]}})\n"
+        "except SchemaError as exc:\n"
+        "    print(exc, exc.path, file=sys.stderr)\n"
         "assert 'jsonschema' in sys.modules\n"
     )
-    done = subprocess.run([sys.executable, "-c", code, str(src / "lincat" / "data" / "bz2.json")],
+    done = subprocess.run([sys.executable, "-c", code, str(src / "lincat" / "data")],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)
+    assert done.stderr == (
+        "'name' is a required property (at definitions/groups/0) ['definitions', 'groups', 0]\n"
+    )
+
+
+def test_duplicate_definition_name_exit_2(capsys, tmp_path):
+    doc = _groupoid_doc({"mult": [[0]]})
+    doc["definitions"]["groups"].append({"name": "G", "mult": [[0, 1], [1, 0]]})
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "card", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate group name 'G' (at definitions/groups/1/name)\n"

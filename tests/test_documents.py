@@ -1,10 +1,23 @@
+import copy
 import json
+import pathlib
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lincat.groups
-from lincat.documents import KINDS, document_schema, parse, parse_obj, serialize
+from lincat.documents import (
+    _KEYWORDS,
+    _TYPES,
+    KINDS,
+    _conforms,
+    document_schema,
+    parse,
+    parse_obj,
+    serialize,
+)
 from lincat.errors import (
     AxiomViolation,
     IndexOutOfRange,
@@ -224,17 +237,16 @@ def test_schema_error_matches_jsonschema_validate(data):
     assert got.value.path == expected.path
 
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        symmetric_group(3),
-        mixed_groupoid(),
-        fig1_span(),
-        groupoidification_map(one_object_groupoid(cyclic_group(2))),
-        SpanMap.identity(identity_span(terminal_groupoid())),
-    ],
-    ids=["group", "groupoid", "span", "spanmap", "identity-spanmap"],
-)
+ROUND_TRIP = {
+    "group": symmetric_group(3),
+    "groupoid": mixed_groupoid(),
+    "span": fig1_span(),
+    "spanmap": groupoidification_map(one_object_groupoid(cyclic_group(2))),
+    "identity-spanmap": SpanMap.identity(identity_span(terminal_groupoid())),
+}
+
+
+@pytest.mark.parametrize("value", list(ROUND_TRIP.values()), ids=list(ROUND_TRIP))
 def test_round_trip(value):
     data = serialize(value)
     doc = parse_obj(json.loads(data))
@@ -263,3 +275,156 @@ def test_fixture_files_parse_and_match_builders():
     suite = parse(f"{DATA}/suite_small.json")
     assert suite.kind == "suite"
     assert len(suite.payload["spans"]) == 2
+
+
+def _group_doc(spec):
+    return {
+        "format_version": "1",
+        "kind": "group",
+        "definitions": {"groups": [dict(name="G", **spec)]},
+        "payload": "G",
+    }
+
+
+def _swap_functor_doc(object_map):
+    # the functor of a two-object discrete groupoid that swaps its objects
+    return {
+        "format_version": "1",
+        "kind": "functor",
+        "definitions": {
+            "groups": [{"name": "1", "mult": [[0]]}],
+            "groupoids": [
+                {
+                    "name": "P",
+                    "objects": [{"name": "a", "group": "1"}, {"name": "b", "group": "1"}],
+                }
+            ],
+            "functors": [
+                {
+                    "name": "F",
+                    "source": "P",
+                    "target": "P",
+                    "object_map": object_map,
+                    "hom_maps": [[0], [0]],
+                }
+            ],
+        },
+        "payload": "F",
+    }
+
+
+@pytest.mark.parametrize(
+    "floats, ints",
+    [
+        (
+            _group_doc({"permutation_generators": [[1.0, 0, 2]]}),
+            _group_doc({"permutation_generators": [[1, 0, 2]]}),
+        ),
+        (
+            _group_doc({"permutation_generators": [[1, 0]], "degree": 2.0}),
+            _group_doc({"permutation_generators": [[1, 0]], "degree": 2}),
+        ),
+        (_swap_functor_doc([1.0, 0]), _swap_functor_doc([1, 0])),
+    ],
+    ids=["permutation_generators", "degree", "object_map"],
+)
+def test_integral_floats_parse_like_integers(floats, ints):
+    # jsonschema accepts 1.0 as an integer; the acceptance check leaves such
+    # documents to it, and the resolver converts the fields that index
+    assert not _conforms(document_schema(floats["kind"]), floats)
+    assert parse_obj(floats).payload == parse_obj(ints).payload
+
+
+def test_duplicate_definition_name():
+    doc = _group_doc({"mult": [[0]]})
+    doc["definitions"]["groups"].append({"name": "G", "mult": [[0, 1], [1, 0]]})
+    with pytest.raises(SchemaError, match="duplicate group name 'G'") as err:
+        parse_obj(doc)
+    assert err.value.path == ["definitions", "groups", 1, "name"]
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_conforms_reads_every_schema_keyword(kind):
+    # a keyword the acceptance check does not read would send every document
+    # to jsonschema; this fails first
+    subschemas = list(_subschemas(document_schema(kind)))
+    assert {k for sub in subschemas for k in sub} <= _KEYWORDS
+    assert {sub["type"] for sub in subschemas if "type" in sub} <= set(_TYPES)
+
+
+FIXTURES = {p.name: json.loads(p.read_text()) for p in sorted(pathlib.Path(DATA).glob("*.json"))}
+SERIALIZED = {k: json.loads(serialize(v)) for k, v in ROUND_TRIP.items()}
+
+
+@pytest.mark.parametrize("data", [*FIXTURES.values(), *SERIALIZED.values()],
+                         ids=[*FIXTURES, *SERIALIZED])
+def test_conforms_accepts_the_fixtures_and_serialized_values(data):
+    assert _conforms(document_schema(data["kind"]), data)
+
+
+# permutation generators and a degree, which no fixture or serialized value has
+PERMUTATION_GROUP = _group_doc({"permutation_generators": [[1, 2, 0], [1, 0, 2]], "degree": 3})
+
+
+@pytest.mark.parametrize(
+    "schema, value",
+    [
+        (document_schema("group"), _group_doc({"permutation_generators": [], "degree": -1})),
+        (document_schema("group"), {**_group_doc({"mult": [[0]]}), "payload": ""}),
+        ({"type": "integer"}, 1.0),
+        ({"type": "integer"}, True),
+        ({"minimum": 0}, -1.0),
+        ({"type": "array"}, (1,)),
+        ({"const": 1}, 1),
+        ({"anyOf": [{}]}, 1),
+        ({"type": "object", "additionalProperties": {}}, {}),
+    ],
+)
+def test_conforms_declines_invalid_and_undecided_values(schema, value):
+    # False asks jsonschema: a degree below 0 and an empty name fail the
+    # schema, and jsonschema accepts some of the others
+    assert not _conforms(schema, value)
+
+
+_SWAPS = [1.0, True, "", None, [], {}, 10**20, -1, -(10**20), 0, "G", "1"]
+
+
+def _nodes(value, parent=None, key=None):
+    """Every (parent, key, node) of a JSON value, the root with parent None."""
+    yield parent, key, value
+    if isinstance(value, (dict, list)):
+        for k, sub in list(value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _nodes(sub, value, k)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([*FIXTURES.values(), *SERIALIZED.values(), PERMUTATION_GROUP]), st.data())
+def test_conforms_is_sound_on_mutants(base, data):
+    # wherever the acceptance check accepts, jsonschema finds no error
+    def swap():
+        return copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
+
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key, node = data.draw(st.sampled_from(list(_nodes(doc))))
+        op = data.draw(st.sampled_from(["delete", "add", "swap"]))
+        if op == "delete" and node and isinstance(node, (dict, list)):
+            del node[data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                               else range(len(node))))]
+        elif op == "add" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(["extra", "name", "degree", "mult", "spans"]))] = swap()
+        elif op == "add" and isinstance(node, list):
+            node.append(swap())
+        elif parent is not None:
+            parent[key] = swap()
+    schema = document_schema(base["kind"])
+    if _conforms(schema, doc):
+        assert list(jsonschema.Draft202012Validator(schema).iter_errors(doc)) == []
