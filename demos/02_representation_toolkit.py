@@ -30,7 +30,7 @@ for k, r in enumerate(irreps(s3)):
 print()
 print("induction of the trivial Z2-representation up to S3:")
 ind = induce_rep(incl, trivial_rep(z2))
-print(f"  dimension {ind.dim}: coset representatives {ind.coset_reps}, "
+print(f"  dimension {ind.dim}: coset representatives {ind.coset_reps.tolist()}, "
       f"block dimension {ind.block_dim}")
 for k, r in enumerate(irreps(s3)):
     m = hom_dim(ind.character, r.character)

@@ -35,7 +35,9 @@ class StrictnessViolation(LincatError):
 
 
 class IndexOutOfRange(LincatError):
-    """An object index does not exist in the groupoid it refers to."""
+    """An index does not exist in what it refers to: an object index in its
+    groupoid, or the points of a permutation generator, which must be a
+    permutation of 0..n-1 for its degree n."""
 
 
 class NumericalFailure(LincatError):

@@ -7,11 +7,17 @@ a pair (a, b) with f(a) = g(b) = c correspond to double cosets
 im(f_a) \\ Aut(c) / im(g_b), and the automorphism group of the class with
 mediating morphism m is the fibred product {(h, k) : f(h)*m = m*g(k)}.
 
-Each class is read off one array D[h, k] = f(h)*m*g(k)^-1 over H x K: its
-values are the double coset, the first occurrence of each value in row-major
-order is that element's lexicographically first witness (h0, k0), and the
-entries equal to m are the fibred product, in lexicographic order.  The
-fibred-product table is then array arithmetic on the codes h*|K| + k.
+The double cosets over a pair of objects depend only on the pair's two
+homs, so they come from ``groups.double_cosets``, which computes them once
+per pair of hom values and keeps them, with each class's fibred-product
+group, pairs and witnesses, in the foot group's ``coset_cache``: the data
+lives as long as that group object, and every comma category over equal
+hom pairs on it shares one ``fib`` group per class.  Each class is read off
+one array D[h, k] = f(h)*m*g(k)^-1 over H x K: its values are the double
+coset, the first occurrence of each value in row-major order is that
+element's lexicographically first witness (h0, k0), and the entries equal
+to m are the fibred product, in lexicographic order.  The fibred-product
+table is then array arithmetic on the codes h*|K| + k.
 
 A composite span keeps the comma category it was built from (``Span.comma``)
 and the two spans it composes (``Span.factors``), so its classes, witnesses,
@@ -36,7 +42,13 @@ from .errors import (
     StrictnessViolation,
     TargetMismatch,
 )
-from .groups import FinGroup, GroupHom, _table_group, identity_hom
+from .groups import (
+    FinGroup,
+    GroupHom,
+    _double_coset_class,
+    double_cosets,
+    identity_hom,
+)
 
 
 class Groupoid:
@@ -323,26 +335,22 @@ class CommaCategory:
     pair_data: dict = None
 
 
-def _coset_array(c: FinGroup, fh: GroupHom, gh: GroupHom, m: int):
-    """D[h, k] = f(h) * m * g(k)^-1 over all of H x K."""
-    return c.mult[c.mult[fh.map, m][:, None], c.inv[gh.map]]
-
-
 def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> CommaCategory:
     """Skeleton of the comma category (f | g) with its two projections.
 
-    Over each pair (a, b) with f(a) = g(b) = c, every class comes from one
-    array D[h, k] = f(h) * m * g(k)^-1, where m is the representative: its
-    values are the double coset im(f_a) m im(g_b), the first occurrence of
-    each value in row-major order is that element's lex-first witness, and
-    ``np.nonzero(D == m)`` is the fibred product at m, already lex-sorted.
-    The default representative is the smallest element of Aut(c) not yet in
-    a class, which is the smallest element of its double coset.
+    Over each pair (a, b) with f(a) = g(b) = c, the classes are the double
+    cosets of ``groups.double_cosets(f_a, g_b)``, in that order, at their
+    minimal elements: their fibred-product groups, pairs and witnesses come
+    from the cache on Aut(c), so equal hom pairs over one foot group share
+    them, and only the ``CommaClass``es, the projection homs and the pair
+    data, with class ids offset by the classes before the pair, are built
+    here.
 
     ``admissible(c_idx, u, v)`` may refuse representatives: the candidates m
     of a double coset are tried in increasing order, with u = f(hs) and
     v = g(ks) the images of the fibred-product pairs (hs, ks) at m, and the
     first accepted one is kept; if none is, StrictnessViolation is raised.
+    A class at a refused minimum is built for this category alone.
     """
     if f.target != g.target:
         raise TargetMismatch("comma category needs functors with a common target")
@@ -355,50 +363,22 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
             if f(a) != g(b):
                 continue
             c_idx = f(a)
-            c = f.target.aut(c_idx)
             fh, gh = f.hom(a), g.hom(b)
-            nk = gh.source.order
-            coset_class = -np.ones(c.order, dtype=np.int64)
-            witness = [None] * c.order
-            class_ids = []
-            for m0 in range(c.order):
-                if coset_class[m0] >= 0:
-                    continue
-                rep = m0
-                d = _coset_array(c, fh, gh, rep)
-                if admissible is not None:
-                    present = np.zeros(c.order, dtype=bool)
-                    present[d.ravel()] = True
-                    for rep in np.flatnonzero(present).tolist():
-                        d = _coset_array(c, fh, gh, rep)
-                        hs, ks = np.nonzero(d == rep)
-                        if admissible(c_idx, fh.map[hs], gh.map[ks]):
-                            break
-                    else:
-                        raise StrictnessViolation(
-                            f"no admissible representative in the double coset of "
-                            f"{m0} over objects ({a}, {b})"
-                        )
-                hs, ks = np.nonzero(d == rep)
-                fib = _table_group(
-                    hs * nk + ks,
-                    fh.source.mult[hs[:, None], hs] * nk + gh.source.mult[ks[:, None], ks],
-                    name=f"fib[{rep}]",
-                )
-                cid = len(classes)
-                classes.append(CommaClass(a, b, c_idx, rep, fib))
+            cosets = double_cosets(fh, gh)
+            offset = len(classes)
+            witness = list(cosets.witness)
+            for j, cls in enumerate(cosets.classes):
+                if admissible is not None and not admissible(
+                        c_idx, fh.map[cls.hs], gh.map[cls.ks]):
+                    cls = _admissible_class(fh, gh, cosets, j, witness,
+                                            lambda u, v: admissible(c_idx, u, v),
+                                            (a, b))
+                classes.append(CommaClass(a, b, c_idx, cls.rep, cls.fib))
                 # projections forget to the two components
-                left_homs.append(GroupHom._derived(fib, f.source.aut(a), hs))
-                right_homs.append(GroupHom._derived(fib, g.source.aut(b), ks))
-                class_ids.append(cid)
-                # first occurrence of each coset element in row-major order
-                first = np.full(c.order, d.size)
-                np.minimum.at(first, d.ravel(), np.arange(d.size))
-                members = np.flatnonzero(first < d.size)
-                coset_class[members] = cid
-                for mm, w in zip(members.tolist(), first[members].tolist()):
-                    witness[mm] = divmod(w, nk)
-            pair_data[(a, b)] = (coset_class, witness, class_ids)
+                left_homs.append(GroupHom._derived(cls.fib, f.source.aut(a), cls.hs))
+                right_homs.append(GroupHom._derived(cls.fib, g.source.aut(b), cls.ks))
+            pair_data[(a, b)] = (cosets.coset_class + offset, witness,
+                                 list(range(offset, len(classes))))
     names = []
     groups = []
     for cls in classes:
@@ -412,6 +392,23 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
     proj_left = GroupoidFunctor._derived(apex, f.source, left_omap, left_homs)
     proj_right = GroupoidFunctor._derived(apex, g.source, right_omap, right_homs)
     return CommaCategory(apex, proj_left, proj_right, classes, pair_data)
+
+
+def _admissible_class(fh, gh, cosets, j, witness, accepts, pair):
+    """The class of double coset ``j`` of ``cosets`` at its first element
+    after the minimum that ``accepts(f(hs), g(ks))``, with its members'
+    witnesses rewritten in ``witness``.  Never cached."""
+    members = np.flatnonzero(cosets.coset_class == j).tolist()
+    for m in members[1:]:
+        cls, elements, witnesses = _double_coset_class(fh, gh, m)
+        if accepts(fh.map[cls.hs], gh.map[cls.ks]):
+            for mm, w in zip(elements.tolist(), witnesses):
+                witness[mm] = w
+            return cls
+    raise StrictnessViolation(
+        f"no admissible representative in the double coset of "
+        f"{members[0]} over objects {pair}"
+    )
 
 
 def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor):

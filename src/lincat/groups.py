@@ -10,11 +10,19 @@ The group axioms are proved once, where a table enters the program:
 ``group_from_permutations`` and ``symmetric_group`` check identity, inverses
 and associativity in full.  Tables derived from validated groups check only
 closure: ``subgroup_embedding``, ``direct_product`` and the fibred products of
-``groupoids.comma_category`` are subsets of a validated group (or of a product
-of two) that hold the identity, and a closed subset of a finite group is a
-subgroup, its associativity and inverses inherited.  Likewise a hom's law is
-checked by ``GroupHom(...)``, but not again for composites (``then``), for the
+``double_cosets`` are subsets of a validated group (or of a product of two)
+that hold the identity, and a closed subset of a finite group is a subgroup,
+its associativity and inverses inherited.  Likewise a hom's law is checked by
+``GroupHom(...)``, but not again for composites (``then``), for the
 projections of a fibred product, or for the homs ``all_homs`` has just tested.
+
+The cosets of a hom's image depend only on the hom, so the library has one
+routine per kind: ``coset_data`` for the left (or right) cosets of im(f)
+with the lifts through f, which induction reads, and ``double_cosets`` for
+f(H) \\ C / g(K) with each class's fibred product, which the comma
+categories of ``groupoids`` read.  Each is computed once per hom value (the
+source table and the map) and kept, read-only, in the ``coset_cache`` of
+the group the cosets live in, so it is freed with that group.
 """
 
 from __future__ import annotations
@@ -22,10 +30,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AxiomViolation, GroupMismatch, InputTooLarge
+from .errors import AxiomViolation, GroupMismatch, IndexOutOfRange, InputTooLarge
 
 # most generator-image assignments that all_homs may try
 MAX_HOM_CANDIDATES = 2**20
@@ -73,7 +82,13 @@ def _check_table(table):
 
 
 class FinGroup:
-    """A finite group given by its multiplication table over element indices."""
+    """A finite group given by its multiplication table over element indices.
+
+    Two attributes sit outside ``fingerprint``, ``__eq__`` and ``__hash__``:
+    ``factors`` (set by ``direct_product``) and ``coset_cache``, where
+    ``double_cosets`` and ``coset_data`` keep the coset data of the homs into
+    this group, keyed by hom value (source table and map).  Its entries are
+    computed on first use, read-only, and freed with the group object."""
 
     def __init__(self, mult, name=None):
         try:
@@ -105,6 +120,10 @@ class FinGroup:
         self.fingerprint = table.tobytes()
         # set by direct_product only; outside fingerprint, __eq__ and __hash__
         self.factors = None
+        # the coset data of homs into this group, filled by ``double_cosets``
+        # and ``coset_data`` and keyed by hom values; also outside them, so it
+        # lives and dies with this group object
+        self.coset_cache = {}
 
     @cached_property
     def classes(self):
@@ -326,15 +345,20 @@ def group_from_permutations(generators, n_points, name=None):
     resulting permutation group as a table.  The identity gets index 0 and the
     remaining elements are sorted lexicographically.  Raises InputTooLarge
     before building any permutation when ``n_points`` exceeds MAX_DEGREE, and
-    as soon as the closure would hold more than MAX_GROUP_ORDER elements."""
+    as soon as the closure would hold more than MAX_GROUP_ORDER elements.
+    Raises IndexOutOfRange, naming the generator's position, when a generator
+    is not a permutation of 0..n_points-1: a point list of another length, a
+    point outside that range, or a repeated point."""
     if n_points > MAX_DEGREE:
         raise InputTooLarge(
             f"permutations of {n_points} points are above the limit of {MAX_DEGREE}"
         )
     gens = [tuple(p) for p in generators]
-    for p in gens:
+    for i, p in enumerate(gens):
         if sorted(p) != list(range(n_points)):
-            raise AxiomViolation("inverse", (-1,), f"{p} is not a permutation of 0..{n_points-1}")
+            raise IndexOutOfRange(
+                f"generator {i} {list(p)} is not a permutation of 0..{n_points - 1}"
+            )
     elements = {tuple(range(n_points))}
     frontier = list(elements)
     while frontier:
@@ -366,6 +390,180 @@ def subgroup_embedding(g: FinGroup, elements, name=None):
                        name=name or f"{g.name}_sub{len(elems)}")
     incl = GroupHom(sub, g, codes)
     return sub, incl
+
+
+# ---------------------------------------------------------------------------
+# cosets of hom images, computed once per hom value on the group they live in
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _memo(group, key, build, *args):
+    """``build(*args)``, kept in ``group.coset_cache`` under ``key``."""
+    entry = group.coset_cache.get(key)
+    if entry is None:
+        # threads that race on a key all get the entry stored first
+        entry = group.coset_cache.setdefault(key, build(*args))
+    return entry
+
+
+def _hom_key(f: GroupHom):
+    """A hom's value within its target's cache: its source table and map."""
+    return f.source.fingerprint, f.map.tobytes()
+
+
+def _cosets(mult, image):
+    """Minimal-index representatives of the cosets a*image under the product
+    table ``mult``, in increasing order, and the coset id of every element.
+    Pass the transposed table for the right cosets image*a."""
+    coset_index = -np.ones(mult.shape[0], dtype=np.int64)
+    reps = []
+    for a in range(mult.shape[0]):
+        if coset_index[a] < 0:
+            coset_index[mult[a, image]] = len(reps)
+            reps.append(a)
+    return reps, coset_index
+
+
+class CosetData(NamedTuple):
+    """The cosets of im(f) in H = f.target on one side, from ``coset_data``.
+    Every array is read-only.
+
+    Attributes:
+        reps: minimal-index representatives h_i, increasing.
+        index: the coset id i of every element h of H.
+        lift: per h, the minimal-index g in G with h = h_i f(g) (left cosets)
+            or h = f(g) h_i (right cosets).
+        preimage: per h, its minimal-index preimage under f (|G| off im(f)).
+        kernel: ker(f), increasing.
+        image: im(f), increasing.
+    """
+
+    reps: np.ndarray
+    index: np.ndarray
+    lift: np.ndarray
+    preimage: np.ndarray
+    kernel: np.ndarray
+    image: np.ndarray
+
+
+def coset_data(f: GroupHom, right=False) -> CosetData:
+    """The left cosets h*im(f) of f : G -> H, or the right cosets im(f)*h
+    when ``right`` is set, with the lifts through f.  Computed once per hom
+    value and side, and kept in ``f.target.coset_cache``."""
+    side = "right" if right else "left"
+    return _memo(f.target, (side, *_hom_key(f)), _coset_data, f, right)
+
+
+def _coset_data(f: GroupHom, right):
+    h = f.target
+    n = np.arange(h.order)
+    image = np.flatnonzero(np.bincount(f.map, minlength=h.order))
+    kernel = np.flatnonzero(f.map == 0)
+    preimage = np.full(h.order, f.source.order)
+    np.minimum.at(preimage, f.map, np.arange(f.source.order))
+    reps, index = _cosets(h.mult.T if right else h.mult, image)
+    reps = np.array(reps, dtype=np.int64)
+    # u = h_i^-1 h (left) or h h_i^-1 (right) lies in im(f), and lift[h] is
+    # the first occurrence of u in f's table
+    rep_inv = h.inv[reps][index]
+    u = h.mult[n, rep_inv] if right else h.mult[rep_inv, n]
+    lift = preimage[u]
+    _read_only(reps, index, lift, preimage, kernel, image)
+    return CosetData(reps, index, lift, preimage, kernel, image)
+
+
+class DoubleCosetClass(NamedTuple):
+    """One double coset f(H) m g(K) of ``double_cosets``: its representative
+    m, its fibred-product pairs (hs, ks), the lexicographically sorted (h, k)
+    with f(h) m = m g(k), as read-only arrays, and the group ``fib`` on those
+    pairs (named ``fib[m]``)."""
+
+    rep: int
+    hs: np.ndarray
+    ks: np.ndarray
+    fib: FinGroup
+
+
+class DoubleCosets(NamedTuple):
+    """The decomposition f(H) \\ C / g(K) of ``double_cosets``.
+
+    Attributes:
+        classes: one ``DoubleCosetClass`` per double coset, with the minimal
+            element of each as its representative, in increasing order.
+        coset_class: the position in ``classes`` of every element m of C
+            (read-only).
+        witness: per m, the lexicographically first (h0, k0) with
+            m = f(h0) * rep * g(k0)^-1 for its class's rep.
+    """
+
+    classes: tuple
+    coset_class: np.ndarray
+    witness: tuple
+
+
+def _coset_array(fh: GroupHom, gh: GroupHom, m: int):
+    """D[h, k] = f(h) * m * g(k)^-1 over all of H x K."""
+    c = fh.target
+    return c.mult[c.mult[fh.map, m][:, None], c.inv[gh.map]]
+
+
+def _double_coset_class(fh: GroupHom, gh: GroupHom, m: int):
+    """The double coset f(H) m g(K), for homs f : H -> C and g : K -> C, read
+    off one array D[h, k] = f(h) * m * g(k)^-1 over H x K: its values are
+    the double coset, the first occurrence of each value in row-major order
+    is that element's lex-first witness (h0, k0), and ``np.nonzero(D == m)``
+    is the fibred product at m, already lex-sorted.  Its table is array
+    arithmetic on the codes h*|K| + k, with only closure checked.
+
+    Returns the ``DoubleCosetClass`` of m, the double coset's elements in
+    increasing order, and each one's witness.  Not cached: ``double_cosets``
+    keeps the classes at their minimal representatives."""
+    nk = gh.source.order
+    d = _coset_array(fh, gh, m)
+    hs, ks = np.nonzero(d == m)
+    fib = _table_group(
+        hs * nk + ks,
+        fh.source.mult[hs[:, None], hs] * nk + gh.source.mult[ks[:, None], ks],
+        name=f"fib[{m}]",
+    )
+    _read_only(hs, ks)
+    first = np.full(fh.target.order, d.size)
+    np.minimum.at(first, d.ravel(), np.arange(d.size))
+    members = np.flatnonzero(first < d.size)
+    witnesses = [divmod(w, nk) for w in first[members].tolist()]
+    return DoubleCosetClass(m, hs, ks, fib), members, witnesses
+
+
+def double_cosets(fh: GroupHom, gh: GroupHom) -> DoubleCosets:
+    """The double cosets f(H) \\ C / g(K) of homs f : H -> C and g : K -> C,
+    each at its minimal element, with their fibred products and witnesses
+    (``_double_coset_class``).  Computed once per pair of hom values and kept
+    in ``C.coset_cache``, so equal pairs share one ``fib`` group."""
+    if fh.target != gh.target:
+        raise GroupMismatch("double cosets need homs into one group")
+    return _memo(fh.target, ("double", *_hom_key(fh), *_hom_key(gh)),
+                 _double_cosets, fh, gh)
+
+
+def _double_cosets(fh, gh):
+    order = fh.target.order
+    coset_class = np.full(order, -1, dtype=np.int64)
+    witness = [None] * order
+    classes = []
+    for m in range(order):
+        if coset_class[m] >= 0:
+            continue
+        cls, members, witnesses = _double_coset_class(fh, gh, m)
+        coset_class[members] = len(classes)
+        for mm, w in zip(members.tolist(), witnesses):
+            witness[mm] = w
+        classes.append(cls)
+    _read_only(coset_class)
+    return DoubleCosets(tuple(classes), coset_class, tuple(witness))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ Outside a run, each ``lambda_span`` call computes its dims blocks and, once
 read, its models afresh, and each dual-path block its pieces.  Inside
 ``verify_functoriality``, one run memo (in a context variable, so concurrent
 runs keep their own) is the only way work is shared: dims blocks and leg
-entries by leg key, dual-path pieces by their homs and models, and the
+entries by leg key, dual-path pieces by their hom values and models, and the
 results of the inputs the run registers (its spans, its span maps and those
 maps' top and bottom spans) by identity, so ``lambda_span`` and
 ``lambda_spanmap`` build each once.  Composites are not kept, since each is
@@ -460,12 +460,17 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
     projection . T . embedding over W2, divided by dim W2, in one contraction.
     A piece depends only on its homs and models, which ``lambda_span``
     shares between apex objects with equal leg homs; each distinct piece is
-    built once per call, or once per run inside ``verify_functoriality``."""
+    built once per call, or once per run inside ``verify_functoriality``,
+    keyed by its models and the values of its homs, which are read once per
+    apex object and call."""
     run = _RUN.get()
     pieces = run.pieces if run is not None else {}
     over = {}  # (x1, x2) -> the span-map apex objects over them
+    hom_keys = []  # per apex object: its group's table, up and down maps
     for yi in range(len(y.apex)):
         over.setdefault((y.up(yi), y.down(yi)), []).append(yi)
+        hom_keys.append((y.apex.aut(yi).fingerprint, y.up.hom(yi).map.tobytes(),
+                         y.down.hom(yi).map.tobytes()))
     rows = [pos for pairs in lam_top.target_object.positions for pos in pairs]
     transfers = {}  # (top and bottom pushforwards, x1, x2) -> T
     blocks = {}
@@ -500,12 +505,14 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
                     if tkey not in transfers:
                         t = np.zeros((ind2.dim, tw.ind.dim), dtype=complex)
                         for yi in yis:
-                            # RepModels hash by identity: shared models give
-                            # equal keys, and the run's shared leg entries keep
-                            # the same models for the whole run
-                            key = (y.up.hom(yi), y.down.hom(yi), tw.r1, tw.ind, bw.r1, ind2)
+                            # the models fix the homs' targets, and RepModels
+                            # hash by identity: shared models give equal keys,
+                            # and the run's shared leg entries keep the same
+                            # models for the whole run
+                            key = (hom_keys[yi], tw.r1, tw.ind, bw.r1, ind2)
                             if key not in pieces:
-                                pieces[key] = _transfer_piece(*key)
+                                pieces[key] = _transfer_piece(
+                                    y.up.hom(yi), y.down.hom(yi), *key[1:])
                             t += pieces[key]
                         transfers[tkey] = t
                     block[row0 : row0 + nb, col0 : col0 + len(tw.basis)] = np.einsum(

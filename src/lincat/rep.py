@@ -16,8 +16,10 @@ concrete space
     (left coset reps of im f in H)  x  (ker f)-invariants of V,
 
 with the invariants materialized through the averaging projector.  Each
-element h of H is decomposed once per induced model as h = h_i f(lift[h])
-with h_i a coset representative; the induced matrices, the tensor
+element h of H is decomposed as h = h_i f(lift[h]) with h_i a coset
+representative, once per hom value: ``groups.coset_data`` keeps the
+decomposition on H for as long as that group object lives, and every
+induced model along an equal hom shares it.  The induced matrices, the tensor
 coordinates of h (x) v and every map into or out of an induced model are
 array expressions over that decomposition.  The Nakayama map identifies this
 tensor model with the hom model
@@ -43,7 +45,7 @@ from .errors import (
     RankMismatch,
     SingularMap,
 )
-from .groups import MAX_DENSE_BYTES, FinGroup, GroupHom
+from .groups import MAX_DENSE_BYTES, FinGroup, GroupHom, coset_data
 
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-8
@@ -365,6 +367,10 @@ class InducedRep(RepModel):
         lift: per element h of H, the minimal-index g in G with
             h = coset_reps[coset_index[h]] * f(g).
         invariant_basis: orthonormal basis C (columns) of the ker(f)-invariants.
+
+    ``coset_reps``, ``coset_index`` and ``lift`` are the read-only arrays of
+    ``groups.coset_data(hom)``, shared by every model induced along an equal
+    hom.
     """
 
     def __init__(self, group, matrices, hom, base, coset_reps, coset_index,
@@ -420,38 +426,22 @@ def _invariant_basis(v: RepModel, kernel):
     return u[:, :rank]
 
 
-def _cosets(mult, image):
-    """Minimal-index representatives of the cosets a*image under the product
-    table ``mult``, in increasing order, and the coset id of every element.
-    Pass the transposed table for the right cosets image*a."""
-    coset_index = -np.ones(mult.shape[0], dtype=np.int64)
-    reps = []
-    for a in range(mult.shape[0]):
-        if coset_index[a] < 0:
-            coset_index[mult[a, image]] = len(reps)
-            reps.append(a)
-    return reps, coset_index
-
-
 def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
     """Induction of v along f, on the basis  h_i (x) e_j  (cosets x invariants):
     a sends h_i to a h_i = h_j f(lift[a h_i]), so block (j, i) of a is
-    C^H V(lift[a h_i]) C."""
+    C^H V(lift[a h_i]) C.  The cosets, lifts, kernel and image are
+    ``groups.coset_data(f)``, computed once per hom value and kept, read-only,
+    on f's target group for as long as that group object lives."""
     if v.group != f.source:
         raise GroupMismatch("model lives on the wrong group for this induction")
     h = f.target
-    image = f.image()
-    reps, coset_index = _cosets(h.mult, image)
-    # h = h_i u with u = h_i^-1 h in im(f), and lift[h] is the first
-    # occurrence of u in f's table
-    preimage = np.full(h.order, f.source.order)
-    np.minimum.at(preimage, f.map, np.arange(f.source.order))
-    lift = preimage[h.mult[h.inv[reps][coset_index], np.arange(h.order)]]
-    c = _invariant_basis(v, f.kernel())
+    cosets = coset_data(f)
+    reps, coset_index, lift = cosets.reps, cosets.index, cosets.lift
+    c = _invariant_basis(v, cosets.kernel)
     dw = c.shape[1]
     n = len(reps)
     # C^H V(g) C at the preimages g of im(f), which are all the lifts
-    lifts = preimage[image]
+    lifts = cosets.preimage[cosets.image]
     blocks = np.zeros((f.source.order, dw, dw), dtype=complex)
     blocks[lifts] = c.conj().T @ v.matrices[lifts] @ c
     ahi = h.mult[:, reps]
@@ -569,8 +559,8 @@ def _nakayama_data(f: GroupHom, v: RepModel, tol):
     SingularMap unless the matrix is square and numerically invertible."""
     ind = induce_rep(f, v)
     h = f.target
-    image = f.image()
-    rreps, _ = _cosets(h.mult.T, image)
+    image = coset_data(f).image
+    rreps = coset_data(f, right=True).reps
     # phi_{i,j} at u r_i, for every u in im(f) and its lift g: g . (C e_j)
     vals = v.matrices[ind.lift[image]] @ ind.invariant_basis
     mat = np.concatenate(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lincat.groups
-from lincat.errors import AxiomViolation, GroupMismatch, InputTooLarge
+from lincat.errors import AxiomViolation, GroupMismatch, IndexOutOfRange, InputTooLarge
 from lincat.groups import (
     FinGroup,
     GroupHom,
@@ -217,6 +217,18 @@ def test_group_from_permutations_stops_at_the_cap(monkeypatch):
     with pytest.raises(InputTooLarge):
         group_from_permutations([list(range(1, 10)) + [0]], 10)
     assert len(made) == 5
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([[1, 0, 2], [0, 0, 1]], "generator 1 [0, 0, 1] is not a permutation of 0..2"),
+    ([[0, 1, 3]], "generator 0 [0, 1, 3] is not a permutation of 0..2"),
+    ([[1, 2, 0], [1, 0]], "generator 1 [1, 0] is not a permutation of 0..2"),
+])
+def test_malformed_generator_is_out_of_range(gens, message):
+    # malformed input, not an axiom violation: no table was checked
+    with pytest.raises(IndexOutOfRange) as err:
+        group_from_permutations(gens, 3)
+    assert str(err.value) == message
 
 
 def test_direct_product_orders(z2, z3, s3):

@@ -16,6 +16,7 @@ import numpy as np
 
 from lincat.groupoids import compose_spans
 from lincat.groups import (
+    _cosets,
     all_homs,
     cyclic_group,
     direct_product,
@@ -28,7 +29,6 @@ from lincat.linearization import _gamma_pair_witness
 from lincat.rep import (
     RepModel,
     _counit_kernel,
-    _cosets,
     _invariant_basis,
     _nakayama_data,
     _unit_kernel,
