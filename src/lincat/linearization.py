@@ -42,8 +42,9 @@ unit/counit pieces of the span-map apex objects over it, and its sub-block
 is one contraction of T with the stacked unit embeddings of the top basis
 and the counit projections of the bottom one.  A piece depends only on its
 up and down homs and its witnesses' models, so apex objects that share them
-share one piece; it builds five induced models, its two staged inductions
-flattening into one direct induction.
+share one piece.  Each piece is the unit/counit pasting in closed form: one
+gather of tensor coordinates in the bottom pushforward per coset of the
+top one, with no induced model of its own.
 
 The compositor beta_{x,x'} : Lambda(x') . Lambda(x) => Lambda(x;x') is a
 ``TwoMorphism`` (``composite_block_iso``); the horizontal check is its
@@ -105,10 +106,8 @@ from .rep import (
     _integral,
     _structure_key,
     _unit_kernel,
-    flatten_induction,
     hom_dim,
     induce_rep,
-    induced_morphism,
     intertwiner_basis,
     irreps,
     restrict_rep,
@@ -534,42 +533,34 @@ def _with_offsets(wits):
 
 
 def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
-    """The transfer mor2 . flat2^-1 . flat1 . mor1 from the top witness's
-    pushforward ind_top = ind_{t1}(r1_top) to the bottom one's
-    ind_bot = ind_{t2}(r1_bot), for a span-map apex object with up hom
-    s_hom and down hom t_hom.
+    """The transfer from the top witness's pushforward
+    ind_top = ind_{t1}(r1_top) to the bottom one's ind_bot = ind_{t2}(r1_bot),
+    for a span-map apex object Y with up hom s_hom and down hom t_hom:
 
-    mor1 induces the right unit r1_top -> ind_s(s* r1_top) along t1, and
-    mor2 the left counit ind_t(t* r1_bot) -> r1_bot along t2.  Strictness
-    makes s;t1 = t;t2 and s* r1_top = t* r1_bot, so both staged inductions
-    flatten (flat1, flat2) into the one direct induction along s;t1.  Raises
-    NumericalFailure when either equation fails or the flattenings'
-    sizes do not match."""
-    t1_hom, t2_hom = ind_top.hom, ind_bot.hom
-    comp_hom = s_hom.then(t1_hom)
-    if comp_hom != t_hom.then(t2_hom):
+        h_i (x) C e_j  |->  (1/#Y) sum_{x in X1} h_i t1(x)^-1 (x) x.C e_j,
+
+    on the basis of ind_top (cosets h_i, invariant basis C), with the right
+    side's tensors in ind_bot.  This is the pasting of the right unit
+    r1_top -> ind_s(s* r1_top), induced along t1, with the left counit
+    ind_t(t* r1_bot) -> r1_bot, induced along t2.  The unit sends C e_j to
+    (1/#Y) sum_x x^-1 (x) x.C e_j.  Strictness (s;t1 = t;t2 and
+    s* r1_top = t* r1_bot) lets both staged inductions flatten into the one
+    induction along s;t1: the flattening along t1 sends h (x) (g (x) v) to
+    h t1(g) (x) v, and the inverse flattening along t2 followed by the
+    induced counit sends h (x) v to h (x) v in ind_bot.  So the piece is one
+    gather of tensor coordinates in ind_bot per top coset.  Raises
+    NumericalFailure when either strictness equation fails."""
+    t1_hom = ind_top.hom
+    if s_hom.then(t1_hom) != t_hom.then(ind_bot.hom):
         raise NumericalFailure("strictness lost in composite homs")
-    v_y = restrict_rep(s_hom, r1_top)
-    res_t = restrict_rep(t_hom, r1_bot)
-    if not np.array_equal(v_y.matrices, res_t.matrices):
+    if not np.array_equal(restrict_rep(s_hom, r1_top).matrices,
+                          restrict_rep(t_hom, r1_bot).matrices):
         raise NumericalFailure("strictness lost in restricted models")
-    # eta side: the right unit r1_top -> ind_s(v_y), then induced along t1
-    # and flattened
-    ind_s = induce_rep(s_hom, v_y)
-    eta = _unit_kernel(ind_s, r1_top.matrices)
-    staged1 = induce_rep(t1_hom, ind_s)
-    direct = induce_rep(comp_hom, v_y)
-    flat1 = flatten_induction(staged1, direct)
-    mor1 = induced_morphism(ind_top, staged1, eta)
-    # eps side: the left counit ind_t(res_t) -> r1_bot, induced along t2
-    ind_t = induce_rep(t_hom, res_t)
-    eps = _counit_kernel(ind_t, r1_bot.matrices)
-    staged2 = induce_rep(t2_hom, ind_t)
-    flat2 = flatten_induction(staged2, direct)
-    mor2 = induced_morphism(staged2, ind_bot, eps)
-    if flat2.shape[0] != flat2.shape[1] or flat2.shape[0] != flat1.shape[0]:
-        raise NumericalFailure("staged and direct inductions disagree in size")
-    return mor2 @ np.linalg.solve(flat2, flat1) @ mor1
+    x1 = s_hom.target
+    elts = ind_top.group.mult[ind_top.coset_reps][:, t1_hom.map[x1.inv]]
+    vecs = r1_top.matrices @ ind_top.invariant_basis
+    cols = [ind_bot.tensor_coords(row, vecs) for row in elts]
+    return np.concatenate(cols, axis=1) / s_hom.source.order
 
 
 def _check_dual_path(y, lam_top, lam_bot, morphism, tol):

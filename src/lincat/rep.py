@@ -479,6 +479,11 @@ def flatten_induction(outer: InducedRep, direct: InducedRep):
     Column (i, j) is the sum over the inner cosets q of
     r_i f(r_q) (x) C_g w_{q,j}, with w_j the j-th ker(f)-invariant vector of
     ind_g V and w_{q,j} its block q.
+
+    No library path calls it: the dual path's transfer pieces
+    (``linearization._transfer_piece``) apply this identity on tensor
+    symbols in closed form, and the tests compare them with the staged
+    pasting built from this map.
     """
     inner = outer.base
     if not isinstance(inner, InducedRep):

@@ -40,6 +40,7 @@ from lincat.rep import (
     restrict_rep,
 )
 from lincat.suites import default_suite, random_suite
+from staged_reference import staged_transfer_piece
 
 KERNEL_TOL = 1e-12
 
@@ -218,10 +219,12 @@ def ref_invariant_basis(v, kernel):
 
 
 def test_trivial_kernel_shortcut_matches_the_svd_bit_for_bit(monkeypatch):
+    import lincat.linearization
     import lincat.rep
     from lincat.linearization import verify_functoriality
 
     real = lincat.rep._invariant_basis
+    piece = lincat.linearization._transfer_piece
     dims, exact = set(), 0
 
     def checked(v, kernel):
@@ -234,7 +237,15 @@ def test_trivial_kernel_shortcut_matches_the_svd_bit_for_bit(monkeypatch):
             exact += np.array_equal(v.matrices[0], np.eye(v.dim))
         return c
 
+    def with_staged_reference(*key):
+        # the closed-form piece induces nothing; its staged reference reaches
+        # the inductions along the composite and staged homs
+        got = piece(*key)
+        assert_close(got, staged_transfer_piece(*key))
+        return got
+
     monkeypatch.setattr(lincat.rep, "_invariant_basis", checked)
+    monkeypatch.setattr(lincat.linearization, "_transfer_piece", with_staged_reference)
     for suite in (default_suite(), random_suite(1), random_suite(2),
                   random_suite(5, n_spans=4, n_maps=3)):
         verify_functoriality(suite)

@@ -50,6 +50,7 @@ from lincat.linearization import (
     MAX_PAIRS,
     MAX_TRIPLES,
     SuiteConfig,
+    _blocks_deviation,
     _check_dual_path,
     _dual_path,
     beta_compositor,
@@ -76,11 +77,7 @@ from lincat.rep import (
     DEFAULT_TOL,
     _counit_kernel,
     _unit_kernel,
-    flatten_induction,
-    induce_rep,
-    induced_morphism,
     irreps,
-    restrict_rep,
 )
 from lincat.twovect import (
     TwoLinearMap,
@@ -89,6 +86,7 @@ from lincat.twovect import (
     hcompose_2morph,
     vcompose_2morph,
 )
+from staged_reference import staged_transfer_piece
 
 DATA = "src/lincat/data"
 
@@ -301,8 +299,8 @@ def test_dual_path_catches_a_wrong_block_off_the_first_witness_pair():
 
 
 def test_transfer_piece_needs_equal_restricted_models(monkeypatch):
-    # both staged inductions flatten into one direct induction only because
-    # the span map's left legs restrict W1 to the same model
+    # the closed form reads r1_top's vectors as r1_bot's only because the
+    # span map's left legs restrict W1 to the same model
     keys = []
     real = lincat.linearization._transfer_piece
 
@@ -317,6 +315,63 @@ def test_transfer_piece_needs_equal_restricted_models(monkeypatch):
     moved = lincat.rep.RepModel(r1_bot.group, -r1_bot.matrices)
     with pytest.raises(NumericalFailure, match="strictness lost in restricted models"):
         real(s_hom, t_hom, r1_top, ind_top, moved, ind_bot)
+
+
+def _closed_form_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot,
+                       inverse=True, act=True, norm="Y"):
+    """``_transfer_piece``'s closed form, with one part optionally wrong:
+    t1(x) for t1(x)^-1, C e_j for x.C e_j, or 1/#X1 for 1/#Y."""
+    x1, t1_hom = s_hom.target, ind_top.hom
+    elts = ind_top.group.mult[ind_top.coset_reps][
+        :, t1_hom.map[x1.inv] if inverse else t1_hom.map]
+    if act:
+        vecs = r1_top.matrices @ ind_top.invariant_basis
+    else:
+        vecs = np.broadcast_to(ind_top.invariant_basis,
+                               (x1.order,) + ind_top.invariant_basis.shape)
+    out = np.concatenate([ind_bot.tensor_coords(row, vecs) for row in elts], axis=1)
+    return out / (s_hom.source.order if norm == "Y" else x1.order)
+
+
+@pytest.mark.parametrize("wrong", [
+    {"inverse": False},  # t1(x) instead of t1(x)^-1
+    {"act": False},      # the action of x on C e_j dropped
+    {"norm": "X1"},      # divided by #X1 instead of #Y
+    {},                  # the closed form itself: caught nowhere
+], ids=["t1-not-inverted", "action-dropped", "divided-by-X1", "correct"])
+def test_dual_path_catches_a_wrong_closed_form(monkeypatch, wrong):
+    monkeypatch.setattr(lincat.linearization, "_transfer_piece",
+                        lambda *key: _closed_form_piece(*key, **wrong))
+    maps = default_suite().spanmaps + [
+        y for seed in range(8) for y in random_suite(seed).spanmaps]
+    caught = 0
+    for y in maps:
+        try:
+            lambda_spanmap(y)
+        except IntertwinerProjectionFailure:
+            caught += 1
+    assert (caught > 0) == bool(wrong), caught
+
+
+def test_dual_path_builds_no_induced_model(monkeypatch):
+    # the pieces read the witnesses' pushforwards and induce nothing more
+    results = [lambda_spanmap(y, check=False)
+               for y in default_suite().spanmaps + random_suite(0).spanmaps]
+    for res in results:
+        res.source_result.details, res.target_result.details
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dual path must build no induced model")
+
+    for module in (lincat.rep, lincat.linearization):
+        monkeypatch.setattr(module, "induce_rep", refuse)
+    compared = 0
+    for res in results:
+        got = _dual_path(res.spanmap, res.source_result, res.target_result)
+        dev, _ = _blocks_deviation(got, res.morphism)
+        assert dev < DEFAULT_TOL
+        compared += sum(b.size > 0 for b in got.blocks.values())
+    assert compared > 0
 
 
 def test_dual_path_tolerance_can_be_tightened():
@@ -930,7 +985,8 @@ def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
 
 
 def _big_transfer_reference(y, top_wits, bot_wits):
-    """The dual-path transfer with every apex object's piece built on its own."""
+    """The dual-path transfer with every apex object's piece built on its own,
+    by the staged pasting."""
     top_pos = {w.apex_idx: i for i, w in enumerate(top_wits)}
     bot_pos = {w.apex_idx: i for i, w in enumerate(bot_wits)}
     top_off = np.cumsum([0] + [w.ind.dim for w in top_wits])
@@ -941,23 +997,10 @@ def _big_transfer_reference(y, top_wits, bot_wits):
         if x1 not in top_pos or x2 not in bot_pos:
             continue
         i1, i2 = top_pos[x1], bot_pos[x2]
-        r1_top, r1_bot = top_wits[i1].r1, bot_wits[i2].r1
-        s_hom, t_hom = y.up.hom(yi), y.down.hom(yi)
-        t1_hom, t2_hom = y.top.right.hom(x1), y.bottom.right.hom(x2)
-        v_y = restrict_rep(s_hom, r1_top)
-        ind_s = induce_rep(s_hom, v_y)
-        staged1 = induce_rep(t1_hom, ind_s)
-        flat1 = flatten_induction(staged1, induce_rep(s_hom.then(t1_hom), v_y))
-        mor1 = induced_morphism(top_wits[i1].ind, staged1,
-                                _unit_kernel(ind_s, r1_top.matrices))
-        res_t = restrict_rep(t_hom, r1_bot)
-        ind_t = induce_rep(t_hom, res_t)
-        staged2 = induce_rep(t2_hom, ind_t)
-        flat2 = flatten_induction(staged2, induce_rep(t_hom.then(t2_hom), res_t))
-        mor2 = induced_morphism(staged2, bot_wits[i2].ind,
-                                _counit_kernel(ind_t, r1_bot.matrices))
         big[bot_off[i2]:bot_off[i2 + 1], top_off[i1]:top_off[i1 + 1]] += (
-            mor2 @ np.linalg.solve(flat2, flat1) @ mor1
+            staged_transfer_piece(y.up.hom(yi), y.down.hom(yi),
+                                  top_wits[i1].r1, top_wits[i1].ind,
+                                  bot_wits[i2].r1, bot_wits[i2].ind)
         )
     return big
 
@@ -1016,7 +1059,7 @@ def _assert_dual_path_matches_reference(y):
 
 
 def test_dual_path_matches_reference_loop(monkeypatch):
-    suites = [default_suite()] + [random_suite(seed) for seed in range(8)]
+    suites = [default_suite()] + [random_suite(seed) for seed in range(20)]
     assert sum(_assert_dual_path_matches_reference(y)
                for suite in suites for y in suite.spanmaps) > 0
 
