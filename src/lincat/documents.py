@@ -402,11 +402,10 @@ class _Collector:
         )
 
     def groupoid(self, gpd: Groupoid):
-        key = ("gpd", tuple((n, gg.fingerprint) for n, gg in gpd.objects))
         return self._intern(
             "groupoids",
             gpd,
-            key,
+            ("gpd", gpd.key),
             lambda name: {
                 "name": name,
                 "objects": [
@@ -417,17 +416,10 @@ class _Collector:
         )
 
     def functor(self, f: GroupoidFunctor, prefer=None):
-        key = (
-            "fun",
-            self.groupoid(f.source),
-            self.groupoid(f.target),
-            tuple(f.object_map.tolist()),
-            tuple(tuple(h.map.tolist()) for h in f.hom_maps),
-        )
         return self._intern(
             "functors",
             f,
-            key,
+            ("fun", f.key),
             lambda name: {
                 "name": name,
                 "source": self.groupoid(f.source),

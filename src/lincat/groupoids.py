@@ -1,9 +1,12 @@
 """Skeletal essentially finite groupoids, functors, spans and spans of span maps.
 
-A groupoid is stored skeletally: an ordered list of objects, each carrying its
-automorphism group.  Distinct objects are non-isomorphic by fiat.  Weak
-pullbacks are computed as comma categories: isomorphism classes of objects over
-a pair (a, b) with f(a) = g(b) = c correspond to double cosets
+A groupoid is stored skeletally: an ordered tuple of objects, each carrying
+its automorphism group.  Distinct objects are non-isomorphic by fiat.  As
+for homs (``GroupHom.key``), a groupoid's and a functor's value is its
+``key``, which equality, hashing and every cache key of them read.
+
+Weak pullbacks are computed as comma categories: isomorphism classes of
+objects over a pair (a, b) with f(a) = g(b) = c correspond to double cosets
 im(f_a) \\ Aut(c) / im(g_b), and the automorphism group of the class with
 mediating morphism m is the fibred product {(h, k) : f(h)*m = m*g(k)}.
 
@@ -52,19 +55,18 @@ from .groups import (
 
 
 class Groupoid:
-    """Ordered list of (name, automorphism group) pairs; may be empty."""
+    """Ordered tuple of (name, automorphism group) pairs; may be empty.
+
+    ``key``, the objects' names and group tables, is the groupoid's value:
+    equality and hashing read it, and the groupoid's name is outside it."""
 
     def __init__(self, objects, name=None):
-        objects = list(objects)
-        names = [n for n, _ in objects]
-        if len(set(names)) != len(names):
+        self.objects = tuple(objects)
+        self.names = [n for n, _ in self.objects]
+        if len(set(self.names)) != len(self.names):
             raise IndexOutOfRange("object names must be unique")
-        self.objects = objects
-        self.name = name if name is not None else "+".join(names) or "0"
-
-    @property
-    def names(self):
-        return [n for n, _ in self.objects]
+        self.key = tuple((n, g.fingerprint) for n, g in self.objects)
+        self.name = name if name is not None else "+".join(self.names) or "0"
 
     def aut(self, i) -> FinGroup:
         try:
@@ -76,16 +78,10 @@ class Groupoid:
         return len(self.objects)
 
     def __eq__(self, other):
-        if other is self:
-            return True
-        return (
-            isinstance(other, Groupoid)
-            and self.names == other.names
-            and all(a == b for (_, a), (_, b) in zip(self.objects, other.objects))
-        )
+        return other is self or isinstance(other, Groupoid) and self.key == other.key
 
     def __hash__(self):
-        return hash(tuple((n, g.fingerprint) for n, g in self.objects))
+        return hash(self.key)
 
     def __repr__(self):
         return f"Groupoid({self.name!r}, {len(self)} objects)"
@@ -117,7 +113,7 @@ def one_object_groupoid(g: FinGroup, obj_name="*", name=None) -> Groupoid:
 
 
 def disjoint_union(x: Groupoid, y: Groupoid, name=None) -> Groupoid:
-    return Groupoid(list(x.objects) + list(y.objects), name=name)
+    return Groupoid(x.objects + y.objects, name=name)
 
 
 class GroupoidFunctor:
@@ -185,17 +181,19 @@ class GroupoidFunctor:
         ]
         return GroupoidFunctor._derived(self.source, other.target, omap, homs)
 
+    @property
+    def key(self):
+        """The functor's value: its groupoids' keys, its object map and its
+        homs' maps (whose groups the groupoids and object map fix).
+        Equality and hashing read it."""
+        return (self.source.key, self.target.key, self.object_map.tobytes(),
+                tuple(h.map.tobytes() for h in self.hom_maps))
+
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupoidFunctor)
-            and self.source == other.source
-            and self.target == other.target
-            and np.array_equal(self.object_map, other.object_map)
-            and all(a == b for a, b in zip(self.hom_maps, other.hom_maps))
-        )
+        return isinstance(other, GroupoidFunctor) and self.key == other.key
 
     def __hash__(self):
-        return hash((self.source, self.target, self.object_map.tobytes()))
+        return hash(self.key)
 
 
 @dataclass

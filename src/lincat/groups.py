@@ -20,9 +20,12 @@ The cosets of a hom's image depend only on the hom, so the library has one
 routine per kind: ``coset_data`` for the left (or right) cosets of im(f)
 with the lifts through f, which induction reads, and ``double_cosets`` for
 f(H) \\ C / g(K) with each class's fibred product, which the comma
-categories of ``groupoids`` read.  Each is computed once per hom value (the
-source table and the map) and kept, read-only, in the ``coset_cache`` of
-the group the cosets live in, so it is freed with that group.
+categories of ``groupoids`` read.  Each is computed once per hom value and
+kept, read-only, in the ``coset_cache`` of the group the cosets live in, so
+it is freed with that group.
+
+A hom's value is ``GroupHom.key``: its source and target tables and its map.
+Hom equality, hashing and every cache key of a hom read it.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class FinGroup:
     Two attributes sit outside ``fingerprint``, ``__eq__`` and ``__hash__``:
     ``factors`` (set by ``direct_product``) and ``coset_cache``, where
     ``double_cosets`` and ``coset_data`` keep the coset data of the homs into
-    this group, keyed by hom value (source table and map).  Its entries are
+    this group, keyed by hom value (``GroupHom.key``).  Its entries are
     computed on first use, read-only, and freed with the group object."""
 
     def __init__(self, mult, name=None):
@@ -238,16 +241,17 @@ class GroupHom:
     def image(self):
         return sorted({int(a) for a in self.map})
 
+    @property
+    def key(self):
+        """The hom's value: its source and target tables and its map.  Every
+        equality, hash and cache key of a hom reads it."""
+        return self.source.fingerprint, self.target.fingerprint, self.map.tobytes()
+
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupHom)
-            and self.source == other.source
-            and self.target == other.target
-            and np.array_equal(self.map, other.map)
-        )
+        return isinstance(other, GroupHom) and self.key == other.key
 
     def __hash__(self):
-        return hash((self.source.fingerprint, self.target.fingerprint, self.map.tobytes()))
+        return hash(self.key)
 
 
 def identity_hom(g: FinGroup) -> GroupHom:
@@ -410,11 +414,6 @@ def _memo(group, key, build, *args):
     return entry
 
 
-def _hom_key(f: GroupHom):
-    """A hom's value within its target's cache: its source table and map."""
-    return f.source.fingerprint, f.map.tobytes()
-
-
 def _cosets(mult, image):
     """Minimal-index representatives of the cosets a*image under the product
     table ``mult``, in increasing order, and the coset id of every element.
@@ -455,7 +454,7 @@ def coset_data(f: GroupHom, right=False) -> CosetData:
     when ``right`` is set, with the lifts through f.  Computed once per hom
     value and side, and kept in ``f.target.coset_cache``."""
     side = "right" if right else "left"
-    return _memo(f.target, (side, *_hom_key(f)), _coset_data, f, right)
+    return _memo(f.target, (side, f.key), _coset_data, f, right)
 
 
 def _coset_data(f: GroupHom, right):
@@ -545,8 +544,7 @@ def double_cosets(fh: GroupHom, gh: GroupHom) -> DoubleCosets:
     in ``C.coset_cache``, so equal pairs share one ``fib`` group."""
     if fh.target != gh.target:
         raise GroupMismatch("double cosets need homs into one group")
-    return _memo(fh.target, ("double", *_hom_key(fh), *_hom_key(gh)),
-                 _double_cosets, fh, gh)
+    return _memo(fh.target, ("double", fh.key, gh.key), _double_cosets, fh, gh)
 
 
 def _double_cosets(fh, gh):

@@ -15,10 +15,11 @@ groups, hence their irreps), and ``lambda_span`` works in two layers:
   Aut(x).  Each block is cross-checked against <Ind_t Res_s chi1, chi2> on
   the right foot, with the induced character from the class map of t; both
   routes must be integral and agree.  One block per leg key is computed:
-  the apex group's table, the leg homs' tables, the feet's structure keys
-  (which fix their irreps), seed and tol.
+  the leg homs' value keys (``GroupHom.key``), the feet's structure keys
+  (which fix their irreps, where hom keys fix only the tables) and the
+  seed.  No tolerance enters a block.
 * **Models, on first access.**  ``details`` and ``map.hom_bases`` are built
-  together the first time either is read, once per leg key:
+  together the first time either is read, once per leg key and tol:
   the pullbacks s*W1, t*W2, the pushforwards t_*s*W1 and the intertwiner
   bases, with the projector's rank check, the induced-multiplicity
   cross-check and a check of each entry's basis length against the
@@ -57,13 +58,14 @@ model.  Each kind of numerical check has one routine: 2-cells compare by
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
 read, its models afresh, and each dual-path block its pieces.  Inside
 ``verify_functoriality``, one run memo (in a context variable, so concurrent
-runs keep their own) is the only way work is shared: dims blocks and leg
-entries by leg key, dual-path pieces by their hom values and models, and the
-results of the inputs the run registers (its spans, its span maps and those
-maps' top and bottom spans) by identity, so ``lambda_span`` and
-``lambda_spanmap`` build each once.  Composites are not kept, since each is
-read by the one check that builds it.  Only the vertical and horizontal
-checks build models; the others read dims.
+runs keep their own) is the only way work is shared: dims blocks by leg
+key, so across tolerances; leg entries by leg key and tol; dual-path pieces
+by their homs' value keys and models; and the results of the inputs the run
+registers (its spans, its span maps and those maps' top and bottom spans) by
+identity, so ``lambda_span`` and ``lambda_spanmap`` build each once.
+Composites are not kept, since each is read by the one check that builds
+it.  Only the vertical and horizontal checks build models; the others read
+dims.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ class _RunMemo:
     inputs: dict  # id -> input span, span map or map's top/bottom span
     results: dict = field(default_factory=dict)  # (id, seed, tol[, check]) -> result
     dims: dict = field(default_factory=dict)     # leg key -> dims block
-    legs: dict = field(default_factory=dict)     # leg key -> entries
+    legs: dict = field(default_factory=dict)     # (leg key, tol) -> entries
     pieces: dict = field(default_factory=dict)   # dual-path transfer pieces
 
 
@@ -227,9 +229,8 @@ def _lambda_span(x: Span, seed, tol) -> LambdaSpanResult:
     for xi in range(len(x.apex)):
         rows, cols = tgt.positions[x.right(xi)], src.positions[x.left(xi)]
         s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
-        key = (s_hom.source.fingerprint, s_hom.map.tobytes(),
-               _structure_key(s_hom.target), t_hom.map.tobytes(),
-               _structure_key(t_hom.target), seed, tol)
+        key = (s_hom.key, _structure_key(s_hom.target), t_hom.key,
+               _structure_key(t_hom.target), seed)
         if key not in first:
             first[key] = (s_hom, t_hom, [w for _, w in cols], [w for _, w in rows], xi)
         if key not in blocks:
@@ -309,9 +310,9 @@ def _entry_models(placed, first, legs, witnesses, tol):
     leg key in ``placed``; ``first`` holds each key's leg-entry arguments."""
     details = {k: [] for k in witnesses}
     for xi, (key, r0, c0) in enumerate(placed):
-        if key not in legs:
-            legs[key] = _leg_entries(*first[key], tol)
-        for k2, k1, _, r1, r2, basis, ind in legs[key]:
+        if (key, tol) not in legs:
+            legs[key, tol] = _leg_entries(*first[key], tol)
+        for k2, k1, _, r1, r2, basis, ind in legs[key, tol]:
             details[(r0 + k2, c0 + k1)].append(_EntryWitness(xi, r1, r2, basis, ind))
     return details
 
@@ -460,16 +461,15 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
     A piece depends only on its homs and models, which ``lambda_span``
     shares between apex objects with equal leg homs; each distinct piece is
     built once per call, or once per run inside ``verify_functoriality``,
-    keyed by its models and the values of its homs, which are read once per
+    keyed by its models and its homs' value keys, which are read once per
     apex object and call."""
     run = _RUN.get()
     pieces = run.pieces if run is not None else {}
     over = {}  # (x1, x2) -> the span-map apex objects over them
-    hom_keys = []  # per apex object: its group's table, up and down maps
+    hom_keys = []  # per apex object: its up and down homs' value keys
     for yi in range(len(y.apex)):
         over.setdefault((y.up(yi), y.down(yi)), []).append(yi)
-        hom_keys.append((y.apex.aut(yi).fingerprint, y.up.hom(yi).map.tobytes(),
-                         y.down.hom(yi).map.tobytes()))
+        hom_keys.append((y.up.hom(yi).key, y.down.hom(yi).key))
     rows = [pos for pairs in lam_top.target_object.positions for pos in pairs]
     transfers = {}  # (top and bottom pushforwards, x1, x2) -> T
     blocks = {}

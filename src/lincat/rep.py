@@ -271,14 +271,14 @@ def _irreps_by_splitting(g: FinGroup, seed):
     return out
 
 
-def _irreps_of_product(g: FinGroup, seed, tol):
+def _irreps_of_product(g: FinGroup, seed):
     """(character key, irrep) pairs of a recorded product G x H: (a, b) acts
     by kron(U(a), V(b)) for every pair of factor irreps U, V."""
     left, right = g.factors
     reps = [c[0] for c in g.classes]
     out = []
-    for u in irreps(left, seed=seed, tol=tol):
-        for v in irreps(right, seed=seed, tol=tol):
+    for u in irreps(left, seed=seed):
+        for v in irreps(right, seed=seed):
             d = u.dim * v.dim
             mats = np.einsum("aij,bkl->abikjl", u.matrices, v.matrices)
             mats = mats.reshape(g.order, d, d)
@@ -295,7 +295,7 @@ def _structure_key(g: FinGroup):
     return (g.fingerprint,) + tuple(_structure_key(f) for f in g.factors)
 
 
-def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
+def irreps(g: FinGroup, seed=DEFAULT_SEED):
     """All irreducible unitary representations of g, in a deterministic order:
     ascending dimension, then lexicographically by character value tuple over
     the conjugacy classes (real parts compared before imaginary parts).
@@ -308,7 +308,9 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     keys, so a product and an equal table built another way keep separate
     entries and bases.  On a miss, raises InputTooLarge before allocating
     when |G|^2 complex numbers (the basis of C[G], or all the product's
-    matrices) would take more than MAX_DENSE_BYTES."""
+    matrices) would take more than MAX_DENSE_BYTES, and NumericalFailure
+    unless the characters are orthonormal within DEFAULT_TOL: no caller
+    picks that tolerance, so a cached result never depends on one."""
     key = (_structure_key(g), seed)
     with _IRREP_LOCK:
         cached = _IRREP_CACHE.get(key)
@@ -323,7 +325,7 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     if g.factors is None:
         keyed = _irreps_by_splitting(g, seed)
     else:
-        keyed = _irreps_of_product(g, seed, tol)
+        keyed = _irreps_of_product(g, seed)
     result = [r for _, r in sorted(keyed, key=lambda kr: (kr[1].dim, kr[0]))]
     if sum(r.dim**2 for r in result) != g.order:
         raise NumericalFailure(
@@ -332,7 +334,7 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
     # Gram matrix of the characters: (1/|G|) sum_C |C| chi_i(C) conj(chi_j(C))
     chars = np.array([r.character.values for r in result])
     gram = (chars * g.class_sizes) @ chars.conj().T / g.order
-    if np.max(np.abs(gram - np.eye(len(result)))) > tol:
+    if np.max(np.abs(gram - np.eye(len(result)))) > DEFAULT_TOL:
         raise NumericalFailure("computed characters are not orthonormal")
     with _IRREP_LOCK:
         _IRREP_CACHE[key] = result

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pathlib
 
@@ -25,12 +26,19 @@ from lincat.errors import (
     SchemaError,
     UnresolvedReference,
 )
-from lincat.groupoids import SpanMap, identity_span, one_object_groupoid, terminal_groupoid
+from lincat.groupoids import (
+    SpanMap,
+    compose_spans,
+    identity_span,
+    one_object_groupoid,
+    terminal_groupoid,
+)
 from lincat.groups import cyclic_group, symmetric_group, trivial_group
 from lincat.suites import (
     fig1_span,
     groupoidification_map,
     mixed_groupoid,
+    random_suite,
     standard_groups,
 )
 
@@ -428,3 +436,24 @@ def test_conforms_is_sound_on_mutants(base, data):
     schema = document_schema(base["kind"])
     if _conforms(schema, doc):
         assert list(jsonschema.Draft202012Validator(schema).iter_errors(doc)) == []
+
+
+# serialize of every span, span map and composable pair's composite of
+# random_suite(0..19), recorded before the collector keyed its groupoids and
+# functors by their value keys
+RANDOM_SUITES_SERIALIZED_DIGEST = (
+    "4b86903edcfa5efed9f96a6df401a678416c1b945730e032e0d3a1404ccf69a5"
+)
+
+
+def test_serialized_random_suites_are_unchanged():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        suite = random_suite(seed)
+        for value in [*suite.spans, *suite.spanmaps]:
+            digest.update(serialize(value))
+        for x in suite.spans:
+            for xp in suite.spans:
+                if x.target == xp.source:
+                    digest.update(serialize(compose_spans(x, xp)))
+    assert digest.hexdigest() == RANDOM_SUITES_SERIALIZED_DIGEST

@@ -1106,6 +1106,26 @@ def test_verify_functoriality_builds_each_leg_entry_once(monkeypatch):
     assert len(keys) == len(set(keys)) == 4
 
 
+def test_dims_blocks_are_shared_across_tolerances(monkeypatch):
+    # no tolerance enters a dims block, and beta_compositor reads dims at
+    # the default tolerance whatever the run's: a run computes as many
+    # blocks at a tight tolerance as at the default one
+    counts = []
+    real = lincat.linearization._leg_dims
+
+    def counted(*args):
+        counts[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lincat.linearization, "_leg_dims", counted)
+    for tol in (1e-8, 1e-12):
+        counts.append(0)
+        suite = random_suite(5, n_spans=4, n_maps=3)
+        suite.tolerance = tol
+        assert verify_functoriality(suite).ok
+    assert counts[0] == counts[1] > 0
+
+
 def test_run_memo_lives_only_for_the_call(monkeypatch):
     run_memo = lincat.linearization._RUN
     seen = []

@@ -165,6 +165,16 @@ def test_irreps_deterministic_order(s3, clear_irrep_cache):
     assert dims == sorted(dims)
 
 
+def test_irreps_takes_no_tolerance(s3, clear_irrep_cache):
+    # the cache is keyed by table and seed, so a tolerance could not be
+    # honoured on a hit: irreps takes none, cold or warm
+    with pytest.raises(TypeError):
+        irreps(s3, tol=1e-30)
+    irreps(s3)
+    with pytest.raises(TypeError):
+        irreps(s3, tol=1e-30)
+
+
 def test_permutation_kernel_matches_dense_regular_rep(s4):
     # reference: compress the dense regular representation, as irreps once did
     rng = np.random.default_rng(0)
