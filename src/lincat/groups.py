@@ -177,17 +177,18 @@ def conjugacy_classes(g: FinGroup):
     """Partition of element indices into conjugacy classes.
 
     Classes are ordered by their minimal element, so the class of the
-    identity comes first.
+    identity comes first.  Each class is one gather: x a x^-1 for every x
+    is ``mult[mult[:, a], inv]``.
     """
     seen = np.zeros(g.order, dtype=bool)
     classes = []
     for a in range(g.order):
         if seen[a]:
             continue
-        orbit = sorted({g.conjugate(a, x) for x in range(g.order)})
-        for b in orbit:
-            seen[b] = True
-        classes.append(orbit)
+        conj = g.mult[g.mult[:, a], g.inv]
+        orbit = np.flatnonzero(np.bincount(conj, minlength=g.order))
+        seen[orbit] = True
+        classes.append(orbit.tolist())
     return classes
 
 

@@ -620,7 +620,8 @@ class BetaReport:
         return self.dims_ok and self.max_defect == 0
 
 
-def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED) -> BetaReport:
+def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED,
+                    tol=DEFAULT_TOL) -> BetaReport:
     """Check that composition is respected, reporting failures rather than
     raising them: the matrix of the composite span must equal the integer
     product of the two matrices, and at each apex-object pair (x_o, x'_o)
@@ -633,13 +634,16 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED) -> BetaReport:
     On the regular representation of H it sends the orbit basis of the
     inductions along the fibred-product projections to that of the induction
     along the middle leg, so it is invertible exactly when this map of finite
-    sets is a bijection, which is checked from the tables alone.  It takes no
-    tolerance: the dims come from characters, rounded by ``rep._integral``."""
+    sets is a bijection, which is checked from the tables alone.  No check
+    reads ``tol``: the dims come from characters, rounded by
+    ``rep._integral``.  It is the ``lambda_span`` tolerance of the three
+    spans, so that inside ``verify_functoriality`` they are the results the
+    other checks read."""
     composite = compose_spans(x, xp)
     cat = composite.comma
-    lam_x = lambda_span(x, seed=seed)
-    lam_xp = lambda_span(xp, seed=seed)
-    lam_c = lambda_span(composite, seed=seed)
+    lam_x = lambda_span(x, seed=seed, tol=tol)
+    lam_xp = lambda_span(xp, seed=seed, tol=tol)
+    lam_c = lambda_span(composite, seed=seed, tol=tol)
     product = compose_2linear(lam_xp.map, lam_x.map)
     gammas = [_gamma_pair_witness(x, xp, cat, pair) for pair in sorted(cat.pair_data)]
     return BetaReport(x, xp, composite, product.dims, lam_c.map.dims, gammas)
@@ -843,7 +847,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
 
     # (a) compositor dimension checks + gamma bijectivity
     for i, j in islice(_pairs(spans, lambda a, b: a.target == b.source), MAX_PAIRS):
-        rep = beta_compositor(spans[i], spans[j], seed=seed)
+        rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol)
         composites[i, j] = rep.composite
         report.results.append(
             CheckResult(

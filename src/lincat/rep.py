@@ -1,14 +1,17 @@
 """Complex representation theory of finite groups given by tables.
 
 Everything here works in double-precision complex arithmetic.  Irreducible
-representations are found by splitting C[G] with seeded random equivariant
-operators, so all bases are reproducible for a fixed seed; a product recorded
-by ``direct_product`` takes Kronecker products of its factors' irreps
-instead.  The splitting never forms the regular representation as matrices:
-element a sends e_j to e_{aj}, so it acts on a basis of a subspace (its
-columns) by a row permutation.  Characters and the final irrep matrices are
-read from permuted rows of that basis, one element at a time; the averaged
-operator that splits a subspace is one convolution over the table.
+representations are found by splitting C[G] with random equivariant
+operators drawn from the standard library's ``random.Random(seed)``, so all
+bases are reproducible for a fixed seed and no process loads
+``numpy.random``; a product recorded by ``direct_product`` takes Kronecker
+products of its factors' irreps instead.  The splitting never forms the
+regular representation as matrices: element a sends e_j to e_{aj}, so it
+acts on a basis of a subspace (its columns) by a row permutation.
+Characters are read from permuted rows of that basis at class
+representatives, and the final irrep matrices from one gather and one
+product per chunk of elements; the averaged operator that splits a subspace
+is one convolution over the table.
 
 Induction along an arbitrary homomorphism f : G -> H is realized on the
 concrete space
@@ -31,6 +34,8 @@ explicit matrices in these distinguished bases.
 from __future__ import annotations
 
 import math
+import operator
+import random
 import threading
 from dataclasses import dataclass, field
 
@@ -39,6 +44,7 @@ import numpy as np
 from .errors import (
     GroupMismatch,
     InputTooLarge,
+    LincatError,
     ModelMismatch,
     NonIntegralMultiplicity,
     NumericalFailure,
@@ -186,13 +192,22 @@ def _left_action(g: FinGroup, a):
     return g.mult[g.inv[a]]
 
 
+# bytes of the permuted copies of a basis that ``_subrep`` gathers at once
+_SUBREP_CHUNK_BYTES = 1 << 20
+
+
 def _subrep(g: FinGroup, basis):
     """The regular representation compressed to the orthonormal columns of
-    ``basis``: basis^H @ basis[mult[inv[a]]], yielded element by element so
-    that a caller never holds all |G| permuted copies of the basis."""
+    ``basis``: the (|G|, k, k) stack of basis^H @ basis[mult[inv[a]]], one
+    gather and one product per chunk of elements, so that a caller never
+    holds more than _SUBREP_CHUNK_BYTES of permuted copies of the basis."""
     bh = basis.conj().T
-    for a in range(g.order):
-        yield bh @ basis[_left_action(g, a)]
+    out = np.empty((g.order, basis.shape[1], basis.shape[1]), dtype=complex)
+    step = max(1, _SUBREP_CHUNK_BYTES // basis.nbytes)
+    for start in range(0, g.order, step):
+        chunk = slice(start, start + step)
+        out[chunk] = bh @ basis[_left_action(g, chunk)]
+    return out
 
 
 def _char_of(g: FinGroup, basis):
@@ -214,11 +229,20 @@ def _averaged(g: FinGroup, basis, h):
     return basis.conj().T @ t @ basis
 
 
+def _uniform(rng: random.Random, shape):
+    """Uniform draws on [-1, 1) from ``rng``: the top 53 bits of each
+    little-endian 64-bit word of ``rng.randbytes``, so a seed fixes the
+    values on every platform."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> 11) * 2.0**-52 - 1.0).reshape(shape)
+
+
 def _split(g: FinGroup, basis, rng):
     """Split an invariant subspace along the eigenspaces of a random averaged
     Hermitian operator (``_averaged``), which commutes with the action."""
     k = basis.shape[1]
-    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    re, im = _uniform(rng, (2, k, k))
+    a = re + 1j * im
     evals, vecs = np.linalg.eigh(_averaged(g, basis, a + a.conj().T))
     pieces = []
     start = 0
@@ -238,7 +262,7 @@ def _char_key(chi):
 
 def _irreps_by_splitting(g: FinGroup, seed):
     """(character key, irrep) pairs, one per character, from splitting C[G]."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     queue = [np.eye(g.order, dtype=complex)]
     found = {}
     while queue:
@@ -259,7 +283,7 @@ def _irreps_by_splitting(g: FinGroup, seed):
             raise NumericalFailure("failed to split a reducible invariant subspace")
     out = []
     for key, (basis, chi) in found.items():
-        mats = np.array(list(_subrep(g, basis)))
+        mats = _subrep(g, basis)
         # the identity's compression basis^H basis is I up to a rounding-level
         # scale: divide that scale out (a 1-dimensional irrep's values become
         # exact ratios) and store the identity exactly, so that restrictions
@@ -310,7 +334,14 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     when |G|^2 complex numbers (the basis of C[G], or all the product's
     matrices) would take more than MAX_DENSE_BYTES, and NumericalFailure
     unless the characters are orthonormal within DEFAULT_TOL: no caller
-    picks that tolerance, so a cached result never depends on one."""
+    picks that tolerance, so a cached result never depends on one.  The seed
+    is any non-negative integer (numpy integers included); a negative one
+    raises LincatError."""
+    # random.Random refuses numpy integers and takes a negative seed's
+    # absolute value
+    seed = operator.index(seed)
+    if seed < 0:
+        raise LincatError(f"seed must be non-negative, got {seed}")
     key = (_structure_key(g), seed)
     with _IRREP_LOCK:
         cached = _IRREP_CACHE.get(key)

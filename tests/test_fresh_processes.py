@@ -1,0 +1,55 @@
+"""What a fresh interpreter loads and prints: computing irreps, and every
+lincat command that does, leaves ``numpy.random`` unloaded (the splitting
+draws from the standard library's generator); only ``random_suite`` loads
+it.  A seed fixes every float a command prints."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import lincat
+
+SRC = pathlib.Path(lincat.__file__).resolve().parents[1]
+DATA = SRC / "lincat" / "data"
+
+
+def _python(*args, **env):
+    """stdout of a fresh interpreter run with ``args``, lincat from SRC and
+    ``env`` added to the environment; fails the test on a nonzero exit."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "work, loaded",
+    [
+        ("lincat.cli.main(['--output', 'json', 'verify'])", False),
+        ("lincat.cli.main(['basis', data + '/bs3.json'])", False),
+        ("a5 = lincat.group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5)\n"
+         "assert len(lincat.irreps(a5)) == 5", False),
+        ("lincat.random_suite(0)", True),
+    ],
+    ids=["verify", "basis", "irreps", "random_suite"],
+)
+def test_numpy_random_is_loaded_only_by_random_suite(work, loaded):
+    code = ("import sys, lincat, lincat.cli\n"
+            "data = sys.argv[1]\n"
+            f"{work}\n"
+            "print('numpy.random' in sys.modules)")
+    assert _python("-c", code, str(DATA)).splitlines()[-1] == str(loaded)
+
+
+def test_one_seed_prints_the_same_twomorph_bytes_in_two_processes():
+    args = ["-m", "lincat.cli", "--output", "json", "--seed", "11", "twomorph",
+            str(DATA / "gmap_bz2.json")]
+    outs = [_python(*args, PYTHONHASHSEED=h) for h in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert '"blocks"' in outs[0]

@@ -144,6 +144,27 @@ def test_conjugacy_s3_against_oracle(s3):
     assert classes[0] == [0]
 
 
+@pytest.mark.parametrize(
+    "maker",
+    [
+        trivial_group,
+        lambda: cyclic_group(2),
+        lambda: cyclic_group(3),
+        lambda: cyclic_group(4),
+        lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+        lambda: FinGroup(direct_product(cyclic_group(2), cyclic_group(2)).mult),
+        lambda: symmetric_group(3),
+        lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
+        lambda: symmetric_group(5),
+        lambda: direct_product(symmetric_group(4), symmetric_group(4)),
+    ],
+    ids=["1", "Z2", "Z3", "Z4", "V4", "V4-table", "S3", "A5", "S5", "S4xS4"],
+)
+def test_conjugacy_classes_and_their_order_match_the_oracle(maker):
+    g = maker()
+    assert conjugacy_classes(g) == brute_force_conjugacy(g)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
 def test_cyclic_valid_and_class_count(n):
     g = cyclic_group(n)

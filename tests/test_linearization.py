@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import sys
@@ -982,6 +983,16 @@ def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
     paired = set(vpair) | set(hpair)
     assert len(paired) < len(maps)
     assert [times(y) for y in maps] == [int(i in paired) for i in range(len(maps))]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_compositor_reads_the_suite_tolerance(monkeypatch, tol):
+    # beta_compositor linearizes at the suite's tolerance, so its spans are
+    # the results the other sections read: as many builds at any tolerance
+    suite = dataclasses.replace(random_suite(5, n_spans=4, n_maps=3), tolerance=tol)
+    built = _record_calls(monkeypatch, "_lambda_span")
+    assert verify_functoriality(suite).ok
+    assert len(built) == 38
 
 
 def _big_transfer_reference(y, top_wits, bot_wits):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from lincat.errors import (
     GroupMismatch,
     InputTooLarge,
+    LincatError,
     ModelMismatch,
     NonIntegralMultiplicity,
     RankMismatch,
@@ -24,7 +26,8 @@ from lincat.groups import (
     trivial_hom,
 )
 import lincat.rep
-from lincat.linearization import _project_onto_intertwiners
+from lincat.groupoids import one_object_groupoid
+from lincat.linearization import _project_onto_intertwiners, lambda_object
 from lincat.rep import (
     Character,
     RepModel,
@@ -184,6 +187,64 @@ def test_permutation_kernel_matches_dense_regular_rep(s4):
     assert np.max(np.abs(np.array(list(lincat.rep._subrep(s4, basis))) - dense)) < 1e-12
     chi = [np.trace(dense[c[0]]) for c in s4.classes]
     assert np.max(np.abs(lincat.rep._char_of(s4, basis) - chi)) < 1e-12
+
+
+def test_subrep_chunks_match_the_element_loop(s4, monkeypatch):
+    rng = np.random.default_rng(2)
+    raw = rng.standard_normal((s4.order, 3)) + 1j * rng.standard_normal((s4.order, 3))
+    basis, _ = np.linalg.qr(raw)
+    loop = np.array([basis.conj().T @ basis[s4.mult[s4.inv[a]]] for a in range(s4.order)])
+    # one element per chunk, a chunk that leaves a short tail, one chunk
+    for chunk_bytes in (1, 5 * basis.nbytes, 1 << 20):
+        monkeypatch.setattr(lincat.rep, "_SUBREP_CHUNK_BYTES", chunk_bytes)
+        assert np.max(np.abs(lincat.rep._subrep(s4, basis) - loop)) < 1e-14
+
+
+def test_uniform_draws_are_fixed_by_the_seed():
+    a = lincat.rep._uniform(random.Random(3), (2, 4, 4))
+    b = lincat.rep._uniform(random.Random(3), (2, 4, 4))
+    c = lincat.rep._uniform(random.Random(4), (2, 4, 4))
+    assert a.shape == (2, 4, 4) and a.dtype == np.float64
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
+    assert a.min() >= -1.0 and a.max() < 1.0
+
+
+def test_numpy_integer_seed_is_the_int_seed(s3, clear_irrep_cache):
+    # the stdlib generator refuses numpy integers; irreps takes them and
+    # keys its cache by the int
+    a = irreps(s3, seed=np.int64(5))
+    assert irreps(s3, seed=5) is a
+    clear_irrep_cache()
+    for ra, rb in zip(a, irreps(s3, seed=5)):
+        assert np.array_equal(ra.matrices, rb.matrices)
+
+
+def test_negative_seed_is_refused(s3, clear_irrep_cache):
+    # random.Random(-5) would act as seed 5
+    with pytest.raises(LincatError, match="seed must be non-negative, got -5"):
+        irreps(s3, seed=-5)
+    assert not lincat.rep._IRREP_CACHE
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
+        lambda: symmetric_group(4),
+        lambda: symmetric_group(5),
+    ],
+    ids=["A5", "S4", "S5"],
+)
+def test_seeds_change_only_the_bases(maker):
+    g = maker()
+    a, b = irreps(g, seed=0), irreps(g, seed=7)
+    assert [r.dim for r in a] == [r.dim for r in b]
+    for ra, rb in zip(a, b):
+        assert np.max(np.abs(ra.character.values - rb.character.values)) < 1e-12
+    assert any(not np.allclose(ra.matrices, rb.matrices) for ra, rb in zip(a, b))
+    gpd = one_object_groupoid(g)
+    labels = [lambda_object(gpd, seed=s).basis.labels for s in (0, 7)]
+    assert labels[0] == labels[1]
 
 
 def _element_sum_average(g, basis, h):
