@@ -56,20 +56,22 @@ model.  Each kind of numerical check has one routine: 2-cells compare by
 ``rep._integral``.
 
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
-read, its models afresh, and each dual-path block its pieces.  Inside
-``verify_functoriality``, one run memo (in a context variable, so concurrent
+read, its models afresh.  A run memo (in a context variable, so concurrent
 runs keep their own) is the only way work is shared: dims blocks by leg
 key, so across tolerances; leg entries by leg key and tol; dual-path pieces
 by their homs' value keys and models; and the results of the inputs the run
-registers (its spans, its span maps and those maps' top and bottom spans) by
-identity, so ``lambda_span`` and ``lambda_spanmap`` build each once.
-Composites are not kept, since each is read by the one check that builds
-it.  Only the vertical and horizontal checks build models; the others read
-dims.
+registers by identity, so ``lambda_span`` and ``lambda_spanmap`` build each
+once.  ``verify_functoriality`` opens one for its call, registering its
+spans, its span maps and those maps' top and bottom spans; a
+``lambda_spanmap`` call outside it opens one registering its span map and
+that map's top and bottom spans.  Composites are not kept, since each is
+read by the one check that builds it.  Only the vertical and horizontal
+checks build models; the others read dims.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,7 +180,8 @@ class LambdaSpanResult:
 
 @dataclass
 class _RunMemo:
-    """Work shared by every check of one ``verify_functoriality`` call."""
+    """Work shared by every check of one ``verify_functoriality`` call, or
+    by the spans of one ``lambda_spanmap`` call outside it."""
 
     inputs: dict  # id -> input span, span map or map's top/bottom span
     results: dict = field(default_factory=dict)  # (id, seed, tol[, check]) -> result
@@ -189,6 +192,16 @@ class _RunMemo:
 
 # the memo of the verify_functoriality call running in this context, if any
 _RUN = contextvars.ContextVar("lincat_run_memo", default=None)
+
+
+@contextlib.contextmanager
+def _run_memo(inputs):
+    """A run memo registering ``inputs``, set in this context for the body."""
+    token = _RUN.set(_RunMemo({id(obj): obj for obj in inputs}))
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
 
 
 def _once(obj, build, *args):
@@ -396,8 +409,14 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
     Blocks run from the intertwiner spaces of the top span to those of the
     bottom span.  When ``check`` is set, the same blocks are recomputed by
     pasting unit/counit matrices on induced models and the two answers must
-    agree within ``tol``.
+    agree within ``tol``.  Outside ``verify_functoriality`` the call opens a
+    run memo of its own that registers y, y.top and y.bottom, so the top and
+    bottom spans share dims blocks and models by leg key, and are linearized
+    once when they are one span.
     """
+    if _RUN.get() is None:
+        with _run_memo([y, y.top, y.bottom]):
+            return _lambda_spanmap(y, seed, tol, check)
     return _once(y, _lambda_spanmap, seed, tol, check)
 
 
@@ -460,9 +479,9 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
     projection . T . embedding over W2, divided by dim W2, in one contraction.
     A piece depends only on its homs and models, which ``lambda_span``
     shares between apex objects with equal leg homs; each distinct piece is
-    built once per call, or once per run inside ``verify_functoriality``,
-    keyed by its models and its homs' value keys, which are read once per
-    apex object and call."""
+    built once per run memo (of the ``lambda_spanmap`` call, or of
+    ``verify_functoriality``), keyed by its models and its homs' value keys,
+    which are read once per apex object and call."""
     run = _RUN.get()
     pieces = run.pieces if run is not None else {}
     over = {}  # (x1, x2) -> the span-map apex objects over them
@@ -829,11 +848,8 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     equal keys.  These results live only for this call."""
     inputs = [*config.spans, *config.spanmaps]
     inputs += [x for y in config.spanmaps for x in (y.top, y.bottom)]
-    token = _RUN.set(_RunMemo({id(obj): obj for obj in inputs}))
-    try:
+    with _run_memo(inputs):
         return _check_suite(config)
-    finally:
-        _RUN.reset(token)
 
 
 def _check_suite(config: SuiteConfig) -> FunctorialityReport:

@@ -212,8 +212,18 @@ def _subrep(g: FinGroup, basis):
 
 def _char_of(g: FinGroup, basis):
     """Character of the compression to ``basis``, one trace per conjugacy
-    class: tr(basis^H reg(a) basis) at each class representative a."""
-    return np.array([np.vdot(basis, basis[_left_action(g, c[0])]) for c in g.classes])
+    class: tr(basis^H reg(a) basis) at each class representative a, one
+    gather and one contraction per chunk of representatives, chunked as in
+    ``_subrep`` (an abelian group has |G| classes)."""
+    reps = np.array([c[0] for c in g.classes])
+    flat = basis.conj().ravel()
+    out = np.empty(len(reps), dtype=complex)
+    step = max(1, _SUBREP_CHUNK_BYTES // basis.nbytes)
+    for start in range(0, len(reps), step):
+        chunk = reps[start:start + step]
+        permuted = basis[_left_action(g, chunk)]
+        out[start:start + step] = permuted.reshape(len(chunk), -1) @ flat
+    return out
 
 
 def _averaged(g: FinGroup, basis, h):
@@ -257,7 +267,8 @@ def _split(g: FinGroup, basis, rng):
 
 def _char_key(chi):
     """Rounded character values: the sort and deduplication key of an irrep."""
-    return tuple((round(v.real, 8), round(v.imag, 8)) for v in chi)
+    rounded = np.round(chi, 8)
+    return tuple(zip(rounded.real.tolist(), rounded.imag.tolist()))
 
 
 def _irreps_by_splitting(g: FinGroup, seed):
@@ -502,33 +513,6 @@ def induced_morphism(ind_source: InducedRep, ind_target: InducedRep, phi):
         ind_target.invariant_basis.conj().T @ phi @ ind_source.invariant_basis
     )
     return out.reshape(ind_target.dim, ind_source.dim)
-
-
-def flatten_induction(outer: InducedRep, direct: InducedRep):
-    """The canonical iso ind_f(ind_g(V)) -> ind_{f.g}(V) as a matrix.
-
-    ``outer`` must be an induction (along f) of an InducedRep (along g), and
-    ``direct`` the induction of the same base along the composite g.then(f).
-    Column (i, j) is the sum over the inner cosets q of
-    r_i f(r_q) (x) C_g w_{q,j}, with w_j the j-th ker(f)-invariant vector of
-    ind_g V and w_{q,j} its block q.
-
-    No library path calls it: the dual path's transfer pieces
-    (``linearization._transfer_piece``) apply this identity on tensor
-    symbols in closed form, and the tests compare them with the staged
-    pasting built from this map.
-    """
-    inner = outer.base
-    if not isinstance(inner, InducedRep):
-        raise ModelMismatch("outer induction must sit on an induced model")
-    if direct.hom != inner.hom.then(outer.hom):
-        raise ModelMismatch("direct induction is not along the composite hom")
-    w = outer.invariant_basis.reshape(
-        len(inner.coset_reps), inner.block_dim, outer.block_dim
-    )
-    vecs = inner.invariant_basis @ w
-    elts = outer.group.mult[outer.coset_reps][:, outer.hom.map[inner.coset_reps]]
-    return np.concatenate([direct.tensor_coords(row, vecs) for row in elts], axis=1)
 
 
 # ---------------------------------------------------------------------------

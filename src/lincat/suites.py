@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
+from .errors import LincatError
 from .groupoids import (
     Groupoid,
     GroupoidFunctor,
@@ -188,12 +191,115 @@ def default_suite(seed=DEFAULT_SEED, tolerance=DEFAULT_TOL) -> SuiteConfig:
     return SuiteConfig(groupoids, spans, maps, tolerance=tolerance, seed=seed)
 
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+
+
+def _seed_words(seed):
+    """The four 64-bit words of numpy's ``SeedSequence(seed).generate_state(4,
+    np.uint64)``: the seed's little-endian 32-bit words hashed into a pool of
+    four, then eight output words paired little-endian."""
+    entropy = []
+    while True:
+        entropy.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Draws:
+    """The integer draws of ``numpy.random.default_rng(seed)``, call for call,
+    without numpy's generator: PCG64 (a 128-bit LCG with the XSL-RR output,
+    O'Neill 2014) seeded as numpy's SeedSequence seeds it, 32-bit draws that
+    keep the upper half of each 64-bit output for the next one, and Lemire's
+    rejection for a bounded integer (ACM TOMACS 29(1), 2019)."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+    _M128 = (1 << 128) - 1
+
+    def __init__(self, seed):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(seed)
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & self._M128
+        # PCG64's seeding: one step from state 0 (which gives inc), add the
+        # seed's state, one more step
+        self._state = self._inc + (s_hi << 64 | s_lo)
+        self._next64()
+        self._half = None
+
+    def _next64(self):
+        self._state = (self._state * self._MULT + self._inc) & self._M128
+        word = (self._state >> 64 ^ self._state) & _M64
+        rot = self._state >> 122
+        return (word >> rot | word << (64 - rot)) & _M64
+
+    def _next32(self):
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _M32
+
+    def integers(self, low, high):
+        """A uniform integer in [low, high), as ``Generator.integers(low,
+        high)`` draws it; a range of one value consumes no draw."""
+        span = high - low
+        if not 1 <= span <= _M32:
+            raise ValueError(f"cannot draw from [{low}, {high})")
+        if span == 1:
+            return low
+        m = self._next32() * span
+        if (m & _M32) < span:
+            threshold = (1 << 32) % span
+            while (m & _M32) < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+
 def random_suite(seed, n_groupoids=4, n_spans=6, n_maps=4, max_objects=4,
                  max_apex_objects=6) -> SuiteConfig:
     """Seeded random suite within the documented bounds.  Span maps are drawn
     from the families that are strict by construction: maps over the terminal
-    groupoid and maps between identity spans with equal legs."""
-    rng = np.random.default_rng(seed)
+    groupoid and maps between identity spans with equal legs.
+
+    The seed is any non-negative integer (numpy integers included); a
+    negative one raises LincatError.  It fixes the suite on every platform
+    and numpy version: the draws are those of
+    ``numpy.random.default_rng(seed).integers``, computed in plain Python,
+    and the suite's irreps are split with the same seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise LincatError(f"seed must be non-negative, got {seed}")
+    rng = _Draws(seed)
     pool = [
         trivial_group(),
         cyclic_group(2),
@@ -211,41 +317,41 @@ def random_suite(seed, n_groupoids=4, n_spans=6, n_maps=4, max_objects=4,
         return hom_cache[key]
 
     def random_groupoid(max_objs):
-        n = int(rng.integers(1, max_objs + 1))
+        n = rng.integers(1, max_objs + 1)
         objs = []
         for i in range(n):
-            g = pool[int(rng.integers(0, len(pool)))]
+            g = pool[rng.integers(0, len(pool))]
             objs.append((f"o{i}", g))
         return Groupoid(objs)
 
     groupoids = [random_groupoid(max_objects) for _ in range(n_groupoids)]
 
     def random_functor(src, tgt):
-        omap = [int(rng.integers(0, len(tgt))) for _ in range(len(src))]
+        omap = [rng.integers(0, len(tgt)) for _ in range(len(src))]
         homs = []
         for i in range(len(src)):
             options = homs_between(src.aut(i), tgt.aut(omap[i]))
-            homs.append(options[int(rng.integers(0, len(options)))])
+            homs.append(options[rng.integers(0, len(options))])
         return GroupoidFunctor(src, tgt, omap, homs)
 
     spans = []
     for _ in range(n_spans):
         apex = random_groupoid(max_apex_objects)
-        src = groupoids[int(rng.integers(0, len(groupoids)))]
-        tgt = groupoids[int(rng.integers(0, len(groupoids)))]
+        src = groupoids[rng.integers(0, len(groupoids))]
+        tgt = groupoids[rng.integers(0, len(groupoids))]
         spans.append(Span(apex, random_functor(apex, src), random_functor(apex, tgt)))
 
     one = terminal_groupoid()
     maps = []
     for _ in range(n_maps):
-        choice = int(rng.integers(0, 3))
+        choice = rng.integers(0, 3)
         if choice == 0:
             maps.append(groupoidification_map(random_groupoid(max_apex_objects)))
         elif choice == 1:
-            base = groupoids[int(rng.integers(0, len(groupoids)))]
+            base = groupoids[rng.integers(0, len(groupoids))]
             apex = random_groupoid(max_apex_objects)
             maps.append(endo_map_on_identity(base, random_functor(apex, base)))
         else:
-            s = spans[int(rng.integers(0, len(spans)))]
+            s = spans[rng.integers(0, len(spans))]
             maps.append(SpanMap.identity(s))
     return SuiteConfig(groupoids + [one], spans, maps, seed=seed)

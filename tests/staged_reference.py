@@ -9,14 +9,41 @@ direct induction along s;t1 = t;t2.
 
 import numpy as np
 
+from lincat.errors import ModelMismatch
 from lincat.rep import (
+    InducedRep,
     _counit_kernel,
     _unit_kernel,
-    flatten_induction,
     induce_rep,
     induced_morphism,
     restrict_rep,
 )
+
+
+def flatten_induction(outer: InducedRep, direct: InducedRep):
+    """The canonical iso ind_f(ind_g(V)) -> ind_{f.g}(V) as a matrix.
+
+    ``outer`` must be an induction (along f) of an InducedRep (along g), and
+    ``direct`` the induction of the same base along the composite g.then(f).
+    Column (i, j) is the sum over the inner cosets q of
+    r_i f(r_q) (x) C_g w_{q,j}, with w_j the j-th ker(f)-invariant vector of
+    ind_g V and w_{q,j} its block q.
+
+    The dual path's transfer pieces (``linearization._transfer_piece``)
+    apply this identity on tensor symbols in closed form;
+    ``staged_transfer_piece`` joins its two staged inductions with it.
+    """
+    inner = outer.base
+    if not isinstance(inner, InducedRep):
+        raise ModelMismatch("outer induction must sit on an induced model")
+    if direct.hom != inner.hom.then(outer.hom):
+        raise ModelMismatch("direct induction is not along the composite hom")
+    w = outer.invariant_basis.reshape(
+        len(inner.coset_reps), inner.block_dim, outer.block_dim
+    )
+    vecs = inner.invariant_basis @ w
+    elts = outer.group.mult[outer.coset_reps][:, outer.hom.map[inner.coset_reps]]
+    return np.concatenate([direct.tensor_coords(row, vecs) for row in elts], axis=1)
 
 
 def staged_transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):

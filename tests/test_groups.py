@@ -132,6 +132,59 @@ def test_validate_associativity_reports_first_triple():
     assert err.value.witness == (1, 1, 2)
 
 
+def _first_nonassociative_triple(table):
+    """Reference: the lexicographically first (a, b, c) with
+    (a*b)*c != a*(b*c), from all n^3 triples at once, or None."""
+    t = np.asarray(table)
+    bad = np.argwhere(t[t] != t[:, t])
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def _intercalate_loops(g):
+    """Latin squares with identity 0 made from g's table by swapping the two
+    values of an intercalate (rows a, c and columns b, d, none of them 0,
+    with a*b = c*d and a*d = c*b): loops, associative or not."""
+    t = g.mult
+    nonzero = range(1, g.order)
+    for a, c, b, d in itertools.product(nonzero, repeat=4):
+        if a < c and b < d and t[a, b] == t[c, d] and t[a, d] == t[c, b]:
+            loop = t.copy()
+            loop[[a, a, c, c], [b, d, b, d]] = t[[a, a, c, c], [d, b, d, b]]
+            yield loop
+
+
+def test_light_associativity_test_agrees_with_the_full_scan():
+    z2 = cyclic_group(2)
+    groups = [direct_product(direct_product(z2, z2), z2),
+              direct_product(cyclic_group(4), z2), symmetric_group(3)]
+    verdicts = set()
+    for g in groups:
+        for loop in [g.mult, *_intercalate_loops(g)]:
+            want = _first_nonassociative_triple(loop)
+            verdicts.add(want is None)
+            if want is None:
+                assert np.array_equal(validate_group(loop).mult, loop)
+                continue
+            with pytest.raises(AxiomViolation) as err:
+                validate_group(loop)
+            assert (err.value.kind, err.value.witness) == ("associativity", want)
+    assert verdicts == {True, False}
+
+
+def test_generating_set_generates_under_left_products():
+    for g in (symmetric_group(4), cyclic_group(12),
+              group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5)):
+        gens = lincat.groups._generating_set(g.mult)
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            frontier = [int(g.mult[a, x]) for a in gens for x in frontier
+                        if int(g.mult[a, x]) not in reached]
+            reached.update(frontier)
+        assert reached == set(range(g.order))
+        assert gens == lincat.groups._generating_words(g)[0]
+
+
 def test_conjugacy_trivial_and_z2():
     assert conjugacy_classes(trivial_group()) == [[0]]
     assert conjugacy_classes(cyclic_group(2)) == [[0], [1]]

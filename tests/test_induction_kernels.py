@@ -32,7 +32,6 @@ from lincat.rep import (
     _invariant_basis,
     _nakayama_data,
     _unit_kernel,
-    flatten_induction,
     induce_rep,
     induced_morphism,
     irreps,
@@ -40,7 +39,7 @@ from lincat.rep import (
     restrict_rep,
 )
 from lincat.suites import default_suite, random_suite
-from staged_reference import staged_transfer_piece
+from staged_reference import flatten_induction, staged_transfer_piece
 
 KERNEL_TOL = 1e-12
 

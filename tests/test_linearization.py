@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lincat.cli
 import lincat.linearization
 import lincat.rep
 from lincat.documents import parse
@@ -1192,6 +1193,41 @@ def test_run_keeps_feet_with_equal_tables_but_other_irreps_apart():
     report = verify_functoriality(SuiteConfig([], spans, maps))
     assert report.ok, "\n".join(report.summary_lines())
     assert {r.section for r in report.results} == {"unitor", "vertical"}
+
+
+def test_lambda_spanmap_outside_a_run_builds_each_leg_entry_once(monkeypatch):
+    keys = []
+    real = lincat.linearization._leg_entries
+
+    def counted(s_hom, t_hom, irreps1, irreps2, xi, tol):
+        keys.append((s_hom, t_hom, tol))
+        return real(s_hom, t_hom, irreps1, irreps2, xi, tol)
+
+    monkeypatch.setattr(lincat.linearization, "_leg_entries", counted)
+    for g in (symmetric_group(3), symmetric_group(4)):
+        res = lambda_spanmap(SpanMap.identity(_inclusion_span(g, "h")))
+        # top is bottom: one result for both
+        assert res.source_result is res.target_result
+    # two equal spans that are different objects share their leg entries
+    point = terminal_groupoid()
+    apex = one_object_groupoid(cyclic_group(2))
+    leg = GroupoidFunctor.to_terminal(apex, point)
+    res = lambda_spanmap(SpanMap(identity_span(point), identity_span(point), apex, leg, leg))
+    assert res.source_result is not res.target_result
+    assert len(keys) == len(set(keys)) == 3
+    assert lincat.linearization._RUN.get() is None
+
+
+def test_twomorph_prints_the_bytes_of_unshared_spans(monkeypatch, capsys):
+    argv = ["--output", "json", "twomorph", f"{DATA}/gmap_bz2.json"]
+    assert lincat.cli.main(argv) == 0
+    shared = capsys.readouterr().out
+    # each span linearized on its own, with no run memo
+    monkeypatch.setattr(
+        lincat.cli, "lambda_spanmap",
+        lambda y, seed, tol: lincat.linearization._lambda_spanmap(y, seed, tol, True))
+    assert lincat.cli.main(argv) == 0
+    assert capsys.readouterr().out == shared
 
 
 def test_finished_run_memo_is_freed_by_reference_counting(monkeypatch):

@@ -200,6 +200,66 @@ def test_subrep_chunks_match_the_element_loop(s4, monkeypatch):
         assert np.max(np.abs(lincat.rep._subrep(s4, basis) - loop)) < 1e-14
 
 
+def _loop_char_of(g, basis):
+    """Reference: one vdot per conjugacy class, as ``_char_of`` once took them."""
+    return np.array([np.vdot(basis, basis[g.mult[g.inv[c[0]]]]) for c in g.classes])
+
+
+def _loop_char_key(chi):
+    """Reference: two ``round`` calls per class, as ``_char_key`` once took them."""
+    return tuple((round(v.real, 8), round(v.imag, 8)) for v in chi)
+
+
+def test_char_of_chunks_match_the_class_loop(s4, monkeypatch):
+    rng = np.random.default_rng(4)
+    z = cyclic_group(256)  # abelian: one class per element
+    for g in (s4, z):
+        raw = rng.standard_normal((g.order, 3)) + 1j * rng.standard_normal((g.order, 3))
+        basis, _ = np.linalg.qr(raw)
+        loop = _loop_char_of(g, basis)
+        # one representative per chunk, a chunk that leaves a short tail, one chunk
+        for chunk_bytes in (1, 5 * basis.nbytes, 1 << 20):
+            monkeypatch.setattr(lincat.rep, "_SUBREP_CHUNK_BYTES", chunk_bytes)
+            assert np.max(np.abs(lincat.rep._char_of(g, basis) - loop)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        trivial_group,
+        lambda: cyclic_group(2),
+        lambda: cyclic_group(3),
+        lambda: cyclic_group(4),
+        lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+        lambda: symmetric_group(3),
+        lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
+        lambda: symmetric_group(5),
+        lambda: direct_product(symmetric_group(3), symmetric_group(3)),
+        lambda: FinGroup(direct_product(symmetric_group(3), symmetric_group(3)).mult),
+        lambda: direct_product(symmetric_group(4), cyclic_group(2)),
+        lambda: FinGroup(direct_product(symmetric_group(4), cyclic_group(2)).mult),
+    ],
+    ids=["1", "Z2", "Z3", "Z4", "Z2xZ2", "S3", "A5", "S5", "S3xS3", "S3xS3-table",
+         "S4xZ2", "S4xZ2-table"],
+)
+def test_array_characters_keep_irreps_order_dims_and_keys(maker, monkeypatch,
+                                                          clear_irrep_cache):
+    g = maker()
+    char_key = lincat.rep._char_key
+    got = irreps(g)
+    clear_irrep_cache()
+    monkeypatch.setattr(lincat.rep, "_char_of", _loop_char_of)
+    monkeypatch.setattr(lincat.rep, "_char_key", _loop_char_key)
+    want = irreps(g)
+    assert [r.dim for r in got] == [r.dim for r in want]
+    assert ([char_key(r.character.values) for r in got]
+            == [_loop_char_key(r.character.values) for r in want])
+    for a, b in zip(got, want):
+        # the bases do not read the characters
+        assert np.array_equal(a.matrices, b.matrices)
+        assert np.max(np.abs(a.character.values - b.character.values)) < 1e-12
+
+
 def test_uniform_draws_are_fixed_by_the_seed():
     a = lincat.rep._uniform(random.Random(3), (2, 4, 4))
     b = lincat.rep._uniform(random.Random(3), (2, 4, 4))
