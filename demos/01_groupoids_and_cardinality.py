@@ -10,6 +10,7 @@ from fractions import Fraction
 from lincat import (
     Groupoid,
     GroupoidFunctor,
+    comma_category,
     compose_spans,
     cyclic_group,
     groupoid_cardinality,
@@ -18,7 +19,6 @@ from lincat import (
     subgroup_embedding,
     symmetric_group,
     trivial_group,
-    weak_pullback,
 )
 from lincat.suites import fig1_span
 
@@ -46,7 +46,7 @@ bz2 = one_object_groupoid(z2)
 bs3 = one_object_groupoid(s3)
 leg = GroupoidFunctor(bz2, bs3, [0], [incl])
 
-apex, p, q = weak_pullback(leg, leg)
+apex = comma_category(leg, leg).groupoid
 print(f"the pullback has {len(apex)} isomorphism classes:")
 for i in range(len(apex)):
     print(f"  class {apex.names[i]} with automorphism group of order {apex.aut(i).order}")

@@ -56,7 +56,6 @@ from .groupoids import (
     compose_spans,
     discrete_groupoid,
     disjoint_union,
-    essential_preimage_cardinality,
     groupoid_cardinality,
     horizontal_compose_spanmaps,
     identity_span,
@@ -64,7 +63,6 @@ from .groupoids import (
     reverse_span,
     terminal_groupoid,
     vertical_compose_spanmaps,
-    weak_pullback,
 )
 from .rep import (
     DEFAULT_SEED,

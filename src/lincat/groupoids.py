@@ -285,19 +285,6 @@ class SpanMap:
         )
 
 
-def essential_preimage_cardinality(sm: SpanMap, x1: int, x2: int) -> Fraction:
-    """Sum of 1/#Aut(y) over apex objects y with up(y) = x1 and down(y) = x2."""
-    if not 0 <= x1 < len(sm.top.apex):
-        raise IndexOutOfRange(f"no object {x1} in the top apex")
-    if not 0 <= x2 < len(sm.bottom.apex):
-        raise IndexOutOfRange(f"no object {x2} in the bottom apex")
-    total = Fraction(0, 1)
-    for y in range(len(sm.apex)):
-        if sm.up(y) == x1 and sm.down(y) == x2:
-            total += Fraction(1, sm.apex.aut(y).order)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # comma categories / weak pullbacks
 
@@ -407,13 +394,6 @@ def _admissible_class(fh, gh, cosets, j, witness, accepts, pair):
         f"no admissible representative in the double coset of "
         f"{members[0]} over objects {pair}"
     )
-
-
-def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor):
-    """Skeleton of the weak pullback of  dom(f) -f-> C <-g- dom(g)  plus the
-    two projection functors."""
-    cat = comma_category(f, g)
-    return cat.groupoid, cat.proj_left, cat.proj_right
 
 
 def compose_spans(x: Span, xp: Span) -> Span:
@@ -529,12 +509,3 @@ def _witness_tables(cat: CommaCategory, a: int, b: int, m: int, u, v):
     codes = ph * autb.order + pk
     # every row lands in the class, since tau = y.up;y.top.right = y.down;y.bottom.right
     return cid, np.searchsorted(codes, hh * autb.order + kk)
-
-
-def iso_class_data(x: Span):
-    """Multiset fingerprint of a span: (left object, right object, aut order)
-    per apex object, sorted.  Used to compare composites up to isomorphism."""
-    data = [
-        (x.left(i), x.right(i), x.apex.aut(i).order) for i in range(len(x.apex))
-    ]
-    return sorted(data)

@@ -172,10 +172,6 @@ class FinGroup:
     def mul(self, a, b):
         return int(self.mult[a, b])
 
-    def conjugate(self, g, x):
-        """x * g * x^-1."""
-        return int(self.mult[self.mult[x, g], self.inv[x]])
-
     def __len__(self):
         return self.order
 
@@ -592,63 +588,45 @@ def _double_cosets(fh, gh):
 # exhaustive hom enumeration (desk scale only; used by the verification suites)
 
 
-def _generating_words(g: FinGroup):
-    """Greedy generating set plus a recipe for every element over it.
-
-    Returns ``(gens, recipe)`` where recipe is a list of steps in evaluation
-    order: ("id", elt), ("gen", elt, gen_i) or ("mul", elt, gen_i, prev_elt)
-    meaning elt = gens[gen_i] * prev_elt with prev_elt already evaluated.
-    """
-    gens = []
-    recipe = [("id", 0)]
-    in_closure = {0}
-    closure = [0]
-    for a in range(g.order):
-        if a in in_closure:
-            continue
-        gens.append(a)
-        gi = len(gens) - 1
-        recipe.append(("gen", a, gi))
-        in_closure.add(a)
-        closure.append(a)
-        changed = True
-        while changed:
-            changed = False
-            for x in list(closure):
-                for gj in range(len(gens)):
-                    c = g.mul(gens[gj], x)
-                    if c not in in_closure:
-                        recipe.append(("mul", c, gj, x))
-                        in_closure.add(c)
-                        closure.append(c)
-                        changed = True
-    return gens, recipe
-
-
 def all_homs(source: FinGroup, target: FinGroup):
-    """Every homomorphism source -> target, found by assigning generator images
-    and checking the full homomorphism law.  Exponential in the number of
-    generators; fine for the small groups used in verification suites.
-    Raises InputTooLarge before trying any assignment when there are more
-    than MAX_HOM_CANDIDATES of them."""
-    gens, recipe = _generating_words(source)
+    """Every homomorphism source -> target, found by assigning images to the
+    generators of ``_generating_set`` and checking the full homomorphism law.
+    A candidate map is filled by breadth-first layers from the identity, one
+    gather per layer (m[g * x] = image(g) * m[x]), so it is the unique hom
+    with those generator images whenever one exists.  Exponential in the
+    number of generators; fine for the small groups used in verification
+    suites.  Raises InputTooLarge before trying any assignment when there
+    are more than MAX_HOM_CANDIDATES of them."""
+    gens = np.array(_generating_set(source.mult), dtype=np.int64)
     candidates = target.order ** len(gens)
     if candidates > MAX_HOM_CANDIDATES:
         raise InputTooLarge(
             f"all_homs would try {candidates} generator images "
             f"({target.order}^{len(gens)}), above the limit of {MAX_HOM_CANDIDATES}"
         )
+    # breadth-first layers from the identity: each new element, with the
+    # generator and the element of the layer before whose product it is.
+    # Left products by one generator are distinct, so an element is taken
+    # once, from the first generator that reaches it
+    layers = []
+    reached = np.zeros(source.order, dtype=bool)
+    reached[0] = True
+    prev = np.zeros(1, dtype=np.int64)
+    while not reached.all():
+        parts = []
+        for i, g in enumerate(gens):
+            elts = source.mult[g, prev]
+            new = ~reached[elts]
+            reached[elts[new]] = True
+            parts.append((elts[new], np.full(np.count_nonzero(new), i), prev[new]))
+        prev, gen, x = (np.concatenate(a) for a in zip(*parts))
+        layers.append((prev, gen, x))
     homs = []
     for images in itertools.product(range(target.order), repeat=len(gens)):
-        m = np.empty(source.order, dtype=np.int64)
-        for step in recipe:
-            if step[0] == "id":
-                m[step[1]] = 0
-            elif step[0] == "gen":
-                m[step[1]] = images[step[2]]
-            else:
-                _, c, gj, x = step
-                m[c] = target.mul(images[gj], m[x])
+        images = np.array(images, dtype=np.int64)
+        m = np.zeros(source.order, dtype=np.int64)
+        for elts, gen, x in layers:
+            m[elts] = target.mult[images[gen], m[x]]
         lhs = m[source.mult]
         rhs = target.mult[np.ix_(m, m)]
         if np.array_equal(lhs, rhs):

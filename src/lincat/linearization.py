@@ -26,7 +26,10 @@ groups, hence their irreps), and ``lambda_span`` works in two layers:
   character dims.  Every apex object with that key is a witness sharing
   those models, which the dual path below reads.  So the models' errors,
   such as ``InputTooLarge`` from the intertwiner projector, arise on that
-  first access rather than in ``lambda_span``.
+  first access rather than in ``lambda_span``.  An entry's basis is its
+  witnesses' bases concatenated in witness order, and each witness records
+  where its own begins (``start``), once: every 2-cell placed on that basis
+  reads its rows and columns from it.
 
 A strict span of span maps is sent to a matrix of linear operators between
 those intertwiner spaces, evaluated in closed form as
@@ -48,10 +51,11 @@ gather of tensor coordinates in the bottom pushforward per coset of the
 top one, with no induced model of its own.
 
 The compositor beta_{x,x'} : Lambda(x') . Lambda(x) => Lambda(x;x') is a
-``TwoMorphism`` (``composite_block_iso``); the horizontal check is its
-naturality.  Its comparison maps gamma are Mackey bijections of finite sets,
-which ``beta_compositor`` checks exactly, from the group tables, with no
-model.  Each kind of numerical check has one routine: 2-cells compare by
+``TwoMorphism`` (``composite_block_iso``), with its columns in the summand
+layout of ``twovect.summand_offsets``, the one that ``hcompose_2morph``
+writes; the horizontal check is its naturality.  Its comparison maps gamma
+are Mackey bijections of finite sets, which ``beta_compositor`` checks
+exactly, from the group tables, with no model.  Each kind of numerical check has one routine: 2-cells compare by
 ``_blocks_deviation``, invertibility by ``rep._condition``, integrality by
 ``rep._integral``.
 
@@ -75,7 +79,7 @@ import contextlib
 import contextvars
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
@@ -122,6 +126,7 @@ from .twovect import (
     TwoMorphism,
     compose_2linear,
     hcompose_2morph,
+    summand_offsets,
     vcompose_2morph,
 )
 
@@ -152,6 +157,7 @@ class _EntryWitness:
     """One apex object's contribution to a matrix entry."""
 
     apex_idx: int
+    start: int  # position of its first basis element in the entry's basis
     r1: RepModel  # pullback of W1 along the left leg
     r2: RepModel  # pullback of W2 along the right leg
     basis: np.ndarray  # intertwiner basis, (rank, r2.dim, r1.dim); rank may be 0
@@ -165,15 +171,17 @@ class LambdaSpanResult:
     witnesses: dict
     source_object: LambdaObject
     target_object: LambdaObject
+    seed: int   # the irreps seed and the tolerance the result was built with
+    tol: float
     # builds the per-entry witnesses' models once, on first call
     _models: object = field(repr=False)
 
-    @property
+    @cached_property
     def details(self):
         """Per entry, the ``_EntryWitness`` of each of its apex objects, with
-        their models and intertwiner bases.  Built on the first access of
-        ``details`` or ``map.hom_bases``, which checks every entry's basis
-        length against ``map.dims``."""
+        their models, intertwiner bases and starts in ``map.hom_bases``.
+        Built on the first access of ``details`` or ``map.hom_bases``, which
+        checks every entry's basis length against ``map.dims``."""
         self.map.hom_bases  # builds the models through their length check
         return self._models()
 
@@ -263,7 +271,7 @@ def _lambda_span(x: Span, seed, tol) -> LambdaSpanResult:
         return {k: [b for w in wits for b in w.basis] for k, wits in models().items()}
 
     tmap = TwoLinearMap(src.basis, tgt.basis, dims, hom_bases)
-    return LambdaSpanResult(x, tmap, witnesses, src, tgt, models)
+    return LambdaSpanResult(x, tmap, witnesses, src, tgt, seed, tol, models)
 
 
 def _characters(table):
@@ -320,13 +328,17 @@ def _leg_dims(s_hom, t_hom, irreps1, irreps2, xi):
 def _entry_models(placed, first, legs, witnesses, tol):
     """Per entry (key of ``witnesses``), the ``_EntryWitness`` of each apex
     object over it, from the leg entries kept in ``legs`` by each object's
-    leg key in ``placed``; ``first`` holds each key's leg-entry arguments."""
+    leg key in ``placed``; ``first`` holds each key's leg-entry arguments.
+    The witnesses ascend, so each one starts where the one before it ends:
+    the entry's basis is theirs concatenated."""
     details = {k: [] for k in witnesses}
     for xi, (key, r0, c0) in enumerate(placed):
         if (key, tol) not in legs:
             legs[key, tol] = _leg_entries(*first[key], tol)
         for k2, k1, _, r1, r2, basis, ind in legs[key, tol]:
-            details[(r0 + k2, c0 + k1)].append(_EntryWitness(xi, r1, r2, basis, ind))
+            wits = details[(r0 + k2, c0 + k1)]
+            start = wits[-1].start + len(wits[-1].basis) if wits else 0
+            wits.append(_EntryWitness(xi, start, r1, r2, basis, ind))
     return details
 
 
@@ -427,34 +439,29 @@ def _lambda_spanmap(y: SpanMap, seed, tol, check) -> LambdaSpanMapResult:
     exact = degroupoidify_2cell(y)
     coeffs = {(x1, x2): q for x2, row in enumerate(exact)
               for x1, q in enumerate(row) if q}
+    # entries without rows or columns stay zero blocks of TwoMorphism
+    top_details, bot_details = lam_top.details, lam_bot.details
     blocks = {}
-    for r in range(len(lam_top.target_object.basis)):
-        for c in range(len(lam_top.source_object.basis)):
-            top_wits = lam_top.details[(r, c)]
-            bot_wits = lam_bot.details[(r, c)]
-            block = np.zeros(
-                (int(lam_bot.map.dims[r, c]), int(lam_top.map.dims[r, c])),
-                dtype=complex,
-            )
-            col0 = 0
-            for tw in top_wits:
-                ncols = len(tw.basis)
-                row0 = 0
-                for bw in bot_wits:
-                    nrows = len(bw.basis)
-                    coeff = coeffs.get((tw.apex_idx, bw.apex_idx))
-                    if coeff and ncols and nrows:
-                        # Frobenius coordinates of every projected f in the
-                        # bottom witness's basis, in one product
-                        pf = _project_onto_intertwiners(tw.basis, bw.r1, bw.r2)
-                        coords = (bw.basis.reshape(nrows, -1).conj()
-                                  @ pf.reshape(ncols, -1).T)
-                        block[row0 : row0 + nrows, col0 : col0 + ncols] = (
-                            float(coeff) * coords
-                        )
-                    row0 += nrows
-                col0 += ncols
-            blocks[(r, c)] = block
+    for (r, c), top_wits in top_details.items():
+        shape = (int(lam_bot.map.dims[r, c]), int(lam_top.map.dims[r, c]))
+        if not all(shape):
+            continue
+        block = np.zeros(shape, dtype=complex)
+        for tw in top_wits:
+            ncols = len(tw.basis)
+            for bw in bot_details[(r, c)]:
+                nrows = len(bw.basis)
+                coeff = coeffs.get((tw.apex_idx, bw.apex_idx))
+                if coeff and ncols and nrows:
+                    # Frobenius coordinates of every projected f in the
+                    # bottom witness's basis, in one product
+                    pf = _project_onto_intertwiners(tw.basis, bw.r1, bw.r2)
+                    coords = (bw.basis.reshape(nrows, -1).conj()
+                              @ pf.reshape(ncols, -1).T)
+                    block[bw.start : bw.start + nrows, tw.start : tw.start + ncols] = (
+                        float(coeff) * coords
+                    )
+        blocks[(r, c)] = block
     morphism = TwoMorphism(lam_top.map, lam_bot.map, blocks)
     if check:
         _check_dual_path(y, lam_top, lam_bot, morphism, tol=tol)
@@ -497,13 +504,13 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
             nrows, ncols = int(lam_bot.map.dims[r, c]), int(lam_top.map.dims[r, c])
             if not (nrows and ncols):
                 continue
-            tops = _with_offsets(lam_top.details[(r, c)])
+            tops = [tw for tw in lam_top.details[(r, c)] if len(tw.basis)]
             embeds = {}  # top witness's apex object -> its E
             block = np.zeros((nrows, ncols), dtype=complex)
-            for row0, bw in _with_offsets(lam_bot.details[(r, c)]):
-                partners = [(col0, tw, yis) for col0, tw in tops
+            for bw in lam_bot.details[(r, c)]:
+                partners = [(tw, yis) for tw in tops
                             if (yis := over.get((tw.apex_idx, bw.apex_idx)))]
-                if not partners:
+                if not (partners and len(bw.basis)):
                     continue
                 ind2, nb = bw.ind, len(bw.basis)
                 kappa = ind2.group.order / (ind2.hom.source.order * w2.dim)
@@ -511,7 +518,7 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
                 mats = w2.matrices[:, None] @ bw.basis
                 mats = mats.reshape(len(mats), nb * w2.dim, -1)
                 proj = _counit_kernel(ind2, mats).reshape(nb, w2.dim, ind2.dim) / kappa
-                for col0, tw, yis in partners:
+                for tw, yis in partners:
                     if tw.apex_idx not in embeds:
                         # E[t]: the embedding of W2 of tw's t-th basis element
                         embeds[tw.apex_idx] = _unit_kernel(tw.ind, np.einsum(
@@ -533,22 +540,12 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
                                     y.up.hom(yi), y.down.hom(yi), *key[1:])
                             t += pieces[key]
                         transfers[tkey] = t
-                    block[row0 : row0 + nb, col0 : col0 + len(tw.basis)] = np.einsum(
+                    block[bw.start : bw.start + nb,
+                          tw.start : tw.start + len(tw.basis)] = np.einsum(
                         "bij,jk,tki->bt", proj, transfers[tkey], embeds[tw.apex_idx]
                     ) / w2.dim
             blocks[(r, c)] = block
     return TwoMorphism(lam_top.map, lam_bot.map, blocks)
-
-
-def _with_offsets(wits):
-    """The witnesses of an entry with a nonempty basis, each with the
-    position of its first basis element in the entry's basis."""
-    out, start = [], 0
-    for w in wits:
-        if len(w.basis):
-            out.append((start, w))
-        start += len(w.basis)
-    return out
 
 
 def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
@@ -699,26 +696,28 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
 # the compositor as a 2-cell
 
 
-def composite_block_iso(lam_c: LambdaSpanResult, seed=DEFAULT_SEED,
-                        tol=DEFAULT_TOL) -> TwoMorphism:
+def composite_block_iso(lam_c: LambdaSpanResult) -> TwoMorphism:
     """The compositor beta_{x,xp} : Lambda(xp) . Lambda(x) => Lambda(x;xp), a
     ``TwoMorphism`` from ``compose_2linear`` of the factors' maps to the
-    composite's.  ``lam_c`` is ``lambda_span``, with this seed and tol, of a
-    span built by ``compose_spans(x, xp)``, which names x, xp and the comma
-    category (``factors``, ``comma``).  A column, indexed in
-    ``hcompose_2morph``'s layout by (middle label (a2,W2), u' in xp's entry
-    basis, u in x's), is sent at each composite witness (x_o, m, x'_o) with u'
-    from x'_o and u from x_o to u' . W2(m^-1) . u in the witness's basis: one
-    Frobenius-coordinate product per witness.  Raises SingularMap unless every
-    block is invertible."""
+    composite's.  ``lam_c`` is ``lambda_span`` of a span built by
+    ``compose_spans(x, xp)``, which names x, xp and the comma category
+    (``factors``, ``comma``); the factors are linearized with lam_c's seed
+    and tol, so every basis is one of that run.  A column, at
+    ``summand_offsets`` of the middle label (a2,W2) in the entry, then
+    indexed by (u' in xp's entry basis, u in x's), is sent at each composite
+    witness (x_o, m, x'_o) with u' from x'_o and u from x_o to
+    u' . W2(m^-1) . u in the witness's basis, whose rows start at the
+    witness's ``start``: one Frobenius-coordinate product per witness.
+    Raises SingularMap unless every block is invertible."""
     composite = lam_c.span
     cat = composite.comma
     if cat is None or composite.factors is None:
         raise SpanMismatch("lam_c does not linearize a span built by compose_spans")
     x, xp = composite.factors
-    lam_x = lambda_span(x, seed=seed, tol=tol)
-    lam_xp = lambda_span(xp, seed=seed, tol=tol)
+    lam_x = lambda_span(x, seed=lam_c.seed, tol=lam_c.tol)
+    lam_xp = lambda_span(xp, seed=lam_c.seed, tol=lam_c.tol)
     product = compose_2linear(lam_xp.map, lam_x.map)
+    offsets = summand_offsets(lam_xp.map, lam_x.map)
     mid = lam_x.target_object.positions
     blocks = {}
     for (r, c), wits in lam_c.details.items():
@@ -729,11 +728,7 @@ def composite_block_iso(lam_c: LambdaSpanResult, seed=DEFAULT_SEED,
             )
         if not n:
             continue
-        # first column of each middle label's piece
-        sizes = lam_xp.map.dims[r] * lam_x.map.dims[:, c]
-        starts = np.cumsum(sizes) - sizes
         mat = np.zeros((n, n), dtype=complex)
-        row = 0
         for wit in wits:
             rank = len(wit.basis)
             if not rank:
@@ -742,32 +737,23 @@ def composite_block_iso(lam_c: LambdaSpanResult, seed=DEFAULT_SEED,
             m_inv = x.target.aut(cls.c_idx).inv[cls.rep]
             terms, cols = [], []
             for jmid, w2 in mid[cls.c_idx]:
-                p0, pw = _basis_start(lam_xp.details[(r, jmid)], cls.b_idx)
-                q0, qw = _basis_start(lam_x.details[(jmid, c)], cls.a_idx)
+                pw = next(w for w in lam_xp.details[(r, jmid)] if w.apex_idx == cls.b_idx)
+                qw = next(w for w in lam_x.details[(jmid, c)] if w.apex_idx == cls.a_idx)
                 if not (len(pw.basis) and len(qw.basis)):
                     continue
                 e = (pw.basis @ w2.matrices[m_inv])[:, None] @ qw.basis
                 terms.append(e.reshape(-1, e.shape[2] * e.shape[3]))
-                ip, iq = p0 + np.arange(len(pw.basis)), q0 + np.arange(len(qw.basis))
-                cols.append((starts[jmid] + ip[:, None] * lam_x.map.dims[jmid, c] + iq).ravel())
+                ip = pw.start + np.arange(len(pw.basis))
+                iq = qw.start + np.arange(len(qw.basis))
+                cols.append((offsets[r, jmid, c] + ip[:, None] * lam_x.map.dims[jmid, c]
+                             + iq).ravel())
             if terms:
-                mat[row : row + rank, np.concatenate(cols)] = (
+                mat[wit.start : wit.start + rank, np.concatenate(cols)] = (
                     wit.basis.reshape(rank, -1).conj() @ np.concatenate(terms).T
                 )
-            row += rank
         _condition(mat, 1e-9, f"block correspondence at ({r},{c}) is singular")
         blocks[(r, c)] = mat
     return TwoMorphism(product, lam_c.map, blocks)
-
-
-def _basis_start(wits, apex_idx):
-    """The position in an entry's basis of the first element of apex object
-    ``apex_idx``'s witness, and that witness."""
-    start = 0
-    for w in wits:
-        if w.apex_idx == apex_idx:
-            return start, w
-        start += len(w.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -933,8 +919,8 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
             lam_comp = lambda_spanmap(comp, seed=seed, tol=tol)
             hcomp = hcompose_2morph(lambda_spanmap(maps[j], seed=seed, tol=tol).morphism,
                                     lambda_spanmap(maps[i], seed=seed, tol=tol).morphism)
-            beta_top = composite_block_iso(lam_comp.source_result, seed=seed, tol=tol)
-            beta_bot = composite_block_iso(lam_comp.target_result, seed=seed, tol=tol)
+            beta_top = composite_block_iso(lam_comp.source_result)
+            beta_bot = composite_block_iso(lam_comp.target_result)
         except _CHECK_FAILURES as exc:
             report.results.append(CheckResult("horizontal", name, False, note=str(exc)))
             continue

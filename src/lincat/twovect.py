@@ -5,7 +5,9 @@ maps between them are matrices of nonnegative integers (dimensions of the hom
 vector spaces), optionally with an explicit basis of matrices per entry;
 2-morphisms are block matrices of linear maps.  Tensor/direct-sum index ordering is
 lexicographic with the left factor major, and block layouts are row-major by
-codomain label, so every composite is bit-reproducible.
+codomain label, so every composite is bit-reproducible.  An entry of a
+composite is a direct sum over middle labels, middle label major; its one
+layout is ``summand_offsets``.
 """
 
 from __future__ import annotations
@@ -146,27 +148,38 @@ def vcompose_2morph(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
     return TwoMorphism(a.source, b.target, blocks)
 
 
+def summand_offsets(a: TwoLinearMap, b: TwoLinearMap) -> np.ndarray:
+    """The summand layout of the composite a . b: entry (r, c) of
+    ``compose_2linear(a, b)`` is the direct sum over middle labels j of
+    hom-space tensor products, hom a[r, j] (x) hom b[j, c], middle label
+    major, and ``offsets[r, j, c]`` is the position of summand j's first
+    basis element in that entry, sum over j' < j of
+    a.dims[r, j'] * b.dims[j', c].  ``hcompose_2morph`` places its blocks by
+    it, and ``linearization.composite_block_iso`` its columns."""
+    sizes = a.dims[:, :, None] * b.dims[None, :, :]
+    return np.cumsum(sizes, axis=1) - sizes
+
+
 def hcompose_2morph(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
-    """Horizontal composite a . b between the composite 2-linear maps, with
-    blocks assembled as direct sums over the middle basis of tensor products
-    kron(a-block, b-block), middle label major.  An empty piece (a factor
-    with no rows or no columns) still moves the offsets by its shape."""
+    """Horizontal composite a . b between the composite 2-linear maps: block
+    (r, c) is the direct sum over middle labels j of kron(a-block (r, j),
+    b-block (j, c)), its rows and columns laid out by ``summand_offsets`` of
+    the targets and of the sources."""
     if a.source.domain != b.source.codomain:
         raise ShapeMismatch("horizontal composition needs chaining bases")
     src = compose_2linear(a.source, b.source)
     tgt = compose_2linear(a.target, b.target)
+    row0 = summand_offsets(a.target, b.target)
+    col0 = summand_offsets(a.source, b.source)
     blocks = {}
     for r in range(len(src.codomain)):
         for c in range(len(src.domain)):
             blk = np.zeros((tgt.dims[r, c], src.dims[r, c]), dtype=complex)
-            ro = co = 0
             for j in range(len(a.source.domain)):
                 p, q = a.blocks[(r, j)], b.blocks[(j, c)]
-                rows, cols = p.shape[0] * q.shape[0], p.shape[1] * q.shape[1]
-                if rows and cols:
-                    blk[ro : ro + rows, co : co + cols] = np.kron(p, q)
-                ro += rows
-                co += cols
+                if p.size and q.size:
+                    piece = np.kron(p, q)
+                    ro, co = row0[r, j, c], col0[r, j, c]
+                    blk[ro : ro + piece.shape[0], co : co + piece.shape[1]] = piece
             blocks[(r, c)] = blk
     return TwoMorphism(src, tgt, blocks)
-

@@ -39,7 +39,7 @@ def _python(*args, **env):
     ],
     ids=["verify", "basis", "irreps", "random_suite"],
 )
-def test_numpy_random_is_loaded_only_by_random_suite(work, loaded):
+def test_no_lincat_code_loads_numpy_random(work, loaded):
     code = ("import sys, lincat, lincat.cli\n"
             "data = sys.argv[1]\n"
             f"{work}\n"

@@ -75,7 +75,6 @@ from lincat.suites import (
     z2_in_s3,
 )
 from lincat.rep import (
-    DEFAULT_SEED,
     DEFAULT_TOL,
     _counit_kernel,
     _unit_kernel,
@@ -625,8 +624,8 @@ def test_horizontal_check_catches_a_scaled_beta_block(monkeypatch):
         tops.append(comp.top)
         return comp
 
-    def scaled(lam_c, seed=DEFAULT_SEED, tol=DEFAULT_TOL):
-        beta = real_beta(lam_c, seed=seed, tol=tol)
+    def scaled(lam_c):
+        beta = real_beta(lam_c)
         if any(lam_c.span is top for top in tops):
             key = next(k for k, b in beta.blocks.items() if b.size)
             beta.blocks[key] = beta.blocks[key] * (1 + 1e-6)
@@ -879,6 +878,25 @@ def test_character_dims_equal_the_built_models(suite_seed):
             assert len(lam.map.hom_bases[key]) == dims[key]
         assert np.array_equal(built, dims)
         assert np.array_equal(lam.map.dims, dims)
+
+
+@pytest.mark.parametrize("suite", [default_suite, lambda: random_suite(1),
+                                   lambda: random_suite(2),
+                                   lambda: random_suite(5, n_spans=4, n_maps=3)],
+                         ids=["default", "random1", "random2", "random5"])
+def test_witness_starts_index_their_bases_in_the_entry(suite):
+    suite = suite()
+    spans = _spans_and_composites(suite)
+    spans += [x for y in suite.spanmaps for x in (y.top, y.bottom)]
+    for x in spans:
+        lam = lambda_span(x, seed=suite.seed, tol=suite.tolerance)
+        for key, wits in lam.details.items():
+            basis = lam.map.hom_bases[key]
+            for w in wits:
+                own = basis[w.start : w.start + len(w.basis)]
+                assert len(own) == len(w.basis)
+                assert all(np.shares_memory(a, b) and np.array_equal(a, b)
+                           for a, b in zip(own, w.basis))
 
 
 @pytest.mark.parametrize("route", ["_restricted_pairing", "_induced_pairing"])

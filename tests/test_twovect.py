@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincat.errors import BasisMismatch, ShapeMismatch
 from lincat.twovect import (
@@ -9,6 +11,7 @@ from lincat.twovect import (
     compose_2linear,
     dagger,
     hcompose_2morph,
+    summand_offsets,
     vcompose_2morph,
 )
 
@@ -213,3 +216,52 @@ def test_hcompose_matches_plain_kron_assembly(seed):
         assert np.array_equal(blk, want)
     # zero-row and zero-column pieces that still move an offset occur
     assert empty > 0
+
+
+@st.composite
+def _composable_dims(draw):
+    """Source and target dims of a (rows x middle) and b (middle x columns),
+    entries 0 to 3, so that zero rows and columns occur."""
+    nr, nj, nc = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def dims(shape):
+        flat = draw(st.lists(st.integers(0, 3), min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    return [dims((nr, nj)) for _ in range(2)], [dims((nj, nc)) for _ in range(2)]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_composable_dims())
+def test_summand_offsets_place_every_hcompose_piece(dims):
+    (a_src, a_tgt), (b_src, b_tgt) = dims
+    nr, nj, nc = a_src.shape[0], a_src.shape[1], b_src.shape[1]
+    rows = TwoBasis([(f"r{i}", 0, 1) for i in range(nr)])
+    mid = TwoBasis([(f"j{i}", 0, 1) for i in range(nj)])
+    cols = TwoBasis([(f"c{i}", 0, 1) for i in range(nc)])
+    a_maps = TwoLinearMap(mid, rows, a_src), TwoLinearMap(mid, rows, a_tgt)
+    b_maps = TwoLinearMap(cols, mid, b_src), TwoLinearMap(cols, mid, b_tgt)
+    # every piece of middle label j is filled with j + 1
+    a = TwoMorphism(*a_maps, {(r, j): np.ones((a_tgt[r, j], a_src[r, j]))
+                              for r in range(nr) for j in range(nj)})
+    b = TwoMorphism(*b_maps, {(j, c): np.full((b_tgt[j, c], b_src[j, c]), j + 1.0)
+                              for j in range(nj) for c in range(nc)})
+    got = hcompose_2morph(a, b)
+    row0 = summand_offsets(a_maps[1], b_maps[1])
+    col0 = summand_offsets(a_maps[0], b_maps[0])
+    for (r, c), blk in got.blocks.items():
+        # the pieces tile the entry: each starts where the one before ends
+        end = [0, 0]
+        for j in range(nj):
+            assert [row0[r, j, c], col0[r, j, c]] == end
+            nrows, ncols = a_tgt[r, j] * b_tgt[j, c], a_src[r, j] * b_src[j, c]
+            end = [end[0] + nrows, end[1] + ncols]
+            # and a nonempty one is written there, by hcompose_2morph
+            where = np.argwhere(blk == j + 1)
+            if nrows and ncols:
+                assert where.min(axis=0).tolist() == [row0[r, j, c], col0[r, j, c]]
+                assert len(where) == nrows * ncols
+            else:
+                assert len(where) == 0
+        assert end == list(blk.shape)
