@@ -286,11 +286,13 @@ def trivial_hom(source: FinGroup, target: FinGroup) -> GroupHom:
 # constructions
 
 
-def _closed_table(codes, products):
-    """The table on the elements with increasing integer ``codes`` (identity
-    first), where ``products[i, j]`` is the code of element i times element j.
-    The table holds the positions of the products; raises AxiomViolation if
-    the codes are not closed under the product."""
+def _table_group(codes, products, name=None) -> FinGroup:
+    """The subgroup on the elements with increasing integer ``codes``
+    (identity first) of an already validated group (or product of groups),
+    where ``products[i, j]`` is the code of element i times element j.  Its
+    table holds the positions of the products.  Only closure is checked,
+    raising AxiomViolation if the codes are not closed under the product,
+    since a closed subset holding the identity inherits the other axioms."""
     codes = np.asarray(codes, dtype=np.int64)
     products = np.asarray(products, dtype=np.int64)
     table = np.minimum(np.searchsorted(codes, products), len(codes) - 1)
@@ -300,14 +302,7 @@ def _closed_table(codes, products):
         raise AxiomViolation(
             "inverse", (int(codes[i]), int(codes[j])), "element set is not closed"
         )
-    return table
-
-
-def _table_group(codes, products, name=None) -> FinGroup:
-    """The subgroup on ``codes`` of an already validated group (or product of
-    groups) whose product gives ``products``: only closure is checked, since a
-    closed subset holding the identity inherits the other axioms."""
-    return FinGroup._subgroup_table(_closed_table(codes, products), name=name)
+    return FinGroup._subgroup_table(table, name=name)
 
 
 def _permutation_group(perms, name=None) -> FinGroup:
@@ -319,8 +314,9 @@ def _permutation_group(perms, name=None) -> FinGroup:
     for i in range(n):
         # arr[i][arr[j]] is perms[i] * perms[j]: apply perms[j] first
         products[i] = [index.get(r, -1) for r in map(tuple, arr[i, arr].tolist())]
-    # permutation closures get the full axiom proof, like any outside table
-    return FinGroup(_closed_table(np.arange(n), products), name=name)
+    # permutation closures get the full axiom proof, like any outside table;
+    # it rejects a product outside the list (-1) as out of range
+    return FinGroup(products, name=name)
 
 
 def _compose_perms(p, q):
@@ -359,7 +355,8 @@ def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
             f"above the limit of {MAX_DENSE_BYTES}"
         )
     products = g.mult[:, None, :, None] * h.order + h.mult[None, :, None, :]
-    p = _table_group(np.arange(n), products.reshape(n, n), name=f"{g.name}x{h.name}")
+    # the factors are validated, so the product table is closed by construction
+    p = FinGroup._subgroup_table(products.reshape(n, n), name=f"{g.name}x{h.name}")
     p.factors = (g, h)
     return p
 

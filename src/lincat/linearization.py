@@ -37,18 +37,23 @@ those intertwiner spaces, evaluated in closed form as
     f  |->  c(x1, x2) * P(f),      c = |preimage of (x1,x2)| * #Aut(x1),
 
 with P the group-average projection onto intertwiners over the bottom
-witness, taken for all basis elements of a top witness in one batched
-product over the group.  A second, independent evaluation path (the dual
-path) pastes the explicit unit/counit matrices on induced models and must
-agree within tolerance.  It works one (top, bottom) witness pair at a time:
-the pair's transfer T between the two pushforwards is the sum of the
-unit/counit pieces of the span-map apex objects over it, and its sub-block
-is one contraction of T with the stacked unit embeddings of the top basis
-and the counit projections of the bottom one.  A piece depends only on its
-up and down homs and its witnesses' models, so apex objects that share them
-share one piece.  Each piece is the unit/counit pasting in closed form: one
-gather of tensor coordinates in the bottom pushforward per coset of the
-top one, with no induced model of its own.
+witness.  The restricted irreps are unitary, so P is an orthogonal
+projection, and the bottom witness's orthonormal basis lies in its image:
+the coordinates of P(f) in that basis are those of f.  So each block is a
+weighted Gram matrix, c(x1, x2) <b, f> for the entry's bottom basis
+elements b (of x2) and top ones f (of x1), one product per entry.
+
+A second, independent evaluation path (the dual path) pastes the explicit
+unit/counit matrices on induced models and must agree within tolerance.  It
+works one (top, bottom) witness pair at a time: the pair's transfer T
+between the two pushforwards is the sum of the unit/counit pieces of the
+span-map apex objects over it, and its sub-block is one contraction of T
+with the stacked unit embeddings of the top basis and the counit projections
+of the bottom one.  A piece depends only on its up and down homs and its
+witnesses' models, so apex objects that share them share one piece.  Each
+piece is the unit/counit pasting in closed form: one gather of tensor
+coordinates in the bottom pushforward per coset of the top one, with no
+induced model of its own.
 
 The compositor beta_{x,x'} : Lambda(x') . Lambda(x) => Lambda(x;x') is a
 ``TwoMorphism`` (``composite_block_iso``), with its columns in the summand
@@ -405,26 +410,21 @@ class LambdaSpanMapResult:
     target_result: LambdaSpanResult
 
 
-def _project_onto_intertwiners(fs, r1: RepModel, r2: RepModel):
-    """(1/#G) sum_g r2(g^-1) f r1(g) for every f in the stack ``fs`` of shape
-    (k, dim r2, dim r1) — projection onto intertwiners r1 -> r2 — as one
-    batched product over the stack and the group."""
-    g = r1.group
-    terms = r2.matrices[g.inv] @ fs[:, None] @ r1.matrices
-    return terms.sum(axis=1) / g.order
-
-
 def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
                    check=True) -> LambdaSpanMapResult:
     """Matrix of linear operators for a strict span of span maps.
 
     Blocks run from the intertwiner spaces of the top span to those of the
-    bottom span.  When ``check`` is set, the same blocks are recomputed by
-    pasting unit/counit matrices on induced models and the two answers must
-    agree within ``tol``.  Outside ``verify_functoriality`` the call opens a
-    run memo of its own that registers y, y.top and y.bottom, so the top and
-    bottom spans share dims blocks and models by leg key, and are linearized
-    once when they are one span.
+    bottom span.  An entry's block is c(x1, x2) <b, f> at each bottom basis
+    element b of witness x2 and top basis element f of witness x1: P is an
+    orthogonal projection whose image holds b, so <b, P f> = <b, f>, and the
+    block is the entry's weighted Gram matrix.  When ``check`` is set, the
+    same blocks are recomputed by pasting unit/counit matrices on induced
+    models and the two answers must agree within ``tol``.  Outside
+    ``verify_functoriality`` the call opens a run memo of its own that
+    registers y, y.top and y.bottom, so the top and bottom spans share dims
+    blocks and models by leg key, and are linearized once when they are one
+    span.
     """
     if _RUN.get() is None:
         with _run_memo([y, y.top, y.bottom]):
@@ -439,33 +439,26 @@ def _lambda_spanmap(y: SpanMap, seed, tol, check) -> LambdaSpanMapResult:
     exact = degroupoidify_2cell(y)
     coeffs = {(x1, x2): q for x2, row in enumerate(exact)
               for x1, q in enumerate(row) if q}
-    # entries without rows or columns stay zero blocks of TwoMorphism
-    top_details, bot_details = lam_top.details, lam_bot.details
+    weight = np.array(exact, dtype=float)  # [x2, x1]
     blocks = {}
-    for (r, c), top_wits in top_details.items():
-        shape = (int(lam_bot.map.dims[r, c]), int(lam_top.map.dims[r, c]))
-        if not all(shape):
-            continue
-        block = np.zeros(shape, dtype=complex)
-        for tw in top_wits:
-            ncols = len(tw.basis)
-            for bw in bot_details[(r, c)]:
-                nrows = len(bw.basis)
-                coeff = coeffs.get((tw.apex_idx, bw.apex_idx))
-                if coeff and ncols and nrows:
-                    # Frobenius coordinates of every projected f in the
-                    # bottom witness's basis, in one product
-                    pf = _project_onto_intertwiners(tw.basis, bw.r1, bw.r2)
-                    coords = (bw.basis.reshape(nrows, -1).conj()
-                              @ pf.reshape(ncols, -1).T)
-                    block[bw.start : bw.start + nrows, tw.start : tw.start + ncols] = (
-                        float(coeff) * coords
-                    )
-        blocks[(r, c)] = block
+    # entries without rows or columns stay zero blocks of TwoMorphism
+    for (r, c), top_wits in lam_top.details.items():
+        if lam_bot.map.dims[r, c] and lam_top.map.dims[r, c]:
+            top, tops = _stacked(top_wits)
+            bot, bots = _stacked(lam_bot.details[(r, c)])
+            blocks[(r, c)] = weight[bots[:, None], tops] * (bot.conj() @ top.T)
     morphism = TwoMorphism(lam_top.map, lam_bot.map, blocks)
     if check:
         _check_dual_path(y, lam_top, lam_bot, morphism, tol=tol)
     return LambdaSpanMapResult(y, morphism, coeffs, lam_top, lam_bot)
+
+
+def _stacked(wits):
+    """An entry's basis, one flattened element per row in the order of its
+    witnesses, and the apex object of each row."""
+    sizes = [len(w.basis) for w in wits]
+    basis = np.concatenate([w.basis for w in wits]).reshape(sum(sizes), -1)
+    return basis, np.repeat(np.array([w.apex_idx for w in wits]), sizes)
 
 
 # --- secondary evaluation path (unit/counit pasting on induced models) -----

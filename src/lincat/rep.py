@@ -475,7 +475,9 @@ def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
     a sends h_i to a h_i = h_j f(lift[a h_i]), so block (j, i) of a is
     C^H V(lift[a h_i]) C.  The cosets, lifts, kernel and image are
     ``groups.coset_data(f)``, computed once per hom value and kept, read-only,
-    on f's target group for as long as that group object lives."""
+    on f's target group for as long as that group object lives.  Raises
+    InputTooLarge before allocating the model when its |H| matrices would
+    take more than MAX_DENSE_BYTES."""
     if v.group != f.source:
         raise GroupMismatch("model lives on the wrong group for this induction")
     h = f.target
@@ -484,6 +486,12 @@ def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
     c = _invariant_basis(v, cosets.kernel)
     dw = c.shape[1]
     n = len(reps)
+    nbytes = h.order * (n * dw) ** 2 * 16
+    if nbytes > MAX_DENSE_BYTES:
+        raise InputTooLarge(
+            f"induced model of dimension {n * dw} on a group of order {h.order} "
+            f"needs {nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
+        )
     # C^H V(g) C at the preimages g of im(f), which are all the lifts
     lifts = cosets.preimage[cosets.image]
     blocks = np.zeros((f.source.order, dw, dw), dtype=complex)
@@ -623,12 +631,7 @@ def eta_L(f: GroupHom, fmodel: RepModel) -> np.ndarray:
     """Unit of the adjunction with induction on the right:  v -> 1 (x) v."""
     if fmodel.group != f.source:
         raise ModelMismatch("eta_L needs a model of the source group")
-    ind = induce_rep(f, fmodel)
-    out = np.zeros((ind.dim, fmodel.dim), dtype=complex)
-    dw = ind.block_dim
-    if dw:
-        out[0:dw, :] = ind.invariant_basis.conj().T
-    return out
+    return induce_rep(f, fmodel).tensor_coords(0, np.eye(fmodel.dim))
 
 
 def eps_L(f: GroupHom, gmodel: RepModel) -> np.ndarray:

@@ -347,15 +347,19 @@ def test_direct_product_records_factors_outside_equality(z2, s3):
     assert g == g and g != s3
 
 
-def test_direct_product_size_guard(monkeypatch):
-    s4, s5 = symmetric_group(4), symmetric_group(5)
+class _NoTable:
+    """A factor's table that fails on any read."""
 
-    def no_table(*args, **kwargs):
+    def __getitem__(self, key):
         raise AssertionError("a product table was built before the guard")
 
-    # S5 x S5: 14,400^2 int64 entries are 1.66 GB
+
+def test_direct_product_size_guard(monkeypatch):
+    s4, s5 = symmetric_group(4), symmetric_group(5)
+    # S5 x S5: 14,400^2 int64 entries are 1.66 GB; the product's table is
+    # built from its factors' tables, so the guard must come before any read
     with monkeypatch.context() as m:
-        m.setattr(lincat.groups, "_table_group", no_table)
+        m.setattr(s5, "mult", _NoTable())
         with pytest.raises(InputTooLarge, match="order 14400 needs 1658880000 bytes"):
             direct_product(s5, s5)
     g = direct_product(s4, s4)

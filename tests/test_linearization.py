@@ -88,6 +88,7 @@ from lincat.twovect import (
     vcompose_2morph,
 )
 from staged_reference import staged_transfer_piece
+from test_rep import _loop_projection
 
 DATA = "src/lincat/data"
 
@@ -259,6 +260,76 @@ def test_lambda_spanmap_blocks_are_intertwiners():
                             assert np.max(np.abs(resid)) < TOL
                     row += n
                 col += 1
+
+
+def _projected_blocks_reference(res):
+    """The blocks of a ``lambda_spanmap`` result as the paper states them: at
+    (bottom basis element b, top basis element f), c(x1, x2) times the
+    coordinate along b of P(f), with P the group average onto the bottom
+    witness's intertwiners, one product per group element."""
+    blocks = {}
+    for key, blk in res.morphism.blocks.items():
+        want = np.zeros(blk.shape, dtype=complex)
+        for tw in res.source_result.details[key]:
+            for bw in res.target_result.details[key]:
+                q = res.coefficients.get((tw.apex_idx, bw.apex_idx))
+                if not q:
+                    continue
+                for i, f in enumerate(tw.basis):
+                    pf = _loop_projection(f, bw.r1, bw.r2)
+                    for k, b in enumerate(bw.basis):
+                        want[bw.start + k, tw.start + i] = float(q) * np.vdot(b, pf)
+        blocks[key] = want
+    return blocks
+
+
+@pytest.mark.parametrize("suite_seed", [None, *range(20), "small"],
+                         ids=lambda k: {None: "default", "small": "random5small"}.get(
+                             k, f"random{k}"))
+def test_lambda_spanmap_blocks_are_projected_coordinates(suite_seed):
+    if suite_seed is None:
+        suite = default_suite()
+    elif suite_seed == "small":
+        suite = random_suite(5, n_spans=4, n_maps=3)
+    else:
+        suite = random_suite(suite_seed)
+    maps = list(suite.spanmaps)
+    if suite_seed == "small":
+        # a composite with repeated leg homs
+        maps.append(vertical_compose_spanmaps(maps[0], maps[0]))
+    compared = 0
+    for y in maps:
+        res = lambda_spanmap(y, seed=suite.seed, tol=suite.tolerance, check=False)
+        for key, want in _projected_blocks_reference(res).items():
+            if want.size:
+                assert np.max(np.abs(res.morphism.blocks[key] - want)) < 1e-12
+                compared += 1
+    assert compared
+
+
+def test_lambda_spanmap_reads_each_coefficient_at_its_witness_pair():
+    # in the suites, each entry's top and bottom witnesses are the same apex
+    # objects and the coefficients are symmetric wherever a block reads them;
+    # here the bottom apex has three objects, the top two, and the one
+    # span-map apex object runs from top object 0 to bottom object 1
+    z3 = cyclic_group(3)
+    bz3, ident = one_object_groupoid(z3), identity_hom(z3)
+
+    def span(names):
+        apex = Groupoid([(n, z3) for n in names])
+        leg = GroupoidFunctor(apex, bz3, [0] * len(names), [ident] * len(names))
+        return Span(apex, leg, leg)
+
+    top, bottom = span("uv"), span("uvw")
+    y = SpanMap(top, bottom, bz3, GroupoidFunctor(bz3, top.apex, [0], [ident]),
+                GroupoidFunctor(bz3, bottom.apex, [1], [ident]))
+    res = lambda_spanmap(y)  # the dual path agrees
+    assert res.coefficients == {(0, 1): 1}
+    for key, want in _projected_blocks_reference(res).items():
+        blk = res.morphism.blocks[key]
+        assert np.max(np.abs(blk - want), initial=0.0) < 1e-12
+        if key[0] == key[1]:
+            assert np.allclose(np.abs(blk), [[0, 0], [1, 0], [0, 0]])
 
 
 def test_lambda_spanmap_dual_paths_agree_on_suite():
@@ -943,12 +1014,16 @@ def test_dims_only_sections_build_no_models(monkeypatch):
 
 def test_projector_size_guard_waits_for_the_models(monkeypatch):
     s3 = symmetric_group(3)
-    x = identity_span(one_object_groupoid(s3))
+    bs3, point = one_object_groupoid(s3), terminal_groupoid()
+    x = Span(bs3, GroupoidFunctor.identity(bs3),
+             GroupoidFunctor(bs3, point, [0], [trivial_hom(s3, point.aut(0))]))
     irreps(s3)  # cached before the limit drops below the table's 576 bytes
-    # the (2*2)^2 projector of the 2-dimensional irrep needs 256 bytes
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 255)
+    # the (2*1)^2 projector of the 2-dimensional irrep needs 64 bytes; its
+    # pushforward to the point is empty (no S3-invariants), and the other
+    # pushforwards take 16 bytes, below the induced models' guard
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 63)
     lam = lambda_span(x)
-    assert np.array_equal(lam.map.dims, np.eye(3, dtype=int))
+    assert lam.map.dims.tolist() == [[0, 1, 0]]
     with pytest.raises(InputTooLarge, match="intertwiner projector"):
         lam.details
     with pytest.raises(InputTooLarge, match="intertwiner projector"):

@@ -27,7 +27,7 @@ from lincat.groups import (
 )
 import lincat.rep
 from lincat.groupoids import one_object_groupoid
-from lincat.linearization import _project_onto_intertwiners, lambda_object
+from lincat.linearization import lambda_object
 from lincat.rep import (
     Character,
     RepModel,
@@ -569,7 +569,11 @@ def _loop_projection(f, r1, r2):
     return out / g.order
 
 
-def test_batched_projection_matches_per_element_loop(s3, s4):
+def test_projection_keeps_the_intertwiner_coordinates(s3, s4):
+    # the restricted irreps are unitary, so the group average P is an
+    # orthogonal projection onto the span of the orthonormal intertwiner
+    # basis: the coordinates of P(f) in that basis are those of f, which is
+    # what lets lambda_spanmap skip P
     perms4 = sorted(itertools.permutations(range(4)))
     subgroups = {
         s3: [[1], [3], [1, 3]],
@@ -581,6 +585,7 @@ def test_batched_projection_matches_per_element_loop(s3, s4):
         ],
     }
     rng = np.random.default_rng(0)
+    compared = 0
     for g, gen_lists in subgroups.items():
         for gens in gen_lists:
             _, incl = subgroup_embedding(g, _generated(g, gens))
@@ -589,10 +594,14 @@ def test_batched_projection_matches_per_element_loop(s3, s4):
                 for r2 in pulled:
                     shape = (3, r2.dim, r1.dim)
                     fs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                    got = _project_onto_intertwiners(fs, r1, r2)
-                    want = np.array([_loop_projection(f, r1, r2) for f in fs])
-                    assert got.shape == shape
-                    assert np.max(np.abs(got - want)) < 1e-12
+                    pfs = np.array([_loop_projection(f, r1, r2) for f in fs])
+                    basis = intertwiner_basis(r1, r2)
+                    basis = basis.reshape(len(basis), r2.dim * r1.dim).conj()
+                    got = basis @ pfs.reshape(3, -1).T
+                    want = basis @ fs.reshape(3, -1).T
+                    assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+                    compared += got.size
+    assert compared
 
 
 def test_intertwiner_projector_size_guard(s3, monkeypatch):
@@ -602,6 +611,17 @@ def test_intertwiner_projector_size_guard(s3, monkeypatch):
         intertwiner_basis(w, w)
     monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 16 * 16)
     assert len(intertwiner_basis(w, w)) == 1
+
+
+def test_induce_rep_size_guard(z2_in_s3, monkeypatch):
+    # the trivial rep of Z2 induced into S3: 3 cosets x 1 invariant, so six
+    # 3x3 complex matrices of 16 bytes an entry
+    triv = trivial_rep(z2_in_s3.source)
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 6 * 3 * 3 * 16 - 1)
+    with pytest.raises(InputTooLarge, match="dimension 3 on a group of order 6 needs 864"):
+        induce_rep(z2_in_s3, triv)
+    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 6 * 3 * 3 * 16)
+    assert induce_rep(z2_in_s3, triv).dim == 3
 
 
 def test_irreps_size_guard(s4, monkeypatch, clear_irrep_cache):
