@@ -247,7 +247,7 @@ def cmd_verify(args, out):
                 trivial_rep(hom.target),
                 regular_rep(hom.target),
             ]
-            zrep = verify_zigzag(hom, probes, tol=args.tolerance)
+            zrep = verify_zigzag(hom, probes)
             ok = zrep.ok(args.tolerance)
             zz_ok = zz_ok and ok
             zz_lines.append((name, ok, zrep.max_deviation))

@@ -31,6 +31,7 @@ Hom equality, hashing and every cache key of a hom read it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -45,9 +46,9 @@ MAX_HOM_CANDIDATES = 2**20
 MAX_DEGREE = 2**20
 # most elements that group_from_permutations lets a closure reach
 MAX_GROUP_ORDER = 500
-# largest dense array (bytes) that direct_product, and rep's regular_rep,
-# irreps and intertwiner_basis, may allocate: a regular representation of
-# order 256
+# largest dense array (bytes) that direct_product, symmetric_group and
+# group_from_permutations, and rep's regular_rep, irreps and
+# intertwiner_basis, may allocate: a regular representation of order 256
 MAX_DENSE_BYTES = 2**28
 
 
@@ -335,7 +336,14 @@ def cyclic_group(n: int) -> FinGroup:
 
 def symmetric_group(n: int) -> FinGroup:
     """S_n on points 0..n-1; elements are one-line permutations in lexicographic
-    order, so the identity permutation has index 0."""
+    order, so the identity permutation has index 0.  Raises InputTooLarge
+    before enumerating them when the table of n!^2 int64 entries would take
+    more than MAX_DENSE_BYTES."""
+    nbytes = math.prod(range(1, n + 1)) ** 2 * 8  # n! (1 when n <= 0)
+    if nbytes > MAX_DENSE_BYTES:
+        raise InputTooLarge(
+            f"table of S{n} needs {nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
+        )
     return _permutation_group(sorted(itertools.permutations(range(n))), name=f"S{n}")
 
 
@@ -366,7 +374,9 @@ def group_from_permutations(generators, n_points, name=None):
     resulting permutation group as a table.  The identity gets index 0 and the
     remaining elements are sorted lexicographically.  Raises InputTooLarge
     before building any permutation when ``n_points`` exceeds MAX_DEGREE, and
-    as soon as the closure would hold more than MAX_GROUP_ORDER elements.
+    as soon as the closure would hold more than MAX_GROUP_ORDER elements, or
+    more permutation entries than MAX_DENSE_BYTES holds int64 numbers (the
+    closure, its array and each row of products hold that many).
     Raises IndexOutOfRange, naming the generator's position, when a generator
     is not a permutation of 0..n_points-1: a point list of another length, a
     point outside that range, or a repeated point."""
@@ -392,6 +402,13 @@ def group_from_permutations(generators, n_points, name=None):
                         raise InputTooLarge(
                             f"generated group exceeds the cap of "
                             f"{MAX_GROUP_ORDER} elements"
+                        )
+                    nbytes = (len(elements) + 1) * n_points * 8
+                    if nbytes > MAX_DENSE_BYTES:
+                        raise InputTooLarge(
+                            f"{len(elements) + 1} permutations of {n_points} "
+                            f"points need {nbytes} bytes, above the limit of "
+                            f"{MAX_DENSE_BYTES}"
                         )
                     elements.add(r)
                     nxt.append(r)

@@ -16,10 +16,9 @@ groups, hence their irreps), and ``lambda_span`` works in two layers:
   the right foot, with the induced character from the class map of t; both
   routes must be integral and agree.  One block per leg key is computed:
   the leg homs' value keys (``GroupHom.key``), the feet's structure keys
-  (which fix their irreps, where hom keys fix only the tables) and the
-  seed.  No tolerance enters a block.
+  (which fix their irreps; hom keys fix only the tables) and the seed.
 * **Models, on first access.**  ``details`` and ``map.hom_bases`` are built
-  together the first time either is read, once per leg key and tol:
+  together the first time either is read, once per leg key:
   the pullbacks s*W1, t*W2, the pushforwards t_*s*W1 and the intertwiner
   bases, with the projector's rank check, the induced-multiplicity
   cross-check and a check of each entry's basis length against the
@@ -60,17 +59,18 @@ The compositor beta_{x,x'} : Lambda(x') . Lambda(x) => Lambda(x;x') is a
 layout of ``twovect.summand_offsets``, the one that ``hcompose_2morph``
 writes; the horizontal check is its naturality.  Its comparison maps gamma
 are Mackey bijections of finite sets, which ``beta_compositor`` checks
-exactly, from the group tables, with no model.  Each kind of numerical check has one routine: 2-cells compare by
-``_blocks_deviation``, invertibility by ``rep._condition``, integrality by
-``rep._integral``.
+exactly, from the group tables, with no model.  Each kind of numerical check
+has one routine: 2-cells compare by ``_blocks_deviation``, invertibility by
+``rep._condition``, integrality by ``rep._integral``.  No span's result reads
+a tolerance: one bounds only the dual path and the suite's float checks.
 
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
 read, its models afresh.  A run memo (in a context variable, so concurrent
-runs keep their own) is the only way work is shared: dims blocks by leg
-key, so across tolerances; leg entries by leg key and tol; dual-path pieces
-by their homs' value keys and models; and the results of the inputs the run
-registers by identity, so ``lambda_span`` and ``lambda_spanmap`` build each
-once.  ``verify_functoriality`` opens one for its call, registering its
+runs keep their own) is the only way work is shared: dims blocks and leg
+entries by leg key; dual-path pieces by their homs' value keys and models;
+and the results of the inputs the run registers by identity, so
+``lambda_span`` and ``lambda_spanmap`` build each once.
+``verify_functoriality`` opens one for its call, registering its
 spans, its span maps and those maps' top and bottom spans; a
 ``lambda_spanmap`` call outside it opens one registering its span map and
 that map's top and bottom spans.  Composites are not kept, since each is
@@ -114,6 +114,7 @@ from .rep import (
     DEFAULT_TOL,
     InducedRep,
     RepModel,
+    _class_pairing,
     _condition,
     _counit_kernel,
     _integral,
@@ -176,8 +177,7 @@ class LambdaSpanResult:
     witnesses: dict
     source_object: LambdaObject
     target_object: LambdaObject
-    seed: int   # the irreps seed and the tolerance the result was built with
-    tol: float
+    seed: int   # the irreps seed the result was built with
     # builds the per-entry witnesses' models once, on first call
     _models: object = field(repr=False)
 
@@ -197,9 +197,9 @@ class _RunMemo:
     by the spans of one ``lambda_spanmap`` call outside it."""
 
     inputs: dict  # id -> input span, span map or map's top/bottom span
-    results: dict = field(default_factory=dict)  # (id, seed, tol[, check]) -> result
+    results: dict = field(default_factory=dict)  # (id, seed[, tol, check]) -> result
     dims: dict = field(default_factory=dict)     # leg key -> dims block
-    legs: dict = field(default_factory=dict)     # (leg key, tol) -> entries
+    legs: dict = field(default_factory=dict)     # leg key -> entries
     pieces: dict = field(default_factory=dict)   # dual-path transfer pieces
 
 
@@ -229,16 +229,16 @@ def _once(obj, build, *args):
     return run.results[key]
 
 
-def lambda_span(x: Span, seed=DEFAULT_SEED, tol=DEFAULT_TOL) -> LambdaSpanResult:
+def lambda_span(x: Span, seed=DEFAULT_SEED) -> LambdaSpanResult:
     """Matrix of intertwiner spaces for a span.
 
     ``map.dims`` and ``witnesses`` come from characters; ``details`` and
     ``map.hom_bases`` (the models and intertwiner bases) are built on first
     access."""
-    return _once(x, _lambda_span, seed, tol)
+    return _once(x, _lambda_span, seed)
 
 
-def _lambda_span(x: Span, seed, tol) -> LambdaSpanResult:
+def _lambda_span(x: Span, seed) -> LambdaSpanResult:
     """The ``lambda_span`` builder."""
     src = lambda_object(x.source, seed=seed)
     tgt = lambda_object(x.target, seed=seed)
@@ -270,13 +270,13 @@ def _lambda_span(x: Span, seed, tol) -> LambdaSpanResult:
                 witnesses[(r, c)].append(xi)
     # the models close over the legs dict, not the run memo, so a memo whose
     # results hold them is still freed by reference counting
-    models = cache(lambda: _entry_models(placed, first, legs, witnesses, tol))
+    models = cache(lambda: _entry_models(placed, first, legs, witnesses))
 
     def hom_bases():
         return {k: [b for w in wits for b in w.basis] for k, wits in models().items()}
 
     tmap = TwoLinearMap(src.basis, tgt.basis, dims, hom_bases)
-    return LambdaSpanResult(x, tmap, witnesses, src, tgt, seed, tol, models)
+    return LambdaSpanResult(x, tmap, witnesses, src, tgt, seed, models)
 
 
 def _characters(table):
@@ -294,10 +294,8 @@ def _pulled_characters(table, hom: GroupHom):
 def _restricted_pairing(s_hom, t_hom, irreps1, irreps2):
     """<Res_s chi1, Res_t chi2> on the apex group X, for every pair of feet
     irreps: (conj B) diag(|c|/|X|) A^T over the classes c of X."""
-    x = s_hom.source
-    a = _pulled_characters(irreps1, s_hom)
-    b = _pulled_characters(irreps2, t_hom)
-    return (b.conj() * (x.class_sizes / x.order)) @ a.T
+    return _class_pairing(s_hom.source, _pulled_characters(irreps1, s_hom),
+                          _pulled_characters(irreps2, t_hom))
 
 
 def _induced_pairing(s_hom, t_hom, irreps1, irreps2):
@@ -311,7 +309,7 @@ def _induced_pairing(s_hom, t_hom, irreps1, irreps2):
     pushed = np.zeros((len(h.classes), len(irreps1)), dtype=complex)
     np.add.at(pushed, image, pulled.T)
     pushed *= (h.order / (x.order * h.class_sizes))[:, None]
-    return (_characters(irreps2).conj() * (h.class_sizes / h.order)) @ pushed
+    return _class_pairing(h, pushed.T, _characters(irreps2))
 
 
 def _leg_dims(s_hom, t_hom, irreps1, irreps2, xi):
@@ -330,7 +328,7 @@ def _leg_dims(s_hom, t_hom, irreps1, irreps2, xi):
     return routes[0]
 
 
-def _entry_models(placed, first, legs, witnesses, tol):
+def _entry_models(placed, first, legs, witnesses):
     """Per entry (key of ``witnesses``), the ``_EntryWitness`` of each apex
     object over it, from the leg entries kept in ``legs`` by each object's
     leg key in ``placed``; ``first`` holds each key's leg-entry arguments.
@@ -338,16 +336,16 @@ def _entry_models(placed, first, legs, witnesses, tol):
     the entry's basis is theirs concatenated."""
     details = {k: [] for k in witnesses}
     for xi, (key, r0, c0) in enumerate(placed):
-        if (key, tol) not in legs:
-            legs[key, tol] = _leg_entries(*first[key], tol)
-        for k2, k1, _, r1, r2, basis, ind in legs[key, tol]:
+        if key not in legs:
+            legs[key] = _leg_entries(*first[key])
+        for k2, k1, _, r1, r2, basis, ind in legs[key]:
             wits = details[(r0 + k2, c0 + k1)]
             start = wits[-1].start + len(wits[-1].basis) if wits else 0
             wits.append(_EntryWitness(xi, start, r1, r2, basis, ind))
     return details
 
 
-def _leg_entries(s_hom, t_hom, irreps1, irreps2, xi, tol):
+def _leg_entries(s_hom, t_hom, irreps1, irreps2, xi):
     """The entries (k2, k1, dim, s*W1, t*W2, intertwiner basis, t_*s*W1) of an
     apex object with leg homs s_hom, t_hom, for W1 = irreps1[k1] and
     W2 = irreps2[k2] the irreps of its feet's groups; ``xi`` is the first
@@ -360,7 +358,7 @@ def _leg_entries(s_hom, t_hom, irreps1, irreps2, xi, tol):
         for k2, w2, r2 in pulled2:
             # the basis's length is the character count: intertwiner_basis
             # raises RankMismatch otherwise
-            basis = intertwiner_basis(r1, r2, tol=tol)
+            basis = intertwiner_basis(r1, r2)
             d = len(basis)
             # independent route: multiplicity of W2 in the pushforward
             d_ind = hom_dim(ind.character, w2.character)
@@ -434,8 +432,8 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
 
 def _lambda_spanmap(y: SpanMap, seed, tol, check) -> LambdaSpanMapResult:
     """The ``lambda_spanmap`` builder."""
-    lam_top = lambda_span(y.top, seed=seed, tol=tol)
-    lam_bot = lambda_span(y.bottom, seed=seed, tol=tol)
+    lam_top = lambda_span(y.top, seed=seed)
+    lam_bot = lambda_span(y.bottom, seed=seed)
     exact = degroupoidify_2cell(y)
     coeffs = {(x1, x2): q for x2, row in enumerate(exact)
               for x1, q in enumerate(row) if q}
@@ -629,8 +627,7 @@ class BetaReport:
         return self.dims_ok and self.max_defect == 0
 
 
-def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED,
-                    tol=DEFAULT_TOL) -> BetaReport:
+def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED) -> BetaReport:
     """Check that composition is respected, reporting failures rather than
     raising them: the matrix of the composite span must equal the integer
     product of the two matrices, and at each apex-object pair (x_o, x'_o)
@@ -643,16 +640,15 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED,
     On the regular representation of H it sends the orbit basis of the
     inductions along the fibred-product projections to that of the induction
     along the middle leg, so it is invertible exactly when this map of finite
-    sets is a bijection, which is checked from the tables alone.  No check
-    reads ``tol``: the dims come from characters, rounded by
-    ``rep._integral``.  It is the ``lambda_span`` tolerance of the three
-    spans, so that inside ``verify_functoriality`` they are the results the
-    other checks read."""
+    sets is a bijection, which is checked from the tables alone, and the
+    dims come from characters, rounded by ``rep._integral``: no tolerance
+    enters.  The three spans are linearized with ``seed``, so that inside
+    ``verify_functoriality`` they are the results the other checks read."""
     composite = compose_spans(x, xp)
     cat = composite.comma
-    lam_x = lambda_span(x, seed=seed, tol=tol)
-    lam_xp = lambda_span(xp, seed=seed, tol=tol)
-    lam_c = lambda_span(composite, seed=seed, tol=tol)
+    lam_x = lambda_span(x, seed=seed)
+    lam_xp = lambda_span(xp, seed=seed)
+    lam_c = lambda_span(composite, seed=seed)
     product = compose_2linear(lam_xp.map, lam_x.map)
     gammas = [_gamma_pair_witness(x, xp, cat, pair) for pair in sorted(cat.pair_data)]
     return BetaReport(x, xp, composite, product.dims, lam_c.map.dims, gammas)
@@ -694,8 +690,8 @@ def composite_block_iso(lam_c: LambdaSpanResult) -> TwoMorphism:
     ``TwoMorphism`` from ``compose_2linear`` of the factors' maps to the
     composite's.  ``lam_c`` is ``lambda_span`` of a span built by
     ``compose_spans(x, xp)``, which names x, xp and the comma category
-    (``factors``, ``comma``); the factors are linearized with lam_c's seed
-    and tol, so every basis is one of that run.  A column, at
+    (``factors``, ``comma``); the factors are linearized with lam_c's seed,
+    so every basis is one of that run.  A column, at
     ``summand_offsets`` of the middle label (a2,W2) in the entry, then
     indexed by (u' in xp's entry basis, u in x's), is sent at each composite
     witness (x_o, m, x'_o) with u' from x'_o and u from x_o to
@@ -707,8 +703,8 @@ def composite_block_iso(lam_c: LambdaSpanResult) -> TwoMorphism:
     if cat is None or composite.factors is None:
         raise SpanMismatch("lam_c does not linearize a span built by compose_spans")
     x, xp = composite.factors
-    lam_x = lambda_span(x, seed=lam_c.seed, tol=lam_c.tol)
-    lam_xp = lambda_span(xp, seed=lam_c.seed, tol=lam_c.tol)
+    lam_x = lambda_span(x, seed=lam_c.seed)
+    lam_xp = lambda_span(xp, seed=lam_c.seed)
     product = compose_2linear(lam_xp.map, lam_x.map)
     offsets = summand_offsets(lam_xp.map, lam_x.map)
     mid = lam_x.target_object.positions
@@ -744,7 +740,7 @@ def composite_block_iso(lam_c: LambdaSpanResult) -> TwoMorphism:
                 mat[wit.start : wit.start + rank, np.concatenate(cols)] = (
                     wit.basis.reshape(rank, -1).conj() @ np.concatenate(terms).T
                 )
-        _condition(mat, 1e-9, f"block correspondence at ({r},{c}) is singular")
+        _condition(mat, f"block correspondence at ({r},{c}) is singular")
         blocks[(r, c)] = mat
     return TwoMorphism(product, lam_c.map, blocks)
 
@@ -842,7 +838,7 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
 
     # (a) compositor dimension checks + gamma bijectivity
     for i, j in islice(_pairs(spans, lambda a, b: a.target == b.source), MAX_PAIRS):
-        rep = beta_compositor(spans[i], spans[j], seed=seed, tol=tol)
+        rep = beta_compositor(spans[i], spans[j], seed=seed)
         composites[i, j] = rep.composite
         report.results.append(
             CheckResult(
@@ -864,17 +860,17 @@ def _check_suite(config: SuiteConfig) -> FunctorialityReport:
                 composites[p, q] = compose_spans(spans[p], spans[q])
         left = compose_spans(composites[i, j], spans[k])
         right = compose_spans(spans[i], composites[j, k])
-        dl = lambda_span(left, seed=seed, tol=tol).map.dims
-        dr = lambda_span(right, seed=seed, tol=tol).map.dims
+        dl = lambda_span(left, seed=seed).map.dims
+        dr = lambda_span(right, seed=seed).map.dims
         report.results.append(
             CheckResult("associator", name, bool(np.array_equal(dl, dr)))
         )
 
     # (c) unitor checks at the dimension level
     for i, s in enumerate(spans):
-        dims = lambda_span(s, seed=seed, tol=tol).map.dims
+        dims = lambda_span(s, seed=seed).map.dims
         ok = all(
-            np.array_equal(lambda_span(unit, seed=seed, tol=tol).map.dims, dims)
+            np.array_equal(lambda_span(unit, seed=seed).map.dims, dims)
             for unit in (compose_spans(identity_span(s.source), s),
                          compose_spans(s, identity_span(s.target)))
         )

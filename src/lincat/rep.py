@@ -28,7 +28,9 @@ array expressions over that decomposition.  The Nakayama map identifies this
 tensor model with the hom model
 Hom_{C[G]}(C[H], V) and makes the induction a two-sided adjoint of
 restriction; the four unit/counit maps of the two adjunctions are produced as
-explicit matrices in these distinguished bases.
+explicit matrices in these distinguished bases.  Rank and invertibility
+decisions cut at RANK_CUT; no function that builds a result takes a
+tolerance, which only bounds how far two computations disagree.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .groups import MAX_DENSE_BYTES, FinGroup, GroupHom, coset_data
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-8
 INT_TOL = 1e-6
+RANK_CUT = 1e-9  # relative to max(1, the largest singular value)
 
 
 @dataclass
@@ -75,12 +78,18 @@ class Character:
         return int(round(self.values[0].real))
 
 
+def _class_pairing(g: FinGroup, a, b):
+    """(1/|G|) sum_C |C| a(C) conj(b(C)) over the classes C of g, for class
+    functions stacked as rows: entry [j, i] pairs row i of ``a`` with row j
+    of ``b`` (a number for two single rows)."""
+    return (b.conj() * (g.class_sizes / g.order)) @ a.T
+
+
 def character_inner(a: Character, b: Character) -> complex:
     """(1/|G|) sum_g a(g) conj(b(g))."""
     if a.group != b.group:
         raise GroupMismatch("characters live on different groups")
-    sizes = a.group.class_sizes
-    return complex(np.sum(sizes * a.values * np.conj(b.values)) / a.group.order)
+    return complex(_class_pairing(a.group, a.values, b.values))
 
 
 def hom_dim(a: Character, b: Character) -> int:
@@ -102,14 +111,14 @@ def _integral(values, where=""):
     return n.astype(np.int64)
 
 
-def _condition(mat, cut, message):
+def _condition(mat, message):
     """Condition number of the square matrix ``mat`` by its singular values
     (1.0 when it is empty), raising SingularMap(message) when the smallest is
-    at most ``cut`` times max(1, the largest)."""
+    at most RANK_CUT times max(1, the largest)."""
     if not mat.size:
         return 1.0
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= cut * max(1.0, sv[0]):
+    if sv[-1] <= RANK_CUT * max(1.0, sv[0]):
         raise SingularMap(message)
     return float(sv[0] / sv[-1])
 
@@ -279,7 +288,7 @@ def _irreps_by_splitting(g: FinGroup, seed):
     while queue:
         basis = queue.pop(0)
         chi = _char_of(g, basis)
-        norm = np.sum(g.class_sizes * chi * np.conj(chi)).real / g.order
+        norm = _class_pairing(g, chi, chi).real
         if abs(norm - round(norm)) > INT_TOL:
             raise NumericalFailure(f"character norm {norm} is not integral")
         if round(norm) == 1:
@@ -373,9 +382,8 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
         raise NumericalFailure(
             f"irrep dimensions {[r.dim for r in result]} do not satisfy sum d^2 = |G|"
         )
-    # Gram matrix of the characters: (1/|G|) sum_C |C| chi_i(C) conj(chi_j(C))
     chars = np.array([r.character.values for r in result])
-    gram = (chars * g.class_sizes) @ chars.conj().T / g.order
+    gram = _class_pairing(g, chars, chars)
     if np.max(np.abs(gram - np.eye(len(result)))) > DEFAULT_TOL:
         raise NumericalFailure("computed characters are not orthonormal")
     with _IRREP_LOCK:
@@ -527,14 +535,14 @@ def induced_morphism(ind_source: InducedRep, ind_target: InducedRep, phi):
 # intertwiners
 
 
-def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
+def intertwiner_basis(r1: RepModel, r2: RepModel):
     """Orthonormal basis (Frobenius norm) of {f : f r1(g) = r2(g) f for all g},
     read off the SVD of the group-averaged projector on row-major vec(f),
 
         P = (1/|G|) sum_g r2(g^-1) (x) r1(g)^T,
 
-    formed in one contraction over the group; the rank is checked against the
-    character count and every basis element against every group element.
+    formed in one contraction over the group; its rank (above RANK_CUT) must be
+    the character count, each element equivariant within 10 * DEFAULT_TOL.
     Returns the basis as one C-contiguous (rank, r2.dim, r1.dim) array, of
     rank 0 when either dimension is 0.  Raises InputTooLarge before forming P
     when it would take more than MAX_DENSE_BYTES."""
@@ -557,8 +565,7 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
     s = np.einsum("aij,alk->ikjl", r2.matrices[g.inv], r1.matrices)
     s = s.reshape(d2 * d1, d2 * d1) / g.order
     u, sv, _ = np.linalg.svd(s)
-    cutoff = 1e-9 * max(1.0, sv[0] if len(sv) else 1.0)
-    rank = int(np.sum(sv > cutoff))
+    rank = int(np.sum(sv > RANK_CUT * max(1.0, sv[0])))
     if rank != expected:
         raise RankMismatch(
             f"projector rank {rank} disagrees with character count {expected}"
@@ -567,7 +574,7 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
     # residual of f r1(a) = r2(a) f for every basis element f and element a
     stack = basis[:, None]
     worst = np.abs(stack @ r1.matrices - r2.matrices @ stack).max(axis=(1, 2, 3))
-    bad = np.nonzero(worst > 10 * tol)[0]
+    bad = np.nonzero(worst > 10 * DEFAULT_TOL)[0]
     if bad.size:
         raise RankMismatch(
             f"projected basis element fails equivariance: {worst[bad[0]]}"
@@ -579,7 +586,7 @@ def intertwiner_basis(r1: RepModel, r2: RepModel, tol=DEFAULT_TOL):
 # hom model, Nakayama map, units and counits
 
 
-def _nakayama_data(f: GroupHom, v: RepModel, tol):
+def _nakayama_data(f: GroupHom, v: RepModel):
     """(matrix, ind model, condition number) of the exterior trace map
     phi -> (1/#G) sum_{h in H} h^-1 (x) phi(h).
 
@@ -599,14 +606,14 @@ def _nakayama_data(f: GroupHom, v: RepModel, tol):
     mat /= f.source.order
     if mat.shape[0] != mat.shape[1]:
         raise SingularMap("hom and tensor models have different dimensions")
-    return mat, ind, _condition(mat, tol, "exterior trace map is numerically singular")
+    return mat, ind, _condition(mat, "exterior trace map is numerically singular")
 
 
-def nakayama(f: GroupHom, v: RepModel, tol=DEFAULT_TOL):
+def nakayama(f: GroupHom, v: RepModel):
     """(matrix, condition number) of the exterior trace map from the hom model
     of induction to the tensor model, in the distinguished bases; raises
     SingularMap if it is not invertible."""
-    mat, _, cond = _nakayama_data(f, v, tol)
+    mat, _, cond = _nakayama_data(f, v)
     return mat, cond
 
 
@@ -652,12 +659,12 @@ def eta_R(f: GroupHom, gmodel: RepModel) -> np.ndarray:
     return _unit_kernel(ind, gmodel.matrices)
 
 
-def eps_R(f: GroupHom, fmodel: RepModel, tol=DEFAULT_TOL) -> np.ndarray:
+def eps_R(f: GroupHom, fmodel: RepModel) -> np.ndarray:
     """Counit of the same adjunction: evaluation at the identity composed with
     the inverse of the exterior trace map."""
     if fmodel.group != f.source:
         raise ModelMismatch("eps_R needs a model of the source group")
-    mat, ind, _ = _nakayama_data(f, fmodel, tol)
+    mat, ind, _ = _nakayama_data(f, fmodel)
     dw = ind.block_dim
     ev = np.zeros((fmodel.dim, mat.shape[1]), dtype=complex)
     if dw:
@@ -681,10 +688,10 @@ class ZigzagReport:
         return self.max_deviation < tol
 
 
-def verify_zigzag(f: GroupHom, probes, tol=DEFAULT_TOL) -> ZigzagReport:
+def verify_zigzag(f: GroupHom, probes) -> ZigzagReport:
     """Evaluate the four triangle identities of the two adjunctions on each
-    probe representation and report the worst deviation from the identity;
-    ``tol`` is the singularity cut of the exterior trace map inside eps_R."""
+    probe representation and report the worst deviation from the identity.
+    No tolerance enters the maps: the caller's decides ``ZigzagReport.ok``."""
     report = ZigzagReport(f)
     for idx, probe in enumerate(probes):
         if probe.group == f.source:
@@ -695,7 +702,7 @@ def verify_zigzag(f: GroupHom, probes, tol=DEFAULT_TOL) -> ZigzagReport:
             comp1 = eps_L(f, ind) @ push_eta
             report.deviations[(idx, "left_push")] = _dev_from_eye(comp1)
             # (Id . eps_R) o (eta_R . Id) = Id on the induced model
-            push_eps = induced_morphism(ind2, ind, eps_R(f, probe, tol=tol))
+            push_eps = induced_morphism(ind2, ind, eps_R(f, probe))
             comp4 = push_eps @ eta_R(f, ind)
             report.deviations[(idx, "right_push")] = _dev_from_eye(comp4)
         elif probe.group == f.target:
@@ -704,7 +711,7 @@ def verify_zigzag(f: GroupHom, probes, tol=DEFAULT_TOL) -> ZigzagReport:
             comp2 = eps_L(f, probe) @ eta_L(f, res)
             report.deviations[(idx, "left_pull")] = _dev_from_eye(comp2)
             # (eps_R . Id) o (Id . eta_R) = Id on the restricted model
-            comp3 = eps_R(f, res, tol=tol) @ eta_R(f, probe)
+            comp3 = eps_R(f, res) @ eta_R(f, probe)
             report.deviations[(idx, "right_pull")] = _dev_from_eye(comp3)
         else:
             raise ModelMismatch("probe representation does not match either group")

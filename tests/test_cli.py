@@ -233,14 +233,15 @@ def test_verify_impossible_tolerance_exits_1(capsys):
 
 
 def test_verify_impossible_tolerance_exits_1_on_default_suite(capsys):
-    # at tolerance 0 the intertwiner bases of the default suite's models fail
-    # their equivariance residual (RankMismatch), which fails the vertical
-    # and horizontal checks that build them; the exact checks still pass
+    # at tolerance 0 the dual path of the default suite's span maps cannot
+    # agree within 0, which fails the vertical and horizontal checks; the
+    # exact checks still pass, and no zig-zag deviation is below 0
     code, out, _ = run_cli(capsys, "--output", "json", "verify", "--tolerance", "0")
     assert code == 1
-    checks = json.loads(out)["checks"]
-    failed = {c["section"] for c in checks if not c["passed"]}
+    obj = json.loads(out)
+    failed = {c["section"] for c in obj["checks"] if not c["passed"]}
     assert failed == {"vertical", "horizontal"}
+    assert obj["zigzag"] and not any(z["passed"] for z in obj["zigzag"])
     code, out, err = run_cli(capsys, "verify", "--tolerance", "0")
     assert code == 1
     assert "VERIFICATION FAILED" in out and err == ""
@@ -274,20 +275,36 @@ def test_verify_reports_check_errors_and_exits_1(capsys, monkeypatch, target, er
 
 
 def test_verify_tolerance_reaches_zigzag(capsys, monkeypatch):
+    # the tolerance decides ZigzagReport.ok and nothing else: the exterior
+    # trace map behind eps_R takes no tolerance
     import lincat.rep
 
-    seen = []
-    real = lincat.rep._nakayama_data
+    seen, oks = [], []
+    real, real_ok = lincat.rep._nakayama_data, lincat.rep.ZigzagReport.ok
 
-    def spied(f, v, tol):
-        seen.append(tol)
-        return real(f, v, tol)
+    def spied(*args, **kwargs):
+        seen.append((len(args), kwargs))
+        return real(*args, **kwargs)
+
+    def spied_ok(report, tol):
+        oks.append(tol)
+        return real_ok(report, tol)
 
     monkeypatch.setattr(lincat.rep, "_nakayama_data", spied)
+    monkeypatch.setattr(lincat.rep.ZigzagReport, "ok", spied_ok)
     code, out, _ = run_cli(capsys, "--output", "json", "verify", "--tolerance", "1e-6")
     assert code == 0
-    assert json.loads(out)["zigzag"]
-    assert seen and set(seen) == {1e-6}
+    zigzag = json.loads(out)["zigzag"]
+    assert zigzag and all(z["passed"] for z in zigzag)
+    assert len(oks) == len(zigzag) and set(oks) == {1e-6}
+    assert seen and set(n for n, _ in seen) == {2} and not any(kw for _, kw in seen)
+    # at the worst deviation as the tolerance, the homs that reach it fail
+    worst = max(z["deviation"] for z in zigzag)
+    assert worst > 0
+    code, out, _ = run_cli(capsys, "--output", "json", "verify", "--tolerance", repr(worst))
+    assert code == 1
+    assert [z["passed"] for z in json.loads(out)["zigzag"]] == [
+        z["deviation"] < worst for z in zigzag]
 
 
 def test_negative_seed_flag_exit_2(capsys):

@@ -314,6 +314,39 @@ def test_group_from_permutations_stops_at_the_cap(monkeypatch):
     assert len(made) == 5
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a permutation group was built before the guard")
+
+
+def test_symmetric_group_size_guard(monkeypatch):
+    # S8's table would be 40,320^2 int64 entries (13 GB): the guard must
+    # come before the permutations are enumerated
+    with monkeypatch.context() as m:
+        m.setattr(itertools, "permutations", _refuse)
+        m.setattr(lincat.groups, "_permutation_group", _refuse)
+        with pytest.raises(InputTooLarge, match="S8 needs 13005619200 bytes"):
+            symmetric_group(8)
+    # S3: 6^2 int64 entries are 288 bytes
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 6 * 8 - 1)
+    with pytest.raises(InputTooLarge, match="S3 needs 288 bytes"):
+        symmetric_group(3)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 6 * 8)
+    assert symmetric_group(3).order == 6
+
+
+def test_group_from_permutations_entry_guard(monkeypatch):
+    # S3 as six permutations of three points: 18 int64 entries, 144 bytes;
+    # the closure stops before it adds the sixth element
+    gens = [[1, 2, 0], [1, 0, 2]]
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 3 * 8 - 1)
+    with monkeypatch.context() as m:
+        m.setattr(lincat.groups, "_permutation_group", _refuse)
+        with pytest.raises(InputTooLarge, match="6 permutations of 3 points need 144 bytes"):
+            group_from_permutations(gens, 3)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 3 * 8)
+    assert group_from_permutations(gens, 3).order == 6
+
+
 @pytest.mark.parametrize("gens, message", [
     ([[1, 0, 2], [0, 0, 1]], "generator 1 [0, 0, 1] is not a permutation of 0..2"),
     ([[0, 1, 3]], "generator 0 [0, 1, 3] is not a permutation of 0..2"),

@@ -317,7 +317,7 @@ def test_induced_morphism_is_block_diagonal():
 
 def test_nakayama_matches_loop():
     for f, v in CASES:
-        mat, _, _ = _nakayama_data(f, v, 1e-8)
+        mat, _, _ = _nakayama_data(f, v)
         assert_close(mat, ref_nakayama(f, v))
 
 
@@ -367,6 +367,6 @@ def test_sign_rep_along_collapse_has_no_invariants():
     assert ind.matrices.shape == (1, 0, 0)
     assert ind.tensor_coords(0, np.ones(1)).shape == (0,)
     assert ind.tensor_coords(np.zeros(3, dtype=int), np.ones((3, 1, 2))).shape == (0, 2)
-    assert _nakayama_data(f, sign, 1e-8)[0].shape == (0, 0)
+    assert _nakayama_data(f, sign)[0].shape == (0, 0)
     assert _unit_kernel(ind, np.ones((1, 1, 1))).shape == (0, 1)
     assert _counit_kernel(ind, np.ones((1, 1, 1))).shape == (1, 0)

@@ -332,6 +332,40 @@ def test_lambda_spanmap_reads_each_coefficient_at_its_witness_pair():
             assert np.allclose(np.abs(blk), [[0, 0], [1, 0], [0, 0]])
 
 
+def _cycled_copies_map(x):
+    """A strict span map from the span on three copies of x's apex to
+    itself: its apex is that span's, the up leg is the identity and the down
+    leg sends copy c to copy c+1 mod 3 by identity homs, so each object's
+    coefficients form a 3-cycle, not a symmetric matrix."""
+    n = len(x.apex)
+    apex = Groupoid([(f"{name}/{c}", g) for c in range(3) for name, g in x.apex.objects])
+
+    def copied(leg):
+        return GroupoidFunctor(apex, leg.target, [leg(i % n) for i in range(3 * n)],
+                               [leg.hom(i % n) for i in range(3 * n)])
+
+    span = Span(apex, copied(x.left), copied(x.right))
+    homs = [identity_hom(g) for _, g in apex.objects]
+    cycle = GroupoidFunctor(apex, apex, [(i + n) % (3 * n) for i in range(3 * n)], homs)
+    return SpanMap(span, span, apex, GroupoidFunctor.identity(apex), cycle)
+
+
+@pytest.mark.parametrize("suite_seed", range(20))
+def test_lambda_spanmap_reads_cycled_coefficients_at_their_witness_pairs(suite_seed):
+    # the random suites' span maps all have symmetric coefficients, so they
+    # cannot tell a coefficient read at (x1, x2) from one read at (x2, x1);
+    # a 3-cycle of copies can, and the dual path must agree with each block
+    suite = random_suite(suite_seed)
+    for x in suite.spans:
+        y = _cycled_copies_map(x)
+        n = len(x.apex)
+        weight = np.array(degroupoidify_2cell(y), dtype=float)
+        assert not np.array_equal(weight, weight.T)
+        assert np.array_equal(weight != 0, np.roll(np.eye(3 * n, dtype=bool), n, axis=0))
+        res = lambda_spanmap(y, seed=suite.seed)  # raises if the paths disagree
+        assert any(blk.size for blk in res.morphism.blocks.values())
+
+
 def test_lambda_spanmap_dual_paths_agree_on_suite():
     # lambda_spanmap raises IntertwinerProjectionFailure on disagreement, so
     # running it with check=True over the suite is the assertion
@@ -938,7 +972,7 @@ def _spans_and_composites(suite):
 def test_character_dims_equal_the_built_models(suite_seed):
     suite = default_suite() if suite_seed is None else random_suite(suite_seed)
     for x in _spans_and_composites(suite):
-        lam = lambda_span(x, seed=suite.seed, tol=suite.tolerance)
+        lam = lambda_span(x, seed=suite.seed)
         dims, witnesses = lam.map.dims.copy(), dict(lam.witnesses)
         # the models: every apex object over an entry, with its basis
         details = lam.details
@@ -960,7 +994,7 @@ def test_witness_starts_index_their_bases_in_the_entry(suite):
     spans = _spans_and_composites(suite)
     spans += [x for y in suite.spanmaps for x in (y.top, y.bottom)]
     for x in spans:
-        lam = lambda_span(x, seed=suite.seed, tol=suite.tolerance)
+        lam = lambda_span(x, seed=suite.seed)
         for key, wits in lam.details.items():
             basis = lam.map.hom_bases[key]
             for w in wits:
@@ -1080,9 +1114,10 @@ def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
-def test_compositor_reads_the_suite_tolerance(monkeypatch, tol):
-    # beta_compositor linearizes at the suite's tolerance, so its spans are
-    # the results the other sections read: as many builds at any tolerance
+def test_compositor_spans_are_built_once_at_any_tolerance(monkeypatch, tol):
+    # no tolerance enters lambda_span or beta_compositor, so the compositor's
+    # spans are the results the other sections read: as many builds at any
+    # suite tolerance
     suite = dataclasses.replace(random_suite(5, n_spans=4, n_maps=3), tolerance=tol)
     built = _record_calls(monkeypatch, "_lambda_span")
     assert verify_functoriality(suite).ok
@@ -1200,9 +1235,9 @@ def test_verify_functoriality_builds_each_leg_entry_once(monkeypatch):
     keys = []
     real = lincat.linearization._leg_entries
 
-    def counted(s_hom, t_hom, irreps1, irreps2, xi, tol):
-        keys.append((s_hom, t_hom, tol))
-        return real(s_hom, t_hom, irreps1, irreps2, xi, tol)
+    def counted(s_hom, t_hom, irreps1, irreps2, xi):
+        keys.append((s_hom, t_hom))
+        return real(s_hom, t_hom, irreps1, irreps2, xi)
 
     monkeypatch.setattr(lincat.linearization, "_leg_entries", counted)
     assert verify_functoriality(random_suite(5, n_spans=4, n_maps=3)).ok
@@ -1212,9 +1247,8 @@ def test_verify_functoriality_builds_each_leg_entry_once(monkeypatch):
 
 
 def test_dims_blocks_are_shared_across_tolerances(monkeypatch):
-    # no tolerance enters a dims block, and beta_compositor reads dims at
-    # the default tolerance whatever the run's: a run computes as many
-    # blocks at a tight tolerance as at the default one
+    # no tolerance enters a dims block: a run computes as many blocks at a
+    # tight tolerance as at the default one
     counts = []
     real = lincat.linearization._leg_dims
 
@@ -1292,9 +1326,9 @@ def test_lambda_spanmap_outside_a_run_builds_each_leg_entry_once(monkeypatch):
     keys = []
     real = lincat.linearization._leg_entries
 
-    def counted(s_hom, t_hom, irreps1, irreps2, xi, tol):
-        keys.append((s_hom, t_hom, tol))
-        return real(s_hom, t_hom, irreps1, irreps2, xi, tol)
+    def counted(s_hom, t_hom, irreps1, irreps2, xi):
+        keys.append((s_hom, t_hom))
+        return real(s_hom, t_hom, irreps1, irreps2, xi)
 
     monkeypatch.setattr(lincat.linearization, "_leg_entries", counted)
     for g in (symmetric_group(3), symmetric_group(4)):
@@ -1378,7 +1412,7 @@ def test_run_lambda_spans_equal_standalone_recomputation(monkeypatch):
     # calls read the run memo
     assert len(recorded) == 38
     for x, lam in recorded:
-        alone = lambda_span(x, seed=suite.seed, tol=suite.tolerance)
+        alone = lambda_span(x, seed=suite.seed)
         assert np.array_equal(lam.map.dims, alone.map.dims)
         assert lam.witnesses == alone.witnesses
         assert lam.map.hom_bases.keys() == alone.map.hom_bases.keys()

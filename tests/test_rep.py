@@ -11,6 +11,7 @@ from lincat.errors import (
     ModelMismatch,
     NonIntegralMultiplicity,
     RankMismatch,
+    SingularMap,
 )
 from lincat.groups import (
     FinGroup,
@@ -499,12 +500,27 @@ def test_intertwiner_schur(s3):
     assert np.max(np.abs(off)) < TOL
 
 
-def test_intertwiner_equivariance_bound_reads_tol(s3):
-    # the basis element's equivariance residual is a few ulps, above 10 * 1e-18
+def test_intertwiner_equivariance_bound_reads_tol(s3, monkeypatch):
+    # the equivariance residual is bounded by 10 * DEFAULT_TOL, read at the
+    # call: the basis element's residual is a few ulps, above 10 * 1e-18
     w = [r for r in irreps(s3) if r.dim == 2][0]
-    with pytest.raises(RankMismatch):
-        intertwiner_basis(w, w, tol=1e-18)
     assert len(intertwiner_basis(w, w)) == 1
+    monkeypatch.setattr(lincat.rep, "DEFAULT_TOL", 1e-18)
+    with pytest.raises(RankMismatch, match="fails equivariance"):
+        intertwiner_basis(w, w)
+
+
+@pytest.mark.parametrize("top", [1.0, 4.0])
+def test_condition_cuts_at_rank_cut(top):
+    # the smallest singular value is singular at RANK_CUT times
+    # max(1, the largest) and invertible just above it
+    cut = lincat.rep.RANK_CUT * top
+    at = np.diag([top, cut])
+    with pytest.raises(SingularMap, match="^at the cut$"):
+        lincat.rep._condition(at, "at the cut")
+    above = np.diag([top, 2 * cut])
+    assert lincat.rep._condition(above, "above the cut") == top / (2 * cut)
+    assert lincat.rep._condition(np.zeros((0, 0)), "empty") == 1.0
 
 
 def _generated(g, gens):
