@@ -73,7 +73,12 @@ class DimensionMismatch(LincatError):
 
 
 class IntertwinerProjectionFailure(LincatError):
-    """The two evaluation routes for a 2-morphism disagree beyond tolerance."""
+    """The two evaluation routes for a 2-morphism disagree beyond tolerance;
+    ``deviation`` is their measured disagreement (None when not measured)."""
+
+    def __init__(self, message, deviation=None):
+        self.deviation = deviation
+        super().__init__(message)
 
 
 class InputTooLarge(LincatError):

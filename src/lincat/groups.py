@@ -336,10 +336,12 @@ def cyclic_group(n: int) -> FinGroup:
 
 def symmetric_group(n: int) -> FinGroup:
     """S_n on points 0..n-1; elements are one-line permutations in lexicographic
-    order, so the identity permutation has index 0.  Raises InputTooLarge
-    before enumerating them when the table of n!^2 int64 entries would take
-    more than MAX_DENSE_BYTES."""
-    nbytes = math.prod(range(1, n + 1)) ** 2 * 8  # n! (1 when n <= 0)
+    order, so the identity permutation has index 0; S0 is the trivial group.
+    Raises IndexOutOfRange for n < 0, and InputTooLarge before enumerating
+    when the table of n!^2 int64 entries would take more than MAX_DENSE_BYTES."""
+    if n < 0:
+        raise IndexOutOfRange(f"S{n}: a symmetric group needs n >= 0 points")
+    nbytes = math.prod(range(1, n + 1)) ** 2 * 8  # n!
     if nbytes > MAX_DENSE_BYTES:
         raise InputTooLarge(
             f"table of S{n} needs {nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"

@@ -74,8 +74,9 @@ and the results of the inputs the run registers by identity, so
 spans, its span maps and those maps' top and bottom spans; a
 ``lambda_spanmap`` call outside it opens one registering its span map and
 that map's top and bottom spans.  Composites are not kept, since each is
-read by the one check that builds it.  Only the vertical and horizontal
-checks build models; the others read dims.
+read by the one check that builds it.  ``verify_functoriality`` runs one
+check per law in one loop, which gives a failed check the disagreement its
+error measured, or inf.  Only the vertical and horizontal checks build models.
 """
 
 from __future__ import annotations
@@ -572,13 +573,13 @@ def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
 
 def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
     """Recompute every block by the unit/counit route (``_dual_path``) and
-    raise IntertwinerProjectionFailure, naming the worst entry, unless it
-    agrees with ``morphism`` within ``tol``."""
+    raise IntertwinerProjectionFailure with the disagreement (``deviation``)
+    and its worst entry, unless it agrees with ``morphism`` within ``tol``."""
     dev, key = _blocks_deviation(_dual_path(y, lam_top, lam_bot), morphism)
     if dev > tol:
         raise IntertwinerProjectionFailure(
             f"closed-form and unit/counit paths disagree by {dev} "
-            f"at entry ({key[0]},{key[1]})"
+            f"at entry ({key[0]},{key[1]})", deviation=dev
         )
 
 
@@ -708,6 +709,9 @@ def composite_block_iso(lam_c: LambdaSpanResult) -> TwoMorphism:
     product = compose_2linear(lam_xp.map, lam_x.map)
     offsets = summand_offsets(lam_xp.map, lam_x.map)
     mid = lam_x.target_object.positions
+    # per entry of each factor, its witnesses by apex object
+    by_apex = [{k: {w.apex_idx: w for w in wits} for k, wits in lam.details.items()}
+               for lam in (lam_xp, lam_x)]
     blocks = {}
     for (r, c), wits in lam_c.details.items():
         n, ncols = int(lam_c.map.dims[r, c]), int(product.dims[r, c])
@@ -724,22 +728,18 @@ def composite_block_iso(lam_c: LambdaSpanResult) -> TwoMorphism:
                 continue
             cls = cat.classes[wit.apex_idx]
             m_inv = x.target.aut(cls.c_idx).inv[cls.rep]
-            terms, cols = [], []
+            rows = mat[wit.start : wit.start + rank]
             for jmid, w2 in mid[cls.c_idx]:
-                pw = next(w for w in lam_xp.details[(r, jmid)] if w.apex_idx == cls.b_idx)
-                qw = next(w for w in lam_x.details[(jmid, c)] if w.apex_idx == cls.a_idx)
+                pw, qw = by_apex[0][r, jmid][cls.b_idx], by_apex[1][jmid, c][cls.a_idx]
                 if not (len(pw.basis) and len(qw.basis)):
                     continue
-                e = (pw.basis @ w2.matrices[m_inv])[:, None] @ qw.basis
-                terms.append(e.reshape(-1, e.shape[2] * e.shape[3]))
-                ip = pw.start + np.arange(len(pw.basis))
-                iq = qw.start + np.arange(len(qw.basis))
-                cols.append((offsets[r, jmid, c] + ip[:, None] * lam_x.map.dims[jmid, c]
-                             + iq).ravel())
-            if terms:
-                mat[wit.start : wit.start + rank, np.concatenate(cols)] = (
-                    wit.basis.reshape(rank, -1).conj() @ np.concatenate(terms).T
-                )
+                # a view of the summand's columns as (u' in xp's entry basis, u in x's)
+                o, dq = offsets[r, jmid, c], lam_x.map.dims[jmid, c]
+                summand = rows[:, o : o + lam_xp.map.dims[r, jmid] * dq].reshape(rank, -1, dq)
+                summand[:, pw.start : pw.start + len(pw.basis),
+                        qw.start : qw.start + len(qw.basis)] = np.einsum(
+                    "kab,pax,xy,qyb->kpq", wit.basis.conj(), pw.basis,
+                    w2.matrices[m_inv], qw.basis)
         _condition(mat, f"block correspondence at ({r},{c}) is singular")
         blocks[(r, c)] = mat
     return TwoMorphism(product, lam_c.map, blocks)
@@ -790,31 +790,29 @@ class FunctorialityReport:
 
     @property
     def max_deviation(self):
+        """The largest deviation of any check, failed ones included."""
         return max((r.deviation for r in self.results), default=0.0)
 
     def section(self, name):
         return [r for r in self.results if r.section == name]
 
     def summary_lines(self):
-        lines = []
-        for r in self.results:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"[{status}] {r.section}: {r.name} (deviation {r.deviation:.3e})"
-                + (f" -- {r.note}" if r.note else "")
-            )
-        for s in self.skipped:
-            lines.append(f"[skip] {s}")
-        return lines
+        lines = [f"[{'pass' if r.passed else 'FAIL'}] {r.section}: {r.name} "
+                 f"(deviation {r.deviation:.3e})" + (f" -- {r.note}" if r.note else "")
+                 for r in self.results]
+        return lines + [f"[skip] {s}" for s in self.skipped]
 
 
 def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     """Run the coherence and composition checks over a suite of spans and
-    span maps; failures are reported, not raised.  A disagreeing dual path,
+    span maps; failures are reported, not raised.  One loop runs every
+    section's cases, each through its law's check (``_sections``), and skips
+    a case whose composite cannot be made strict.  A disagreeing dual path,
     a singular or misshapen compositor block, or an intertwiner rank that
     fails its check while the models are built (``RankMismatch``) fails its
-    check, with the error's message as the note; other errors, such as
-    ``InputTooLarge``, propagate.
+    check, in any section, with the error's message as the note and the
+    disagreement it measured as the deviation, or inf when it measured none;
+    other errors, such as ``InputTooLarge``, propagate.
 
     The call's run memo registers the spans, the span maps and the maps' top
     and bottom spans: each is linearized at most once, when a check first
@@ -823,101 +821,93 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     equal keys.  These results live only for this call."""
     inputs = [*config.spans, *config.spanmaps]
     inputs += [x for y in config.spanmaps for x in (y.top, y.bottom)]
-    with _run_memo(inputs):
-        return _check_suite(config)
-
-
-def _check_suite(config: SuiteConfig) -> FunctorialityReport:
-    """The checks of ``verify_functoriality``, run inside its run memo."""
     report = FunctorialityReport()
-    seed, tol = config.seed, config.tolerance
-    spans = list(config.spans)
-    maps = list(config.spanmaps)
-    # composites of input pairs, shared by the compositor and the associator
-    composites = {}
+    composites = {}  # of input span pairs: the compositor's, read by the associator
+    with _run_memo(inputs):
+        for section, check, cases, label in _sections(config):
+            for case in cases:
+                name = label.format(*case)
+                try:
+                    passed, dev, note = check(config, composites, *case)
+                except StrictnessViolation as exc:
+                    report.skipped.append(f"{section} {name}: {exc}")
+                    continue
+                except _CHECK_FAILURES as exc:
+                    dev = getattr(exc, "deviation", None)
+                    passed, dev, note = False, float("inf") if dev is None else dev, str(exc)
+                report.results.append(CheckResult(section, name, passed, dev, note))
+    return report
 
-    # (a) compositor dimension checks + gamma bijectivity
-    for i, j in islice(_pairs(spans, lambda a, b: a.target == b.source), MAX_PAIRS):
-        rep = beta_compositor(spans[i], spans[j], seed=seed)
-        composites[i, j] = rep.composite
-        report.results.append(
-            CheckResult(
-                "compositor",
-                f"span[{i}] ; span[{j}]",
-                rep.ok(),
-                rep.max_defect,
-                f"max gamma condition {rep.max_condition_number:.2e}",
-            )
-        )
 
-    # (b) associator coherence at the dimension level
+def _sections(config: SuiteConfig):
+    """Per section, in report order: its name, its law's check (suite, shared
+    composites and a case's indices -> (passed, deviation, note)), its cases
+    (lazily, in enumeration order) and the format of a case's name."""
+    spans, maps = config.spans, config.spanmaps
+    compositor = _pairs(spans, lambda a, b: a.target == b.source)
     triples = ((i, j, k) for i, j in _pairs(spans, lambda a, b: a.target == b.source)
                for k, c in enumerate(spans) if spans[j].target == c.source)
-    for i, j, k in islice(triples, MAX_TRIPLES):
-        name = f"span[{i}] ; span[{j}] ; span[{k}]"
-        for p, q in ((i, j), (j, k)):
-            if (p, q) not in composites:
-                composites[p, q] = compose_spans(spans[p], spans[q])
-        left = compose_spans(composites[i, j], spans[k])
-        right = compose_spans(spans[i], composites[j, k])
-        dl = lambda_span(left, seed=seed).map.dims
-        dr = lambda_span(right, seed=seed).map.dims
-        report.results.append(
-            CheckResult("associator", name, bool(np.array_equal(dl, dr)))
-        )
+    vertical = _pairs(maps, lambda a, b: a.bottom == b.top)
+    horizontal = _pairs(maps, lambda a, b: a.top.target == b.top.source)
+    return (("compositor", _check_compositor, islice(compositor, MAX_PAIRS),
+             "span[{}] ; span[{}]"),
+            ("associator", _check_associator, islice(triples, MAX_TRIPLES),
+             "span[{}] ; span[{}] ; span[{}]"),
+            ("unitor", _check_unitor, ((i,) for i in range(len(spans))), "span[{}]"),
+            ("vertical", _check_vertical, islice(vertical, MAX_PAIRS), "map[{}] ; map[{}]"),
+            ("horizontal", _check_horizontal, islice(horizontal, MAX_PAIRS),
+             "map[{}] * map[{}]"))
 
-    # (c) unitor checks at the dimension level
-    for i, s in enumerate(spans):
-        dims = lambda_span(s, seed=seed).map.dims
-        ok = all(
-            np.array_equal(lambda_span(unit, seed=seed).map.dims, dims)
-            for unit in (compose_spans(identity_span(s.source), s),
-                         compose_spans(s, identity_span(s.target)))
-        )
-        report.results.append(CheckResult("unitor", f"span[{i}]", bool(ok)))
 
-    # (d) vertical composition
-    for i, j in islice(_pairs(maps, lambda a, b: a.bottom == b.top), MAX_PAIRS):
-        name = f"map[{i}] ; map[{j}]"
-        try:
-            comp = vertical_compose_spanmaps(maps[i], maps[j])
-        except StrictnessViolation as exc:  # genuine non-strictifiable composites
-            report.skipped.append(f"vertical {name}: {exc}")
-            continue
-        try:
-            lhs = lambda_spanmap(comp, seed=seed, tol=tol).morphism
-            rhs = vcompose_2morph(lambda_spanmap(maps[i], seed=seed, tol=tol).morphism,
-                                  lambda_spanmap(maps[j], seed=seed, tol=tol).morphism)
-        except _CHECK_FAILURES as exc:
-            report.results.append(CheckResult("vertical", name, False, note=str(exc)))
-            continue
-        dev, _ = _blocks_deviation(lhs, rhs)
-        report.results.append(CheckResult("vertical", name, dev < tol * 10, dev))
+def _check_compositor(config, composites, i, j):
+    """The composite's dims are the product's, and every gamma is a bijection."""
+    rep = beta_compositor(config.spans[i], config.spans[j], seed=config.seed)
+    composites[i, j] = rep.composite
+    return rep.ok(), rep.max_defect, f"max gamma condition {rep.max_condition_number:.2e}"
 
-    # (e) horizontal composition: beta is natural,
-    # Lambda(y * y') . beta_top = beta_bot . (Lambda(y') o Lambda(y))
-    for i, j in islice(_pairs(maps, lambda a, b: a.top.target == b.top.source),
-                       MAX_PAIRS):
-        name = f"map[{i}] * map[{j}]"
-        try:
-            comp = horizontal_compose_spanmaps(maps[i], maps[j])
-        except StrictnessViolation as exc:
-            report.skipped.append(f"horizontal {name}: {exc}")
-            continue
-        try:
-            lam_comp = lambda_spanmap(comp, seed=seed, tol=tol)
-            hcomp = hcompose_2morph(lambda_spanmap(maps[j], seed=seed, tol=tol).morphism,
-                                    lambda_spanmap(maps[i], seed=seed, tol=tol).morphism)
-            beta_top = composite_block_iso(lam_comp.source_result)
-            beta_bot = composite_block_iso(lam_comp.target_result)
-        except _CHECK_FAILURES as exc:
-            report.results.append(CheckResult("horizontal", name, False, note=str(exc)))
-            continue
-        dev, _ = _blocks_deviation(vcompose_2morph(beta_top, lam_comp.morphism),
-                                   vcompose_2morph(hcomp, beta_bot))
-        report.results.append(CheckResult("horizontal", name, dev < tol * 10, dev))
 
-    return report
+def _check_associator(config, composites, i, j, k):
+    """Both bracketings of the triple have equal dims."""
+    spans = config.spans
+    for p, q in ((i, j), (j, k)):
+        if (p, q) not in composites:
+            composites[p, q] = compose_spans(spans[p], spans[q])
+    dl, dr = (lambda_span(x, seed=config.seed).map.dims
+              for x in (compose_spans(composites[i, j], spans[k]),
+                        compose_spans(spans[i], composites[j, k])))
+    return bool(np.array_equal(dl, dr)), 0.0, ""
+
+
+def _check_unitor(config, composites, i):
+    """The span composed with an identity span on either side has its dims."""
+    s, seed = config.spans[i], config.seed
+    dims = lambda_span(s, seed=seed).map.dims
+    ok = all(np.array_equal(lambda_span(unit, seed=seed).map.dims, dims)
+             for unit in (compose_spans(identity_span(s.source), s),
+                          compose_spans(s, identity_span(s.target))))
+    return bool(ok), 0.0, ""
+
+
+def _check_vertical(config, composites, i, j):
+    """Lambda(y ; y') = Lambda(y') . Lambda(y), within 10 times the tolerance."""
+    y, yp = config.spanmaps[i], config.spanmaps[j]
+    lhs, first, second = (lambda_spanmap(z, seed=config.seed, tol=config.tolerance).morphism
+                          for z in (vertical_compose_spanmaps(y, yp), y, yp))
+    dev, _ = _blocks_deviation(lhs, vcompose_2morph(first, second))
+    return dev < config.tolerance * 10, dev, ""
+
+
+def _check_horizontal(config, composites, i, j):
+    """beta is natural: Lambda(y * y') . beta_top = beta_bot . (Lambda(y') o Lambda(y))."""
+    y, yp = config.spanmaps[i], config.spanmaps[j]
+    lam_comp, lam_yp, lam_y = (lambda_spanmap(z, seed=config.seed, tol=config.tolerance)
+                               for z in (horizontal_compose_spanmaps(y, yp), yp, y))
+    hcomp = hcompose_2morph(lam_yp.morphism, lam_y.morphism)
+    beta_top = composite_block_iso(lam_comp.source_result)
+    beta_bot = composite_block_iso(lam_comp.target_result)
+    dev, _ = _blocks_deviation(vcompose_2morph(beta_top, lam_comp.morphism),
+                               vcompose_2morph(hcomp, beta_bot))
+    return dev < config.tolerance * 10, dev, ""
 
 
 def _pairs(items, linked):

@@ -269,9 +269,14 @@ def test_verify_reports_check_errors_and_exits_1(capsys, monkeypatch, target, er
     checks = json.loads(out)["checks"]
     failed = {c["section"] for c in checks if not c["passed"]}
     assert failed == sections
+    # the injected error measured no deviation, so its check records inf,
+    # written as JSON's Infinity
+    assert all(c["deviation"] == float("inf") for c in checks if not c["passed"])
+    assert json.loads(out)["max_deviation"] == float("inf") and "Infinity" in out
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "-- injected failure" in out and "VERIFICATION FAILED" in out
+    assert "(deviation inf) -- injected failure" in out
 
 
 def test_verify_tolerance_reaches_zigzag(capsys, monkeypatch):

@@ -334,6 +334,19 @@ def test_symmetric_group_size_guard(monkeypatch):
     assert symmetric_group(3).order == 6
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_symmetric_group_refuses_negative_degree(monkeypatch, n):
+    # a negative degree is refused before anything is enumerated; S0 stays
+    # the trivial group
+    with monkeypatch.context() as m:
+        m.setattr(itertools, "permutations", _refuse)
+        m.setattr(lincat.groups, "_permutation_group", _refuse)
+        with pytest.raises(IndexOutOfRange, match=f"S{n}: "):
+            symmetric_group(n)
+    trivial = symmetric_group(0)
+    assert trivial.order == 1 and trivial.name == "S0"
+
+
 def test_group_from_permutations_entry_guard(monkeypatch):
     # S3 as six permutations of three points: 18 int64 entries, 144 bytes;
     # the closure stops before it adds the sixth element

@@ -16,6 +16,7 @@ import lincat.linearization
 import lincat.rep
 from lincat.documents import parse
 from lincat.errors import (
+    DimensionMismatch,
     InputTooLarge,
     IntertwinerProjectionFailure,
     NonIntegralMultiplicity,
@@ -717,6 +718,32 @@ def test_beta_blocks_match_reference_loop(suite_seed):
     assert checked > 0
 
 
+def test_compositor_sub_blocks_land_in_their_block(monkeypatch):
+    # composite_block_iso writes each (witness, middle irrep) sub-block through
+    # a reshape of a row and column range of its block; np.reshape copies
+    # silently when it cannot make a view, and the write would then be lost.
+    # The sub-blocks fill disjoint places, so the blocks' squared norm is the
+    # sum of theirs exactly when every write lands.
+    suite = random_suite(5, n_spans=4, n_maps=3)
+    lams = [lambda_span(compose_spans(a, b)) for a in suite.spans for b in suite.spans
+            if a.target == b.source]
+    written = []
+    real = np.einsum
+
+    def recorded(subscripts, *operands):
+        out = real(subscripts, *operands)
+        if subscripts == "kab,pax,xy,qyb->kpq":
+            written.append(out)
+        return out
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    betas = [composite_block_iso(lam) for lam in lams]
+    monkeypatch.undo()
+    assert len(written) > len(lams)
+    total = sum(np.sum(np.abs(b) ** 2) for beta in betas for b in beta.blocks.values())
+    assert total > 0 and abs(total - sum(np.sum(np.abs(w) ** 2) for w in written)) < 1e-9
+
+
 def test_horizontal_check_catches_a_scaled_beta_block(monkeypatch):
     # scale one non-empty block of each top composite's compositor by
     # 1 + 1e-6; the bottom one is left alone, so naturality must fail
@@ -825,6 +852,36 @@ def test_verify_functoriality_identity_spans_only():
     report = verify_functoriality(SuiteConfig([one], spans, maps))
     assert report.ok
     assert report.max_deviation == 0.0
+
+
+def test_failed_checks_record_the_disagreement_they_measured():
+    # at tolerance 0 the dual paths of some default-suite span maps disagree,
+    # and such a check fails with the measured disagreement as its deviation,
+    # not 0.0; max_deviation covers every check, failed ones included
+    report = verify_functoriality(default_suite(tolerance=0.0))
+    noted = [r for r in report.results if "disagree by" in r.note]
+    assert noted and not any(r.passed for r in noted)
+    for r in noted:
+        measured = float(r.note.split("disagree by ")[1].split(" ")[0])
+        assert r.deviation == measured > 0.0, r
+    assert report.max_deviation == max(r.deviation for r in report.results) > 0.0
+
+
+def test_compositor_check_errors_fail_their_check(monkeypatch):
+    # a check-failure error raised inside the compositor section fails its
+    # check, with deviation inf since it measured none, instead of
+    # propagating; the other sections still run and pass
+    def failing(*args, **kwargs):
+        raise DimensionMismatch("injected failure")
+
+    monkeypatch.setattr(lincat.linearization, "beta_compositor", failing)
+    report = verify_functoriality(default_suite())
+    compositor = report.section("compositor")
+    assert compositor and all(
+        not r.passed and r.deviation == float("inf") and r.note == "injected failure"
+        for r in compositor)
+    assert all(r.passed for r in report.results if r.section != "compositor")
+    assert report.max_deviation == float("inf") and not report.ok
 
 
 def test_verify_functoriality_random_suite():
