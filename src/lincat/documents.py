@@ -2,15 +2,15 @@
 
 A document carries a ``definitions`` block of named entities plus the name of
 its payload.  Rationals serialize as {"num", "den"}, complex numbers as
-[re, im] pairs, matrices row-major.  Group documents may give the full
+[re, im] pairs, matrices row-major.  Group documents give either the full
 multiplication table or ``permutation_generators`` (one-line permutations),
 which are expanded by closure at parse time (with a size cap).
 
-``document_schema(kind)`` is the one schema of each kind.  A document is
-first checked by ``_conforms``, which reads the few keywords those schemas
-use and accepts only documents that satisfy them; any other document goes to
-jsonschema, which decides it and words every rejection.  So a valid document
-never imports jsonschema.
+``document_schema(kind)`` is the one schema of each kind, and
+``_schema_error`` is its one validator: it reads the few keywords those
+schemas use, as JSON Schema defines them, and words every rejection with the
+path of the first failing value.  Validating a document needs only the
+standard library; the test suite checks the validator against jsonschema.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -32,88 +31,67 @@ KINDS = ("group", "groupoid", "functor", "span", "spanmap", "suite")
 _INT_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}}
 _NAME = {"type": "string", "minLength": 1}
 
+
+def _record(properties, required=None):
+    """The schema of an object with no keys but ``properties``, all of them
+    required unless ``required`` lists some."""
+    return {
+        "type": "object",
+        "required": list(properties) if required is None else required,
+        "additionalProperties": False,
+        "properties": properties,
+    }
+
+
 _DEFINITIONS_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         "groups": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name"],
-                "additionalProperties": False,
-                "properties": {
+            "items": _record(
+                {
                     "name": _NAME,
                     "mult": _INT_MATRIX,
                     "permutation_generators": _INT_MATRIX,
                     "degree": {"type": "integer", "minimum": 0},
                 },
-            },
+                required=["name"],
+            ),
         },
         "groupoids": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "objects"],
-                "additionalProperties": False,
-                "properties": {
+            "items": _record(
+                {
                     "name": _NAME,
                     "objects": {
                         "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["name", "group"],
-                            "additionalProperties": False,
-                            "properties": {"name": _NAME, "group": _NAME},
-                        },
+                        "items": _record({"name": _NAME, "group": _NAME}),
                     },
-                },
-            },
+                }
+            ),
         },
         "functors": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "source", "target", "object_map", "hom_maps"],
-                "additionalProperties": False,
-                "properties": {
+            "items": _record(
+                {
                     "name": _NAME,
                     "source": _NAME,
                     "target": _NAME,
                     "object_map": {"type": "array", "items": {"type": "integer"}},
                     "hom_maps": _INT_MATRIX,
-                },
-            },
+                }
+            ),
         },
         "spans": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "apex", "left", "right"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": _NAME,
-                    "apex": _NAME,
-                    "left": _NAME,
-                    "right": _NAME,
-                },
-            },
+            "items": _record(dict.fromkeys(["name", "apex", "left", "right"], _NAME)),
         },
         "spanmaps": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "top", "bottom", "apex", "up", "down"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": _NAME,
-                    "top": _NAME,
-                    "bottom": _NAME,
-                    "apex": _NAME,
-                    "up": _NAME,
-                    "down": _NAME,
-                },
-            },
+            "items": _record(
+                dict.fromkeys(["name", "top", "bottom", "apex", "up", "down"], _NAME)
+            ),
         },
     },
 }
@@ -147,10 +125,15 @@ def document_schema(kind):
     }
 
 
-# the JSON types of the schemas; ``type(v) is int`` leaves out bool, which
-# jsonschema does too, and integral floats, which it accepts as integers
-_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
-# every keyword that ``_conforms`` decides; ``$schema`` and ``title`` are
+# the JSON types of the schemas, as JSON Schema defines them: 1.0 is an
+# integer and True is not
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: type(v) is int or isinstance(v, float) and v.is_integer(),
+}
+# every keyword that ``_schema_error`` decides; ``$schema`` and ``title`` are
 # annotations
 _KEYWORDS = frozenset(
     {"$schema", "title", "type", "properties", "required", "additionalProperties",
@@ -158,48 +141,38 @@ _KEYWORDS = frozenset(
 )
 
 
-def _conforms(schema, value) -> bool:
-    """True only if ``value`` satisfies ``schema``; False when it does not or
-    when this check cannot tell (a keyword outside ``_KEYWORDS``, a bool, a
-    float, a container other than dict or list).  False means "ask
-    jsonschema": this check never words a rejection."""
-    if not schema.keys() <= _KEYWORDS:
-        return False
-    t = type(value)
-    if t not in (dict, list, str, int):
-        return False
-    if "type" in schema and _TYPES.get(schema["type"]) is not t:
-        return False
-    if "const" in schema and not (type(schema["const"]) is str and value == schema["const"]):
-        return False
-    if t is str:
-        return len(value) >= schema.get("minLength", 0)
-    if t is int:
-        return "minimum" not in schema or value >= schema["minimum"]
-    if t is dict:
+def _schema_error(schema, value, path=()):
+    """``(path, message)`` of the first value that fails ``schema``, or None.
+    A node's keywords are checked in the order below, then its properties in
+    schema order and its items in index order; the messages are jsonschema's."""
+    t = schema.get("type")
+    if t is not None and not _TYPES[t](value):
+        return path, f"{value!r} is not of type {t!r}"
+    if "const" in schema and value != schema["const"]:
+        return path, f"{schema['const']!r} was expected"
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        return path, f"{value!r} should be non-empty"
+    if "minimum" in schema and type(value) in (int, float) and value < schema["minimum"]:
+        return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+    if isinstance(value, dict):
+        for k in schema.get("required", ()):
+            if k not in value:
+                return path, f"{k!r} is a required property"
         props = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        if not (extra is True or (extra is False and value.keys() <= props.keys())):
-            return False
-        return all(k in value for k in schema.get("required", ())) and all(
-            _conforms(sub, value[k]) for k, sub in props.items() if k in value
-        )
-    items = schema.get("items")
-    if items is None:
-        return True
-    return all(_conforms(items, v) for v in value)
-
-
-@cache
-def _validator(kind):
-    """The Draft 2020-12 validator of ``document_schema(kind)``, built once per
-    kind.  The schemas are constants, so they are checked against the
-    metaschema by the test suite rather than on every parse.  jsonschema is
-    imported here, for the first document that ``_conforms`` does not accept,
-    so that importing lincat or parsing a valid document does not pay for it."""
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(document_schema(kind))
+        if schema.get("additionalProperties", True) is False:
+            extra = sorted((k for k in value if k not in props), key=str)
+            if extra:
+                return path, "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"
+                )
+        for k, sub in props.items():
+            if k in value and (error := _schema_error(sub, value[k], (*path, k))):
+                return error
+    if isinstance(value, list) and "items" in schema:
+        for i, v in enumerate(value):
+            if error := _schema_error(schema["items"], v, (*path, i)):
+                return error
+    return None
 
 
 @dataclass
@@ -218,6 +191,8 @@ _SECTIONS = {
     "spans": "span",
     "spanmaps": "span map",
 }
+# the keys beside its name that a group definition may have
+_GROUP_KEYS = ({"mult"}, {"permutation_generators"}, {"permutation_generators", "degree"})
 
 
 class _Resolver:
@@ -235,126 +210,102 @@ class _Resolver:
                         f"duplicate {noun} name {spec['name']!r}",
                         path=["definitions", section, i, "name"],
                     )
+                if section == "groups" and spec.keys() - {"name"} not in _GROUP_KEYS:
+                    raise SchemaError(
+                        f"group {spec['name']!r} needs 'mult' or 'permutation_generators', "
+                        "and 'degree' only beside the generators",
+                        path=["definitions", section, i],
+                    )
                 specs[spec["name"]] = spec
-        self.groups = {}
-        self.groupoids = {}
-        self.functors = {}
-        self.spans = {}
-        self.spanmaps = {}
+        self.built = {}
 
-    def _spec(self, section, name):
-        spec = self.specs[section].get(name)
-        if spec is None:
-            raise UnresolvedReference(f"{_SECTIONS[section]} {name!r} is not defined")
-        return spec
+    def get(self, section, name):
+        """The value that definitions ``section`` names ``name``."""
+        if (section, name) not in self.built:
+            spec = self.specs[section].get(name)
+            if spec is None:
+                raise UnresolvedReference(f"{_SECTIONS[section]} {name!r} is not defined")
+            self.built[section, name] = self._BUILDERS[section](self, name, spec)
+        return self.built[section, name]
 
-    def group(self, name):
-        if name in self.groups:
-            return self.groups[name]
-        spec = self._spec("groups", name)
+    def _group(self, name, spec):
         if "mult" in spec:
-            g = validate_group(spec["mult"], name=name)
-        elif "permutation_generators" in spec:
-            gens = [[int(i) for i in p] for p in spec["permutation_generators"]]
-            degree = int(spec.get("degree", max((len(p) for p in gens), default=1)))
-            g = group_from_permutations(gens, degree, name=name)
-        else:
-            raise SchemaError(
-                f"group {name!r} needs 'mult' or 'permutation_generators'"
-            )
-        self.groups[name] = g
-        return g
+            return validate_group(spec["mult"], name=name)
+        gens = [[int(i) for i in p] for p in spec["permutation_generators"]]
+        degree = int(spec.get("degree", max((len(p) for p in gens), default=1)))
+        return group_from_permutations(gens, degree, name=name)
 
-    def groupoid(self, name):
-        if name in self.groupoids:
-            return self.groupoids[name]
-        spec = self._spec("groupoids", name)
-        objs = [(o["name"], self.group(o["group"])) for o in spec["objects"]]
-        gpd = Groupoid(objs, name=name)
-        self.groupoids[name] = gpd
-        return gpd
+    def _groupoid(self, name, spec):
+        return Groupoid(
+            [(o["name"], self.get("groups", o["group"])) for o in spec["objects"]], name=name
+        )
 
-    def functor(self, name):
-        if name in self.functors:
-            return self.functors[name]
-        spec = self._spec("functors", name)
-        src = self.groupoid(spec["source"])
-        tgt = self.groupoid(spec["target"])
+    def _functor(self, name, spec):
+        src = self.get("groupoids", spec["source"])
+        tgt = self.get("groupoids", spec["target"])
         omap = [int(i) for i in spec["object_map"]]
         if len(omap) != len(spec["hom_maps"]):
             raise IndexOutOfRange(
                 f"functor {name!r} has {len(omap)} object images but "
                 f"{len(spec['hom_maps'])} hom maps"
             )
-        homs = []
-        for i, table in enumerate(spec["hom_maps"]):
-            homs.append(GroupHom(src.aut(i), tgt.aut(omap[i]), np.array(table)))
-        fun = GroupoidFunctor(src, tgt, omap, homs)
-        self.functors[name] = fun
-        return fun
+        homs = [
+            GroupHom(src.aut(i), tgt.aut(omap[i]), np.array(table))
+            for i, table in enumerate(spec["hom_maps"])
+        ]
+        return GroupoidFunctor(src, tgt, omap, homs)
 
-    def span(self, name):
-        if name in self.spans:
-            return self.spans[name]
-        spec = self._spec("spans", name)
-        s = Span(
-            self.groupoid(spec["apex"]),
-            self.functor(spec["left"]),
-            self.functor(spec["right"]),
+    def _span(self, name, spec):
+        return Span(
+            self.get("groupoids", spec["apex"]),
+            self.get("functors", spec["left"]),
+            self.get("functors", spec["right"]),
         )
-        self.spans[name] = s
-        return s
 
-    def spanmap(self, name):
-        if name in self.spanmaps:
-            return self.spanmaps[name]
-        spec = self._spec("spanmaps", name)
-        sm = SpanMap(
-            self.span(spec["top"]),
-            self.span(spec["bottom"]),
-            self.groupoid(spec["apex"]),
-            self.functor(spec["up"]),
-            self.functor(spec["down"]),
+    def _spanmap(self, name, spec):
+        return SpanMap(
+            self.get("spans", spec["top"]),
+            self.get("spans", spec["bottom"]),
+            self.get("groupoids", spec["apex"]),
+            self.get("functors", spec["up"]),
+            self.get("functors", spec["down"]),
         )
-        self.spanmaps[name] = sm
-        return sm
+
+    _BUILDERS = {
+        "groups": _group,
+        "groupoids": _groupoid,
+        "functors": _functor,
+        "spans": _span,
+        "spanmaps": _spanmap,
+    }
+
+
+# the definitions section of each kind's payload; a suite's payload lists
+# names from the sections of ``_SUITE_PAYLOAD``
+_KIND_SECTIONS = {kind: kind + "s" for kind in KINDS if kind != "suite"}
 
 
 def parse_obj(data) -> Document:
     """Validate a raw document object and resolve its payload.  A document
-    that ``_conforms`` does not accept is validated by jsonschema, so every
-    schema error is jsonschema's message and path."""
+    that fails its schema raises SchemaError with the path of the first
+    failing value."""
     if not isinstance(data, dict):
         raise SchemaError("a document must be a JSON object")
     kind = data.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown or missing document kind {kind!r}")
-    if not _conforms(document_schema(kind), data):
-        validator = _validator(kind)
-        from jsonschema.exceptions import best_match
-
-        # the error jsonschema.validate would raise: the best match among all
-        error = best_match(validator.iter_errors(data))
-        if error is not None:
-            raise SchemaError(error.message, path=list(error.absolute_path))
+    error = _schema_error(document_schema(kind), data)
+    if error is not None:
+        raise SchemaError(error[1], path=error[0])
     resolver = _Resolver(data.get("definitions", {}))
     payload_name = data["payload"]
-    if kind == "group":
-        payload = resolver.group(payload_name)
-    elif kind == "groupoid":
-        payload = resolver.groupoid(payload_name)
-    elif kind == "functor":
-        payload = resolver.functor(payload_name)
-    elif kind == "span":
-        payload = resolver.span(payload_name)
-    elif kind == "spanmap":
-        payload = resolver.spanmap(payload_name)
-    else:
+    if kind == "suite":
         payload = {
-            "groupoids": [resolver.groupoid(n) for n in payload_name.get("groupoids", [])],
-            "spans": [resolver.span(n) for n in payload_name.get("spans", [])],
-            "spanmaps": [resolver.spanmap(n) for n in payload_name.get("spanmaps", [])],
+            section: [resolver.get(section, n) for n in payload_name.get(section, [])]
+            for section in _SUITE_PAYLOAD["properties"]
         }
+    else:
+        payload = resolver.get(_KIND_SECTIONS[kind], payload_name)
     name = payload_name if isinstance(payload_name, str) else "main"
     return Document(kind, payload, data["format_version"], name)
 
@@ -364,7 +315,9 @@ def parse(path) -> Document:
     with open(path, "rb") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON, undecodable bytes or a number with
+            # too many digits; RecursionError: nesting too deep to decode
             raise SchemaError(f"not valid JSON: {exc}") from None
     return parse_obj(data)
 
@@ -376,7 +329,7 @@ class _Collector:
         self.defs = {k: [] for k in _SECTIONS}
         self._names = {k: {} for k in self.defs}
 
-    def _intern(self, section, obj, key, build, prefer=None):
+    def _intern(self, section, key, build, prefer=None):
         known = self._names[section]
         if key in known:
             return known[key]
@@ -395,7 +348,6 @@ class _Collector:
     def group(self, g: FinGroup):
         return self._intern(
             "groups",
-            g,
             g.fingerprint,
             lambda name: {"name": name, "mult": g.mult.tolist()},
             prefer=g.name,
@@ -404,7 +356,6 @@ class _Collector:
     def groupoid(self, gpd: Groupoid):
         return self._intern(
             "groupoids",
-            gpd,
             ("gpd", gpd.key),
             lambda name: {
                 "name": name,
@@ -418,7 +369,6 @@ class _Collector:
     def functor(self, f: GroupoidFunctor, prefer=None):
         return self._intern(
             "functors",
-            f,
             ("fun", f.key),
             lambda name: {
                 "name": name,
@@ -434,7 +384,6 @@ class _Collector:
         key = ("span", self.functor(s.left), self.functor(s.right))
         return self._intern(
             "spans",
-            s,
             key,
             lambda name: {
                 "name": name,
@@ -455,7 +404,6 @@ class _Collector:
         )
         return self._intern(
             "spanmaps",
-            sm,
             key,
             lambda name: {
                 "name": name,

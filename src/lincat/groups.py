@@ -379,9 +379,11 @@ def group_from_permutations(generators, n_points, name=None):
     as soon as the closure would hold more than MAX_GROUP_ORDER elements, or
     more permutation entries than MAX_DENSE_BYTES holds int64 numbers (the
     closure, its array and each row of products hold that many).
-    Raises IndexOutOfRange, naming the generator's position, when a generator
-    is not a permutation of 0..n_points-1: a point list of another length, a
-    point outside that range, or a repeated point."""
+    Raises IndexOutOfRange for n_points < 0, and, naming the generator's
+    position, when a generator is not a permutation of 0..n_points-1: a point
+    list of another length, a point outside that range, or a repeated point."""
+    if n_points < 0:
+        raise IndexOutOfRange(f"a permutation group needs n_points >= 0, got {n_points}")
     if n_points > MAX_DEGREE:
         raise InputTooLarge(
             f"permutations of {n_points} points are above the limit of {MAX_DEGREE}"

@@ -86,6 +86,22 @@ def test_missing_file_exit_2(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    # a UTF-16 byte-order mark before UTF-8 text, nesting deeper than the
+    # decoder's recursion limit, and more digits than int() converts
+    [b"\xff\xfe{}\n", b"[" * 100_000, b"1" * 5000],
+    ids=["utf16-bom", "deep-nesting", "long-integer"],
+)
+def test_undecodable_file_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "card", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def _groupoid_doc(group_spec):
     return {
         "format_version": "1",
@@ -337,24 +353,25 @@ def test_bad_tolerance_exit_2(capsys, tol):
 
 
 def test_valid_documents_parse_without_jsonschema():
+    # jsonschema is unimportable: the schema check needs none of it
     src = pathlib.Path(lincat.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
     code = (
-        "import sys, lincat.cli\n"
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "import lincat.cli\n"
         "from lincat.documents import parse_obj\n"
         "from lincat.errors import SchemaError\n"
         "data = sys.argv[1]\n"
         "assert lincat.cli.main(['--output', 'json', 'card', data + '/bz2.json']) == 0\n"
         "assert lincat.cli.main(['--output', 'json', 'verify', '--suite',\n"
         "                        data + '/suite_small.json']) == 0\n"
-        "assert 'jsonschema' not in sys.modules\n"
         "try:\n"
         "    parse_obj({'format_version': '1', 'kind': 'group', 'payload': 'x',\n"
         "               'definitions': {'groups': [{'mult': [[0]]}]}})\n"
         "except SchemaError as exc:\n"
         "    print(exc, exc.path, file=sys.stderr)\n"
-        "assert 'jsonschema' in sys.modules\n"
     )
     done = subprocess.run([sys.executable, "-c", code, str(src / "lincat" / "data")],
                           env=env, capture_output=True, text=True)

@@ -13,7 +13,7 @@ from lincat.documents import (
     _KEYWORDS,
     _TYPES,
     KINDS,
-    _conforms,
+    _schema_error,
     document_schema,
     parse,
     parse_obj,
@@ -207,6 +207,12 @@ def test_document_schema_passes_the_metaschema(kind):
     jsonschema.Draft202012Validator.check_schema(document_schema(kind))
 
 
+def _jsonschema_paths(schema, value):
+    """The path of every error jsonschema finds in ``value``."""
+    return [list(e.absolute_path)
+            for e in jsonschema.Draft202012Validator(schema).iter_errors(value)]
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -236,13 +242,50 @@ def test_document_schema_passes_the_metaschema(kind):
     ids=["group", "span", "suite"],
 )
 def test_schema_error_matches_jsonschema_validate(data):
-    with pytest.raises(jsonschema.ValidationError) as want:
-        jsonschema.validate(data, document_schema(data["kind"]))
+    # a path of jsonschema's errors, so jsonschema rejects the document too
     with pytest.raises(SchemaError) as got:
         parse_obj(data)
-    expected = SchemaError(want.value.message, path=list(want.value.absolute_path))
-    assert str(got.value) == str(expected)
-    assert got.value.path == expected.path
+    assert got.value.path in _jsonschema_paths(document_schema(data["kind"]), data)
+
+
+def _suite_doc(**changes):
+    return {"format_version": "1", "kind": "suite", "definitions": {}, "payload": {},
+            **changes}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_suite_doc(definitions=[]), "[] is not of type 'object' (at definitions)"),
+        (_suite_doc(format_version=1), "'1' was expected (at format_version)"),
+        (_suite_doc(payload={"spans": [""]}), "'' should be non-empty (at payload/spans/0)"),
+        (
+            _suite_doc(definitions={"groups": [{"name": "G", "degree": -1.0}]}),
+            "-1.0 is less than the minimum of 0 (at definitions/groups/0/degree)",
+        ),
+        (
+            _suite_doc(definitions={"spans": [{"name": "s", "left": "f", "right": "f"}]}),
+            "'apex' is a required property (at definitions/spans/0)",
+        ),
+        (
+            _suite_doc(extra=1),
+            "Additional properties are not allowed ('extra' was unexpected)",
+        ),
+        (
+            _suite_doc(payload={"spans": [], "x": [], "b": []}),
+            "Additional properties are not allowed ('b', 'x' were unexpected) (at payload)",
+        ),
+    ],
+    ids=["type", "const", "minLength", "minimum", "required", "additionalProperties",
+         "additionalProperties-two"],
+)
+def test_schema_error_words_each_keyword(data, message):
+    # one error per document, worded as jsonschema words it
+    with pytest.raises(SchemaError) as err:
+        parse_obj(data)
+    assert str(err.value) == message
+    [want] = jsonschema.Draft202012Validator(document_schema("suite")).iter_errors(data)
+    assert str(SchemaError(want.message, path=want.absolute_path)) == message
 
 
 ROUND_TRIP = {
@@ -337,9 +380,8 @@ def _swap_functor_doc(object_map):
     ids=["permutation_generators", "degree", "object_map"],
 )
 def test_integral_floats_parse_like_integers(floats, ints):
-    # jsonschema accepts 1.0 as an integer; the acceptance check leaves such
-    # documents to it, and the resolver converts the fields that index
-    assert not _conforms(document_schema(floats["kind"]), floats)
+    # JSON Schema accepts 1.0 as an integer, and the resolver converts the
+    # fields that index
     assert parse_obj(floats).payload == parse_obj(ints).payload
 
 
@@ -349,6 +391,20 @@ def test_duplicate_definition_name():
     with pytest.raises(SchemaError, match="duplicate group name 'G'") as err:
         parse_obj(doc)
     assert err.value.path == ["definitions", "groups", 1, "name"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"mult": [[0]], "permutation_generators": [[1, 0]]}, {}, {"mult": [[0]], "degree": 1}],
+    ids=["both", "neither", "degree-with-mult"],
+)
+def test_group_definition_needs_mult_or_generators(spec):
+    # checked for every definition, also one that nothing uses
+    doc = _group_doc({"mult": [[0]]})
+    doc["definitions"]["groups"].append({"name": "H", **spec})
+    with pytest.raises(SchemaError, match="group 'H' needs 'mult' or") as err:
+        parse_obj(doc)
+    assert err.value.path == ["definitions", "groups", 1]
 
 
 def _subschemas(schema):
@@ -361,11 +417,13 @@ def _subschemas(schema):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_conforms_reads_every_schema_keyword(kind):
-    # a keyword the acceptance check does not read would send every document
-    # to jsonschema; this fails first
+    # the schema check ignores a keyword outside _KEYWORDS, a type outside
+    # _TYPES and an additionalProperties schema, so a schema that gains one
+    # fails here first
     subschemas = list(_subschemas(document_schema(kind)))
     assert {k for sub in subschemas for k in sub} <= _KEYWORDS
     assert {sub["type"] for sub in subschemas if "type" in sub} <= set(_TYPES)
+    assert {sub.get("additionalProperties", False) for sub in subschemas} == {False}
 
 
 FIXTURES = {p.name: json.loads(p.read_text()) for p in sorted(pathlib.Path(DATA).glob("*.json"))}
@@ -375,7 +433,7 @@ SERIALIZED = {k: json.loads(serialize(v)) for k, v in ROUND_TRIP.items()}
 @pytest.mark.parametrize("data", [*FIXTURES.values(), *SERIALIZED.values()],
                          ids=[*FIXTURES, *SERIALIZED])
 def test_conforms_accepts_the_fixtures_and_serialized_values(data):
-    assert _conforms(document_schema(data["kind"]), data)
+    assert _schema_error(document_schema(data["kind"]), data) is None
 
 
 # permutation generators and a degree, which no fixture or serialized value has
@@ -387,22 +445,28 @@ PERMUTATION_GROUP = _group_doc({"permutation_generators": [[1, 2, 0], [1, 0, 2]]
     [
         (document_schema("group"), _group_doc({"permutation_generators": [], "degree": -1})),
         (document_schema("group"), {**_group_doc({"mult": [[0]]}), "payload": ""}),
-        ({"type": "integer"}, 1.0),
+        ({"type": "string"}, 1.0),
         ({"type": "integer"}, True),
         ({"minimum": 0}, -1.0),
         ({"type": "array"}, (1,)),
-        ({"const": 1}, 1),
-        ({"anyOf": [{}]}, 1),
-        ({"type": "object", "additionalProperties": {}}, {}),
+        ({"const": "1"}, 1),
+        ({"type": "integer", "minimum": 2}, 1),
+        ({"type": "object", "additionalProperties": False}, {"x": 1}),
+        ({"type": "object", "required": ["name"]}, {"names": "G"}),
+        ({"type": "array", "items": {"type": "integer"}}, [0, 2.5]),
+        ({"type": "integer"}, float("nan")),
+        ({"type": "integer"}, float("inf")),
     ],
 )
 def test_conforms_declines_invalid_and_undecided_values(schema, value):
-    # False asks jsonschema: a degree below 0 and an empty name fail the
-    # schema, and jsonschema accepts some of the others
-    assert not _conforms(schema, value)
+    # each keyword the schemas use rejects a value, where jsonschema does
+    error = _schema_error(schema, value)
+    assert error is not None
+    assert list(error[0]) in _jsonschema_paths(schema, value)
 
 
-_SWAPS = [1.0, True, "", None, [], {}, 10**20, -1, -(10**20), 0, "G", "1"]
+_SWAPS = [1.0, True, "", None, [], {}, 10**20, -1, -(10**20), 0, "G", "1",
+          2.5, False, 1e20, -1.0, float("nan"), float("inf")]
 
 
 def _nodes(value, parent=None, key=None):
@@ -415,8 +479,9 @@ def _nodes(value, parent=None, key=None):
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(st.sampled_from([*FIXTURES.values(), *SERIALIZED.values(), PERMUTATION_GROUP]), st.data())
-def test_conforms_is_sound_on_mutants(base, data):
-    # wherever the acceptance check accepts, jsonschema finds no error
+def test_conforms_agrees_with_jsonschema_on_mutants(base, data):
+    # the schema check and jsonschema accept the same documents, and each
+    # rejection's path is one of jsonschema's error paths
     def swap():
         return copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
 
@@ -434,8 +499,10 @@ def test_conforms_is_sound_on_mutants(base, data):
         elif parent is not None:
             parent[key] = swap()
     schema = document_schema(base["kind"])
-    if _conforms(schema, doc):
-        assert list(jsonschema.Draft202012Validator(schema).iter_errors(doc)) == []
+    error, paths = _schema_error(schema, doc), _jsonschema_paths(schema, doc)
+    assert (error is None) == (paths == [])
+    if error is not None:
+        assert list(error[0]) in paths
 
 
 # serialize of every span, span map and composable pair's composite of

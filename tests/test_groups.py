@@ -336,15 +336,18 @@ def test_symmetric_group_size_guard(monkeypatch):
 
 @pytest.mark.parametrize("n", [-1, -3])
 def test_symmetric_group_refuses_negative_degree(monkeypatch, n):
-    # a negative degree is refused before anything is enumerated; S0 stays
-    # the trivial group
+    # a negative degree is refused before anything is enumerated, also by
+    # group_from_permutations; S0 stays the trivial group
     with monkeypatch.context() as m:
         m.setattr(itertools, "permutations", _refuse)
         m.setattr(lincat.groups, "_permutation_group", _refuse)
         with pytest.raises(IndexOutOfRange, match=f"S{n}: "):
             symmetric_group(n)
+        with pytest.raises(IndexOutOfRange, match=f"n_points >= 0, got {n}"):
+            group_from_permutations([], n)
     trivial = symmetric_group(0)
     assert trivial.order == 1 and trivial.name == "S0"
+    assert group_from_permutations([], 0) == trivial
 
 
 def test_group_from_permutations_entry_guard(monkeypatch):
