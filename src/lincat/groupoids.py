@@ -2,8 +2,9 @@
 
 A groupoid is stored skeletally: an ordered tuple of objects, each carrying
 its automorphism group.  Distinct objects are non-isomorphic by fiat.  As
-for homs (``GroupHom.key``), a groupoid's and a functor's value is its
-``key``, which equality, hashing and every cache key of them read.
+for homs (``GroupHom.key``), the value of a groupoid, functor, span or span
+map is its ``key``, which equality, hashing (``_ByKey``) and every cache key
+of it read.
 
 Weak pullbacks are computed as comma categories: isomorphism classes of
 objects over a pair (a, b) with f(a) = g(b) = c correspond to double cosets
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +56,17 @@ from .groups import (
 )
 
 
-class Groupoid:
+class _ByKey:
+    """Equality and hashing by the value ``key``."""
+
+    def __eq__(self, other):
+        return other is self or isinstance(other, type(self)) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class Groupoid(_ByKey):
     """Ordered tuple of (name, automorphism group) pairs; may be empty.
 
     ``key``, the objects' names and group tables, is the groupoid's value:
@@ -76,12 +88,6 @@ class Groupoid:
 
     def __len__(self):
         return len(self.objects)
-
-    def __eq__(self, other):
-        return other is self or isinstance(other, Groupoid) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"Groupoid({self.name!r}, {len(self)} objects)"
@@ -116,7 +122,7 @@ def disjoint_union(x: Groupoid, y: Groupoid, name=None) -> Groupoid:
     return Groupoid(x.objects + y.objects, name=name)
 
 
-class GroupoidFunctor:
+class GroupoidFunctor(_ByKey):
     """Object map plus one group homomorphism per source object."""
 
     def __init__(self, source: Groupoid, target: Groupoid, object_map, hom_maps):
@@ -189,28 +195,23 @@ class GroupoidFunctor:
         return (self.source.key, self.target.key, self.object_map.tobytes(),
                 tuple(h.map.tobytes() for h in self.hom_maps))
 
-    def __eq__(self, other):
-        return isinstance(other, GroupoidFunctor) and self.key == other.key
 
-    def __hash__(self):
-        return hash(self.key)
-
-
-@dataclass
-class Span:
+@dataclass(eq=False)
+class Span(_ByKey):
     """A diagram  source <- apex -> target  of groupoid functors.
 
     A span built by ``compose_spans`` keeps in ``comma`` the comma category
     whose skeleton is its apex and in ``factors`` the pair of spans it
-    composes; any other span has None in both.  Equality and serialization
-    ignore them.
+    composes; any other span has None in both.  Its value, ``key``, is its
+    legs' keys (computed once): equality, hashing and serialization ignore
+    the two.
     """
 
     apex: Groupoid
     left: GroupoidFunctor
     right: GroupoidFunctor
-    comma: CommaCategory = field(default=None, compare=False, repr=False)
-    factors: tuple = field(default=None, compare=False, repr=False)
+    comma: CommaCategory = field(default=None, repr=False)
+    factors: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.left.source != self.apex or self.right.source != self.apex:
@@ -224,13 +225,9 @@ class Span:
     def target(self) -> Groupoid:
         return self.right.target
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Span)
-            and self.apex == other.apex
-            and self.left == other.left
-            and self.right == other.right
-        )
+    @cached_property
+    def key(self):
+        return self.left.key, self.right.key
 
 
 def identity_span(a: Groupoid) -> Span:
@@ -243,13 +240,13 @@ def reverse_span(x: Span) -> Span:
     return Span(x.apex, x.right, x.left)
 
 
-class SpanMap:
+class SpanMap(_ByKey):
     """A span between two parallel spans, commuting strictly.
 
     ``up`` runs from the apex to the top span's apex, ``down`` to the bottom
     span's apex.  Strictness means top.left . up == bottom.left . down and
     top.right . up == bottom.right . down as functors, on objects and on
-    group elements.
+    group elements.  Its value, ``key``, is its spans' and legs' keys (computed once).
     """
 
     def __init__(self, top: Span, bottom: Span, apex: Groupoid, up, down):
@@ -274,15 +271,9 @@ class SpanMap:
         f = GroupoidFunctor.identity(x.apex)
         return cls(x, x, x.apex, f, f)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpanMap)
-            and self.top == other.top
-            and self.bottom == other.bottom
-            and self.apex == other.apex
-            and self.up == other.up
-            and self.down == other.down
-        )
+    @cached_property
+    def key(self):
+        return self.top.key, self.bottom.key, self.up.key, self.down.key
 
 
 # ---------------------------------------------------------------------------

@@ -66,24 +66,21 @@ a tolerance: one bounds only the dual path and the suite's float checks.
 
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
 read, its models afresh.  A run memo (in a context variable, so concurrent
-runs keep their own) is the only way work is shared: dims blocks and leg
-entries by leg key; dual-path pieces by their homs' value keys and models;
-and the results of the inputs the run registers by identity, so
-``lambda_span`` and ``lambda_spanmap`` build each once.
-``verify_functoriality`` opens one for its call, registering its
-spans, its span maps and those maps' top and bottom spans; a
-``lambda_spanmap`` call outside it opens one registering its span map and
-that map's top and bottom spans.  Composites are not kept, since each is
-read by the one check that builds it.  ``verify_functoriality`` runs one
-check per law in one loop, which gives a failed check the disagreement its
-error measured, or inf.  Only the vertical and horizontal checks build models.
+runs keep their own) is the only way work is shared, and it shares by value:
+dims blocks and leg entries by leg key, dual-path pieces by their homs' value
+keys and models, and (``_once``) the linearizations of the spans and span
+maps the run was given, the composite of two given spans and its compositor;
+no other composite's.  ``verify_functoriality`` opens one given its spans,
+its span maps and their top and bottom spans, and runs one check per law in
+one loop, which gives a failed check the disagreement its error measured, or
+inf.  Only the vertical and horizontal checks build models.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import islice
@@ -194,11 +191,10 @@ class LambdaSpanResult:
 
 @dataclass
 class _RunMemo:
-    """Work shared by every check of one ``verify_functoriality`` call, or
-    by the spans of one ``lambda_spanmap`` call outside it."""
+    """The work one run shares (see the module docstring)."""
 
-    inputs: dict  # id -> input span, span map or map's top/bottom span
-    results: dict = field(default_factory=dict)  # (id, seed[, tol, check]) -> result
+    inputs: set  # memo keys of the given spans, span maps and maps' top/bottom spans
+    results: dict = field(default_factory=dict)  # (kind, memo keys) -> result
     dims: dict = field(default_factory=dict)     # leg key -> dims block
     legs: dict = field(default_factory=dict)     # leg key -> entries
     pieces: dict = field(default_factory=dict)   # dual-path transfer pieces
@@ -210,24 +206,31 @@ _RUN = contextvars.ContextVar("lincat_run_memo", default=None)
 
 @contextlib.contextmanager
 def _run_memo(inputs):
-    """A run memo registering ``inputs``, set in this context for the body."""
-    token = _RUN.set(_RunMemo({id(obj): obj for obj in inputs}))
+    """A run memo given the spans and span maps ``inputs``, for the body."""
+    token = _RUN.set(_RunMemo({_memo_key(v) for v in inputs}))
     try:
         yield
     finally:
         _RUN.reset(token)
 
 
-def _once(obj, build, *args):
-    """``build(obj, *args)``; inside a run, the result for an input the run
-    registered is built once and kept, keyed by the input's identity."""
+def _memo_key(v):
+    """A span's or span map's value key and its feet's structure keys, which
+    fix their irreps where the value key fixes only their tables."""
+    x = v.top if isinstance(v, SpanMap) else v
+    return v.key, tuple(_structure_key(g) for a in (x.source, x.target) for _, g in a.objects)
+
+
+def _once(kind, values, build):
+    """``build()``, kept by a run given every span or span map in ``values``,
+    by ``kind`` (a name and arguments) and the values' memo keys."""
     run = _RUN.get()
-    if run is None or id(obj) not in run.inputs:
-        return build(obj, *args)
-    key = (id(obj), *args)
-    if key not in run.results:
-        run.results[key] = build(obj, *args)
-    return run.results[key]
+    keys = () if run is None else tuple(map(_memo_key, values))
+    if run is None or not run.inputs.issuperset(keys):
+        return build()
+    if (kind, keys) not in run.results:
+        run.results[kind, keys] = build()
+    return run.results[kind, keys]
 
 
 def lambda_span(x: Span, seed=DEFAULT_SEED) -> LambdaSpanResult:
@@ -236,7 +239,9 @@ def lambda_span(x: Span, seed=DEFAULT_SEED) -> LambdaSpanResult:
     ``map.dims`` and ``witnesses`` come from characters; ``details`` and
     ``map.hom_bases`` (the models and intertwiner bases) are built on first
     access."""
-    return _once(x, _lambda_span, seed)
+    lam = _once(("lambda_span", seed), (x,), lambda: _lambda_span(x, seed))
+    # a kept result may be an equal span's, with another comma and factors
+    return lam if lam.span is x else replace(lam, span=x)
 
 
 def _lambda_span(x: Span, seed) -> LambdaSpanResult:
@@ -419,16 +424,18 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
     orthogonal projection whose image holds b, so <b, P f> = <b, f>, and the
     block is the entry's weighted Gram matrix.  When ``check`` is set, the
     same blocks are recomputed by pasting unit/counit matrices on induced
-    models and the two answers must agree within ``tol``.  Outside
-    ``verify_functoriality`` the call opens a run memo of its own that
-    registers y, y.top and y.bottom, so the top and bottom spans share dims
-    blocks and models by leg key, and are linearized once when they are one
-    span.
+    models and the two answers must agree within ``tol``.  Outside a run the
+    call opens one given y, y.top and y.bottom, so equal top and bottom spans
+    are linearized once, and the two share dims blocks and models by leg key.
     """
     if _RUN.get() is None:
         with _run_memo([y, y.top, y.bottom]):
             return _lambda_spanmap(y, seed, tol, check)
-    return _once(y, _lambda_spanmap, seed, tol, check)
+    res = _once(("lambda_spanmap", seed, tol, check), (y,),
+                lambda: _lambda_spanmap(y, seed, tol, check))
+    return res if res.spanmap is y else replace(
+        res, spanmap=y, source_result=lambda_span(y.top, seed=seed),
+        target_result=lambda_span(y.bottom, seed=seed))
 
 
 def _lambda_spanmap(y: SpanMap, seed, tol, check) -> LambdaSpanMapResult:
@@ -476,11 +483,8 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
     bottom one f2 projects back by the counit kernel on W2(h) f2, divided by
     kappa = #Aut(a2) / (#Aut(x2) * dim W2).  The sub-block is the trace of
     projection . T . embedding over W2, divided by dim W2, in one contraction.
-    A piece depends only on its homs and models, which ``lambda_span``
-    shares between apex objects with equal leg homs; each distinct piece is
-    built once per run memo (of the ``lambda_spanmap`` call, or of
-    ``verify_functoriality``), keyed by its models and its homs' value keys,
-    which are read once per apex object and call."""
+    A piece depends only on its homs and models, so each distinct one is
+    built once per run memo, keyed by its models and its homs' value keys."""
     run = _RUN.get()
     pieces = run.pieces if run is not None else {}
     over = {}  # (x1, x2) -> the span-map apex objects over them
@@ -574,9 +578,10 @@ def _transfer_piece(s_hom, t_hom, r1_top, ind_top, r1_bot, ind_bot):
 def _check_dual_path(y, lam_top, lam_bot, morphism, tol):
     """Recompute every block by the unit/counit route (``_dual_path``) and
     raise IntertwinerProjectionFailure with the disagreement (``deviation``)
-    and its worst entry, unless it agrees with ``morphism`` within ``tol``."""
+    and its worst entry, unless it agrees with ``morphism`` within ``tol``
+    (NaN never does)."""
     dev, key = _blocks_deviation(_dual_path(y, lam_top, lam_bot), morphism)
-    if dev > tol:
+    if not dev <= tol:
         raise IntertwinerProjectionFailure(
             f"closed-form and unit/counit paths disagree by {dev} "
             f"at entry ({key[0]},{key[1]})", deviation=dev
@@ -645,7 +650,7 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED) -> BetaReport:
     dims come from characters, rounded by ``rep._integral``: no tolerance
     enters.  The three spans are linearized with ``seed``, so that inside
     ``verify_functoriality`` they are the results the other checks read."""
-    composite = compose_spans(x, xp)
+    composite = _composite(x, xp)
     cat = composite.comma
     lam_x = lambda_span(x, seed=seed)
     lam_xp = lambda_span(xp, seed=seed)
@@ -680,6 +685,17 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
         orbits += reached
         uneven |= reached & (counts != len(hs))
     return GammaWitness(pair, unsolved + int(np.count_nonzero(uneven | (orbits != 1))))
+
+
+def _composite(x: Span, xp: Span) -> Span:
+    """``compose_spans(x, xp)``, kept by a run given x and xp."""
+    return _once(("compose_spans",), (x, xp), lambda: compose_spans(x, xp))
+
+
+def _beta(lam_c: LambdaSpanResult) -> TwoMorphism:
+    """``composite_block_iso(lam_c)``, kept by its factors' keys, not the composite's."""
+    return _once(("composite_block_iso", lam_c.seed), lam_c.span.factors,
+                 lambda: composite_block_iso(lam_c))
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +806,8 @@ class FunctorialityReport:
 
     @property
     def max_deviation(self):
-        """The largest deviation of any check, failed ones included."""
-        return max((r.deviation for r in self.results), default=0.0)
+        """The largest deviation of any check, failed ones included, or NaN."""
+        return float(np.max([r.deviation for r in self.results], initial=0.0))
 
     def section(self, name):
         return [r for r in self.results if r.section == name]
@@ -814,21 +830,17 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
     disagreement it measured as the deviation, or inf when it measured none;
     other errors, such as ``InputTooLarge``, propagate.
 
-    The call's run memo registers the spans, the span maps and the maps' top
-    and bottom spans: each is linearized at most once, when a check first
-    needs it.  Every span linearized during the call shares the dims blocks
-    and models of equal leg keys, and every span map the dual-path pieces of
-    equal keys.  These results live only for this call."""
+    Its run memo (see the module docstring) is given the spans, the span maps
+    and their top and bottom spans, and lives only for the call."""
     inputs = [*config.spans, *config.spanmaps]
     inputs += [x for y in config.spanmaps for x in (y.top, y.bottom)]
     report = FunctorialityReport()
-    composites = {}  # of input span pairs: the compositor's, read by the associator
     with _run_memo(inputs):
         for section, check, cases, label in _sections(config):
             for case in cases:
                 name = label.format(*case)
                 try:
-                    passed, dev, note = check(config, composites, *case)
+                    passed, dev, note = check(config, *case)
                 except StrictnessViolation as exc:
                     report.skipped.append(f"{section} {name}: {exc}")
                     continue
@@ -840,8 +852,8 @@ def verify_functoriality(config: SuiteConfig) -> FunctorialityReport:
 
 
 def _sections(config: SuiteConfig):
-    """Per section, in report order: its name, its law's check (suite, shared
-    composites and a case's indices -> (passed, deviation, note)), its cases
+    """Per section, in report order: its name, its law's check (suite and a
+    case's indices -> (passed, deviation, note)), its cases
     (lazily, in enumeration order) and the format of a case's name."""
     spans, maps = config.spans, config.spanmaps
     compositor = _pairs(spans, lambda a, b: a.target == b.source)
@@ -859,26 +871,22 @@ def _sections(config: SuiteConfig):
              "map[{}] * map[{}]"))
 
 
-def _check_compositor(config, composites, i, j):
+def _check_compositor(config, i, j):
     """The composite's dims are the product's, and every gamma is a bijection."""
     rep = beta_compositor(config.spans[i], config.spans[j], seed=config.seed)
-    composites[i, j] = rep.composite
     return rep.ok(), rep.max_defect, f"max gamma condition {rep.max_condition_number:.2e}"
 
 
-def _check_associator(config, composites, i, j, k):
+def _check_associator(config, i, j, k):
     """Both bracketings of the triple have equal dims."""
     spans = config.spans
-    for p, q in ((i, j), (j, k)):
-        if (p, q) not in composites:
-            composites[p, q] = compose_spans(spans[p], spans[q])
     dl, dr = (lambda_span(x, seed=config.seed).map.dims
-              for x in (compose_spans(composites[i, j], spans[k]),
-                        compose_spans(spans[i], composites[j, k])))
+              for x in (compose_spans(_composite(spans[i], spans[j]), spans[k]),
+                        compose_spans(spans[i], _composite(spans[j], spans[k]))))
     return bool(np.array_equal(dl, dr)), 0.0, ""
 
 
-def _check_unitor(config, composites, i):
+def _check_unitor(config, i):
     """The span composed with an identity span on either side has its dims."""
     s, seed = config.spans[i], config.seed
     dims = lambda_span(s, seed=seed).map.dims
@@ -888,7 +896,7 @@ def _check_unitor(config, composites, i):
     return bool(ok), 0.0, ""
 
 
-def _check_vertical(config, composites, i, j):
+def _check_vertical(config, i, j):
     """Lambda(y ; y') = Lambda(y') . Lambda(y), within 10 times the tolerance."""
     y, yp = config.spanmaps[i], config.spanmaps[j]
     lhs, first, second = (lambda_spanmap(z, seed=config.seed, tol=config.tolerance).morphism
@@ -897,14 +905,13 @@ def _check_vertical(config, composites, i, j):
     return dev < config.tolerance * 10, dev, ""
 
 
-def _check_horizontal(config, composites, i, j):
+def _check_horizontal(config, i, j):
     """beta is natural: Lambda(y * y') . beta_top = beta_bot . (Lambda(y') o Lambda(y))."""
     y, yp = config.spanmaps[i], config.spanmaps[j]
     lam_comp, lam_yp, lam_y = (lambda_spanmap(z, seed=config.seed, tol=config.tolerance)
                                for z in (horizontal_compose_spanmaps(y, yp), yp, y))
     hcomp = hcompose_2morph(lam_yp.morphism, lam_y.morphism)
-    beta_top = composite_block_iso(lam_comp.source_result)
-    beta_bot = composite_block_iso(lam_comp.target_result)
+    beta_top, beta_bot = _beta(lam_comp.source_result), _beta(lam_comp.target_result)
     dev, _ = _blocks_deviation(vcompose_2morph(beta_top, lam_comp.morphism),
                                vcompose_2morph(hcomp, beta_bot))
     return dev < config.tolerance * 10, dev, ""
@@ -920,7 +927,8 @@ def _pairs(items, linked):
 def _blocks_deviation(a: TwoMorphism, b: TwoMorphism):
     """The worst entrywise deviation between the blocks of two parallel
     2-cells, and the (row, col) of the block where it occurs (None when no
-    block has entries); inf at the first block whose shapes differ."""
+    block has entries); inf at the first block whose shapes differ; NaN
+    beats any number."""
     dev, worst = 0.0, None
     for key, blk in a.blocks.items():
         other = b.blocks[key]
@@ -928,6 +936,6 @@ def _blocks_deviation(a: TwoMorphism, b: TwoMorphism):
             return float("inf"), key
         if blk.size:
             d = float(np.max(np.abs(blk - other)))
-            if worst is None or d > dev:
+            if worst is None or d > dev or np.isnan(d):
                 dev, worst = d, key
     return dev, worst

@@ -682,7 +682,8 @@ class ZigzagReport:
 
     @property
     def max_deviation(self):
-        return max(self.deviations.values(), default=0.0)
+        """The largest deviation; NaN if any is NaN, so ``ok`` is False."""
+        return float(np.max(list(self.deviations.values()), initial=0.0))
 
     def ok(self, tol=DEFAULT_TOL):
         return self.max_deviation < tol

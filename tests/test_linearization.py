@@ -53,9 +53,12 @@ from lincat.linearization import (
     MAX_PAIRS,
     MAX_TRIPLES,
     SuiteConfig,
+    CheckResult,
+    FunctorialityReport,
     _blocks_deviation,
     _check_dual_path,
     _dual_path,
+    _run_memo,
     beta_compositor,
     composite_block_iso,
     degroupoidify,
@@ -481,6 +484,50 @@ def test_dual_path_builds_no_induced_model(monkeypatch):
     assert compared > 0
 
 
+def _dual_path_with(monkeypatch, change):
+    """Patch ``_dual_path`` so that ``change(blocks)`` edits the blocks of
+    each 2-cell it returns."""
+    real = lincat.linearization._dual_path
+
+    def changed(*args):
+        out = real(*args)
+        blocks = {k: b.copy() for k, b in out.blocks.items()}
+        change(blocks)
+        return TwoMorphism(out.source, out.target, blocks)
+
+    monkeypatch.setattr(lincat.linearization, "_dual_path", changed)
+
+
+def test_a_nan_tolerance_fails_the_dual_path(monkeypatch):
+    y = default_suite().spanmaps[2]
+    with pytest.raises(IntertwinerProjectionFailure):
+        lambda_spanmap(y, tol=float("nan"))
+
+    def off_by_one(blocks):
+        blocks[1, 0] += 1.0
+
+    _dual_path_with(monkeypatch, off_by_one)
+    with pytest.raises(IntertwinerProjectionFailure) as exc:
+        lambda_spanmap(y, tol=float("nan"))
+    assert exc.value.deviation == pytest.approx(1.0)
+
+
+def test_a_nan_block_fails_the_dual_path(monkeypatch):
+    # the map's nonempty blocks are (1, 0) and (2, 0): a NaN in the last one
+    # must not leave the worst deviation at the first one's
+    y = default_suite().spanmaps[2]
+    assert [k for k, b in lambda_spanmap(y).morphism.blocks.items() if b.size] == [
+        (1, 0), (2, 0)]
+
+    def nan_block(blocks):
+        blocks[2, 0][0, 0] = np.nan
+
+    _dual_path_with(monkeypatch, nan_block)
+    with pytest.raises(IntertwinerProjectionFailure, match=r"at entry \(2,0\)$") as exc:
+        lambda_spanmap(y)
+    assert np.isnan(exc.value.deviation)
+
+
 def test_dual_path_tolerance_can_be_tightened():
     sm = parse(f"{DATA}/gmap_bz2.json").payload
     # the correct blocks pass the dual path at this tolerance
@@ -744,29 +791,47 @@ def test_compositor_sub_blocks_land_in_their_block(monkeypatch):
     assert total > 0 and abs(total - sum(np.sum(np.abs(w) ** 2) for w in written)) < 1e-9
 
 
+def _uv_uvw_map():
+    """The span map over BZ3 from the span with apex objects u, v to the one
+    with u, v, w (all BZ3, legs the identity), whose one apex object runs
+    from top object 0 to bottom object 1."""
+    z3 = cyclic_group(3)
+    bz3, ident = one_object_groupoid(z3), identity_hom(z3)
+
+    def span(names):
+        apex = Groupoid([(n, z3) for n in names])
+        leg = GroupoidFunctor(apex, bz3, [0] * len(names), [ident] * len(names))
+        return Span(apex, leg, leg)
+
+    top, bottom = span("uv"), span("uvw")
+    return SpanMap(top, bottom, bz3, GroupoidFunctor(bz3, top.apex, [0], [ident]),
+                   GroupoidFunctor(bz3, bottom.apex, [1], [ident]))
+
+
 def test_horizontal_check_catches_a_scaled_beta_block(monkeypatch):
-    # scale one non-empty block of each top composite's compositor by
-    # 1 + 1e-6; the bottom one is left alone, so naturality must fail
-    tops = []
-    real_compose = lincat.linearization.horizontal_compose_spanmaps
+    # scale one non-empty block of the top composite's compositor by
+    # 1 + 1e-6; the bottom one is left alone, so naturality must fail.  The
+    # run keeps one compositor per pair of factors, so the top and bottom
+    # spans must differ: the uv/uvw map over BZ3, paired with itself
+    y = _uv_uvw_map()
+    suite = SuiteConfig([y.top.source], [], [y])
     real_beta = lincat.linearization.composite_block_iso
+    scaled = []
 
-    def recorded(y, yp):
-        comp = real_compose(y, yp)
-        tops.append(comp.top)
-        return comp
-
-    def scaled(lam_c):
+    def scaled_beta(lam_c):
         beta = real_beta(lam_c)
-        if any(lam_c.span is top for top in tops):
-            key = next(k for k, b in beta.blocks.items() if b.size)
-            beta.blocks[key] = beta.blocks[key] * (1 + 1e-6)
-        return beta
+        if lam_c.span.factors[0] != y.top:
+            return beta
+        key = next(k for k, b in beta.blocks.items() if b.size)
+        scaled.append(key)
+        return TwoMorphism(beta.source, beta.target,
+                           {**beta.blocks, key: beta.blocks[key] * (1 + 1e-6)})
 
-    monkeypatch.setattr(lincat.linearization, "horizontal_compose_spanmaps", recorded)
-    monkeypatch.setattr(lincat.linearization, "composite_block_iso", scaled)
-    horizontal = verify_functoriality(default_suite()).section("horizontal")
-    assert tops and not all(r.passed for r in horizontal)
+    (honest,) = verify_functoriality(suite).section("horizontal")
+    assert honest.passed and honest.deviation == 0.0
+    monkeypatch.setattr(lincat.linearization, "composite_block_iso", scaled_beta)
+    (result,) = verify_functoriality(suite).section("horizontal")
+    assert scaled and not result.passed and 1e-7 < result.deviation < 1e-5
 
 
 def _count_comma_categories(monkeypatch):
@@ -882,6 +947,13 @@ def test_compositor_check_errors_fail_their_check(monkeypatch):
         for r in compositor)
     assert all(r.passed for r in report.results if r.section != "compositor")
     assert report.max_deviation == float("inf") and not report.ok
+
+
+@pytest.mark.parametrize("devs", [(0.0, float("nan")), (float("nan"), 0.0)])
+def test_max_deviation_keeps_a_nan(devs):
+    report = FunctorialityReport([CheckResult("s", str(i), True, d)
+                                  for i, d in enumerate(devs)])
+    assert np.isnan(report.max_deviation)
 
 
 def test_verify_functoriality_random_suite():
@@ -1138,14 +1210,14 @@ def _record_calls(monkeypatch, name):
 
 def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
     suite = default_suite()
-    # builds, not calls: a registered input's later calls read the run memo
+    # builds, not calls: later calls on a given value read the run memo
     linearized = _record_calls(monkeypatch, "_lambda_spanmap")
     built = _record_calls(monkeypatch, "_lambda_span")
     vertical = _record_calls(monkeypatch, "vertical_compose_spanmaps")
     horizontal = _record_calls(monkeypatch, "horizontal_compose_spanmaps")
     assert verify_functoriality(suite).ok
     # no span object is built twice (the log keeps each alive, so ids differ)
-    assert len({id(x) for x, _ in built}) == len(built) == 224
+    assert len({id(x) for x, _ in built}) == len(built) == 216
     composites = [out for _, out in vertical + horizontal]
     assert composites
 
@@ -1179,6 +1251,81 @@ def test_compositor_spans_are_built_once_at_any_tolerance(monkeypatch, tol):
     built = _record_calls(monkeypatch, "_lambda_span")
     assert verify_functoriality(suite).ok
     assert len(built) == 38
+
+
+def test_a_run_keeps_only_what_it_was_given_and_its_composites(monkeypatch):
+    # the memo keeps the results of the given spans and span maps, the
+    # composites of two given spans and their compositors (one per pair of
+    # factors), and nothing else: no composite's linearization
+    memos = []
+    real = lincat.linearization._RunMemo
+
+    def spied(inputs):
+        memos.append(real(inputs))
+        return memos[-1]
+
+    monkeypatch.setattr(lincat.linearization, "_RunMemo", spied)
+    suite = default_suite()
+    assert verify_functoriality(suite).ok
+    (memo,) = memos
+    kinds = {}
+    for (kind, keys), result in memo.results.items():
+        assert set(keys) <= memo.inputs
+        kinds.setdefault(kind[0], []).append(result)
+    assert sorted(kinds) == ["compose_spans", "composite_block_iso", "lambda_span",
+                             "lambda_spanmap"]
+    assert len(kinds["composite_block_iso"]) == 9
+    given = set(suite.spans) | {x for y in suite.spanmaps for x in (y.top, y.bottom)}
+    assert {lam.span for lam in kinds["lambda_span"]} <= given
+    assert {res.spanmap for res in kinds["lambda_spanmap"]} <= set(suite.spanmaps)
+    assert all(x.factors[0] in given and x.factors[1] in given
+               for x in kinds["compose_spans"])
+
+
+def test_a_run_reads_the_composite_comma_beside_an_equal_bare_copy(monkeypatch):
+    # the run is given a comma-less copy of the composite of x and xp, and
+    # the identity maps of x and xp: the horizontal composite's top span
+    # equals the copy, so it reads the copy's kept linearization, and
+    # composite_block_iso must still find the composite's comma and factors
+    x, xp = fig1_span(), reverse_span(fig1_span())
+    comp = compose_spans(x, xp)
+    bare = Span(comp.apex, comp.left, comp.right)
+    built = _record_calls(monkeypatch, "_lambda_span")
+    maps = [SpanMap.identity(x), SpanMap.identity(xp)]
+    report = verify_functoriality(SuiteConfig([x.source, x.target], [bare], maps))
+    assert report.ok and report.section("horizontal")
+    assert sum(z == bare for z, _ in built) == 1
+    want = composite_block_iso(lambda_span(comp))
+    with _run_memo([bare, comp, x, xp]):
+        lam_bare = lambda_span(bare)
+        lam = lambda_span(comp)
+        assert lam.span is comp and lam.map is lam_bare.map
+        got = composite_block_iso(lam)
+        with pytest.raises(SpanMismatch):
+            composite_block_iso(lam_bare)
+    assert all(np.array_equal(got.blocks[k], want.blocks[k]) for k in want.blocks)
+    # so must a kept span map's result, read for an equal map
+    y = horizontal_compose_spanmaps(*maps)
+    y_bare = SpanMap(Span(y.top.apex, y.top.left, y.top.right),
+                     Span(y.bottom.apex, y.bottom.left, y.bottom.right), y.apex, y.up, y.down)
+    with _run_memo([y_bare, y, y_bare.top, y_bare.bottom]):
+        res_bare, res = lambda_spanmap(y_bare), lambda_spanmap(y)
+        assert res.morphism is res_bare.morphism and res.spanmap is y
+        assert res.source_result.span is y.top and res.target_result.span is y.bottom
+        got = composite_block_iso(res.source_result)
+    assert all(np.array_equal(got.blocks[k], want.blocks[k]) for k in want.blocks)
+
+
+def test_a_run_keeps_a_recorded_product_apart_from_its_plain_twin():
+    # the two spans are equal, but their feet's irreps are not the same
+    g = direct_product(symmetric_group(3), cyclic_group(2))
+    spans = [identity_span(one_object_groupoid(h)) for h in (g, FinGroup(g.mult))]
+    assert spans[0] == spans[1]
+    with _run_memo(spans):
+        lams = [lambda_span(x) for x in spans]
+    for lam, x in zip(lams, spans):
+        own = irreps(x.source.aut(0))
+        assert all(r is w for (_, r), w in zip(lam.source_object.positions[0], own, strict=True))
 
 
 def _big_transfer_reference(y, top_wits, bot_wits):

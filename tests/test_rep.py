@@ -32,6 +32,7 @@ from lincat.linearization import lambda_object
 from lincat.rep import (
     Character,
     RepModel,
+    ZigzagReport,
     character_inner,
     eps_L,
     eps_R,
@@ -818,6 +819,12 @@ def test_zigzag_collapse(z2):
     f = trivial_hom(z2, trivial_group())
     rep = verify_zigzag(f, zigzag_probes(f))
     assert rep.ok(TOL)
+
+
+@pytest.mark.parametrize("devs", [(0.0, float("nan")), (float("nan"), 0.0)])
+def test_zigzag_report_keeps_a_nan(z2, devs):
+    rep = ZigzagReport(identity_hom(z2), dict(enumerate(devs)))
+    assert np.isnan(rep.max_deviation) and not rep.ok()
 
 
 def test_zigzag_all_fixture_homs(z2_in_s3, z3_in_s3, z4, z2):

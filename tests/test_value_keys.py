@@ -1,16 +1,17 @@
-"""Value keys of homs, groupoids and functors against their element-wise
-definitions: ``==`` must decide exactly the element-wise equality, equal
-values must hash equal, and a product recorded by ``direct_product`` must
-equal the same table built without its factors."""
+"""Value keys of homs, groupoids, functors, spans and span maps against
+their element-wise definitions: ``==`` must decide exactly the element-wise
+equality, equal values must hash equal, and a product recorded by
+``direct_product`` must equal the same table built without its factors."""
 
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lincat import random_suite
-from lincat.groupoids import Groupoid, GroupoidFunctor
+from lincat.groupoids import Groupoid, GroupoidFunctor, Span, SpanMap
 from lincat.groups import (
     FinGroup,
     GroupHom,
@@ -147,3 +148,105 @@ def test_functor_and_apex_equality_is_the_elementwise_definition(f, g):
     for i in range(len(f.source)):
         _check(f, _rebuilt_functor(f, rename=i), _same_functor)
         _check(f.source, _rebuilt_functor(f, rename=i).source, _same_groupoid)
+
+
+@functools.cache
+def _suite_values(seed):
+    """The spans (with the maps' top and bottom spans) and the span maps of
+    random suite ``seed``."""
+    suite = random_suite(seed)
+    spans = list(suite.spans) + [x for y in suite.spanmaps for x in (y.top, y.bottom)]
+    return spans, list(suite.spanmaps)
+
+
+def _same_span(x, y):
+    return _same_functor(x.left, y.left) and _same_functor(x.right, y.right)
+
+
+def _same_spanmap(a, b):
+    return (_same_span(a.top, b.top) and _same_span(a.bottom, b.bottom)
+            and _same_functor(a.up, b.up) and _same_functor(a.down, b.down))
+
+
+def _rebuilt_span(x, rename=None):
+    """An equal span held by new objects, without ``comma`` or ``factors``;
+    with ``rename``, with that apex object renamed."""
+    left, right = (_rebuilt_functor(f, rename=rename) for f in (x.left, x.right))
+    return Span(left.source, left, right)
+
+
+@st.composite
+def suite_spans(draw):
+    """A span of one of the random suites 0..19 and a variant of it: the
+    span itself, rebuilt, with one apex object renamed, or with one hom of
+    one leg replaced by another between the same groups."""
+    x = draw(st.sampled_from(_suite_values(draw(st.integers(0, 19)))[0]))
+    i = draw(st.integers(0, len(x.apex) - 1))
+    change = draw(st.sampled_from(["none", "rebuild", "name", "left", "right"]))
+    if change == "rebuild":
+        return x, _rebuilt_span(x)
+    if change == "name":
+        return x, _rebuilt_span(x, rename=i)
+    if change in ("left", "right"):
+        leg = getattr(x, change)
+        homs = list(leg.hom_maps)
+        homs[i] = draw(st.sampled_from(all_homs(homs[i].source, homs[i].target)))
+        legs = {"left": x.left, "right": x.right, change: _rebuilt_functor(leg, homs=homs)}
+        return x, Span(legs[change].source, legs["left"], legs["right"])
+    return x, x
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(suite_spans(), suite_spans())
+def test_span_equality_is_the_elementwise_definition(xs, ys):
+    (x, xv), (y, yv) = xs, ys
+    _check(x, xv, _same_span)
+    _check(xv, yv, _same_span)
+    _check(x, _rebuilt_span(x), _same_span)
+    for i in range(len(x.apex)):
+        _check(x, _rebuilt_span(x, rename=i), _same_span)
+
+
+def test_a_span_key_without_its_right_leg_fails_the_property(monkeypatch):
+    monkeypatch.setattr(Span, "key", property(lambda x: x.left.key))
+    with pytest.raises(AssertionError):
+        test_span_equality_is_the_elementwise_definition()
+
+
+def _rebuilt_spanmap(y, rename=None):
+    """An equal span map held by new objects, its spans rebuilt; with
+    ``rename``, with that apex object renamed."""
+    top, bottom = _rebuilt_span(y.top), _rebuilt_span(y.bottom)
+
+    def leg(f, span):
+        g = _rebuilt_functor(f, rename=rename)
+        return GroupoidFunctor(g.source, span.apex, g.object_map, g.hom_maps)
+
+    up, down = leg(y.up, top), leg(y.down, bottom)
+    return SpanMap(top, bottom, up.source, up, down)
+
+
+@st.composite
+def suite_spanmaps(draw):
+    """A span map of one of the random suites 0..19 and a variant of it: the
+    map itself, rebuilt, with one apex object renamed, or upside down."""
+    y = draw(st.sampled_from(_suite_values(draw(st.integers(0, 19)))[1]))
+    change = draw(st.sampled_from(["none", "rebuild", "name", "flip"]))
+    if change == "rebuild":
+        return y, _rebuilt_spanmap(y)
+    if change == "name":
+        return y, _rebuilt_spanmap(y, rename=draw(st.integers(0, len(y.apex) - 1)))
+    if change == "flip":
+        return y, SpanMap(y.bottom, y.top, y.apex, y.down, y.up)
+    return y, y
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(suite_spanmaps(), suite_spanmaps())
+def test_spanmap_equality_is_the_elementwise_definition(ys, zs):
+    (a, av), (b, bv) = ys, zs
+    _check(a, av, _same_spanmap)
+    _check(av, bv, _same_spanmap)
+    _check(a, _rebuilt_spanmap(a), _same_spanmap)
+    for i in range(len(a.apex)):
+        _check(a, _rebuilt_spanmap(a, rename=i), _same_spanmap)
