@@ -346,6 +346,7 @@ class _Collector:
         return name
 
     def group(self, g: FinGroup):
+        # a document records no factors, so one table is one definition
         return self._intern(
             "groups",
             g.fingerprint,
@@ -381,10 +382,9 @@ class _Collector:
         )
 
     def span(self, s: Span, prefer=None):
-        key = ("span", self.functor(s.left), self.functor(s.right))
         return self._intern(
             "spans",
-            key,
+            ("span", s.key),
             lambda name: {
                 "name": name,
                 "apex": self.groupoid(s.apex),
@@ -395,16 +395,9 @@ class _Collector:
         )
 
     def spanmap(self, sm: SpanMap, prefer=None):
-        key = (
-            "spanmap",
-            self.span(sm.top),
-            self.span(sm.bottom),
-            self.functor(sm.up),
-            self.functor(sm.down),
-        )
         return self._intern(
             "spanmaps",
-            key,
+            ("spanmap", sm.key),
             lambda name: {
                 "name": name,
                 "top": self.span(sm.top),

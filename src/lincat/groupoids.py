@@ -2,9 +2,9 @@
 
 A groupoid is stored skeletally: an ordered tuple of objects, each carrying
 its automorphism group.  Distinct objects are non-isomorphic by fiat.  As
-for homs (``GroupHom.key``), the value of a groupoid, functor, span or span
-map is its ``key``, which equality, hashing (``_ByKey``) and every cache key
-of it read.
+for groups and homs, the value of a groupoid, functor, span or span map is
+its ``key``, computed once per object, which equality, hashing
+(``groups._ByKey``) and every cache key of it read.
 
 Weak pullbacks are computed as comma categories: isomorphism classes of
 objects over a pair (a, b) with f(a) = g(b) = c correspond to double cosets
@@ -50,26 +50,17 @@ from .errors import (
 from .groups import (
     FinGroup,
     GroupHom,
+    _ByKey,
     _double_coset_class,
     double_cosets,
     identity_hom,
 )
 
 
-class _ByKey:
-    """Equality and hashing by the value ``key``."""
-
-    def __eq__(self, other):
-        return other is self or isinstance(other, type(self)) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-
 class Groupoid(_ByKey):
     """Ordered tuple of (name, automorphism group) pairs; may be empty.
 
-    ``key``, the objects' names and group tables, is the groupoid's value:
+    ``key``, the objects' names and groups' keys, is the groupoid's value:
     equality and hashing read it, and the groupoid's name is outside it."""
 
     def __init__(self, objects, name=None):
@@ -77,7 +68,7 @@ class Groupoid(_ByKey):
         self.names = [n for n, _ in self.objects]
         if len(set(self.names)) != len(self.names):
             raise IndexOutOfRange("object names must be unique")
-        self.key = tuple((n, g.fingerprint) for n, g in self.objects)
+        self.key = tuple((n, g.key) for n, g in self.objects)
         self.name = name if name is not None else "+".join(self.names) or "0"
 
     def aut(self, i) -> FinGroup:
@@ -187,11 +178,10 @@ class GroupoidFunctor(_ByKey):
         ]
         return GroupoidFunctor._derived(self.source, other.target, omap, homs)
 
-    @property
+    @cached_property
     def key(self):
         """The functor's value: its groupoids' keys, its object map and its
-        homs' maps (whose groups the groupoids and object map fix).
-        Equality and hashing read it."""
+        homs' maps (whose groups the groupoids and object map fix)."""
         return (self.source.key, self.target.key, self.object_map.tobytes(),
                 tuple(h.map.tobytes() for h in self.hom_maps))
 
@@ -434,7 +424,8 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
     """Horizontal composite over the shared foot groupoid: the apex is the weak
     pullback of the two composites into that foot, and the legs are the induced
     functors into the composite top and bottom spans, keeping each mediating
-    morphism intact.
+    morphism intact.  When the bottom spans equal the top ones, so do their
+    composites, and the top composite is the bottom one too.
 
     At each apex object z with mediator m and fibred-product pairs (hs, ks),
     the candidate witnesses of m in a composite are the recorded witness times
@@ -450,7 +441,8 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
     sigma = yp.up.then(yp.top.left)    # Y' -> A2
     cat = comma_category(tau, sigma)
     top = compose_spans(y.top, yp.top)
-    bot = compose_spans(y.bottom, yp.bottom)
+    bot = (top if (y.bottom, yp.bottom) == (y.top, yp.top)
+           else compose_spans(y.bottom, yp.bottom))
     z = cat.groupoid
     up_omap, up_homs = [], []
     down_omap, down_homs = [], []

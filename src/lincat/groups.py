@@ -24,8 +24,13 @@ categories of ``groupoids`` read.  Each is computed once per hom value and
 kept, read-only, in the ``coset_cache`` of the group the cosets live in, so
 it is freed with that group.
 
-A hom's value is ``GroupHom.key``: its source and target tables and its map.
-Hom equality, hashing and every cache key of a hom read it.
+A group's value is ``FinGroup.key``: its table, with its factors' keys if
+``direct_product`` recorded it as a product, since those fix its irreps.  A
+hom's value is ``GroupHom.key``: its source and target keys and its map.
+Every value class of the library (groups and homs here, groupoids, functors,
+spans and span maps in ``groupoids``) computes its ``key`` once per object and
+takes equality and hashing from ``_ByKey``, and every cache key of a value
+reads it.
 """
 
 from __future__ import annotations
@@ -108,14 +113,27 @@ def _check_table(table):
     return table
 
 
-class FinGroup:
+class _ByKey:
+    """Equality and hashing by the value ``key``, which each subclass
+    computes once per object."""
+
+    def __eq__(self, other):
+        return other is self or isinstance(other, type(self)) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class FinGroup(_ByKey):
     """A finite group given by its multiplication table over element indices.
 
-    Two attributes sit outside ``fingerprint``, ``__eq__`` and ``__hash__``:
-    ``factors`` (set by ``direct_product``) and ``coset_cache``, where
-    ``double_cosets`` and ``coset_data`` keep the coset data of the homs into
-    this group, keyed by hom value (``GroupHom.key``).  Its entries are
-    computed on first use, read-only, and freed with the group object."""
+    Its value, ``key``, is the table's bytes (``fingerprint``), together with
+    the keys of the ``factors`` that ``direct_product`` records, so a recorded
+    product differs from the same table built without them.  ``coset_cache``
+    sits outside it: there ``double_cosets`` and ``coset_data`` keep the
+    coset data of the homs into this group, keyed by hom value
+    (``GroupHom.key``).  Its entries are computed on first use, read-only, and
+    freed with the group object."""
 
     def __init__(self, mult, name=None):
         try:
@@ -145,12 +163,20 @@ class FinGroup:
         # each row is a permutation, so its one 0 is its smallest entry
         self.inv = np.argmin(table, axis=1)
         self.fingerprint = table.tobytes()
-        # set by direct_product only; outside fingerprint, __eq__ and __hash__
+        # set by direct_product only, before any key is read
         self.factors = None
         # the coset data of homs into this group, filled by ``double_cosets``
-        # and ``coset_data`` and keyed by hom values; also outside them, so it
+        # and ``coset_data`` and keyed by hom values; outside the key, so it
         # lives and dies with this group object
         self.coset_cache = {}
+
+    @cached_property
+    def key(self):
+        """The group's value: its table, and its factors' keys if it is a
+        recorded product."""
+        if self.factors is None:
+            return self.fingerprint
+        return (self.fingerprint, *(f.key for f in self.factors))
 
     @cached_property
     def classes(self):
@@ -175,14 +201,6 @@ class FinGroup:
 
     def __len__(self):
         return self.order
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        return isinstance(other, FinGroup) and self.fingerprint == other.fingerprint
-
-    def __hash__(self):
-        return hash(self.fingerprint)
 
     def __repr__(self):
         return f"FinGroup({self.name!r}, order={self.order})"
@@ -212,8 +230,8 @@ def conjugacy_classes(g: FinGroup):
     return classes
 
 
-@dataclass
-class GroupHom:
+@dataclass(eq=False)
+class GroupHom(_ByKey):
     """A homomorphism given by an element-index table of length source.order."""
 
     source: FinGroup
@@ -262,17 +280,10 @@ class GroupHom:
     def image(self):
         return sorted({int(a) for a in self.map})
 
-    @property
+    @cached_property
     def key(self):
-        """The hom's value: its source and target tables and its map.  Every
-        equality, hash and cache key of a hom reads it."""
-        return self.source.fingerprint, self.target.fingerprint, self.map.tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, GroupHom) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+        """The hom's value: its source and target keys and its map."""
+        return self.source.key, self.target.key, self.map.tobytes()
 
 
 def identity_hom(g: FinGroup) -> GroupHom:
@@ -353,10 +364,11 @@ def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
     """Product group; element (a, b) has index a*h.order + b.
 
     The product records ``factors = (g, h)``, from which ``rep.irreps`` builds
-    its irreps.  The factors sit outside ``fingerprint``, ``__eq__`` and
-    ``__hash__``: the product equals any group with the same table.  Raises
-    InputTooLarge before allocating when the product's table of n^2 int64
-    entries would take more than MAX_DENSE_BYTES."""
+    its irreps.  The factors are part of its value (``FinGroup.key``), so the
+    product differs from a group with the same table built another way, whose
+    irreps have other bases.  Raises InputTooLarge before allocating when the
+    product's table of n^2 int64 entries would take more than
+    MAX_DENSE_BYTES."""
     n = g.order * h.order
     nbytes = n * n * 8
     if nbytes > MAX_DENSE_BYTES:

@@ -15,8 +15,8 @@ groups, hence their irreps), and ``lambda_span`` works in two layers:
   Aut(x).  Each block is cross-checked against <Ind_t Res_s chi1, chi2> on
   the right foot, with the induced character from the class map of t; both
   routes must be integral and agree.  One block per leg key is computed:
-  the leg homs' value keys (``GroupHom.key``), the feet's structure keys
-  (which fix their irreps; hom keys fix only the tables) and the seed.
+  the leg homs' value keys (``GroupHom.key``, whose feet's keys fix their
+  irreps) and the seed.
 * **Models, on first access.**  ``details`` and ``map.hom_bases`` are built
   together the first time either is read, once per leg key:
   the pullbacks s*W1, t*W2, the pushforwards t_*s*W1 and the intertwiner
@@ -65,8 +65,9 @@ has one routine: 2-cells compare by ``_blocks_deviation``, invertibility by
 a tolerance: one bounds only the dual path and the suite's float checks.
 
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
-read, its models afresh.  A run memo (in a context variable, so concurrent
-runs keep their own) is the only way work is shared, and it shares by value:
+read, its models afresh; a span map's equal top and bottom spans share one
+result.  A run memo (in a context variable, so concurrent runs keep their
+own) is the only way calls share work, and it shares by value:
 dims blocks and leg entries by leg key, dual-path pieces by their homs' value
 keys and models, and (``_once``) the linearizations of the spans and span
 maps the run was given, the composite of two given spans and its compositor;
@@ -116,7 +117,6 @@ from .rep import (
     _condition,
     _counit_kernel,
     _integral,
-    _structure_key,
     _unit_kernel,
     hom_dim,
     induce_rep,
@@ -193,8 +193,8 @@ class LambdaSpanResult:
 class _RunMemo:
     """The work one run shares (see the module docstring)."""
 
-    inputs: set  # memo keys of the given spans, span maps and maps' top/bottom spans
-    results: dict = field(default_factory=dict)  # (kind, memo keys) -> result
+    inputs: set  # value keys of the given spans, span maps and maps' top/bottom spans
+    results: dict = field(default_factory=dict)  # (kind, value keys) -> result
     dims: dict = field(default_factory=dict)     # leg key -> dims block
     legs: dict = field(default_factory=dict)     # leg key -> entries
     pieces: dict = field(default_factory=dict)   # dual-path transfer pieces
@@ -207,25 +207,18 @@ _RUN = contextvars.ContextVar("lincat_run_memo", default=None)
 @contextlib.contextmanager
 def _run_memo(inputs):
     """A run memo given the spans and span maps ``inputs``, for the body."""
-    token = _RUN.set(_RunMemo({_memo_key(v) for v in inputs}))
+    token = _RUN.set(_RunMemo({v.key for v in inputs}))
     try:
         yield
     finally:
         _RUN.reset(token)
 
 
-def _memo_key(v):
-    """A span's or span map's value key and its feet's structure keys, which
-    fix their irreps where the value key fixes only their tables."""
-    x = v.top if isinstance(v, SpanMap) else v
-    return v.key, tuple(_structure_key(g) for a in (x.source, x.target) for _, g in a.objects)
-
-
 def _once(kind, values, build):
     """``build()``, kept by a run given every span or span map in ``values``,
-    by ``kind`` (a name and arguments) and the values' memo keys."""
+    by ``kind`` (a name and arguments) and the values' keys."""
     run = _RUN.get()
-    keys = () if run is None else tuple(map(_memo_key, values))
+    keys = () if run is None else tuple(v.key for v in values)
     if run is None or not run.inputs.issuperset(keys):
         return build()
     if (kind, keys) not in run.results:
@@ -239,8 +232,12 @@ def lambda_span(x: Span, seed=DEFAULT_SEED) -> LambdaSpanResult:
     ``map.dims`` and ``witnesses`` come from characters; ``details`` and
     ``map.hom_bases`` (the models and intertwiner bases) are built on first
     access."""
-    lam = _once(("lambda_span", seed), (x,), lambda: _lambda_span(x, seed))
-    # a kept result may be an equal span's, with another comma and factors
+    return _for_span(_once(("lambda_span", seed), (x,), lambda: _lambda_span(x, seed)), x)
+
+
+def _for_span(lam, x):
+    """``lam``, the result of a span equal to x, as x's: an equal span may
+    have another comma and factors."""
     return lam if lam.span is x else replace(lam, span=x)
 
 
@@ -261,8 +258,7 @@ def _lambda_span(x: Span, seed) -> LambdaSpanResult:
     for xi in range(len(x.apex)):
         rows, cols = tgt.positions[x.right(xi)], src.positions[x.left(xi)]
         s_hom, t_hom = x.left.hom(xi), x.right.hom(xi)
-        key = (s_hom.key, _structure_key(s_hom.target), t_hom.key,
-               _structure_key(t_hom.target), seed)
+        key = (s_hom.key, t_hom.key, seed)
         if key not in first:
             first[key] = (s_hom, t_hom, [w for _, w in cols], [w for _, w in rows], xi)
         if key not in blocks:
@@ -424,9 +420,9 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
     orthogonal projection whose image holds b, so <b, P f> = <b, f>, and the
     block is the entry's weighted Gram matrix.  When ``check`` is set, the
     same blocks are recomputed by pasting unit/counit matrices on induced
-    models and the two answers must agree within ``tol``.  Outside a run the
-    call opens one given y, y.top and y.bottom, so equal top and bottom spans
-    are linearized once, and the two share dims blocks and models by leg key.
+    models and the two answers must agree within ``tol``.  Equal top and
+    bottom spans are linearized once.  Outside a run the call opens one given
+    y, y.top and y.bottom, so the two share dims blocks and models by leg key.
     """
     if _RUN.get() is None:
         with _run_memo([y, y.top, y.bottom]):
@@ -441,7 +437,8 @@ def lambda_spanmap(y: SpanMap, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
 def _lambda_spanmap(y: SpanMap, seed, tol, check) -> LambdaSpanMapResult:
     """The ``lambda_spanmap`` builder."""
     lam_top = lambda_span(y.top, seed=seed)
-    lam_bot = lambda_span(y.bottom, seed=seed)
+    lam_bot = (_for_span(lam_top, y.bottom) if y.bottom == y.top
+               else lambda_span(y.bottom, seed=seed))
     exact = degroupoidify_2cell(y)
     coeffs = {(x1, x2): q for x2, row in enumerate(exact)
               for x1, q in enumerate(row) if q}

@@ -332,13 +332,6 @@ def _irreps_of_product(g: FinGroup, seed):
     return out
 
 
-def _structure_key(g: FinGroup):
-    """The table of g, with its factors' keys if g is a recorded product."""
-    if g.factors is None:
-        return g.fingerprint
-    return (g.fingerprint,) + tuple(_structure_key(f) for f in g.factors)
-
-
 def irreps(g: FinGroup, seed=DEFAULT_SEED):
     """All irreducible unitary representations of g, in a deterministic order:
     ascending dimension, then lexicographically by character value tuple over
@@ -348,11 +341,11 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     factors' (recursively, for nested products): kron(U(a), V(b)) for every
     pair of factor irreps.  Any other group splits C[G].  On both routes the
     identity element acts by an exact identity matrix.  Results are cached
-    per (table, seed), and a recorded product's key also holds its factors'
-    keys, so a product and an equal table built another way keep separate
-    entries and bases.  On a miss, raises InputTooLarge before allocating
-    when |G|^2 complex numbers (the basis of C[G], or all the product's
-    matrices) would take more than MAX_DENSE_BYTES, and NumericalFailure
+    per (group value, seed): a recorded product's value holds its factors,
+    so it and the same table built another way keep separate entries and
+    bases.  On a miss, raises InputTooLarge before allocating when |G|^2
+    complex numbers (the basis of C[G], or all the product's matrices)
+    would take more than MAX_DENSE_BYTES, and NumericalFailure
     unless the characters are orthonormal within DEFAULT_TOL: no caller
     picks that tolerance, so a cached result never depends on one.  The seed
     is any non-negative integer (numpy integers included); a negative one
@@ -362,7 +355,7 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     seed = operator.index(seed)
     if seed < 0:
         raise LincatError(f"seed must be non-negative, got {seed}")
-    key = (_structure_key(g), seed)
+    key = (g.key, seed)
     with _IRREP_LOCK:
         cached = _IRREP_CACHE.get(key)
     if cached is not None:

@@ -311,7 +311,7 @@ def random_suite(seed, n_groupoids=4, n_spans=6, n_maps=4, max_objects=4,
     hom_cache = {}
 
     def homs_between(g, h):
-        key = (g.fingerprint, h.fingerprint)
+        key = (g.key, h.key)
         if key not in hom_cache:
             hom_cache[key] = all_homs(g, h)
         return hom_cache[key]

@@ -33,7 +33,7 @@ from lincat.groupoids import (
     one_object_groupoid,
     terminal_groupoid,
 )
-from lincat.groups import cyclic_group, symmetric_group, trivial_group
+from lincat.groups import cyclic_group, direct_product, symmetric_group, trivial_group
 from lincat.suites import (
     fig1_span,
     groupoidification_map,
@@ -302,6 +302,15 @@ def test_round_trip(value):
     data = serialize(value)
     doc = parse_obj(json.loads(data))
     assert doc.payload == value
+
+
+def test_a_recorded_product_round_trips_to_its_plain_twin():
+    # a document records no factors: the product parses back as its table
+    # alone, which is another value with the same document
+    g = direct_product(symmetric_group(3), cyclic_group(2))
+    back = parse_obj(json.loads(serialize(g))).payload
+    assert back.factors is None and back.fingerprint == g.fingerprint
+    assert back != g and serialize(back) == serialize(g)
 
 
 def test_serialize_deterministic():

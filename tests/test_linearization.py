@@ -856,7 +856,7 @@ def test_verify_functoriality_builds_each_composite_comma_once(monkeypatch):
     # the associator's inner composites are the compositor's (12 of them)
     calls = _count_comma_categories(monkeypatch)
     assert verify_functoriality(default_suite()).ok
-    assert len(calls) == 284
+    assert len(calls) == 235
 
 
 def test_composite_block_iso_reads_comma_of_given_composite(monkeypatch):
@@ -1217,7 +1217,7 @@ def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
     horizontal = _record_calls(monkeypatch, "horizontal_compose_spanmaps")
     assert verify_functoriality(suite).ok
     # no span object is built twice (the log keeps each alive, so ids differ)
-    assert len({id(x) for x, _ in built}) == len(built) == 216
+    assert len({id(x) for x, _ in built}) == len(built) == 167
     composites = [out for _, out in vertical + horizontal]
     assert composites
 
@@ -1250,7 +1250,7 @@ def test_compositor_spans_are_built_once_at_any_tolerance(monkeypatch, tol):
     suite = dataclasses.replace(random_suite(5, n_spans=4, n_maps=3), tolerance=tol)
     built = _record_calls(monkeypatch, "_lambda_span")
     assert verify_functoriality(suite).ok
-    assert len(built) == 38
+    assert len(built) == 35
 
 
 def test_a_run_keeps_only_what_it_was_given_and_its_composites(monkeypatch):
@@ -1317,14 +1317,38 @@ def test_a_run_reads_the_composite_comma_beside_an_equal_bare_copy(monkeypatch):
 
 
 def test_a_run_keeps_a_recorded_product_apart_from_its_plain_twin():
-    # the two spans are equal, but their feet's irreps are not the same
+    # the two spans differ only in their feet's factors, and so do their
+    # feet's irreps
     g = direct_product(symmetric_group(3), cyclic_group(2))
     spans = [identity_span(one_object_groupoid(h)) for h in (g, FinGroup(g.mult))]
-    assert spans[0] == spans[1]
+    assert spans[0] != spans[1]
     with _run_memo(spans):
         lams = [lambda_span(x) for x in spans]
     for lam, x in zip(lams, spans):
         own = irreps(x.source.aut(0))
+        assert all(r is w for (_, r), w in zip(lam.source_object.positions[0], own, strict=True))
+
+
+def test_equal_spans_over_a_recorded_product_share_one_result(monkeypatch):
+    # each span's feet are a product of its own factor objects: equal values,
+    # so one build, one irreps list, and each result keeps its caller's span
+    def product():
+        return direct_product(symmetric_group(3), cyclic_group(2))
+
+    spans = [identity_span(one_object_groupoid(product())) for _ in range(2)]
+    feet = [x.source.aut(0) for x in spans]
+    assert spans[0] == spans[1] and feet[0] is not feet[1]
+    assert feet[0].factors[0] is not feet[1].factors[0]
+    built = _record_calls(monkeypatch, "_lambda_span")
+    with _run_memo(spans):
+        lams = [lambda_span(x) for x in spans]
+    assert len(built) == 1
+    assert lams[0].map is lams[1].map
+    assert [lam.span for lam in lams] == spans and all(
+        lam.span is x for lam, x in zip(lams, spans))
+    own = irreps(feet[0])
+    assert irreps(feet[1]) is own
+    for lam in lams:
         assert all(r is w for (_, r), w in zip(lam.source_object.positions[0], own, strict=True))
 
 
@@ -1519,7 +1543,9 @@ def test_run_keeps_feet_with_equal_tables_but_other_irreps_apart():
     spans = [_inclusion_span(g, "h"), _inclusion_span(gp, "h'")]
     assert spans[0] != spans[1]
     assert spans[0].left.hom(0) == spans[1].left.hom(0)
-    assert spans[0].right.hom(0) == spans[1].right.hom(0)
+    incl, incl_twin = spans[0].right.hom(0), spans[1].right.hom(0)
+    assert np.array_equal(incl.map, incl_twin.map) and incl.source == incl_twin.source
+    assert incl != incl_twin
     maps = [SpanMap.identity(x) for x in spans]
     report = verify_functoriality(SuiteConfig([], spans, maps))
     assert report.ok, "\n".join(report.summary_lines())
@@ -1614,7 +1640,7 @@ def test_run_lambda_spans_equal_standalone_recomputation(monkeypatch):
     monkeypatch.undo()
     # builds, not calls: each registered input is built once, and its later
     # calls read the run memo
-    assert len(recorded) == 38
+    assert len(recorded) == 35
     for x, lam in recorded:
         alone = lambda_span(x, seed=suite.seed)
         assert np.array_equal(lam.map.dims, alone.map.dims)

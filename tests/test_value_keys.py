@@ -1,7 +1,8 @@
 """Value keys of homs, groupoids, functors, spans and span maps against
 their element-wise definitions: ``==`` must decide exactly the element-wise
 equality, equal values must hash equal, and a product recorded by
-``direct_product`` must equal the same table built without its factors."""
+``direct_product`` must differ from the same table built without its
+factors, since its irreps do."""
 
 import functools
 
@@ -41,7 +42,12 @@ def _suite_legs(seed):
 
 
 def _same_group(g, h):
-    return g.mult.shape == h.mult.shape and np.array_equal(g.mult, h.mult)
+    """Equal tables, and equal factors or none on both sides."""
+    if not (g.mult.shape == h.mult.shape and np.array_equal(g.mult, h.mult)):
+        return False
+    if g.factors is None or h.factors is None:
+        return g.factors is h.factors
+    return all(map(_same_group, g.factors, h.factors))
 
 
 def _same_hom(a, b):
@@ -93,16 +99,32 @@ def test_hom_equality_is_the_elementwise_definition(a, b):
     _check(a, _rebuilt_hom(a, True), _same_hom)
 
 
-def test_recorded_product_equals_its_plain_twin():
+def test_a_group_key_without_its_factors_fails_the_property(monkeypatch):
+    monkeypatch.setattr(FinGroup, "key", property(lambda g: g.fingerprint))
+    # homs keep their keys: drop the pool's, built before the mutant
+    _homs.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            test_hom_equality_is_the_elementwise_definition()
+    finally:
+        _homs.cache_clear()
+
+
+def test_recorded_product_differs_from_its_plain_twin():
     assert _V4.factors is not None and _TWIN.factors is None
+    assert _V4 != _TWIN and _V4.fingerprint == _TWIN.fingerprint
+    again = direct_product(cyclic_group(2), cyclic_group(2))
+    assert _V4 == again and hash(_V4) == hash(again)
     for h in _homs(4, 6):
-        plain = GroupHom(_TWIN, h.target, h.map)
-        assert h == plain and hash(h) == hash(plain)
+        assert h != GroupHom(_TWIN, h.target, h.map)
+        rebuilt = GroupHom(again, h.target, h.map.copy())
+        assert h == rebuilt and hash(h) == hash(rebuilt)
     x, y = Groupoid([("a", _V4)]), Groupoid([("a", _TWIN)])
-    assert x == y and hash(x) == hash(y)
+    assert x != y
+    assert x == Groupoid([("a", again)]) and hash(x) == hash(Groupoid([("a", again)]))
     f = GroupoidFunctor.identity(x)
     g = GroupoidFunctor(y, y, [0], [GroupHom(_TWIN, _TWIN, np.arange(4))])
-    assert f == g and hash(f) == hash(g)
+    assert f != g
 
 
 def _rebuilt_functor(f, homs=None, rename=None):
