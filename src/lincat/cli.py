@@ -1,16 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  The default
-random seed can be overridden with the LINCAT_SEED environment variable or
-per-command flags; machine output (--output json) is byte-stable for fixed
-inputs and seed.
+Exit codes: 0 success, 1 verification failure, 2 input error.  The
+``--seed`` flag overrides the default random seed; machine output
+(--output json) is byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,16 +34,6 @@ from .linearization import (
 )
 from .rep import DEFAULT_SEED, DEFAULT_TOL, regular_rep, trivial_rep, verify_zigzag
 from .suites import default_suite, standard_homs
-
-
-def _seed_default():
-    env = os.environ.get("LINCAT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise LincatError(f"LINCAT_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
 
 
 def _expect(doc, kinds, path):
@@ -289,7 +277,7 @@ def build_parser():
         description="2-linearization of spans of finite groupoids",
     )
     p.add_argument("--output", choices=("table", "json"), default="table")
-    p.add_argument("--seed", type=int, default=None, help="random seed override")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed override")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("card", help="exact groupoid cardinality")
@@ -328,10 +316,8 @@ def build_parser():
 
 
 def _check_options(args):
-    """Resolve the seed and reject a negative seed or a tolerance that is
-    NaN, infinite or negative before any work."""
-    if args.seed is None:
-        args.seed = _seed_default()
+    """Reject a negative seed or a tolerance that is NaN, infinite or
+    negative before any work."""
     if args.seed < 0:
         raise LincatError(f"seed must be non-negative, got {args.seed}")
     tol = getattr(args, "tolerance", None)

@@ -14,9 +14,9 @@ mediating morphism m is the fibred product {(h, k) : f(h)*m = m*g(k)}.
 The double cosets over a pair of objects depend only on the pair's two
 homs, so they come from ``groups.double_cosets``, which computes them once
 per pair of hom values and keeps them, with each class's fibred-product
-group, pairs and witnesses, in the foot group's ``coset_cache``: the data
-lives as long as that group object, and every comma category over equal
-hom pairs on it shares one ``fib`` group per class.  Each class is read off
+group, pairs and witnesses, in the store of the foot group's value: the data
+lives while any group of that value does, and every comma category over
+equal hom pairs into it shares one ``fib`` group per class.  Each class is read off
 one array D[h, k] = f(h)*m*g(k)^-1 over H x K: its values are the double
 coset, the first occurrence of each value in row-major order is that
 element's lexicographically first witness (h0, k0), and the entries equal
@@ -307,7 +307,7 @@ def comma_category(f: GroupoidFunctor, g: GroupoidFunctor, admissible=None) -> C
     Over each pair (a, b) with f(a) = g(b) = c, the classes are the double
     cosets of ``groups.double_cosets(f_a, g_b)``, in that order, at their
     minimal elements: their fibred-product groups, pairs and witnesses come
-    from the cache on Aut(c), so equal hom pairs over one foot group share
+    from the store of Aut(c)'s value, so equal hom pairs into it share
     them, and only the ``CommaClass``es, the projection homs and the pair
     data, with class ids offset by the classes before the pair, are built
     here.

@@ -20,9 +20,7 @@ The cosets of a hom's image depend only on the hom, so the library has one
 routine per kind: ``coset_data`` for the left (or right) cosets of im(f)
 with the lifts through f, which induction reads, and ``double_cosets`` for
 f(H) \\ C / g(K) with each class's fibred product, which the comma
-categories of ``groupoids`` read.  Each is computed once per hom value and
-kept, read-only, in the ``coset_cache`` of the group the cosets live in, so
-it is freed with that group.
+categories of ``groupoids`` read.
 
 A group's value is ``FinGroup.key``: its table, with its factors' keys if
 ``direct_product`` recorded it as a product, since those fix its irreps.  A
@@ -31,12 +29,21 @@ Every value class of the library (groups and homs here, groupoids, functors,
 spans and span maps in ``groupoids``) computes its ``key`` once per object and
 takes equality and hashing from ``_ByKey``, and every cache key of a value
 reads it.
+
+A group's invariants depend only on its value, so all groups of one value
+share one store (``FinGroup.store``) of its classes, coset data and irreps,
+each computed once (``_memo``); names and factors stay each object's own.  A
+store lives while a group that read it does; one that holds a group of its
+own value (a trivial ``fib`` group, an irrep's group) is freed by the cyclic
+collector.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -124,16 +131,24 @@ class _ByKey:
         return hash(self.key)
 
 
+class _Store(dict):
+    """The invariants of one group value; a dict that can be weakly referenced."""
+
+
+# the store of each group value that some live group holds, keyed by value
+_STORES = weakref.WeakValueDictionary()
+_STORES_LOCK = threading.Lock()
+
+
 class FinGroup(_ByKey):
     """A finite group given by its multiplication table over element indices.
 
     Its value, ``key``, is the table's bytes (``fingerprint``), together with
     the keys of the ``factors`` that ``direct_product`` records, so a recorded
-    product differs from the same table built without them.  ``coset_cache``
-    sits outside it: there ``double_cosets`` and ``coset_data`` keep the
-    coset data of the homs into this group, keyed by hom value
-    (``GroupHom.key``).  Its entries are computed on first use, read-only, and
-    freed with the group object."""
+    product differs from the same table built without them.  ``name``,
+    ``factors`` and ``fingerprint`` belong to the object; the invariants
+    belong to the value and sit in ``store``, which every group of that value
+    shares."""
 
     def __init__(self, mult, name=None):
         try:
@@ -163,12 +178,8 @@ class FinGroup(_ByKey):
         # each row is a permutation, so its one 0 is its smallest entry
         self.inv = np.argmin(table, axis=1)
         self.fingerprint = table.tobytes()
-        # set by direct_product only, before any key is read
+        # set by direct_product only, before any key or store is read
         self.factors = None
-        # the coset data of homs into this group, filled by ``double_cosets``
-        # and ``coset_data`` and keyed by hom values; outside the key, so it
-        # lives and dies with this group object
-        self.coset_cache = {}
 
     @cached_property
     def key(self):
@@ -179,9 +190,16 @@ class FinGroup(_ByKey):
         return (self.fingerprint, *(f.key for f in self.factors))
 
     @cached_property
+    def store(self):
+        """The invariants of this group's value, shared by every live group
+        of that value (``_memo``)."""
+        with _STORES_LOCK:
+            return _STORES.setdefault(self.key, _Store())
+
+    @cached_property
     def classes(self):
-        """The conjugacy classes, computed once per group object."""
-        return conjugacy_classes(self)
+        """The conjugacy classes, computed once per group value."""
+        return _memo(self, "classes", conjugacy_classes, self)
 
     @cached_property
     def class_sizes(self):
@@ -456,11 +474,12 @@ def _read_only(*arrays):
 
 
 def _memo(group, key, build, *args):
-    """``build(*args)``, kept in ``group.coset_cache`` under ``key``."""
-    entry = group.coset_cache.get(key)
+    """``build(*args)``, kept under ``key`` in the store of ``group``'s value,
+    so it is computed once while any group of that value lives."""
+    entry = group.store.get(key)
     if entry is None:
         # threads that race on a key all get the entry stored first
-        entry = group.coset_cache.setdefault(key, build(*args))
+        entry = group.store.setdefault(key, build(*args))
     return entry
 
 
@@ -502,7 +521,7 @@ class CosetData(NamedTuple):
 def coset_data(f: GroupHom, right=False) -> CosetData:
     """The left cosets h*im(f) of f : G -> H, or the right cosets im(f)*h
     when ``right`` is set, with the lifts through f.  Computed once per hom
-    value and side, and kept in ``f.target.coset_cache``."""
+    value and side, and kept in the store of ``f.target``."""
     side = "right" if right else "left"
     return _memo(f.target, (side, f.key), _coset_data, f, right)
 
@@ -591,7 +610,7 @@ def double_cosets(fh: GroupHom, gh: GroupHom) -> DoubleCosets:
     """The double cosets f(H) \\ C / g(K) of homs f : H -> C and g : K -> C,
     each at its minimal element, with their fibred products and witnesses
     (``_double_coset_class``).  Computed once per pair of hom values and kept
-    in ``C.coset_cache``, so equal pairs share one ``fib`` group."""
+    in the store of C, so equal pairs share one ``fib`` group."""
     if fh.target != gh.target:
         raise GroupMismatch("double cosets need homs into one group")
     return _memo(fh.target, ("double", fh.key, gh.key), _double_cosets, fh, gh)

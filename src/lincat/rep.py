@@ -21,8 +21,8 @@ concrete space
 with the invariants materialized through the averaging projector.  Each
 element h of H is decomposed as h = h_i f(lift[h]) with h_i a coset
 representative, once per hom value: ``groups.coset_data`` keeps the
-decomposition on H for as long as that group object lives, and every
-induced model along an equal hom shares it.  The induced matrices, the tensor
+decomposition in the store of H's value, and every induced model along an
+equal hom shares it.  The induced matrices, the tensor
 coordinates of h (x) v and every map into or out of an induced model are
 array expressions over that decomposition.  The Nakayama map identifies this
 tensor model with the hom model
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,7 @@ from .errors import (
     RankMismatch,
     SingularMap,
 )
-from .groups import MAX_DENSE_BYTES, FinGroup, GroupHom, coset_data
+from .groups import MAX_DENSE_BYTES, FinGroup, GroupHom, _memo, coset_data
 
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-8
@@ -191,9 +190,6 @@ def regular_rep(g: FinGroup) -> RepModel:
 
 # ---------------------------------------------------------------------------
 # irreducibles by splitting C[G] under the permutation action
-
-_IRREP_CACHE: dict = {}
-_IRREP_LOCK = threading.Lock()
 
 
 def _left_action(g: FinGroup, a):
@@ -340,14 +336,14 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     A product recorded by ``direct_product`` takes its irreps from its
     factors' (recursively, for nested products): kron(U(a), V(b)) for every
     pair of factor irreps.  Any other group splits C[G].  On both routes the
-    identity element acts by an exact identity matrix.  Results are cached
-    per (group value, seed): a recorded product's value holds its factors,
-    so it and the same table built another way keep separate entries and
-    bases.  On a miss, raises InputTooLarge before allocating when |G|^2
-    complex numbers (the basis of C[G], or all the product's matrices)
-    would take more than MAX_DENSE_BYTES, and NumericalFailure
+    identity element acts by an exact identity matrix.  Results are kept
+    per seed in the store of g's value: a recorded product's value holds
+    its factors, so it and the same table built another way keep separate
+    stores and bases.  On a miss, raises InputTooLarge before allocating
+    when |G|^2 complex numbers (the basis of C[G], or all the product's
+    matrices) would take more than MAX_DENSE_BYTES, and NumericalFailure
     unless the characters are orthonormal within DEFAULT_TOL: no caller
-    picks that tolerance, so a cached result never depends on one.  The seed
+    picks that tolerance, so a kept result never depends on one.  The seed
     is any non-negative integer (numpy integers included); a negative one
     raises LincatError."""
     # random.Random refuses numpy integers and takes a negative seed's
@@ -355,11 +351,11 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     seed = operator.index(seed)
     if seed < 0:
         raise LincatError(f"seed must be non-negative, got {seed}")
-    key = (g.key, seed)
-    with _IRREP_LOCK:
-        cached = _IRREP_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _memo(g, ("irreps", seed), _irreps, g, seed)
+
+
+def _irreps(g: FinGroup, seed):
+    """The sorted and checked irreps of ``irreps``, built afresh."""
     nbytes = g.order**2 * 16
     if nbytes > MAX_DENSE_BYTES:
         raise InputTooLarge(
@@ -379,8 +375,6 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     gram = _class_pairing(g, chars, chars)
     if np.max(np.abs(gram - np.eye(len(result)))) > DEFAULT_TOL:
         raise NumericalFailure("computed characters are not orthonormal")
-    with _IRREP_LOCK:
-        _IRREP_CACHE[key] = result
     return result
 
 
@@ -476,7 +470,7 @@ def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
     a sends h_i to a h_i = h_j f(lift[a h_i]), so block (j, i) of a is
     C^H V(lift[a h_i]) C.  The cosets, lifts, kernel and image are
     ``groups.coset_data(f)``, computed once per hom value and kept, read-only,
-    on f's target group for as long as that group object lives.  Raises
+    in the store of the value of f's target group.  Raises
     InputTooLarge before allocating the model when its |H| matrices would
     take more than MAX_DENSE_BYTES."""
     if v.group != f.source:

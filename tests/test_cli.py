@@ -159,16 +159,6 @@ def test_table_and_json_agree(capsys):
     assert table.strip() == f"{q['num']}/{q['den']}"
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LINCAT_SEED", "12345")
-    code, out, _ = run_cli(capsys, "--output", "json", "basis", f"{DATA}/bs3.json")
-    assert code == 0
-    assert len(json.loads(out)["basis"]) == 3
-    monkeypatch.setenv("LINCAT_SEED", "not-an-int")
-    code, _, err = run_cli(capsys, "basis", f"{DATA}/bs3.json")
-    assert code == 2
-
-
 def test_verify_small_suite(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -330,14 +320,6 @@ def test_verify_tolerance_reaches_zigzag(capsys, monkeypatch):
 
 def test_negative_seed_flag_exit_2(capsys):
     code, out, err = run_cli(capsys, "--seed", "-1", "basis", f"{DATA}/bs3.json")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: seed must be non-negative")
-
-
-def test_negative_seed_env_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("LINCAT_SEED", "-5")
-    code, out, err = run_cli(capsys, "basis", f"{DATA}/bs3.json")
     assert code == 2
     assert out == ""
     assert err.startswith("error: seed must be non-negative")

@@ -1,12 +1,16 @@
-"""The coset data that ``groups.double_cosets`` and ``groups.coset_data``
-keep on each group: a warm cache gives the same comma categories and induced
-models as a cold one, equal hom pairs share their fibred-product groups, the
-cached arrays are read-only, the cache dies with its group, and every comma
-category and composite of the random suites is the one the uncached
-construction built."""
+"""The store of invariants that every group of one value shares
+(``FinGroup.store``), where ``double_cosets``, ``coset_data``, the conjugacy
+classes and ``irreps`` keep their results: each is computed once per value
+in a verification run, a warm store gives the same comma categories and
+induced models as a cold one, equal hom pairs share their fibred-product
+groups, the kept arrays are read-only, a store dies with the last group of
+its value, and every comma category and composite of the random suites is
+the one the uncached construction built."""
 
+import collections
 import gc
 import hashlib
+import pickle
 import weakref
 
 import numpy as np
@@ -15,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lincat.groupoids
+import lincat.groups
+import lincat.rep
 from lincat.errors import GroupMismatch, StrictnessViolation
 from lincat.groupoids import (
     GroupoidFunctor,
@@ -26,14 +32,18 @@ from lincat.groupoids import (
     vertical_compose_spanmaps,
 )
 from lincat.groups import (
+    FinGroup,
     GroupHom,
     coset_data,
     double_cosets,
     subgroup_embedding,
     symmetric_group,
 )
+from lincat.linearization import verify_functoriality
 from lincat.rep import induce_rep, irreps, trivial_rep
-from lincat.suites import random_suite
+from lincat.suites import default_suite, random_suite
+
+from fresh import cold, python, relabelled
 
 
 def composites(suite):
@@ -65,26 +75,45 @@ def suite_groups(suite):
     return [g for gpd in gpds for _, g in gpd.objects]
 
 
+def store_entries(suite):
+    """The stores of the suite's groups, as (key, id of the kept entry) pairs."""
+    return [[(key, id(v)) for key, v in g.store.items()] for g in suite_groups(suite)]
+
+
+def suite_records(suite):
+    """The comma category of every composite of the suite's spans, and the
+    induced models of every irrep along the legs of their first six apex
+    objects, as plain values and bytes."""
+    out = []
+    for x in composites(suite):
+        out.append(comma_record(x.comma))
+        for i in range(min(len(x.apex), 6)):
+            for f in (x.left.hom(i), x.right.hom(i)):
+                out.extend(induction_record(induce_rep(f, v)) for v in irreps(f.source))
+    return out
+
+
+# the records of a random suite in a fresh interpreter, where no group value
+# is held, so every store starts cold; prints them pickled
+_COLD_RECORDS = """
+import pickle, sys
+from lincat.suites import random_suite
+from test_coset_cache import suite_records
+print(pickle.dumps(suite_records(random_suite(int(sys.argv[1]), n_spans=4, n_maps=0))).hex())
+"""
+
+
 @settings(max_examples=10, deadline=None, database=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_warm_cache_gives_what_a_cold_one_gives(seed):
     warm = random_suite(seed, n_spans=4, n_maps=0)
-    composites(warm)  # fills the caches of warm's groups
-    filled = [len(g.coset_cache) for g in suite_groups(warm)]
-    cold = random_suite(seed, n_spans=4, n_maps=0)  # fresh copies of the groups
-    assert not any(g.coset_cache for g in suite_groups(cold))
-    pairs = list(zip(composites(warm), composites(cold)))
-    # the second pass over warm computed nothing: it read every double coset
-    assert [len(g.coset_cache) for g in suite_groups(warm)] == filled
-    assert sum(filled) or not pairs
-    for x, y in pairs:
-        assert comma_record(x.comma) == comma_record(y.comma)
-        for i in range(min(len(x.apex), 6)):
-            for fw, fc in ((x.left.hom(i), y.left.hom(i)), (x.right.hom(i), y.right.hom(i))):
-                for v in irreps(fw.source):
-                    induce_rep(fw, v)  # warms the coset data of fw
-                    assert induction_record(induce_rep(fw, v)) \
-                        == induction_record(induce_rep(fc, v))
+    suite_records(warm)  # fills the stores of warm's groups
+    kept = store_entries(warm)
+    got = suite_records(warm)
+    # the second pass computed nothing: it read every entry the first kept
+    assert store_entries(warm) == kept
+    assert any(kept) or not got
+    assert got == pickle.loads(bytes.fromhex(python("-c", _COLD_RECORDS, str(seed))))
 
 
 def test_equal_hom_pairs_share_fib_groups_and_cached_arrays_are_read_only():
@@ -115,15 +144,72 @@ def test_equal_hom_pairs_share_fib_groups_and_cached_arrays_are_read_only():
 
 
 def test_coset_cache_is_freed_with_its_group():
-    c = symmetric_group(3)
-    sub, incl = subgroup_embedding(c, [0, 3, 4])
+    # S3 relabelled: a value no fixture holds
+    c = cold(lambda: relabelled(symmetric_group(3)))
+    z3 = [a for a in range(c.order) if c.mult[c.mult[a, a], a] == 0]
+    sub, incl = subgroup_embedding(c, z3)
     cosets = double_cosets(incl, incl)
     ind = induce_rep(incl, trivial_rep(sub))
-    assert {key[0] for key in c.coset_cache} == {"double", "left"}
-    refs = [weakref.ref(g) for g in (c, cosets.classes[0].fib, cosets.classes[1].fib)]
+    assert {key[0] for key in c.store} == {"double", "left"}
+    refs = [weakref.ref(x) for x in
+            (c, c.store, cosets.classes[0].fib, cosets.classes[1].fib)]
     del c, sub, incl, cosets, ind
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_a_store_lives_while_a_group_of_its_value_does():
+    make = lambda: relabelled(symmetric_group(3))  # noqa: E731
+    g = cold(make)
+    twin = make()
+    assert twin is not g and twin.store is g.store
+    # the irreps hold g, so the store holds a group of its own value
+    kept = irreps(g)
+    sub, incl = subgroup_embedding(g, [0, 1])
+    key = ("double", incl.key, incl.key)
+    double_cosets(incl, incl)
+    store = weakref.ref(g.store)
+    del g, kept, sub, incl
+    gc.collect()
+    assert store() is twin.store and key in twin.store
+    assert irreps(twin) is twin.store[("irreps", 1729)]
+    del twin
+    gc.collect()
+    assert store() is None
+
+
+def test_equal_tables_under_other_names_share_their_invariants(s3):
+    a, b = FinGroup(s3.mult, name="A"), FinGroup(s3.mult, name="B")
+    assert a.store is b.store is s3.store
+    assert a.classes is b.classes is s3.classes
+    assert (a.name, b.name, s3.name) == ("A", "B", "S3")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [default_suite, lambda: random_suite(5, n_spans=4, n_maps=3)],
+    ids=["default", "random-5"],
+)
+def test_each_invariant_is_computed_once_per_value_in_a_run(make, monkeypatch):
+    config = make()
+    built = collections.Counter()
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            built[name, key(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(lincat.groups, "conjugacy_classes", lambda g: g.key)
+    count(lincat.groups, "_coset_data", lambda f, right: (f.key, right))
+    count(lincat.groups, "_double_cosets", lambda fh, gh: (fh.key, gh.key))
+    count(lincat.rep, "_irreps_by_splitting", lambda g, seed: (g.key, seed))
+    count(lincat.rep, "_irreps_of_product", lambda g, seed: (g.key, seed))
+    assert verify_functoriality(config).ok
+    assert not collections.Counter(name for (name, _), n in built.items() if n > 1)
 
 
 # the digest of every comma category, vertical and horizontal composite below,

@@ -3,29 +3,11 @@ lincat command and ``random_suite`` leave ``numpy.random`` unloaded (the
 splitting and the suite draws come from plain-Python generators).  A seed
 fixes every float a command prints."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
 
-import lincat
+from fresh import SRC, python
 
-SRC = pathlib.Path(lincat.__file__).resolve().parents[1]
 DATA = SRC / "lincat" / "data"
-
-
-def _python(*args, **env):
-    """stdout of a fresh interpreter run with ``args``, lincat from SRC and
-    ``env`` added to the environment; fails the test on a nonzero exit."""
-    env = dict(os.environ, **env)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 @pytest.mark.parametrize(
@@ -44,12 +26,12 @@ def test_no_lincat_code_loads_numpy_random(work, loaded):
             "data = sys.argv[1]\n"
             f"{work}\n"
             "print('numpy.random' in sys.modules)")
-    assert _python("-c", code, str(DATA)).splitlines()[-1] == str(loaded)
+    assert python("-c", code, str(DATA)).splitlines()[-1] == str(loaded)
 
 
 def test_one_seed_prints_the_same_twomorph_bytes_in_two_processes():
     args = ["-m", "lincat.cli", "--output", "json", "--seed", "11", "twomorph",
             str(DATA / "gmap_bz2.json")]
-    outs = [_python(*args, PYTHONHASHSEED=h) for h in ("0", "1")]
+    outs = [python(*args, PYTHONHASHSEED=h) for h in ("0", "1")]
     assert outs[0] == outs[1]
     assert '"blocks"' in outs[0]

@@ -1,5 +1,9 @@
+import gc
 import itertools
+import pickle
 import random
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +52,8 @@ from lincat.rep import (
     trivial_rep,
     verify_zigzag,
 )
+
+from fresh import cold, python, relabelled
 
 TOL = 1e-8
 
@@ -141,43 +147,35 @@ def test_irreps_dims_of_order_60_and_120(maker, dims):
     assert [r.dim for r in irreps(maker())] == dims
 
 
-@pytest.fixture
-def clear_irrep_cache():
-    """Empty the irreps cache for one test, restoring its entries afterwards;
-    calling the returned function empties it again."""
-
-    def clear():
-        with lincat.rep._IRREP_LOCK:
-            lincat.rep._IRREP_CACHE.clear()
-
-    with lincat.rep._IRREP_LOCK:
-        saved = dict(lincat.rep._IRREP_CACHE)
-    clear()
-    yield clear
-    with lincat.rep._IRREP_LOCK:
-        lincat.rep._IRREP_CACHE.clear()
-        lincat.rep._IRREP_CACHE.update(saved)
+def _cold_s3():
+    return cold(lambda: relabelled(symmetric_group(3)))
 
 
-def test_irreps_deterministic_order(s3, clear_irrep_cache):
-    a = irreps(s3)
-    clear_irrep_cache()
-    b = irreps(s3)
-    assert a is not b
-    for ra, rb in zip(a, b):
-        assert np.max(np.abs(ra.matrices - rb.matrices)) == 0.0
-    dims = [r.dim for r in a]
+def test_irreps_deterministic_order():
+    # two cold computations on one value: the first one's store is freed
+    # with the last group of that value before the second is built
+    g = _cold_s3()
+    a = [r.matrices for r in irreps(g)]
+    store = weakref.ref(g.store)
+    del g
+    gc.collect()
+    assert store() is None
+    b = irreps(_cold_s3())
+    for ma, rb in zip(a, b):
+        assert np.max(np.abs(ma - rb.matrices)) == 0.0
+    dims = [r.dim for r in b]
     assert dims == sorted(dims)
 
 
-def test_irreps_takes_no_tolerance(s3, clear_irrep_cache):
-    # the cache is keyed by table and seed, so a tolerance could not be
+def test_irreps_takes_no_tolerance():
+    # irreps are kept by value and seed, so a tolerance could not be
     # honoured on a hit: irreps takes none, cold or warm
+    g = _cold_s3()
     with pytest.raises(TypeError):
-        irreps(s3, tol=1e-30)
-    irreps(s3)
+        irreps(g, tol=1e-30)
+    irreps(g)
     with pytest.raises(TypeError):
-        irreps(s3, tol=1e-30)
+        irreps(g, tol=1e-30)
 
 
 def test_permutation_kernel_matches_dense_regular_rep(s4):
@@ -225,41 +223,55 @@ def test_char_of_chunks_match_the_class_loop(s4, monkeypatch):
             assert np.max(np.abs(lincat.rep._char_of(g, basis) - loop)) < 1e-13
 
 
-@pytest.mark.parametrize(
-    "maker",
-    [
-        trivial_group,
-        lambda: cyclic_group(2),
-        lambda: cyclic_group(3),
-        lambda: cyclic_group(4),
-        lambda: direct_product(cyclic_group(2), cyclic_group(2)),
-        lambda: symmetric_group(3),
-        lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
-        lambda: symmetric_group(5),
-        lambda: direct_product(symmetric_group(3), symmetric_group(3)),
-        lambda: FinGroup(direct_product(symmetric_group(3), symmetric_group(3)).mult),
-        lambda: direct_product(symmetric_group(4), cyclic_group(2)),
-        lambda: FinGroup(direct_product(symmetric_group(4), cyclic_group(2)).mult),
-    ],
-    ids=["1", "Z2", "Z3", "Z4", "Z2xZ2", "S3", "A5", "S5", "S3xS3", "S3xS3-table",
-         "S4xZ2", "S4xZ2-table"],
-)
-def test_array_characters_keep_irreps_order_dims_and_keys(maker, monkeypatch,
-                                                          clear_irrep_cache):
-    g = maker()
+MAKERS = {
+    "1": trivial_group,
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "Z4": lambda: cyclic_group(4),
+    "Z2xZ2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "S3": lambda: symmetric_group(3),
+    "A5": lambda: group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5),
+    "S5": lambda: symmetric_group(5),
+    "S3xS3": lambda: direct_product(symmetric_group(3), symmetric_group(3)),
+    "S3xS3-table": lambda: FinGroup(
+        direct_product(symmetric_group(3), symmetric_group(3)).mult),
+    "S4xZ2": lambda: direct_product(symmetric_group(4), cyclic_group(2)),
+    "S4xZ2-table": lambda: FinGroup(
+        direct_product(symmetric_group(4), cyclic_group(2)).mult),
+}
+
+# the loop reference for every maker, from a fresh interpreter, where no
+# group holds a value: every irrep there, a product's factors' included, is
+# split with the loop character and key; prints the pickled dims, loop keys,
+# matrices and character values
+_LOOP_IRREPS = """
+import pickle
+import lincat.rep
+from test_rep import MAKERS, _loop_char_key, _loop_char_of
+lincat.rep._char_of, lincat.rep._char_key = _loop_char_of, _loop_char_key
+print(pickle.dumps({
+    name: [(r.dim, _loop_char_key(r.character.values), r.matrices, r.character.values)
+           for r in lincat.rep.irreps(make())]
+    for name, make in MAKERS.items()}).hex())
+"""
+
+
+@pytest.fixture(scope="module")
+def loop_irreps():
+    return pickle.loads(bytes.fromhex(python("-c", _LOOP_IRREPS)))
+
+
+@pytest.mark.parametrize("maker", list(MAKERS))
+def test_array_characters_keep_irreps_order_dims_and_keys(maker, loop_irreps):
+    got = irreps(MAKERS[maker]())
+    want = loop_irreps[maker]
     char_key = lincat.rep._char_key
-    got = irreps(g)
-    clear_irrep_cache()
-    monkeypatch.setattr(lincat.rep, "_char_of", _loop_char_of)
-    monkeypatch.setattr(lincat.rep, "_char_key", _loop_char_key)
-    want = irreps(g)
-    assert [r.dim for r in got] == [r.dim for r in want]
-    assert ([char_key(r.character.values) for r in got]
-            == [_loop_char_key(r.character.values) for r in want])
-    for a, b in zip(got, want):
+    assert [r.dim for r in got] == [dim for dim, _, _, _ in want]
+    assert [char_key(r.character.values) for r in got] == [key for _, key, _, _ in want]
+    for a, (_, _, mats, chars) in zip(got, want):
         # the bases do not read the characters
-        assert np.array_equal(a.matrices, b.matrices)
-        assert np.max(np.abs(a.character.values - b.character.values)) < 1e-12
+        assert np.array_equal(a.matrices, mats)
+        assert np.max(np.abs(a.character.values - chars)) < 1e-12
 
 
 def test_uniform_draws_are_fixed_by_the_seed():
@@ -271,21 +283,24 @@ def test_uniform_draws_are_fixed_by_the_seed():
     assert a.min() >= -1.0 and a.max() < 1.0
 
 
-def test_numpy_integer_seed_is_the_int_seed(s3, clear_irrep_cache):
+def test_numpy_integer_seed_is_the_int_seed():
     # the stdlib generator refuses numpy integers; irreps takes them and
-    # keys its cache by the int
-    a = irreps(s3, seed=np.int64(5))
-    assert irreps(s3, seed=5) is a
-    clear_irrep_cache()
-    for ra, rb in zip(a, irreps(s3, seed=5)):
-        assert np.array_equal(ra.matrices, rb.matrices)
+    # keeps its result under the int
+    g = _cold_s3()
+    a = irreps(g, seed=np.int64(5))
+    assert irreps(g, seed=5) is a
+    mats = [r.matrices for r in a]
+    del g, a
+    for ma, rb in zip(mats, irreps(_cold_s3(), seed=5)):
+        assert np.array_equal(ma, rb.matrices)
 
 
-def test_negative_seed_is_refused(s3, clear_irrep_cache):
+def test_negative_seed_is_refused():
     # random.Random(-5) would act as seed 5
+    g = _cold_s3()
     with pytest.raises(LincatError, match="seed must be non-negative, got -5"):
-        irreps(s3, seed=-5)
-    assert not lincat.rep._IRREP_CACHE
+        irreps(g, seed=-5)
+    assert not g.store
 
 
 @pytest.mark.parametrize(
@@ -342,13 +357,12 @@ def test_closed_form_average_matches_element_sum(s4):
         assert np.max(np.abs(got - _element_sum_average(g, basis, h))) < 1e-12
 
 
-def test_irreps_never_builds_the_regular_representation(s4, monkeypatch,
-                                                        clear_irrep_cache):
+def test_irreps_never_builds_the_regular_representation(monkeypatch):
     def refuse(g):
         raise AssertionError("irreps must not call regular_rep")
 
     monkeypatch.setattr(lincat.rep, "regular_rep", refuse)
-    rs = irreps(s4)
+    rs = irreps(cold(lambda: relabelled(symmetric_group(4))))
     assert [r.dim for r in rs] == [1, 1, 2, 3, 3]
 
 
@@ -641,8 +655,9 @@ def test_induce_rep_size_guard(z2_in_s3, monkeypatch):
     assert induce_rep(z2_in_s3, triv).dim == 3
 
 
-def test_irreps_size_guard(s4, monkeypatch, clear_irrep_cache):
-    # on a cache miss, the |G| x |G| basis of C[S4] takes 24*24*16 bytes
+def test_irreps_size_guard(monkeypatch):
+    # on a miss, the |G| x |G| basis of C[S4] takes 24*24*16 bytes
+    s4 = cold(lambda: relabelled(symmetric_group(4)))
     monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16 - 1)
     with pytest.raises(InputTooLarge, match="order 24 need 9216 bytes"):
         irreps(s4)
@@ -839,12 +854,9 @@ def test_zigzag_all_fixture_homs(z2_in_s3, z3_in_s3, z4, z2):
         assert rep.ok(TOL), f"zigzag failed for {f}"
 
 
-def test_irrep_cache_concurrent_reads(s4):
-    import threading
-
-    from lincat.rep import _IRREP_CACHE
-
-    _IRREP_CACHE.clear()
+def test_irrep_cache_concurrent_reads():
+    # eight threads race on a fresh value: all get the one list stored first
+    s4 = cold(lambda: relabelled(symmetric_group(4)))
     results = [None] * 8
     errors = []
 
@@ -860,8 +872,8 @@ def test_irrep_cache_concurrent_reads(s4):
     for t in threads:
         t.join()
     assert not errors
-    dims = {tuple(r.dim for r in rs) for rs in results}
-    assert len(dims) == 1
+    assert all(rs is results[0] for rs in results)
+    assert [r.dim for r in results[0]] == [1, 1, 2, 3, 3]
 
 
 # --- irreps of recorded products --------------------------------------------
@@ -893,15 +905,17 @@ def test_product_irreps_match_the_split_table(maker):
         assert np.max(np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(r.dim))) < TOL
 
 
-def test_product_and_equal_table_keep_separate_cache_entries(s3, clear_irrep_cache):
+def test_product_and_equal_table_keep_separate_cache_entries(s3):
     p = direct_product(s3, s3)
     plain = FinGroup(p.mult)
     assert p != plain and p.fingerprint == plain.fingerprint
+    assert p.store is not plain.store
     a, b = irreps(p), irreps(plain)
     assert a is not b
     assert irreps(p) is a and irreps(plain) is b
-    # the entries: S3, the product and the plain table
-    assert len(lincat.rep._IRREP_CACHE) == 3
+    # the entries: S3's, the product's and the plain table's, one store each
+    assert p.store[("irreps", 1729)] is a and plain.store[("irreps", 1729)] is b
+    assert s3.store[("irreps", 1729)] is irreps(s3)
     # a nested product's key holds its factors' keys all the way down
     z2, z3 = cyclic_group(2), cyclic_group(3)
     inner = direct_product(s3, z2)
@@ -911,25 +925,26 @@ def test_product_and_equal_table_keep_separate_cache_entries(s3, clear_irrep_cac
     assert irreps(q1) is not irreps(q2)
 
 
-def test_s4_squared_irreps_come_from_the_factors(s4, monkeypatch, clear_irrep_cache):
+def test_s4_squared_irreps_come_from_the_factors(s4, monkeypatch):
     irreps(s4)
 
     def refuse(*args):
         raise AssertionError("a recorded product must not split C[G]")
 
     monkeypatch.setattr(lincat.rep, "_split", refuse)
-    rs = irreps(direct_product(s4, s4))
+    rs = irreps(cold(lambda: direct_product(s4, s4)))
     assert len(rs) == 25
     assert sum(r.dim**2 for r in rs) == 576
 
 
-def test_product_irreps_size_guard(s3, z4, monkeypatch, clear_irrep_cache):
+def test_product_irreps_size_guard(z4, monkeypatch):
     # the product route allocates |G|^2 complex numbers too, and is guarded
     # before its factors' irreps are computed
-    p = direct_product(s3, z4)
+    s3 = _cold_s3()
+    p = cold(lambda: direct_product(s3, z4))
     monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16 - 1)
     with pytest.raises(InputTooLarge, match="order 24 need 9216 bytes"):
         irreps(p)
-    assert not lincat.rep._IRREP_CACHE
+    assert not p.store and not s3.store
     monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16)
     assert sum(r.dim**2 for r in irreps(p)) == 24
