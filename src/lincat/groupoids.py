@@ -31,10 +31,17 @@ witnesses of a mediator are its recorded witness times each pair of its
 class, all candidates' conjugated pair tables come out of one searchsorted
 over the class's pair codes, and the first (top, bottom) candidate pair on
 which both feet agree, in row-major order, is kept.
+
+A run memo (``_run_memo``, one per context) shares work by value: ``_once``
+keeps results by kind and the keys of the given spans and span maps they are
+built from, ``shared`` holds one dict per kind for the layers above, and the
+composite of two given spans is built once, one object for every caller.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -377,19 +384,63 @@ def _admissible_class(fh, gh, cosets, j, witness, accepts, pair):
     )
 
 
+@dataclass
+class _RunMemo:
+    """The work one run shares (see the module docstring)."""
+
+    inputs: set  # value keys of the given spans, span maps and maps' top/bottom spans
+    results: dict = field(default_factory=dict)  # (kind, value keys) -> result
+    shared: dict = field(default_factory=dict)   # kind -> the dict its builds share
+
+
+# the memo of the run in this context, if any
+_RUN = contextvars.ContextVar("lincat_run_memo", default=None)
+
+
+@contextlib.contextmanager
+def _run_memo(inputs):
+    """A run memo given the spans and span maps ``inputs``, for the body."""
+    token = _RUN.set(_RunMemo({v.key for v in inputs}))
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _once(kind, values, build):
+    """``build()``, kept by a run given every span or span map in ``values``,
+    by ``kind`` (a name and arguments) and the values' keys."""
+    run = _RUN.get()
+    keys = () if run is None else tuple(v.key for v in values)
+    if run is None or not run.inputs.issuperset(keys):
+        return build()
+    if (kind, keys) not in run.results:
+        run.results[kind, keys] = build()
+    return run.results[kind, keys]
+
+
+def _shared(kind):
+    """The dict that the builds of ``kind`` share in this run, or a new one."""
+    return {} if (run := _RUN.get()) is None else run.shared.setdefault(kind, {})
+
+
 def compose_spans(x: Span, xp: Span) -> Span:
     """Composite span (x first, then xp) by weak pullback over the shared foot.
 
     The composite keeps the comma category (x.right | xp.left) whose skeleton
-    is its apex as ``comma`` and (x, xp) as ``factors``, so later steps read
-    its classes and factors instead of composing again."""
+    is its apex as ``comma`` and (x, xp) as ``factors``, which later steps
+    read; a run given x and xp builds it once, one object for every call."""
     if x.target != xp.source:
         raise TargetMismatch(
             f"cannot compose: {x.target.name} is not {xp.source.name}"
         )
-    cat = comma_category(x.right, xp.left)
-    return Span(cat.groupoid, cat.proj_left.then(x.left),
-                cat.proj_right.then(xp.right), comma=cat, factors=(x, xp))
+
+    def build():
+        cat = comma_category(x.right, xp.left)
+        return Span(cat.groupoid, cat.proj_left.then(x.left),
+                    cat.proj_right.then(xp.right), comma=cat, factors=(x, xp))
+
+    return _once(("compose_spans",), (x, xp), build)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +475,8 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
     """Horizontal composite over the shared foot groupoid: the apex is the weak
     pullback of the two composites into that foot, and the legs are the induced
     functors into the composite top and bottom spans, keeping each mediating
-    morphism intact.  When the bottom spans equal the top ones, so do their
-    composites, and the top composite is the bottom one too.
+    morphism intact.  The top and bottom spans are ``compose_spans``' composites,
+    which a run given the spans shares with its other checks.
 
     At each apex object z with mediator m and fibred-product pairs (hs, ks),
     the candidate witnesses of m in a composite are the recorded witness times
@@ -440,9 +491,7 @@ def horizontal_compose_spanmaps(y: SpanMap, yp: SpanMap) -> SpanMap:
     tau = y.up.then(y.top.right)       # Y -> A2, equal to down.then(bottom.right)
     sigma = yp.up.then(yp.top.left)    # Y' -> A2
     cat = comma_category(tau, sigma)
-    top = compose_spans(y.top, yp.top)
-    bot = (top if (y.bottom, yp.bottom) == (y.top, yp.top)
-           else compose_spans(y.bottom, yp.bottom))
+    top, bot = compose_spans(y.top, yp.top), compose_spans(y.bottom, yp.bottom)
     z = cat.groupoid
     up_omap, up_homs = [], []
     down_omap, down_homs = [], []

@@ -66,21 +66,18 @@ a tolerance: one bounds only the dual path and the suite's float checks.
 
 Outside a run, each ``lambda_span`` call computes its dims blocks and, once
 read, its models afresh; a span map's equal top and bottom spans share one
-result.  A run memo (in a context variable, so concurrent runs keep their
-own) is the only way calls share work, and it shares by value:
-dims blocks and leg entries by leg key, dual-path pieces by their homs' value
-keys and models, and (``_once``) the linearizations of the spans and span
-maps the run was given, the composite of two given spans and its compositor;
-no other composite's.  ``verify_functoriality`` opens one given its spans,
-its span maps and their top and bottom spans, and runs one check per law in
-one loop, which gives a failed check the disagreement its error measured, or
-inf.  Only the vertical and horizontal checks build models.
+result.  A run (the memo of ``groupoids``) shares dims blocks and leg
+entries by leg key and dual-path pieces by their homs' value keys and
+models, and keeps the linearizations of the given spans and span maps and
+the compositor of two given spans; no composite's linearization.
+``verify_functoriality`` opens one given its spans, its span maps and their
+top and bottom spans, and runs one check per law in one loop, which gives a
+failed check the disagreement its error measured, or inf.  Only the
+vertical and horizontal checks build models.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -98,10 +95,14 @@ from .errors import (
     StrictnessViolation,
 )
 from .groupoids import (
+    _RUN,
     CommaCategory,
     Groupoid,
     Span,
     SpanMap,
+    _once,
+    _run_memo,
+    _shared,
     compose_spans,
     horizontal_compose_spanmaps,
     identity_span,
@@ -189,43 +190,6 @@ class LambdaSpanResult:
         return self._models()
 
 
-@dataclass
-class _RunMemo:
-    """The work one run shares (see the module docstring)."""
-
-    inputs: set  # value keys of the given spans, span maps and maps' top/bottom spans
-    results: dict = field(default_factory=dict)  # (kind, value keys) -> result
-    dims: dict = field(default_factory=dict)     # leg key -> dims block
-    legs: dict = field(default_factory=dict)     # leg key -> entries
-    pieces: dict = field(default_factory=dict)   # dual-path transfer pieces
-
-
-# the memo of the verify_functoriality call running in this context, if any
-_RUN = contextvars.ContextVar("lincat_run_memo", default=None)
-
-
-@contextlib.contextmanager
-def _run_memo(inputs):
-    """A run memo given the spans and span maps ``inputs``, for the body."""
-    token = _RUN.set(_RunMemo({v.key for v in inputs}))
-    try:
-        yield
-    finally:
-        _RUN.reset(token)
-
-
-def _once(kind, values, build):
-    """``build()``, kept by a run given every span or span map in ``values``,
-    by ``kind`` (a name and arguments) and the values' keys."""
-    run = _RUN.get()
-    keys = () if run is None else tuple(v.key for v in values)
-    if run is None or not run.inputs.issuperset(keys):
-        return build()
-    if (kind, keys) not in run.results:
-        run.results[kind, keys] = build()
-    return run.results[kind, keys]
-
-
 def lambda_span(x: Span, seed=DEFAULT_SEED) -> LambdaSpanResult:
     """Matrix of intertwiner spaces for a span.
 
@@ -250,8 +214,7 @@ def _lambda_span(x: Span, seed) -> LambdaSpanResult:
     witnesses = {(r, c): [] for r in range(nrow) for c in range(ncol)}
     # an apex object's dims and models depend only on its leg key; a run
     # shares both by that key
-    run = _RUN.get()
-    blocks, legs = (run.dims, run.legs) if run is not None else ({}, {})
+    blocks, legs = _shared("dims"), _shared("legs")
     placed = []  # per apex object: its leg key and its block's corner
     first = {}   # leg key -> the arguments of its leg entries
     # apex objects in increasing order, so each entry's witnesses ascend
@@ -482,8 +445,7 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
     projection . T . embedding over W2, divided by dim W2, in one contraction.
     A piece depends only on its homs and models, so each distinct one is
     built once per run memo, keyed by its models and its homs' value keys."""
-    run = _RUN.get()
-    pieces = run.pieces if run is not None else {}
+    pieces = _shared("pieces")
     over = {}  # (x1, x2) -> the span-map apex objects over them
     hom_keys = []  # per apex object: its up and down homs' value keys
     for yi in range(len(y.apex)):
@@ -498,7 +460,6 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
             if not (nrows and ncols):
                 continue
             tops = [tw for tw in lam_top.details[(r, c)] if len(tw.basis)]
-            embeds = {}  # top witness's apex object -> its E
             block = np.zeros((nrows, ncols), dtype=complex)
             for bw in lam_bot.details[(r, c)]:
                 partners = [(tw, yis) for tw in tops
@@ -512,11 +473,9 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
                 mats = mats.reshape(len(mats), nb * w2.dim, -1)
                 proj = _counit_kernel(ind2, mats).reshape(nb, w2.dim, ind2.dim) / kappa
                 for tw, yis in partners:
-                    if tw.apex_idx not in embeds:
-                        # E[t]: the embedding of W2 of tw's t-th basis element
-                        embeds[tw.apex_idx] = _unit_kernel(tw.ind, np.einsum(
-                            "tjl,ajk->altk", tw.basis.conj(), w2.matrices)
-                        ).transpose(1, 0, 2)
+                    # E[t]: the embedding of W2 of tw's t-th basis element
+                    embed = _unit_kernel(tw.ind, np.einsum(
+                        "tjl,ajk->altk", tw.basis.conj(), w2.matrices)).transpose(1, 0, 2)
                     # the irreps W2 of one object share the pushforwards,
                     # so their entries share T
                     tkey = (tw.ind, ind2, tw.apex_idx, bw.apex_idx)
@@ -535,8 +494,7 @@ def _dual_path(y: SpanMap, lam_top, lam_bot) -> TwoMorphism:
                         transfers[tkey] = t
                     block[bw.start : bw.start + nb,
                           tw.start : tw.start + len(tw.basis)] = np.einsum(
-                        "bij,jk,tki->bt", proj, transfers[tkey], embeds[tw.apex_idx]
-                    ) / w2.dim
+                        "bij,jk,tki->bt", proj, transfers[tkey], embed) / w2.dim
             blocks[(r, c)] = block
     return TwoMorphism(lam_top.map, lam_bot.map, blocks)
 
@@ -647,7 +605,7 @@ def beta_compositor(x: Span, xp: Span, seed=DEFAULT_SEED) -> BetaReport:
     dims come from characters, rounded by ``rep._integral``: no tolerance
     enters.  The three spans are linearized with ``seed``, so that inside
     ``verify_functoriality`` they are the results the other checks read."""
-    composite = _composite(x, xp)
+    composite = compose_spans(x, xp)
     cat = composite.comma
     lam_x = lambda_span(x, seed=seed)
     lam_xp = lambda_span(xp, seed=seed)
@@ -682,11 +640,6 @@ def _gamma_pair_witness(x: Span, xp: Span, cat: CommaCategory, pair):
         orbits += reached
         uneven |= reached & (counts != len(hs))
     return GammaWitness(pair, unsolved + int(np.count_nonzero(uneven | (orbits != 1))))
-
-
-def _composite(x: Span, xp: Span) -> Span:
-    """``compose_spans(x, xp)``, kept by a run given x and xp."""
-    return _once(("compose_spans",), (x, xp), lambda: compose_spans(x, xp))
 
 
 def _beta(lam_c: LambdaSpanResult) -> TwoMorphism:
@@ -878,8 +831,8 @@ def _check_associator(config, i, j, k):
     """Both bracketings of the triple have equal dims."""
     spans = config.spans
     dl, dr = (lambda_span(x, seed=config.seed).map.dims
-              for x in (compose_spans(_composite(spans[i], spans[j]), spans[k]),
-                        compose_spans(spans[i], _composite(spans[j], spans[k]))))
+              for x in (compose_spans(compose_spans(spans[i], spans[j]), spans[k]),
+                        compose_spans(spans[i], compose_spans(spans[j], spans[k]))))
     return bool(np.array_equal(dl, dr)), 0.0, ""
 
 

@@ -339,13 +339,14 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     identity element acts by an exact identity matrix.  Results are kept
     per seed in the store of g's value: a recorded product's value holds
     its factors, so it and the same table built another way keep separate
-    stores and bases.  On a miss, raises InputTooLarge before allocating
-    when |G|^2 complex numbers (the basis of C[G], or all the product's
-    matrices) would take more than MAX_DENSE_BYTES, and NumericalFailure
-    unless the characters are orthonormal within DEFAULT_TOL: no caller
-    picks that tolerance, so a kept result never depends on one.  The seed
-    is any non-negative integer (numpy integers included); a negative one
-    raises LincatError."""
+    stores and bases.  A kept result is the value's: an irrep's ``group``
+    equals g, but may be another object with another name.  On a miss, raises
+    InputTooLarge before allocating when |G|^2 complex numbers (the basis of
+    C[G], or all the product's matrices) would take more than MAX_DENSE_BYTES,
+    and NumericalFailure unless the characters are orthonormal within
+    DEFAULT_TOL: no caller picks that tolerance, so a kept result never
+    depends on one.  The seed is any non-negative integer (numpy integers
+    included); a negative one raises LincatError."""
     # random.Random refuses numpy integers and takes a negative seed's
     # absolute value
     seed = operator.index(seed)

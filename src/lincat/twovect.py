@@ -34,9 +34,6 @@ class TwoBasis:
     def __len__(self):
         return len(self.labels)
 
-    def index(self, label):
-        return self.labels.index(tuple(label))
-
 
 class TwoLinearMap:
     """A codomain x domain matrix of hom-space dimensions, with optional

@@ -270,10 +270,6 @@ def test_comma_categories_of_random_suites_are_unchanged(monkeypatch):
                 if y.top.target == yp.top.source:
                     feed("horizontal", seed, i, j)
                     feed_composite(horizontal_compose_spanmaps, y, yp)
-                    if (y.bottom, yp.bottom) == (y.top, yp.top):
-                        # the bottom composite is the top one, whose comma
-                        # category was built last: it stands for both
-                        built.append(built[-1])
         for cat in built:
             feed(cat.groupoid.names)
             for cls in cat.classes:

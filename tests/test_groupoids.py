@@ -535,8 +535,10 @@ def test_derived_tables_and_homs_pass_the_full_proofs(monkeypatch):
 
     monkeypatch.setattr(lincat.groupoids, "comma_category", recorded_comma)
     monkeypatch.setattr(GroupHom, "then", recorded_then)
-    for suite in (default_suite(), random_suite(5, n_spans=4, n_maps=3),
-                  random_suite(23, n_spans=4, n_maps=3)):
+    # a run builds each composite of two given spans once: six suites give
+    # more than 300 comma categories
+    for suite in (default_suite(), *(random_suite(s, n_spans=4, n_maps=3)
+                                     for s in (0, 5, 10, 12, 23))):
         verify_functoriality(suite)
     classes = 0
     for cat in cats:

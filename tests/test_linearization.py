@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lincat.cli
+import lincat.groupoids
 import lincat.linearization
 import lincat.rep
 from lincat.documents import parse
@@ -29,6 +30,7 @@ from lincat.groupoids import (
     GroupoidFunctor,
     Span,
     SpanMap,
+    _run_memo,
     compose_spans,
     discrete_groupoid,
     horizontal_compose_spanmaps,
@@ -58,7 +60,6 @@ from lincat.linearization import (
     _blocks_deviation,
     _check_dual_path,
     _dual_path,
-    _run_memo,
     beta_compositor,
     composite_block_iso,
     degroupoidify,
@@ -592,14 +593,21 @@ def _drop_fibred_pair(cat):
 @pytest.mark.parametrize("mutate", [_drop_class, _drop_fibred_pair],
                          ids=["dropped-class", "dropped-fibred-pair"])
 def test_compositor_reports_a_broken_comparison_map(monkeypatch, mutate):
-    # the comma data behind every composite beta_compositor builds is broken
-    # at one pair: the report is not ok and the check fails, nothing raises
+    # the comma data behind every composite beta_compositor reads is broken
+    # at one pair: the report is not ok and the check fails, nothing raises.
+    # Each call breaks a copy, so the run's kept composite, which the
+    # horizontal section reads too, stays whole
     real = lincat.linearization.compose_spans
 
     def broken(x, xp):
         composite = real(x, xp)
-        mutate(composite.comma)
-        return composite
+        cat = composite.comma
+        copy = dataclasses.replace(cat, pair_data=dict(cat.pair_data), **{
+            side: GroupoidFunctor._derived(f.source, f.target, f.object_map, f.hom_maps)
+            for side, f in (("proj_left", cat.proj_left), ("proj_right", cat.proj_right))})
+        mutate(copy)
+        return Span(composite.apex, composite.left, composite.right, comma=copy,
+                    factors=composite.factors)
 
     monkeypatch.setattr(lincat.linearization, "compose_spans", broken)
     fig1 = fig1_span()
@@ -853,10 +861,39 @@ def _count_comma_categories(monkeypatch):
 def test_verify_functoriality_builds_each_composite_comma_once(monkeypatch):
     # the horizontal section reads the comma categories of the top and bottom
     # composites from the spans that horizontal_compose_spanmaps built, and
-    # the associator's inner composites are the compositor's (12 of them)
+    # a composite of two given spans, whoever asks for it, is built once
     calls = _count_comma_categories(monkeypatch)
     assert verify_functoriality(default_suite()).ok
-    assert len(calls) == 235
+    assert len(calls) == 164
+
+
+def test_verify_functoriality_builds_each_composite_of_a_span_pair_once(monkeypatch):
+    # the compositor, the associator's inner bracketings and the horizontal
+    # section's top and bottom spans share one composite per pair of spans
+    built = []
+    real = lincat.groupoids.Span
+
+    def recorded(*args, **kwargs):
+        x = real(*args, **kwargs)
+        if x.factors is not None:
+            built.append(x.factors)
+        return x
+
+    monkeypatch.setattr(lincat.groupoids, "Span", recorded)
+    assert verify_functoriality(default_suite()).ok
+    assert len(built) == len({(x.key, xp.key) for x, xp in built}) == 82
+
+
+def test_a_run_hands_every_caller_one_composite_of_two_given_spans():
+    g1 = groupoidification_map(one_object_groupoid(cyclic_group(2)))
+    g2 = groupoidification_map(one_object_groupoid(symmetric_group(3)))
+    with _run_memo([g1.top, g2.top]):
+        comp = compose_spans(g1.top, g2.top)
+        assert horizontal_compose_spanmaps(g1, g2).top is comp
+        assert beta_compositor(g1.top, g2.top).composite is comp
+        # comp was not given, so its composites are not kept
+        assert compose_spans(comp, g2.top) is not compose_spans(comp, g2.top)
+    assert compose_spans(g1.top, g2.top) is not comp
 
 
 def test_composite_block_iso_reads_comma_of_given_composite(monkeypatch):
@@ -1216,8 +1253,13 @@ def test_verify_functoriality_linearizes_each_span_map_once(monkeypatch):
     vertical = _record_calls(monkeypatch, "vertical_compose_spanmaps")
     horizontal = _record_calls(monkeypatch, "horizontal_compose_spanmaps")
     assert verify_functoriality(suite).ok
-    # no span object is built twice (the log keeps each alive, so ids differ)
-    assert len({id(x) for x, _ in built}) == len(built) == 167
+    # a span object built twice is the kept composite of two given spans,
+    # which each check that reads it linearizes again (the log keeps each
+    # span alive, so ids differ)
+    assert len(built) == 167
+    given = set(suite.spans) | {x for y in suite.spanmaps for x in (y.top, y.bottom)}
+    twice = [x for x, _ in built if sum(z is x for z, _ in built) > 1]
+    assert twice and all(set(x.factors) <= given for x in twice)
     composites = [out for _, out in vertical + horizontal]
     assert composites
 
@@ -1258,13 +1300,13 @@ def test_a_run_keeps_only_what_it_was_given_and_its_composites(monkeypatch):
     # composites of two given spans and their compositors (one per pair of
     # factors), and nothing else: no composite's linearization
     memos = []
-    real = lincat.linearization._RunMemo
+    real = lincat.groupoids._RunMemo
 
     def spied(inputs):
         memos.append(real(inputs))
         return memos[-1]
 
-    monkeypatch.setattr(lincat.linearization, "_RunMemo", spied)
+    monkeypatch.setattr(lincat.groupoids, "_RunMemo", spied)
     suite = default_suite()
     assert verify_functoriality(suite).ok
     (memo,) = memos
@@ -1494,7 +1536,7 @@ def test_dims_blocks_are_shared_across_tolerances(monkeypatch):
 
 
 def test_run_memo_lives_only_for_the_call(monkeypatch):
-    run_memo = lincat.linearization._RUN
+    run_memo = lincat.groupoids._RUN
     seen = []
     real = lincat.linearization._leg_entries
 
@@ -1572,7 +1614,7 @@ def test_lambda_spanmap_outside_a_run_builds_each_leg_entry_once(monkeypatch):
     res = lambda_spanmap(SpanMap(identity_span(point), identity_span(point), apex, leg, leg))
     assert res.source_result is not res.target_result
     assert len(keys) == len(set(keys)) == 3
-    assert lincat.linearization._RUN.get() is None
+    assert lincat.groupoids._RUN.get() is None
 
 
 def test_twomorph_prints_the_bytes_of_unshared_spans(monkeypatch, capsys):
@@ -1589,14 +1631,14 @@ def test_twomorph_prints_the_bytes_of_unshared_spans(monkeypatch, capsys):
 
 def test_finished_run_memo_is_freed_by_reference_counting(monkeypatch):
     refs = []
-    real = lincat.linearization._RunMemo
+    real = lincat.groupoids._RunMemo
 
     def tracked(*args, **kwargs):
         memo = real(*args, **kwargs)
         refs.append(weakref.ref(memo))
         return memo
 
-    monkeypatch.setattr(lincat.linearization, "_RunMemo", tracked)
+    monkeypatch.setattr(lincat.groupoids, "_RunMemo", tracked)
     gc.disable()
     try:
         report = verify_functoriality(random_suite(5, n_spans=4, n_maps=3))

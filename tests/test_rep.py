@@ -167,6 +167,18 @@ def test_irreps_deterministic_order():
     assert dims == sorted(dims)
 
 
+def test_kept_irreps_belong_to_the_value_not_to_the_asking_group():
+    # a result the store keeps is the value's: every irrep's group equals
+    # the asking group, but it is the group object that asked first, under
+    # that object's name
+    first = _cold_s3()
+    twin = FinGroup(first.mult, name="A")
+    table = irreps(first)
+    assert irreps(twin) is table
+    assert all(r.group == twin and r.group is first for r in table)
+    assert table[0].group.name == first.name != twin.name
+
+
 def test_irreps_takes_no_tolerance():
     # irreps are kept by value and seed, so a tolerance could not be
     # honoured on a hit: irreps takes none, cold or warm
