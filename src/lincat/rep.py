@@ -22,11 +22,11 @@ with the invariants materialized through the averaging projector.  Each
 element h of H is decomposed as h = h_i f(lift[h]) with h_i a coset
 representative, once per hom value: ``groups.coset_data`` keeps the
 decomposition in the store of H's value, and every induced model along an
-equal hom shares it.  The induced matrices, the tensor
-coordinates of h (x) v and every map into or out of an induced model are
-array expressions over that decomposition.  The Nakayama map identifies this
-tensor model with the hom model
-Hom_{C[G]}(C[H], V) and makes the induction a two-sided adjoint of
+equal hom shares it.  An induced model stays in that coset form: its
+character, the tensor coordinates of h (x) v and every map into or out of it
+are array expressions over the decomposition, and its |H| matrices are built
+only when read.  The Nakayama map identifies this tensor model with the hom
+model Hom_{C[G]}(C[H], V) and makes the induction a two-sided adjoint of
 restriction; the four unit/counit maps of the two adjunctions are produced as
 explicit matrices in these distinguished bases.  Rank and invertibility
 decisions cut at RANK_CUT; no function that builds a result takes a
@@ -39,6 +39,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -396,8 +397,9 @@ class InducedRep(RepModel):
     Every h in H factors once as h = h_i f(g) with h_i = coset_reps[i],
     i = coset_index[h] and g = lift[h], so h (x) v = h_i (x) g.v; its
     coordinates are C^H V(g) v in block i and zero elsewhere (C the invariant
-    basis).  ``tensor_coords`` applies this rule, and ``induce_rep`` builds
-    the matrices from the same decomposition.
+    basis).  ``tensor_coords`` applies this rule, and ``character`` reads the
+    induced-character formula off the same decomposition; ``matrices``, the
+    dense (|H|, dim, dim) stack, is built on its first read.
 
     Attributes:
         hom: the homomorphism f.
@@ -407,21 +409,41 @@ class InducedRep(RepModel):
         lift: per element h of H, the minimal-index g in G with
             h = coset_reps[coset_index[h]] * f(g).
         invariant_basis: orthonormal basis C (columns) of the ker(f)-invariants.
+        blocks: C^H V(g) C per element g of G at the lifts, zero elsewhere.
 
     ``coset_reps``, ``coset_index`` and ``lift`` are the read-only arrays of
     ``groups.coset_data(hom)``, shared by every model induced along an equal
     hom.
     """
 
-    def __init__(self, group, matrices, hom, base, coset_reps, coset_index,
-                 lift, invariant_basis):
-        super().__init__(group, matrices)
-        self.hom = hom
-        self.base = base
-        self.coset_reps = coset_reps
-        self.coset_index = coset_index
-        self.lift = lift
+    def __init__(self, hom, base, cosets, invariant_basis, blocks):
+        self.group = hom.target
+        self.dim = len(cosets.reps) * invariant_basis.shape[1]
+        self.hom, self.base = hom, base
+        self.coset_reps, self.coset_index, self.lift = cosets.reps, cosets.index, cosets.lift
         self.invariant_basis = invariant_basis
+        self.blocks = blocks
+
+    @cached_property
+    def matrices(self):
+        # a h_i = h_j f(lift[a h_i]), so block (j, i) of a is blocks[lift[a h_i]]
+        h, n, dw = self.group, len(self.coset_reps), self.block_dim
+        ahi = h.mult[:, self.coset_reps]
+        mats = np.zeros((h.order, n, dw, n, dw), dtype=complex)
+        mats[np.arange(h.order)[:, None], self.coset_index[ahi], :, np.arange(n), :] = (
+            self.blocks[self.lift[ahi]]
+        )
+        return mats.reshape(h.order, self.dim, self.dim)
+
+    @cached_property
+    def character(self) -> Character:
+        # at each class representative c, tr blocks[lift[c h_i]] summed over
+        # the cosets h_i that c fixes
+        h = self.group
+        ahi = h.mult[np.ix_([c[0] for c in h.classes], self.coset_reps)]
+        fixed = self.coset_index[ahi] == np.arange(len(self.coset_reps))
+        diag = np.diagonal(self.blocks, axis1=1, axis2=2)[self.lift[ahi]]
+        return Character(h, (diag * fixed[..., None]).sum(axis=(1, 2)))
 
     @property
     def block_dim(self):
@@ -467,21 +489,21 @@ def _invariant_basis(v: RepModel, kernel):
 
 
 def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
-    """Induction of v along f, on the basis  h_i (x) e_j  (cosets x invariants):
-    a sends h_i to a h_i = h_j f(lift[a h_i]), so block (j, i) of a is
-    C^H V(lift[a h_i]) C.  The cosets, lifts, kernel and image are
+    """Induction of v along f, on the basis  h_i (x) e_j  (cosets x invariants),
+    kept in coset form: the model holds the diagonal blocks C^H V(g) C, one
+    per element of f's source, and builds its matrices only when they are
+    read (``InducedRep.matrices``).  The cosets, lifts, kernel and image are
     ``groups.coset_data(f)``, computed once per hom value and kept, read-only,
-    in the store of the value of f's target group.  Raises
-    InputTooLarge before allocating the model when its |H| matrices would
+    in the store of the value of f's target group.  Raises InputTooLarge
+    before allocating anything of the model when its |H| matrices would
     take more than MAX_DENSE_BYTES."""
     if v.group != f.source:
         raise GroupMismatch("model lives on the wrong group for this induction")
     h = f.target
     cosets = coset_data(f)
-    reps, coset_index, lift = cosets.reps, cosets.index, cosets.lift
     c = _invariant_basis(v, cosets.kernel)
     dw = c.shape[1]
-    n = len(reps)
+    n = len(cosets.reps)
     nbytes = h.order * (n * dw) ** 2 * 16
     if nbytes > MAX_DENSE_BYTES:
         raise InputTooLarge(
@@ -492,13 +514,7 @@ def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
     lifts = cosets.preimage[cosets.image]
     blocks = np.zeros((f.source.order, dw, dw), dtype=complex)
     blocks[lifts] = c.conj().T @ v.matrices[lifts] @ c
-    ahi = h.mult[:, reps]
-    mats = np.zeros((h.order, n, dw, n, dw), dtype=complex)
-    mats[np.arange(h.order)[:, None], coset_index[ahi], :, np.arange(n), :] = (
-        blocks[lift[ahi]]
-    )
-    return InducedRep(h, mats.reshape(h.order, n * dw, n * dw), f, v, reps,
-                      coset_index, lift, c)
+    return InducedRep(f, v, cosets, c, blocks)
 
 
 def induced_morphism(ind_source: InducedRep, ind_target: InducedRep, phi):

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads and prints: computing irreps, every
 lincat command and ``random_suite`` leave ``numpy.random`` unloaded (the
 splitting and the suite draws come from plain-Python generators).  A seed
-fixes every float a command prints."""
+fixes every float a command prints.  Λ of a regular span keeps its
+pushforward in coset form, so its peak memory stays flat."""
 
 import pytest
 
@@ -35,3 +36,25 @@ def test_one_seed_prints_the_same_twomorph_bytes_in_two_processes():
     outs = [python(*args, PYTHONHASHSEED=h) for h in ("0", "1")]
     assert outs[0] == outs[1]
     assert '"blocks"' in outs[0]
+
+
+def test_lambda_of_the_regular_span_of_s5_builds_no_dense_pushforward():
+    # 1 <- B1 -> BS5 pushes forward along an index-120 inclusion, whose dense
+    # induced matrices would take 120^3 * 16 B = 26 MB
+    code = """if True:
+        import resource
+        import lincat
+        from lincat import GroupoidFunctor, Span, SpanMap
+        g = lincat.symmetric_group(5)
+        h, incl = lincat.subgroup_embedding(g, [0])
+        bh = lincat.one_object_groupoid(h)
+        x = Span(bh, GroupoidFunctor.to_terminal(bh, lincat.terminal_groupoid()),
+                 GroupoidFunctor(bh, lincat.one_object_groupoid(g), [0], [incl]))
+        lincat.irreps(g), lincat.irreps(h)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        lincat.lambda_spanmap(SpanMap.identity(x), check=True)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024)
+    """
+    grown_mb = float(python("-c", code, OPENBLAS_NUM_THREADS="1"))
+    assert grown_mb < 5, grown_mb

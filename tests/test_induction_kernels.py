@@ -207,6 +207,14 @@ def test_induce_rep_matches_loop_bit_for_bit():
         assert list(ind.coset_reps) == reps
         assert np.array_equal(ind.coset_index, coset_index)
         assert np.array_equal(ind.invariant_basis, c)
+        # the coset-form character against the traces of the loop's matrices
+        # (on a fresh model, whose matrices are not built yet)
+        chi = induce_rep(f, v).character.values
+        if ind.block_dim == 0:
+            assert np.array_equal(chi, np.zeros(len(f.target.classes)))
+        else:
+            traces = [np.trace(mats[cls[0]]) for cls in f.target.classes]
+            assert np.max(np.abs(chi - traces)) <= KERNEL_TOL, (f, v.dim)
 
 
 def ref_invariant_basis(v, kernel):

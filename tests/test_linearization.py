@@ -45,6 +45,7 @@ from lincat.groups import (
     GroupHom,
     cyclic_group,
     direct_product,
+    group_from_permutations,
     identity_hom,
     subgroup_embedding,
     symmetric_group,
@@ -77,13 +78,18 @@ from lincat.suites import (
     mixed_groupoid,
     random_suite,
     span_over_points,
+    standard_homs,
     z2_in_s3,
 )
 from lincat.rep import (
     DEFAULT_TOL,
+    InducedRep,
     _counit_kernel,
     _unit_kernel,
     irreps,
+    regular_rep,
+    trivial_rep,
+    verify_zigzag,
 )
 from lincat.twovect import (
     TwoLinearMap,
@@ -93,6 +99,7 @@ from lincat.twovect import (
     vcompose_2morph,
 )
 from staged_reference import staged_transfer_piece
+from test_induction_kernels import ref_induce
 from test_rep import _loop_projection
 
 DATA = "src/lincat/data"
@@ -483,6 +490,51 @@ def test_dual_path_builds_no_induced_model(monkeypatch):
         assert dev < DEFAULT_TOL
         compared += sum(b.size > 0 for b in got.blocks.values())
     assert compared > 0
+
+
+def _identity_map_of_a_cyclic_leg(g):
+    """The identity span map of 1 <- B<x> -> BG, for x the first involution
+    of g that is not central."""
+    x = next(a for a in range(1, g.order)
+             if g.mult[a, a] == 0 and np.any(g.mult[a] != g.mult[:, a]))
+    h, incl = subgroup_embedding(g, [0, x])
+    bh = one_object_groupoid(h)
+    span = Span(bh, GroupoidFunctor.to_terminal(bh, terminal_groupoid()),
+                GroupoidFunctor(bh, one_object_groupoid(g), [0], [incl]))
+    return SpanMap.identity(span)
+
+
+def test_lambda_builds_no_dense_induced_model(monkeypatch):
+    # Λ reads the induced character and the tensor coordinates, both in
+    # coset form; only the zig-zag's push probes read induced matrices
+    prop = InducedRep.__dict__["matrices"]
+    real, builds = prop.func, [0]
+
+    def counted(ind):
+        builds[0] += 1
+        return real(ind)
+
+    monkeypatch.setattr(prop, "func", counted)
+    for suite in (default_suite(), random_suite(0)):
+        assert verify_functoriality(suite).ok
+    s3 = symmetric_group(3)
+    for g in (direct_product(s3, s3),
+              direct_product(symmetric_group(4), cyclic_group(2)),
+              group_from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], 5)):
+        lambda_spanmap(_identity_map_of_a_cyclic_leg(g), check=True)
+    assert builds[0] == 0
+
+    def probes(f):
+        return [trivial_rep(f.source), regular_rep(f.source),
+                trivial_rep(f.target), regular_rep(f.target)]
+
+    lazy = {n: verify_zigzag(f, probes(f)).deviations
+            for n, f in standard_homs().items()}
+    assert builds[0] > 0
+    # and the deviations that the loop construction of the matrices gives
+    monkeypatch.setattr(prop, "func", lambda ind: ref_induce(ind.hom, ind.base)[0])
+    assert lazy == {n: verify_zigzag(f, probes(f)).deviations
+                    for n, f in standard_homs().items()}
 
 
 def _dual_path_with(monkeypatch, change):
