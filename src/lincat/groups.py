@@ -56,12 +56,19 @@ from .errors import AxiomViolation, GroupMismatch, IndexOutOfRange, InputTooLarg
 MAX_HOM_CANDIDATES = 2**20
 # most points that group_from_permutations lets its permutations act on
 MAX_DEGREE = 2**20
-# most elements that group_from_permutations lets a closure reach
-MAX_GROUP_ORDER = 500
-# largest dense array (bytes) that direct_product, symmetric_group and
-# group_from_permutations, and rep's regular_rep, irreps and
-# intertwiner_basis, may allocate: a regular representation of order 256
+# most bytes a guarded call may hold at its peak (``_check_peak``); each guard
+# states its peak as a factor times its largest arrays, the factor measured
+# (peak RSS over the call, fresh interpreter, one BLAS thread) at the order
+# named beside it and rounded up
 MAX_DENSE_BYTES = 2**28
+
+
+def _check_peak(nbytes, what):
+    """The one size policy on bytes: raise InputTooLarge, naming ``what``,
+    when a call's peak, ``nbytes``, is above MAX_DENSE_BYTES."""
+    nbytes = math.ceil(nbytes)
+    if nbytes > MAX_DENSE_BYTES:
+        raise InputTooLarge(f"{what} needs {nbytes} bytes, above the limit of {MAX_DENSE_BYTES}")
 
 
 def _generating_set(table):
@@ -367,14 +374,12 @@ def symmetric_group(n: int) -> FinGroup:
     """S_n on points 0..n-1; elements are one-line permutations in lexicographic
     order, so the identity permutation has index 0; S0 is the trivial group.
     Raises IndexOutOfRange for n < 0, and InputTooLarge before enumerating
-    when the table of n!^2 int64 entries would take more than MAX_DENSE_BYTES."""
+    when the build's peak, 3.4 times the n!^2 int64 table, passes
+    MAX_DENSE_BYTES."""
     if n < 0:
         raise IndexOutOfRange(f"S{n}: a symmetric group needs n >= 0 points")
-    nbytes = math.prod(range(1, n + 1)) ** 2 * 8  # n!
-    if nbytes > MAX_DENSE_BYTES:
-        raise InputTooLarge(
-            f"table of S{n} needs {nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
-        )
+    # 3.35x at S6 (order 720); 3.4 = 17/5 in integers, as n!^2 overflows floats
+    _check_peak(math.factorial(n) ** 2 * 8 * 17 // 5, f"building S{n}")
     return _permutation_group(sorted(itertools.permutations(range(n))), name=f"S{n}")
 
 
@@ -385,15 +390,10 @@ def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
     its irreps.  The factors are part of its value (``FinGroup.key``), so the
     product differs from a group with the same table built another way, whose
     irreps have other bases.  Raises InputTooLarge before allocating when the
-    product's table of n^2 int64 entries would take more than
-    MAX_DENSE_BYTES."""
+    build's peak, 2.1 times the n^2 int64 table, passes MAX_DENSE_BYTES."""
     n = g.order * h.order
-    nbytes = n * n * 8
-    if nbytes > MAX_DENSE_BYTES:
-        raise InputTooLarge(
-            f"product table of a group of order {n} needs {nbytes} bytes, "
-            f"above the limit of {MAX_DENSE_BYTES}"
-        )
+    # 2.00x at A5xA5 (order 3600) and A5xS4 (order 1440): table and fingerprint
+    _check_peak(2.1 * n * n * 8, f"building a product of order {n}")
     products = g.mult[:, None, :, None] * h.order + h.mult[None, :, None, :]
     # the factors are validated, so the product table is closed by construction
     p = FinGroup._subgroup_table(products.reshape(n, n), name=f"{g.name}x{h.name}")
@@ -406,9 +406,8 @@ def group_from_permutations(generators, n_points, name=None):
     resulting permutation group as a table.  The identity gets index 0 and the
     remaining elements are sorted lexicographically.  Raises InputTooLarge
     before building any permutation when ``n_points`` exceeds MAX_DEGREE, and
-    as soon as the closure would hold more than MAX_GROUP_ORDER elements, or
-    more permutation entries than MAX_DENSE_BYTES holds int64 numbers (the
-    closure, its array and each row of products hold that many).
+    at the first element that puts the build's peak above MAX_DENSE_BYTES:
+    3.4 times its int64 table plus 12 times its permutations' int64 bytes.
     Raises IndexOutOfRange for n_points < 0, and, naming the generator's
     position, when a generator is not a permutation of 0..n_points-1: a point
     list of another length, a point outside that range, or a repeated point."""
@@ -432,18 +431,11 @@ def group_from_permutations(generators, n_points, name=None):
             for q in gens:
                 r = _compose_perms(p, q)
                 if r not in elements:
-                    if len(elements) >= MAX_GROUP_ORDER:
-                        raise InputTooLarge(
-                            f"generated group exceeds the cap of "
-                            f"{MAX_GROUP_ORDER} elements"
-                        )
-                    nbytes = (len(elements) + 1) * n_points * 8
-                    if nbytes > MAX_DENSE_BYTES:
-                        raise InputTooLarge(
-                            f"{len(elements) + 1} permutations of {n_points} "
-                            f"points need {nbytes} bytes, above the limit of "
-                            f"{MAX_DENSE_BYTES}"
-                        )
+                    # 3.39x the table at S6 (order 720, 6 points), and 11.50x
+                    # the permutations, tuples here, at order 2 on 2^20 points
+                    k = len(elements) + 1
+                    _check_peak(8 * k * (3.4 * k + 12 * n_points),
+                                f"a group of {k} permutations of {n_points} points")
                     elements.add(r)
                     nxt.append(r)
         frontier = nxt

@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import (
     GroupMismatch,
-    InputTooLarge,
     LincatError,
     ModelMismatch,
     NonIntegralMultiplicity,
@@ -53,7 +52,7 @@ from .errors import (
     RankMismatch,
     SingularMap,
 )
-from .groups import MAX_DENSE_BYTES, FinGroup, GroupHom, _memo, coset_data
+from .groups import FinGroup, GroupHom, _check_peak, _memo, coset_data
 
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-8
@@ -177,12 +176,8 @@ def trivial_rep(g: FinGroup) -> RepModel:
 def regular_rep(g: FinGroup) -> RepModel:
     """C[G] as |G| dense permutation matrices; raises InputTooLarge before
     allocating when they would take more than MAX_DENSE_BYTES."""
-    nbytes = g.order**3 * 16
-    if nbytes > MAX_DENSE_BYTES:
-        raise InputTooLarge(
-            f"regular representation of a group of order {g.order} needs "
-            f"{nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
-        )
+    # 1.00x the matrices at Z150
+    _check_peak(g.order**3 * 16, f"the regular representation of order {g.order}")
     mats = np.zeros((g.order, g.order, g.order), dtype=complex)
     for a in range(g.order):
         mats[a, g.mult[a], np.arange(g.order)] = 1.0
@@ -342,10 +337,11 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
     its factors, so it and the same table built another way keep separate
     stores and bases.  A kept result is the value's: an irrep's ``group``
     equals g, but may be another object with another name.  On a miss, raises
-    InputTooLarge before allocating when |G|^2 complex numbers (the basis of
-    C[G], or all the product's matrices) would take more than MAX_DENSE_BYTES,
-    and NumericalFailure unless the characters are orthonormal within
-    DEFAULT_TOL: no caller picks that tolerance, so a kept result never
+    InputTooLarge before allocating when its peak passes MAX_DENSE_BYTES:
+    11 times the |G|^2 complex basis of C[G] when it splits, 1.1 times the
+    product's matrices (as many numbers) for a product; and NumericalFailure
+    unless the characters are orthonormal within DEFAULT_TOL: no caller
+    picks that tolerance, so a kept result never
     depends on one.  The seed is any non-negative integer (numpy integers
     included); a negative one raises LincatError."""
     # random.Random refuses numpy integers and takes a negative seed's
@@ -358,15 +354,14 @@ def irreps(g: FinGroup, seed=DEFAULT_SEED):
 
 def _irreps(g: FinGroup, seed):
     """The sorted and checked irreps of ``irreps``, built afresh."""
-    nbytes = g.order**2 * 16
-    if nbytes > MAX_DENSE_BYTES:
-        raise InputTooLarge(
-            f"irreducible representations of a group of order {g.order} need "
-            f"{nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
-        )
+    what = f"the irreducible representations of a group of order {g.order}"
     if g.factors is None:
+        # 10.76x the basis at GL_2(F_5) (order 480), 10.46x at S6 (order 720)
+        _check_peak(11 * g.order**2 * 16, what)
         keyed = _irreps_by_splitting(g, seed)
     else:
+        # 1.10x at A5xS4 (order 1440), 1.02x at A5xA5 (3600), factors' irreps included
+        _check_peak(1.1 * g.order**2 * 16, what)
         keyed = _irreps_of_product(g, seed)
     result = [r for _, r in sorted(keyed, key=lambda kr: (kr[1].dim, kr[0]))]
     if sum(r.dim**2 for r in result) != g.order:
@@ -426,8 +421,14 @@ class InducedRep(RepModel):
 
     @cached_property
     def matrices(self):
+        """The dense (|H|, dim, dim) stack, built on the first read, which
+        raises InputTooLarge first if the stack and its gathered blocks pass
+        MAX_DENSE_BYTES."""
         # a h_i = h_j f(lift[a h_i]), so block (j, i) of a is blocks[lift[a h_i]]
         h, n, dw = self.group, len(self.coset_reps), self.block_dim
+        # 1.00x at Z200 on C[Z50] and C[Z100], and at S5 on C[1]
+        _check_peak(h.order * (n + 1) * n * dw**2 * 16, f"the matrices of an induced "
+                    f"model of dimension {self.dim} on a group of order {h.order}")
         ahi = h.mult[:, self.coset_reps]
         mats = np.zeros((h.order, n, dw, n, dw), dtype=complex)
         mats[np.arange(h.order)[:, None], self.coset_index[ahi], :, np.arange(n), :] = (
@@ -495,23 +496,21 @@ def induce_rep(f: GroupHom, v: RepModel) -> InducedRep:
     read (``InducedRep.matrices``).  The cosets, lifts, kernel and image are
     ``groups.coset_data(f)``, computed once per hom value and kept, read-only,
     in the store of the value of f's target group.  Raises InputTooLarge
-    before allocating anything of the model when its |H| matrices would
-    take more than MAX_DENSE_BYTES."""
+    before allocating the blocks when 1.1 times them, the base's matrices it
+    gathers at the lifts and the coset arrays pass MAX_DENSE_BYTES."""
     if v.group != f.source:
         raise GroupMismatch("model lives on the wrong group for this induction")
     h = f.target
     cosets = coset_data(f)
     c = _invariant_basis(v, cosets.kernel)
     dw = c.shape[1]
-    n = len(cosets.reps)
-    nbytes = h.order * (n * dw) ** 2 * 16
-    if nbytes > MAX_DENSE_BYTES:
-        raise InputTooLarge(
-            f"induced model of dimension {n * dw} on a group of order {h.order} "
-            f"needs {nbytes} bytes, above the limit of {MAX_DENSE_BYTES}"
-        )
     # C^H V(g) C at the preimages g of im(f), which are all the lifts
     lifts = cosets.preimage[cosets.image]
+    # 1.09x at Z200 -> Z50 on C[Z200], 1.01x at the identity of Z150 on C[Z150]
+    _check_peak(1.1 * (16 * (f.source.order * dw**2 + len(lifts) * v.dim**2)
+                       + sum(a.nbytes for a in cosets)),
+                f"inducing a model of dimension {len(cosets.reps) * dw} to a group "
+                f"of order {h.order}")
     blocks = np.zeros((f.source.order, dw, dw), dtype=complex)
     blocks[lifts] = c.conj().T @ v.matrices[lifts] @ c
     return InducedRep(f, v, cosets, c, blocks)
@@ -549,18 +548,17 @@ def intertwiner_basis(r1: RepModel, r2: RepModel):
     the character count, each element equivariant within 10 * DEFAULT_TOL.
     Returns the basis as one C-contiguous (rank, r2.dim, r1.dim) array, of
     rank 0 when either dimension is 0.  Raises InputTooLarge before forming P
-    when it would take more than MAX_DENSE_BYTES."""
+    when 7.7 times P (its SVD) and 2.1 times the rank * |G| residuals of the
+    equivariance check pass MAX_DENSE_BYTES."""
     if r1.group != r2.group:
         raise GroupMismatch("intertwiners need both models on one group")
     g = r1.group
     d1, d2 = r1.dim, r2.dim
-    nbytes = (d1 * d2) ** 2 * 16
-    if nbytes > MAX_DENSE_BYTES:
-        raise InputTooLarge(
-            f"intertwiner projector on {d2}x{d1} matrices needs {nbytes} bytes, "
-            f"above the limit of {MAX_DENSE_BYTES}"
-        )
     expected = hom_dim(r1.character, r2.character)
+    # 7.70x P at d1 * d2 = 576 (Z2, 24 copies of two characters); 2.06x the
+    # residuals at 12 copies of the trivial character of Z100
+    _check_peak(16 * (7.7 * (d1 * d2) ** 2 + 2.1 * expected * g.order * d1 * d2),
+                f"the intertwiner projector on {d2}x{d1} matrices")
     if d1 == 0 or d2 == 0:
         if expected:
             raise RankMismatch("positive character count on a zero-dimensional space")

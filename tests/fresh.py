@@ -36,6 +36,20 @@ def python(*args, **env):
     return done.stdout
 
 
+def gl2_generators(q):
+    """Generators of GL_2(F_q), q prime, as permutations of the q^2 - 1
+    nonzero column vectors (x, y), numbered x*q + y - 1: diag(a, 1) for the
+    least primitive root a, the transvection [[1, 1], [0, 1]] and the swap
+    [[0, 1], [1, 0]]."""
+    vecs = [(x, y) for x in range(q) for y in range(q) if x or y]
+    a = next(a for a in range(1, q) if len({pow(a, k, q) for k in range(q - 1)}) == q - 1)
+    gens = []
+    for (m00, m01), (m10, m11) in (((a, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0))):
+        gens.append([((m00 * x + m01 * y) % q) * q + (m10 * x + m11 * y) % q - 1
+                     for x, y in vecs])
+    return gens
+
+
 def relabelled(g):
     """A group isomorphic to ``g`` (of order at least 4) under another table:
     element i becomes i + 1 for 0 < i < |g| - 1 and the last element becomes 1,

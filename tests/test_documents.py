@@ -79,9 +79,28 @@ def test_permutation_generators_expand():
     assert doc.payload == symmetric_group(3)
 
 
+def _permutation_document(name, generators):
+    return {
+        "format_version": "1",
+        "kind": "group",
+        "definitions": {"groups": [{"name": name, "permutation_generators": generators}]},
+        "payload": name,
+    }
+
+
+def test_s6_permutation_document_parses():
+    # the closure is bounded by the bytes of its build only, and S6 on six
+    # points states about 14 MB
+    doc = parse_obj(_permutation_document("S6", [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]))
+    assert doc.payload.order == 720
+    assert doc.payload == symmetric_group(6)
+
+
 def test_permutation_generator_cap(monkeypatch):
-    monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
-    with pytest.raises(InputTooLarge):
+    # Z10 from a 10-cycle: its sixth element makes the closure state 6740
+    # bytes, as in test_groups
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6739)
+    with pytest.raises(InputTooLarge, match="6 permutations of 10 points needs 6740 bytes"):
         parse_obj(
             {
                 "format_version": "1",

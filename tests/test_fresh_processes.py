@@ -2,7 +2,9 @@
 lincat command and ``random_suite`` leave ``numpy.random`` unloaded (the
 splitting and the suite draws come from plain-Python generators).  A seed
 fixes every float a command prints.  Λ of a regular span keeps its
-pushforward in coset form, so its peak memory stays flat."""
+pushforward in coset form, so its peak memory stays flat.  A size guard
+bounds the peak of the call it admits, and refuses GL_2(F_7)'s split before
+it starts."""
 
 import pytest
 
@@ -58,3 +60,49 @@ def test_lambda_of_the_regular_span_of_s5_builds_no_dense_pushforward():
     """
     grown_mb = float(python("-c", code, OPENBLAS_NUM_THREADS="1"))
     assert grown_mb < 5, grown_mb
+
+
+def test_irreps_of_gl2_f5_stay_within_the_bytes_their_guard_states():
+    # GL_2(F_5), order 480 on its 24 nonzero vectors, splits C[G]; the
+    # guard's statement is read from its refusal at a limit of 0
+    code = """if True:
+        import re, resource
+        import lincat, lincat.groups
+        from fresh import gl2_generators
+        g = lincat.group_from_permutations(gl2_generators(5), 24)
+        assert g.order == 480
+        limit, lincat.groups.MAX_DENSE_BYTES = lincat.groups.MAX_DENSE_BYTES, 0
+        try:
+            lincat.irreps(g)
+        except lincat.InputTooLarge as exc:
+            stated = int(re.search(r"needs (\\d+) bytes", str(exc)).group(1))
+        lincat.groups.MAX_DENSE_BYTES = limit
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert sum(r.dim**2 for r in lincat.irreps(g)) == 480
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(stated, (after - before) * 1024)
+    """
+    stated, grown = map(int, python("-c", code, OPENBLAS_NUM_THREADS="1").split())
+    assert stated == 11 * 480**2 * 16
+    assert grown <= stated, (grown, stated)
+
+
+def test_gl2_f7_builds_and_its_split_is_refused_before_it_starts():
+    # order 2016 on 48 points: the closure states about 120 MB, the split
+    # 11 times the 65 MB basis of C[G]
+    code = """if True:
+        import lincat, lincat.rep
+        from fresh import gl2_generators
+        g = lincat.group_from_permutations(gl2_generators(7), 48)
+        assert g.order == 2016
+        def refuse(*args):
+            raise AssertionError("a split started")
+        lincat.rep._irreps_by_splitting = refuse
+        try:
+            lincat.irreps(g)
+        except lincat.InputTooLarge as exc:
+            print(exc)
+    """
+    out = python("-c", code)
+    assert out.strip() == ("the irreducible representations of a group of order 2016 "
+                           "needs 715309056 bytes, above the limit of 268435456")

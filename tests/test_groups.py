@@ -283,15 +283,22 @@ def test_group_from_permutations_17_cycle_matches_dict_table():
 
 
 def test_group_from_permutations_cap(monkeypatch):
-    monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
-    with pytest.raises(InputTooLarge):
-        group_from_permutations([list(range(1, 7)) + [0]], 7)
+    # Z7 from a 7-cycle: six permutations of 7 points state a peak of
+    # 8*6*(3.4*6 + 12*7) bytes, rounded up to 5012, and all seven 6037
+    gens = [list(range(1, 7)) + [0]]
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 5011)
+    with pytest.raises(InputTooLarge, match="a group of 6 permutations of 7 points "
+                       "needs 5012 bytes, above the limit of 5011"):
+        group_from_permutations(gens, 7)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6037)
+    assert group_from_permutations(gens, 7).order == 7
 
 
 def test_group_from_permutations_stops_at_the_cap(monkeypatch):
     # the nine transpositions (0 i) of 10 points each give a new element in
-    # the first step; the closure stops at the first one beyond the cap
-    monkeypatch.setattr(lincat.groups, "MAX_GROUP_ORDER", 5)
+    # the first step; the closure stops at the first one beyond the byte
+    # limit: five permutations of 10 points state 5480 bytes, six 6740
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6739)
     made = []
     real = lincat.groups._compose_perms
 
@@ -305,7 +312,7 @@ def test_group_from_permutations_stops_at_the_cap(monkeypatch):
         t = list(range(10))
         t[0], t[i] = i, 0
         gens.append(t)
-    with pytest.raises(InputTooLarge, match="cap of 5 elements"):
+    with pytest.raises(InputTooLarge, match="6 permutations of 10 points needs 6740 bytes"):
         group_from_permutations(gens, 10)
     assert len(made) == 5
     made.clear()
@@ -319,18 +326,26 @@ def _refuse(*args, **kwargs):
 
 
 def test_symmetric_group_size_guard(monkeypatch):
-    # S8's table would be 40,320^2 int64 entries (13 GB): the guard must
-    # come before the permutations are enumerated
+    # S8's table would be 40,320^2 int64 entries (13 GB), and its build 3.4
+    # times as much: the guard must come before the permutations are
+    # enumerated
     with monkeypatch.context() as m:
         m.setattr(itertools, "permutations", _refuse)
         m.setattr(lincat.groups, "_permutation_group", _refuse)
-        with pytest.raises(InputTooLarge, match="S8 needs 13005619200 bytes"):
+        with pytest.raises(InputTooLarge, match="building S8 needs 44219105280 bytes"):
             symmetric_group(8)
-    # S3: 6^2 int64 entries are 288 bytes
-    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 6 * 8 - 1)
-    with pytest.raises(InputTooLarge, match="S3 needs 288 bytes"):
+        # a float would overflow at 171!^2
+        with pytest.raises(InputTooLarge, match="building S171 needs"):
+            symmetric_group(171)
+        # S7 states 3.4 * 5040^2 * 8 bytes, about 691 MB
+        with pytest.raises(InputTooLarge, match="S7 needs 690923520 bytes"):
+            symmetric_group(7)
+    # S3: 6^2 int64 entries are 288 bytes, and 3.4 times that rounds down
+    # to 979
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 978)
+    with pytest.raises(InputTooLarge, match="S3 needs 979 bytes"):
         symmetric_group(3)
-    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 6 * 8)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 979)
     assert symmetric_group(3).order == 6
 
 
@@ -351,16 +366,18 @@ def test_symmetric_group_refuses_negative_degree(monkeypatch, n):
 
 
 def test_group_from_permutations_entry_guard(monkeypatch):
-    # S3 as six permutations of three points: 18 int64 entries, 144 bytes;
-    # the closure stops before it adds the sixth element
-    gens = [[1, 2, 0], [1, 0, 2]]
-    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 3 * 8 - 1)
+    # Z2 swapping points 0 and 1 of 1000: the closure holds its permutations
+    # as tuples, 12 times their 16,000 int64 bytes, beside a table of 32;
+    # it stops before it adds the second element
+    swap = [1, 0] + list(range(2, 1000))
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 192108)
     with monkeypatch.context() as m:
         m.setattr(lincat.groups, "_permutation_group", _refuse)
-        with pytest.raises(InputTooLarge, match="6 permutations of 3 points need 144 bytes"):
-            group_from_permutations(gens, 3)
-    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 6 * 3 * 8)
-    assert group_from_permutations(gens, 3).order == 6
+        with pytest.raises(InputTooLarge,
+                           match="2 permutations of 1000 points needs 192109 bytes"):
+            group_from_permutations([swap], 1000)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 192109)
+    assert group_from_permutations([swap], 1000).order == 2
 
 
 @pytest.mark.parametrize("gens, message", [
@@ -410,17 +427,21 @@ class _NoTable:
 
 def test_direct_product_size_guard(monkeypatch):
     s4, s5 = symmetric_group(4), symmetric_group(5)
-    # S5 x S5: 14,400^2 int64 entries are 1.66 GB; the product's table is
-    # built from its factors' tables, so the guard must come before any read
+    # S5 x S5: 14,400^2 int64 entries are 1.66 GB, and the build holds 2.1
+    # times that; the product's table is built from its factors' tables, so
+    # the guard must come before any read
     with monkeypatch.context() as m:
         m.setattr(s5, "mult", _NoTable())
-        with pytest.raises(InputTooLarge, match="order 14400 needs 1658880000 bytes"):
+        with pytest.raises(InputTooLarge, match="order 14400 needs 3483648000 bytes"):
             direct_product(s5, s5)
     g = direct_product(s4, s4)
     assert g.order == 576 and g.factors == (s4, s4)
-    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 576 * 576 * 8 - 1)
-    with pytest.raises(InputTooLarge):
+    # S4 x S4: 2.1 * 576^2 * 8 bytes, rounded up
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 5573836)
+    with pytest.raises(InputTooLarge, match="order 576 needs 5573837 bytes"):
         direct_product(s4, s4)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 5573837)
+    assert direct_product(s4, s4) == g
 
 
 def test_class_of_inverts_classes():

@@ -100,7 +100,7 @@ from lincat.twovect import (
 )
 from staged_reference import staged_transfer_piece
 from test_induction_kernels import ref_induce
-from test_rep import _loop_projection
+from test_rep import _loop_projection, _refuse_allocation
 
 DATA = "src/lincat/data"
 
@@ -535,6 +535,31 @@ def test_lambda_builds_no_dense_induced_model(monkeypatch):
     monkeypatch.setattr(prop, "func", lambda ind: ref_induce(ind.hom, ind.base)[0])
     assert lazy == {n: verify_zigzag(f, probes(f)).deviations
                     for n, f in standard_homs().items()}
+
+
+def test_lambda_of_the_regular_span_of_s6_needs_no_dense_pushforward(monkeypatch):
+    # 1 <- B1 -> BS6 pushes forward along an index-720 inclusion, whose dense
+    # induced matrices would take 720 * 721 * 720 * 16 B (with the blocks
+    # they gather), about 6 GB: Λ computes without them, and a read of them
+    # is refused before anything is allocated
+    g = symmetric_group(6)
+    h, incl = subgroup_embedding(g, [0])
+    bh = one_object_groupoid(h)
+    x = Span(bh, GroupoidFunctor.to_terminal(bh, terminal_groupoid()),
+             GroupoidFunctor(bh, one_object_groupoid(g), [0], [incl]))
+    lam = lambda_span(x)
+    assert lam.map.dims[:, 0].tolist() == [1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16]
+    assert [len(lam.details[(k, 0)]) for k in range(11)] == [1] * 11
+    res = lambda_spanmap(SpanMap.identity(x), check=False)
+    for (k, _), block in res.morphism.blocks.items():
+        assert np.max(np.abs(block - np.eye(len(block))), initial=0.0) < 1e-12
+    ind = lam.details[(10, 0)][0].ind
+    assert ind.dim == 720 and ind.blocks.shape == (1, 1, 1)
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", _refuse_allocation)
+        with pytest.raises(InputTooLarge, match="dimension 720 on a group of order 720 "
+                           "needs 5980262400 bytes"):
+            ind.matrices
 
 
 def _dual_path_with(monkeypatch, change):
@@ -1269,17 +1294,21 @@ def test_projector_size_guard_waits_for_the_models(monkeypatch):
     bs3, point = one_object_groupoid(s3), terminal_groupoid()
     x = Span(bs3, GroupoidFunctor.identity(bs3),
              GroupoidFunctor(bs3, point, [0], [trivial_hom(s3, point.aut(0))]))
-    irreps(s3)  # cached before the limit drops below the table's 576 bytes
-    # the (2*1)^2 projector of the 2-dimensional irrep needs 64 bytes; its
-    # pushforward to the point is empty (no S3-invariants), and the other
-    # pushforwards take 16 bytes, below the induced models' guard
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 63)
+    irreps(s3)  # cached before the limit drops below the split's 6336 bytes
+    # the projector of the 2-dimensional irrep states 7.7 * (2*1)^2 * 16
+    # bytes, 493 rounded up, and its pushforward to the point is empty (no
+    # S3-invariants); the other projectors state at most 325 bytes, and
+    # the pushforwards hold at most six 1x1 blocks, one gathered base
+    # matrix and eleven int64 coset entries, 1.1 * 200 bytes
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 492)
     lam = lambda_span(x)
     assert lam.map.dims.tolist() == [[0, 1, 0]]
-    with pytest.raises(InputTooLarge, match="intertwiner projector"):
+    with pytest.raises(InputTooLarge, match="intertwiner projector on 1x2 matrices needs 493"):
         lam.details
-    with pytest.raises(InputTooLarge, match="intertwiner projector"):
+    with pytest.raises(InputTooLarge, match="intertwiner projector on 1x2 matrices needs 493"):
         lam.map.hom_bases
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 493)
+    assert [len(w) for w in lam.details.values()] == [1, 1, 1]
 
 
 def _record_calls(monkeypatch, name):

@@ -649,31 +649,50 @@ def test_projection_keeps_the_intertwiner_coordinates(s3, s4):
 
 def test_intertwiner_projector_size_guard(s3, monkeypatch):
     w = irreps(s3)[2]  # the 2-dimensional irrep: a (2*2)^2 projector
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 16 * 16 - 1)
-    with pytest.raises(InputTooLarge):
+    # 7.7 times the projector's 16 entries and 2.1 times the residuals of
+    # rank 1 on six 2x2 matrices, 16 bytes an entry: 2777.6 bytes
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 2777)
+    with pytest.raises(InputTooLarge, match="projector on 2x2 matrices needs 2778 bytes"):
         intertwiner_basis(w, w)
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 16 * 16)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 2778)
     assert len(intertwiner_basis(w, w)) == 1
 
 
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("an array was allocated before the guard")
+
+
 def test_induce_rep_size_guard(z2_in_s3, monkeypatch):
-    # the trivial rep of Z2 induced into S3: 3 cosets x 1 invariant, so six
-    # 3x3 complex matrices of 16 bytes an entry
+    # the trivial rep of Z2 induced into S3: 3 cosets x 1 invariant.  The
+    # model holds two 1x1 blocks and gathers two 1x1 base matrices, 16 bytes
+    # an entry, beside 24 int64 coset entries: 1.1 * 256 bytes
     triv = trivial_rep(z2_in_s3.source)
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 6 * 3 * 3 * 16 - 1)
-    with pytest.raises(InputTooLarge, match="dimension 3 on a group of order 6 needs 864"):
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 281)
+    with pytest.raises(InputTooLarge, match="dimension 3 to a group of order 6 needs 282"):
         induce_rep(z2_in_s3, triv)
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 6 * 3 * 3 * 16)
-    assert induce_rep(z2_in_s3, triv).dim == 3
+    # its dense matrices, six 3x3 complex ones, and the six rows of three
+    # blocks they gather, 1152 bytes, are refused at their first read,
+    # before anything is allocated
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 1151)
+    ind = induce_rep(z2_in_s3, triv)
+    assert ind.dim == 3
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", _refuse_allocation)
+        with pytest.raises(InputTooLarge, match="dimension 3 on a group of order 6 "
+                           "needs 1152 bytes, above the limit of 1151"):
+            ind.matrices
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 1152)
+    assert ind.matrices.shape == (6, 3, 3)
 
 
 def test_irreps_size_guard(monkeypatch):
-    # on a miss, the |G| x |G| basis of C[S4] takes 24*24*16 bytes
+    # on a miss, the split holds 11 times the |G| x |G| basis of C[S4],
+    # 24*24*16 bytes
     s4 = cold(lambda: relabelled(symmetric_group(4)))
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16 - 1)
-    with pytest.raises(InputTooLarge, match="order 24 need 9216 bytes"):
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 11 * 24 * 24 * 16 - 1)
+    with pytest.raises(InputTooLarge, match="order 24 needs 101376 bytes"):
         irreps(s4)
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 11 * 24 * 24 * 16)
     assert [r.dim for r in irreps(s4)] == [1, 1, 2, 3, 3]
 
 
@@ -950,13 +969,14 @@ def test_s4_squared_irreps_come_from_the_factors(s4, monkeypatch):
 
 
 def test_product_irreps_size_guard(z4, monkeypatch):
-    # the product route allocates |G|^2 complex numbers too, and is guarded
-    # before its factors' irreps are computed
+    # the product route holds 1.1 times |G|^2 complex numbers, 10137.6
+    # bytes, and is guarded before its factors' irreps are computed (their
+    # splits state 6336 and 2816 bytes)
     s3 = _cold_s3()
     p = cold(lambda: direct_product(s3, z4))
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16 - 1)
-    with pytest.raises(InputTooLarge, match="order 24 need 9216 bytes"):
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 10137)
+    with pytest.raises(InputTooLarge, match="order 24 needs 10138 bytes"):
         irreps(p)
     assert not p.store and not s3.store
-    monkeypatch.setattr(lincat.rep, "MAX_DENSE_BYTES", 24 * 24 * 16)
+    monkeypatch.setattr(lincat.groups, "MAX_DENSE_BYTES", 10138)
     assert sum(r.dim**2 for r in irreps(p)) == 24
